@@ -65,6 +65,23 @@ def _load_structure(path):
         raise InputError("%s: %s" % (path, e))
 
 
+def _check_signature(queries, t, target_path):
+    """Every symbol of every query must exist in the target with the same
+    arity; otherwise the counters would look up a relation that is not
+    there."""
+    for q in queries:
+        for name, arity in q.structure.signature.symbols:
+            have = t.signature.arity.get(name)
+            if have is None:
+                raise InputError("%s: the target has no symbol %s, which the "
+                                 "query uses as %s/%d"
+                                 % (target_path, name, name, arity))
+            if have != arity:
+                raise InputError("%s: symbol %s has arity %d in the target "
+                                 "but %d in the query"
+                                 % (target_path, name, have, arity))
+
+
 def _load_coloring(path, name_to_index):
     try:
         return parse_coloring(_read(path, "coloring"), name_to_index)
@@ -101,6 +118,7 @@ def cmd_count(cfg):
     if isinstance(q, ZeroWitness):
         _emit(cfg, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
+    _check_signature([q], t, cfg.args.target)
     method = _pick_method(cfg, q)
     if method == "dp":
         if not q.is_plain():
@@ -124,6 +142,7 @@ def cmd_count_colored(cfg, colorful):
     if isinstance(q, ZeroWitness):
         _emit(cfg, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
+    _check_signature([q], t, cfg.args.target)
     c = _load_coloring(cfg.args.coloring, index)
     try:
         c = Coloring(c.colors, t, q.structure)
@@ -219,6 +238,7 @@ def cmd_eval(cfg):
     except ParseError as e:
         raise InputError("%s: %s" % (cfg.args.quantum, e))
     t = _load_structure(cfg.args.target)
+    _check_signature([q for _, q in qq.terms], t, cfg.args.target)
     value = quantum.evaluate(qq, t)
     if isinstance(value, Fraction):
         shown = "%d/%d" % (value.numerator, value.denominator)

@@ -3,7 +3,7 @@ counters: the all-free DP and the fast counter that splits off quantified
 components and materializes their extendability relations.
 """
 
-from itertools import product
+from operator import itemgetter
 
 from .model import (Query, Signature, Structure, gaifman_adjacency,
                     induced_substructure)
@@ -282,79 +282,96 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     Vertices in keep appear implicitly in every bag; the returned root table
     maps assignments of sorted(keep) to the number of homomorphisms of the
     remaining vertices consistent with that boundary assignment.
+
+    A row holds the keep columns, then the bag in sorted order.  Rows grow
+    one vertex at a time: the keep vertices at each leaf, then the vertex of
+    each introduce node.  Each atom is checked once, where its last vertex
+    enters a row: the new vertex's candidates come from an index of the
+    target relation keyed by the atom's bound positions, intersected over
+    every atom the vertex completes and then with domains[v] when given.
+    The index lives for this call only.
     """
     keep = tuple(sorted(keep))
-    atoms = []
+    atoms_of = {}
     for name, rel in structure.relations.items():
         for tup in rel:
-            atoms.append((name, tup))
+            for v in set(tup):
+                atoms_of.setdefault(v, []).append((name, tup))
+    indexes = {}
 
-    def dom(v):
+    def key_getter(positions):
+        return itemgetter(*positions) if positions else (lambda row: ())
+
+    def candidate_index(name, tup, v):
+        """Map from the values at tup's positions other than v's to the set
+        of target values w such that the relation holds w at every position
+        of v."""
+        at_v = tuple(i for i, u in enumerate(tup) if u == v)
+        index = indexes.get((name, at_v))
+        if index is None:
+            bound_of = key_getter([i for i, u in enumerate(tup) if u != v])
+            index = {}
+            for t in target.relations[name]:
+                w = t[at_v[0]]
+                if all(t[i] == w for i in at_v):
+                    index.setdefault(bound_of(t), set()).add(w)
+            indexes[name, at_v] = index
+        return index
+
+    def extend(table, cols, v, at):
+        """Insert v at position `at` of each row of a table over cols."""
+        placed = set(cols)
+        checks = [(key_getter([cols.index(u) for u in tup if u != v]),
+                   candidate_index(name, tup, v))
+                  for name, tup in atoms_of.get(v, ())
+                  if placed.issuperset(u for u in tup if u != v)]
+        allowed = None
         if domains is not None and domains.get(v) is not None:
-            return domains[v]
-        return range(target.n)
-
-    def atoms_within(vs):
-        vset = set(vs) | set(keep)
-        return [(name, tup) for name, tup in atoms if set(tup) <= vset]
-
-    def filter_table(table, vs):
-        checks = atoms_within(vs)
-        if not checks:
-            return table
-        cols = keep + tuple(vs)
-        pos = {v: i for i, v in enumerate(cols)}
+            allowed = set(domains[v])
+        everything = range(target.n)
         out = {}
-        for key, cnt in table.items():
-            ok = True
-            for name, tup in checks:
-                if tuple(key[pos[v]] for v in tup) not in target.relations[name]:
-                    ok = False
+        for row, cnt in table.items():
+            cands = None
+            for bound_of, index in checks:
+                found = index.get(bound_of(row))
+                if not found:
                     break
-            if ok:
-                out[key] = cnt
+                cands = found if cands is None else cands & found
+            else:
+                if allowed is not None:
+                    cands = allowed if cands is None else cands & allowed
+                head, tail = row[:at], row[at:]
+                for w in everything if cands is None else cands:
+                    out[head + (w,) + tail] = cnt
         return out
 
     def rec(node):
         kind = node["kind"]
-        bag = node["bag"]
         if kind == "leaf":
-            table = {}
-            for combo in product(*(dom(v) for v in keep)):
-                table[combo] = 1
-            return filter_table(table, ())
+            table = {(): 1}
+            for i, v in enumerate(keep):
+                table = extend(table, keep[:i], v, i)
+            return table
+        child = node["children"][0]
+        cols = keep + child["bag"]
         if kind == "introduce":
-            child = rec(node["children"][0])
             v = node["vertex"]
-            cbag = node["children"][0]["bag"]
-            cols = keep + tuple(cbag)
-            new_cols = keep + tuple(bag)
-            src = {c: i for i, c in enumerate(cols)}
-            table = {}
-            for key, cnt in child.items():
-                for w in dom(v):
-                    ext = dict(zip(cols, key))
-                    ext[v] = w
-                    nk = tuple(ext[c] for c in new_cols)
-                    table[nk] = table.get(nk, 0) + cnt
-            return filter_table(table, bag)
+            return extend(rec(child), cols, v,
+                          len(keep) + node["bag"].index(v))
         if kind == "forget":
-            child = rec(node["children"][0])
-            cbag = node["children"][0]["bag"]
-            cols = keep + tuple(cbag)
-            new_cols = keep + tuple(bag)
-            idx = [cols.index(c) for c in new_cols]
+            at = cols.index(node["vertex"])
             table = {}
-            for key, cnt in child.items():
-                nk = tuple(key[i] for i in idx)
-                table[nk] = table.get(nk, 0) + cnt
+            for row, cnt in rec(child).items():
+                key = row[:at] + row[at + 1:]
+                table[key] = table.get(key, 0) + cnt
             return table
         if kind == "join":
-            left = rec(node["children"][0])
-            right = rec(node["children"][1])
+            small, large = rec(child), rec(node["children"][1])
+            if len(small) > len(large):
+                small, large = large, small
             table = {}
-            for key, cnt in left.items():
-                other = right.get(key)
+            for key, cnt in small.items():
+                other = large.get(key)
                 if other:
                     table[key] = cnt * other
             return table
@@ -396,41 +413,34 @@ def component_boundary(q, component):
     return sorted(out)
 
 
-def _component_root_table(q, t, component, limit, stats=None):
-    """Map from boundary assignments to extension counts for one component."""
+def _component_root_table(q, t, component, limit, dss_cap):
+    """The boundary of one component and the map from boundary assignments
+    (keys in boundary order) to extension counts.  Raises ValueError when
+    the boundary exceeds dss_cap."""
     boundary = component_boundary(q, component)
+    if len(boundary) > dss_cap:
+        raise ValueError("component boundary exceeds the dss cap (%d > %d)"
+                         % (len(boundary), dss_cap))
+    # induced_substructure keeps the vertex order, so the sorted local keep
+    # columns are the boundary vertices in boundary order
     sub, old_to_new = induced_substructure(q.structure, component + boundary)
     comp_local = [old_to_new[v] for v in component]
     keep_local = [old_to_new[v] for v in boundary]
-    adj = _adjacency(sub)
-    _, td = decompose_graph((adj, comp_local), limit=limit, exact=True)
-    if stats is not None:
-        stats["candidate_checks"] = stats.get("candidate_checks", 0) + \
-            t.n ** len(boundary)
-    table = dp_tables(sub, t, td, keep=tuple(keep_local))
-    # re-express keys in the order of the boundary vertices of q
-    cols = tuple(sorted(keep_local))
-    idx = [cols.index(old_to_new[v]) for v in boundary]
-    return boundary, {tuple(key[i] for i in idx): cnt
-                      for key, cnt in table.items() if cnt}
+    _, td = decompose_graph((_adjacency(sub), comp_local), limit=limit,
+                            exact=True)
+    return boundary, dp_tables(sub, t, td, keep=keep_local)
 
 
 def extendability_relation(q, t, component_index, limit=EXACT_TREEWIDTH_LIMIT,
                            dss_cap=DSS_CAP):
     """The relation R of boundary tuples of one quantified component that admit
     an extension into the component's pattern."""
-    comps = quantified_components(q)
-    component = comps[component_index]
-    boundary = component_boundary(q, component)
-    if len(boundary) > dss_cap:
-        raise ValueError("component boundary exceeds the dss cap (%d > %d)"
-                         % (len(boundary), dss_cap))
-    _, table = _component_root_table(q, t, component, limit)
-    return set(table.keys())
+    component = quantified_components(q)[component_index]
+    _, table = _component_root_table(q, t, component, limit, dss_cap)
+    return set(table)
 
 
-def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
-                       stats=None):
+def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
     """The X-only query and enriched target realizing the fast counter: keeps
     the free-only atoms and adds one fresh relation per quantified component
     holding its extendability tuples.  Returns (query, target) or None when
@@ -449,12 +459,9 @@ def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
         symbols.append((name, arity))
         rels_q[name] = set(tuple(index[v] for v in tup) for tup in tuples)
         rels_t[name] = set(t.relations[name])
-    comps = quantified_components(q)
-    for i, component in enumerate(comps):
-        boundary = component_boundary(q, component)
-        if len(boundary) > dss_cap:
-            raise ValueError("component boundary exceeds the dss cap")
-        _, table = _component_root_table(q, t, component, limit, stats=stats)
+    for i, component in enumerate(quantified_components(q)):
+        boundary, table = _component_root_table(q, t, component, limit,
+                                                dss_cap)
         if not boundary:
             if not table:
                 return None
@@ -464,18 +471,17 @@ def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
             name = name + "_"
         symbols.append((name, len(boundary)))
         rels_q[name] = {tuple(index[v] for v in boundary)}
-        rels_t[name] = set(table.keys())
+        rels_t[name] = set(table)
     sig = Signature(symbols)
     derived_q = Query(Structure(sig, len(free), rels_q), tuple(range(len(free))))
     derived_t = Structure(sig, t.n, rels_t)
     return derived_q, derived_t
 
 
-def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
-                      stats=None):
+def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
     """The fast counter: component extendability relations plus a DP over a
     decomposition of the contracted free-only query."""
-    derived = derived_free_query(q, t, limit=limit, dss_cap=dss_cap, stats=stats)
+    derived = derived_free_query(q, t, limit=limit, dss_cap=dss_cap)
     if derived is None:
         return 0
     dq, dt = derived

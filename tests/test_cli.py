@@ -161,3 +161,25 @@ def test_check_suite_passes_and_is_deterministic(tmp_path, capsys):
     assert all(line.endswith("=pass") for line in lines)
     code, second, _ = run(capsys, argv)
     assert code == 0 and second == first
+
+
+def test_signature_mismatch_gives_exit_code_one(tmp_path, capsys):
+    q = write(tmp_path, "q", PSI2)
+    c = write(tmp_path, "c", "color 0 x1\ncolor 1 y\ncolor 2 x2\n")
+    qq = write(tmp_path, "qq", "transform identity\ncoeff 1/1\n" + PSI2)
+    other = write(tmp_path, "other",
+                  "structure\nsignature R/2\ndomain 3\nR 0 1\n")
+    ternary = write(tmp_path, "ternary",
+                    "structure\nsignature E/3\ndomain 3\nE 0 1 2\n")
+    for t, words in ((other, ["no symbol E", "E/2"]),
+                     (ternary, ["symbol E", "arity 3", "2 in the query"])):
+        runs = [["count", "--query", q, "--target", t, "--method", method]
+                for method in ("dp", "brute", "auto")]
+        runs += [[command, "--query", q, "--target", t, "--coloring", c]
+                 for command in ("count-cp", "count-cf")]
+        runs.append(["eval", "--quantum", qq, "--target", t])
+        for argv in runs:
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: %s: " % t), argv
+            assert all(word in err for word in words), (argv, err)

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from cqcount import decomposition as dec
 from cqcount import homs
-from cqcount.model import Query, gaifman_adjacency, graph
+from cqcount.model import Query, Structure, gaifman_adjacency, graph
 
 from helpers import random_graph, random_query
 
@@ -140,3 +141,69 @@ def test_derived_free_query_has_only_free_variables():
         dq, dt = derived
         assert dq.quantified() == []
         assert homs.count_answers(dq, dt) == homs.count_answers(q, t)
+
+
+# (signature, atoms every query holds, symbols empty in every target)
+INDEX_CASES = {
+    "ternary-repeated-variable": ([("R", 3)], [("R", (0, 0, 1))], ()),
+    "unary": ([("U", 1), ("E", 2)], [("U", (0,))], ()),
+    "directed": ([("D", 2)], [("D", (0, 1))], ()),
+    "empty-target-relation": ([("E", 2), ("Z", 2)], [], ("Z",)),
+}
+
+
+def random_instance(rng, case):
+    """A random query structure over the case's signature, holding its
+    forced atoms plus a few random ones, and a random target."""
+    signature, forced, empty = INDEX_CASES[case]
+    n = rng.randint(2, 5)
+    rels = {name: set() for name, _ in signature}
+    for name, tup in forced:
+        rels[name].add(tup)
+    for _ in range(rng.randint(0, 4)):
+        name, arity = rng.choice(signature)
+        rels[name].add(tuple(rng.randrange(n) for _ in range(arity)))
+    s = Structure(signature, n, rels)
+    m = rng.randint(0, 4)
+    target = {name: [tup for tup in product(range(m), repeat=arity)
+                     if name not in empty and rng.random() < 0.5 ** (arity - 1)]
+              for name, arity in signature}
+    return s, Structure(signature, m, target)
+
+
+def brute_table(s, t, keep, domains):
+    """Root table of dp_tables by enumerating every map into the domains."""
+    table = {}
+    for image in product(*(domains.get(v, range(t.n)) for v in s.vertices())):
+        if all(tuple(image[v] for v in tup) in t.relations[name]
+               for name, rel in s.relations.items() for tup in rel):
+            key = tuple(image[v] for v in keep)
+            table[key] = table.get(key, 0) + 1
+    return table
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_dp_and_dss_match_brute_force_beyond_graphs(case):
+    rng = random.Random(case)
+    for _ in range(60):
+        s, t = random_instance(rng, case)
+        _, td = dec.exact_treewidth(s)
+        assert dec.count_homs_dp(s, t, td) == \
+            homs.count_answers(Query(s, tuple(s.vertices())), t)
+        free = tuple(sorted(rng.sample(range(s.n), rng.randint(0, s.n))))
+        q = Query(s, free)
+        assert dec.count_answers_dss(q, t) == homs.count_answers(q, t)
+
+
+def test_dp_tables_with_keep_and_domains_matches_brute_force():
+    rng = random.Random(23)
+    for case in sorted(INDEX_CASES) * 15:
+        s, t = random_instance(rng, case)
+        keep = sorted(rng.sample(range(s.n), rng.randint(1, 2)))
+        rest = [v for v in s.vertices() if v not in keep]
+        adj = {v: set(ns) for v, ns in gaifman_adjacency(s).items()}
+        _, td = dec.decompose_graph((adj, rest))
+        domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
+                   for v in s.vertices() if rng.random() < 0.7}
+        got = dec.dp_tables(s, t, td, keep=keep, domains=domains)
+        assert got == brute_table(s, t, keep, domains)
