@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
-from .model import Coloring, Query, graph, graph_edges
+from .model import Coloring, Query, gaifman_graph, graph, graph_edges
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -65,6 +65,15 @@ def _load_structure(path):
         raise InputError("%s: %s" % (path, e))
 
 
+def _load_graph(path):
+    """A target that must be a graph: a loopless symmetric E/2 relation."""
+    t = _load_structure(path)
+    if not t.is_graph():
+        raise InputError("%s: the target is not a graph (a loopless "
+                         "symmetric E/2 relation)" % path)
+    return t
+
+
 def _check_signature(queries, t, target_path):
     """Every symbol of every query must exist in the target with the same
     arity; otherwise the counters would look up a relation that is not
@@ -102,12 +111,7 @@ def _emit(cfg, pairs, text_lines=None):
 def _pick_method(cfg, q):
     if cfg.method != "auto":
         return cfg.method
-    if not q.is_plain():
-        return "brute"
-    try:
-        if params.dominating_star_size(q) > dec.DSS_CAP:
-            return "brute"
-    except Exception:
+    if not q.is_plain() or params.dominating_star_size(q) > dec.DSS_CAP:
         return "brute"
     return "dp"
 
@@ -310,6 +314,7 @@ def cmd_gadget(cfg):
         if cfg.args.coloring is None:
             raise InputError("the instance gadget needs --coloring")
         t = _load_structure(cfg.args.target)
+        _check_signature([q], t, cfg.args.target)
         c = _load_coloring(cfg.args.coloring, {})
         try:
             out = gadgets.minor_instance_gadget(q, op, t, c)
@@ -321,8 +326,12 @@ def cmd_gadget(cfg):
         q, _ = _load_query(cfg.args.query)
         if isinstance(q, ZeroWitness):
             raise InputError("query is unsatisfiable: %s" % q.reason)
-        t = _load_structure(cfg.args.target)
-        out = gadgets.uncolored_to_cp_gadget(q, t)
+        t = _load_graph(cfg.args.target)
+        _check_signature([q], t, cfg.args.target)
+        try:
+            out = gadgets.uncolored_to_cp_gadget(q, t)
+        except ValueError as e:
+            raise InputError("%s: %s" % (cfg.args.query, e))
         _print_gadget(cfg, out)
         return EXIT_OK
     if name == "gamma-to-grate":
@@ -339,6 +348,9 @@ def cmd_gadget(cfg):
         if isinstance(q, ZeroWitness):
             raise InputError("query is unsatisfiable: %s" % q.reason)
         t = _load_structure(cfg.args.target)
+        # the target is colored by the query's Gaifman graph, not the query
+        _check_signature([Query(gaifman_graph(q.structure), ())], t,
+                         cfg.args.target)
         c = _load_coloring(cfg.args.coloring, {})
         try:
             out = gadgets.gaifman_expand_gadget(q, t, c)
@@ -347,8 +359,11 @@ def cmd_gadget(cfg):
         _print_gadget(cfg, out)
         return EXIT_OK
     if name == "domset":
-        t = _load_structure(cfg.args.target)
-        counts = gadgets.domset_via_star_oracle(t, cfg.args.k)
+        t = _load_graph(cfg.args.target)
+        try:
+            counts = gadgets.domset_via_star_oracle(t, cfg.args.k)
+        except ValueError as e:
+            raise InputError(str(e))
         pairs = [("D%d" % (i + 1), v) for i, v in enumerate(counts)]
         _emit(cfg, pairs, ["dominating sets of size %d: %d" % (i + 1, v)
                            for i, v in enumerate(counts)])

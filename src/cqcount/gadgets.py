@@ -7,9 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .model import (GRAPH_SIGNATURE, Coloring, Query, Signature, Structure,
-                    clone_vertices, gaifman_graph, graph, graph_edges)
+from .model import (Coloring, Query, Structure, clone_vertices, gaifman_graph,
+                    graph, graph_edges)
 from . import homs
+from .quantum import solve_rational
 
 
 class GadgetOutput:
@@ -91,13 +92,6 @@ def omega_positions(k):
 # ---------------------------------------------------------------------------
 # query minors
 
-def _graphlike(s):
-    if s.signature.symbols != GRAPH_SIGNATURE:
-        return False
-    rel = s.relations["E"]
-    return all(u != v and (v, u) in rel for (u, v) in rel)
-
-
 def apply_query_minor(q, op):
     """Apply one minor operation (delete-vertex v, delete-edge (u,v),
     contract-edge (u,v)) to a graph-mode query."""
@@ -108,7 +102,7 @@ def apply_query_minor(q, op):
 def query_minor_with_map(q, op):
     """As apply_query_minor, also returning the old-to-new vertex map
     (contracted pairs map to the merged vertex)."""
-    if not _graphlike(q.structure):
+    if not q.structure.is_graph():
         raise ValueError("minor operations need a graph-mode query")
     kind, arg = op
     s = q.structure
@@ -230,9 +224,9 @@ def minor_instance_gadget(q, op, t, c):
 def uncolored_to_cp_gadget(q, t):
     """Layered instance on which the color-prescribed count of q equals the
     uncolored answer count of q on t."""
-    if not _graphlike(q.structure):
+    if not q.structure.is_graph():
         raise ValueError("graph-mode queries only")
-    if not _graphlike(t):
+    if not t.is_graph():
         raise ValueError("graph-mode targets only")
     m = q.structure.n
     n = t.n
@@ -251,26 +245,6 @@ def uncolored_to_cp_gadget(q, t):
                         "count_answers(q,t) = count_cp_answers(q,gadget)")
 
 
-def _vandermonde_inverse(nodes):
-    """Inverse of the Vandermonde matrix V[i][j] = nodes[i]**j, in rationals."""
-    d = len(nodes)
-    mat = [[Fraction(nodes[i]) ** j for j in range(d)] for i in range(d)]
-    inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        f = mat[col][col]
-        mat[col] = [x / f for x in mat[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(d):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 def cf_count_via_uncolored(q, t, c, counter=None):
     """Colorful answer count through cloning and exact interpolation, using an
     uncolored counter only.  q must be minimal."""
@@ -285,7 +259,11 @@ def cf_count_via_uncolored(q, t, c, counter=None):
     if ell == 0:
         return 1 if counter(q, t) else 0
     nodes = list(range(1, ell + 2))
-    inv = _vandermonde_inverse(nodes)
+    # rows 0 and 1 of the inverse of V[i][j] = nodes[i]**j: row r solves
+    # V^T x = e_r
+    vt = [[node ** j for node in nodes] for j in range(len(nodes))]
+    inv = [solve_rational(vt, [int(i == r) for i in range(len(nodes))])
+           for r in (0, 1)]
     want = [1 if v in set(q.free) else 0 for v in range(k)]
     total = Fraction(0)
     for grid in product(range(len(nodes)), repeat=k):
@@ -362,7 +340,7 @@ def star_instance(g, k):
 def domset_via_star_oracle(g, k, oracle=None):
     """Counts of dominating sets D_1..D_k of g, using only an oracle for the
     color-prescribed star count."""
-    if not _graphlike(g):
+    if not g.is_graph():
         raise ValueError("graph-mode input only")
     if oracle is None:
         psi = family_query("psi", k)

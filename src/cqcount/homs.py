@@ -1,6 +1,10 @@
 """Brute-force counting of homomorphism variants, query minimization and
 equivalence.  This module is the ground truth the faster counters are checked
 against; everything here enumerates with pruning but no clever algorithmics.
+
+Every count runs one search, planned once per call: the free vertices are
+assigned first, each answer candidate passes one accept test, and then the
+quantified vertices are searched until the first extension is found.
 """
 
 from itertools import combinations, permutations
@@ -11,168 +15,102 @@ from .model import (Query, Signature, Structure, gaifman_adjacency,
 AUX_SYMBOL = "Xaux"
 
 
-class PinSet(dict):
-    """Partial map from query vertices to target vertices."""
+def _plan(structure, free):
+    """The search order and, per position, the atoms completed there.
 
-
-def _search_order(structure, fixed):
-    """Unfixed vertices by descending Gaifman degree, index as tie-break."""
+    The free vertices come first in the given order, then the quantified
+    vertices by descending Gaifman degree, index as tie-break.  Each atom is
+    checked at the position of its last vertex, written as a tuple of
+    positions, so atoms among free vertices prune the free prefix."""
     adj = gaifman_adjacency(structure)
-    rest = [v for v in structure.vertices() if v not in fixed]
-    rest.sort(key=lambda v: (-len(adj[v]), v))
-    return rest
-
-
-def _atom_schedule(structure, order):
-    """For each position in the assignment order, the atoms whose variables are
-    all assigned once that position is filled."""
-    when = {v: i for i, v in enumerate(order)}
-    sched = [[] for _ in order]
-    upfront = []
+    fset = set(free)
+    rest = sorted((v for v in structure.vertices() if v not in fset),
+                  key=lambda v: (-len(adj[v]), v))
+    order = list(free) + rest
+    pos = {v: i for i, v in enumerate(order)}
+    checks = [[] for _ in order]
     for name, rel in structure.relations.items():
         for tup in rel:
-            free_positions = [when[v] for v in tup if v in when]
-            if free_positions:
-                sched[max(free_positions)].append((name, tup))
+            at = tuple(pos[v] for v in tup)
+            checks[max(at)].append((name, at))
+    return order, checks
+
+
+def _search(q, t, domains=None, accept=None, colors=None):
+    """Number of answers of q on t: assignments of q.free that satisfy the
+    inequalities and negated atoms, pass accept (called with the values in
+    q.free order) and extend to a homomorphism of q.structure into t.
+
+    domains[v], when given, restricts vertex v's candidates.  With colors (a
+    color per target vertex), only extensions whose image meets every color
+    0..n-1 of q.structure count."""
+    order, checks = _plan(q.structure, q.free)
+    k = len(q.free)
+    rels = t.relations
+    cands = [range(t.n) if domains is None or domains.get(v) is None
+             else domains[v] for v in order]
+    ineqs = [tuple(q.free.index(x) for x in pair) for pair in q.inequalities]
+    negs = [(rels[sym], tuple(q.free.index(x) for x in args))
+            for sym, args in q.negated_atoms]
+    every_color = set(range(q.structure.n))
+    a = [None] * len(order)  # a[i] is the image of order[i]
+
+    def accepted(vals):
+        return (all(vals[i] != vals[j] for i, j in ineqs)
+                and not any(tuple(vals[i] for i in args) in rel
+                            for rel, args in negs)
+                and (accept is None or accept(vals)))
+
+    def rec(i):
+        if i == k and not accepted(a[:k]):
+            return 0
+        if i == len(order):
+            return int(colors is None or
+                       {colors[w] for w in a} == every_color)
+        total = 0
+        for w in cands[i]:
+            a[i] = w
+            for name, at in checks[i]:
+                if tuple(a[p] for p in at) not in rels[name]:
+                    break
             else:
-                upfront.append((name, tup))
-    return sched, upfront
+                found = rec(i + 1)
+                if found and i >= k:
+                    return 1  # one extension decides a quantified suffix
+                total += found
+        return total
+
+    count = rec(0)
+    rec = None  # rec's closure holds rec: break the cycle so t is freed now
+    return count
 
 
-def _enumerate_homs(structure, target, pins=None, domains=None, need_exists=False,
-                    colorful_colors=None):
-    """Count (or decide existence of) total homomorphisms extending pins.
-
-    domains optionally restricts each vertex's candidate targets.  When
-    colorful_colors is a coloring tuple, only homomorphisms whose image meets
-    every color are counted.
-    """
+def exists_extension(structure, target, pins=None, domains=None,
+                     colorful_colors=None):
+    """True when some homomorphism structure -> target extends pins, takes
+    each vertex v into domains[v] when given and, with colorful_colors, meets
+    every color.  The pins are searched as a free prefix with singleton
+    domains."""
     pins = pins or {}
     for v, w in pins.items():
         if not (0 <= v < structure.n and 0 <= w < target.n):
             raise ValueError("pin out of range: %d -> %d" % (v, w))
-    order = _search_order(structure, pins)
-    sched, upfront = _atom_schedule(structure, order)
-
-    assignment = dict(pins)
-    for name, tup in upfront:
-        if tuple(assignment[v] for v in tup) not in target.relations[name]:
-            return 0
-
-    all_colors = None
-    if colorful_colors is not None:
-        all_colors = set(range(structure.n))
-
-    def candidates(v):
-        if domains is not None and domains.get(v) is not None:
-            return domains[v]
-        return range(target.n)
-
-    def rec(i):
-        if i == len(order):
-            if colorful_colors is not None:
-                got = set(colorful_colors[w] for w in assignment.values())
-                if got != all_colors:
-                    return 0
-            return 1
-        v = order[i]
-        total = 0
-        for w in candidates(v):
-            assignment[v] = w
-            ok = True
-            for name, tup in sched[i]:
-                if tuple(assignment[u] for u in tup) not in target.relations[name]:
-                    ok = False
-                    break
-            if ok:
-                total += rec(i + 1)
-                if need_exists and total:
-                    break
-        assignment.pop(v, None)
-        return total
-
-    return rec(0)
-
-
-def count_extensions(q, t, pins=None):
-    """Number of total maps h: V(H) -> V(t) extending pins and satisfying every atom."""
-    return _enumerate_homs(q.structure, t, pins=pins)
-
-
-def exists_extension(structure, target, pins=None, domains=None, colorful_colors=None):
-    return _enumerate_homs(structure, target, pins=pins, domains=domains,
-                           need_exists=True, colorful_colors=colorful_colors) > 0
-
-
-def _assignment_constraints_ok(q, t, a):
-    for pair in q.inequalities:
-        x, y = tuple(pair)
-        if a[x] == a[y]:
-            return False
-    for sym, args in q.negated_atoms:
-        if tuple(a[v] for v in args) in t.relations[sym]:
-            return False
-    return True
-
-
-def _enumerate_answers(q, t, domains=None, colorful_colors=None):
-    """Yield every answer of q on t: assignments on the free vertices that
-    satisfy the side constraints and extend to a (possibly colorful) hom."""
-    structure = q.structure
-    free = q.free
-    sub_sched, _ = _atom_schedule_free(structure, free)
-
-    a = {}
-
-    def rec(i):
-        if i == len(free):
-            if not _assignment_constraints_ok(q, t, a):
-                return
-            if exists_extension(structure, t, pins=a, domains=domains,
-                                colorful_colors=colorful_colors):
-                yield dict(a)
-            return
-        v = free[i]
-        dom = range(t.n)
-        if domains is not None and domains.get(v) is not None:
-            dom = domains[v]
-        for w in dom:
-            a[v] = w
-            ok = True
-            for name, tup in sub_sched[i]:
-                if tuple(a[u] for u in tup) not in t.relations[name]:
-                    ok = False
-                    break
-            if ok:
-                yield from rec(i + 1)
-        a.pop(v, None)
-
-    yield from rec(0)
-
-
-def _atom_schedule_free(structure, free):
-    """Atoms lying entirely inside the free set, scheduled by last free index."""
-    when = {v: i for i, v in enumerate(free)}
-    sched = [[] for _ in free]
-    for name, rel in structure.relations.items():
-        for tup in rel:
-            if all(v in when for v in tup):
-                i = max(when[v] for v in tup)
-                sched[i].append((name, tup))
-    return sched, []
+    domains = dict(domains or {})
+    domains.update((v, (w,)) for v, w in pins.items())
+    return _search(Query(structure, tuple(pins)), target, domains,
+                   colors=colorful_colors) > 0
 
 
 def count_answers(q, t):
     """Number of assignments on the free vertices that extend to a homomorphism,
     honoring inequalities and negated atoms.  Boolean queries give 0 or 1."""
-    return sum(1 for _ in _enumerate_answers(q, t))
+    return _search(q, t)
 
 
 def count_cp_answers(q, t, c):
     """Answers a with c(a(x)) = x that extend to a color-prescribed homomorphism."""
     classes = c.classes(q.structure.n)
-    domains = {v: classes[v] for v in q.structure.vertices()}
-    return sum(1 for _ in _enumerate_answers(q, t, domains=domains))
+    return _search(q, t, {v: classes[v] for v in q.structure.vertices()})
 
 
 def count_cf_answers(q, t, c):
@@ -180,27 +118,20 @@ def count_cf_answers(q, t, c):
     homomorphism whose image meets every color class."""
     classes = c.classes(q.structure.n)
     free_pool = sorted(set(v for x in q.free for v in classes[x]))
-    domains = {v: free_pool for v in q.free}
-    count = 0
-    for a in _enumerate_answers(q, t, domains=domains, colorful_colors=c.colors):
-        if set(c[a[x]] for x in q.free) == set(q.free):
-            count += 1
-    return count
+    fset = set(q.free)
+    return _search(q, t, {v: free_pool for v in q.free},
+                   accept=lambda vals: {c[w] for w in vals} == fset,
+                   colors=c.colors)
 
 
 def count_surjective_answers(q, t, z):
     """Answers whose image on the free vertices is exactly the set z."""
-    z = sorted(set(z))
-    if len(z) > len(q.free):
-        return 0
-    zl = list(z)
     zset = set(z)
-    domains = {v: zl for v in q.free}
-    count = 0
-    for a in _enumerate_answers(q, t, domains=domains):
-        if set(a[x] for x in q.free) == zset:
-            count += 1
-    return count
+    if len(zset) > len(q.free):
+        return 0
+    zl = sorted(zset)
+    return _search(q, t, {v: zl for v in q.free},
+                   accept=lambda vals: set(vals) == zset)
 
 
 def _automorphism_restrictions(q):
@@ -288,55 +219,14 @@ def dominates(q1, q2):
 
 
 def count_surjective_extendable_maps(q1, q2):
-    """Number of surjections s: X1 ->> X2 extendable to a homomorphism H1 -> H2."""
+    """Number of surjections s: X1 ->> X2 extendable to a homomorphism H1 -> H2:
+    the answers of (H1, X1) on H2 whose free image is exactly X2."""
     if q1.structure.signature != q2.structure.signature:
         raise ValueError("signature mismatch")
-    x1, x2 = q1.free, q2.free
-    if len(x1) < len(x2):
-        return 0
-    count = 0
-    for values in _surjections(x1, x2):
-        pins = dict(zip(x1, values))
-        if exists_extension(q1.structure, q2.structure, pins=pins):
-            count += 1
-    return count
-
-
-def _surjections(domain, codomain):
-    if not codomain:
-        if not domain:
-            yield ()
-        return
-    from itertools import product as iproduct
-    cset = set(codomain)
-    for values in iproduct(codomain, repeat=len(domain)):
-        if set(values) == cset:
-            yield values
+    return count_surjective_answers(Query(q1.structure, q1.free),
+                                    q2.structure, q2.free)
 
 
 def are_equivalent(q1, q2):
     """Counting equivalence: surjective extendable maps exist in both directions."""
     return dominates(q1, q2) and dominates(q2, q1)
-
-
-def endomorphism_bijective_on_X_is_automorphism_check(q):
-    """True iff every endomorphism of H mapping X bijectively onto X is an
-    automorphism.  Holds for every minimal query."""
-    structure = q.structure
-    fset = set(q.free)
-    from itertools import product as iproduct
-    for image in iproduct(range(structure.n), repeat=structure.n):
-        if set(image[x] for x in q.free) != fset or \
-                len(set(image[x] for x in q.free)) != len(fset):
-            continue
-        ok = True
-        for name, rel in structure.relations.items():
-            for tup in rel:
-                if tuple(image[v] for v in tup) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and len(set(image)) != structure.n:
-            return False
-    return True

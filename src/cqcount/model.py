@@ -198,10 +198,6 @@ class Coloring:
         return out
 
 
-class Assignment(dict):
-    """A partial map from query vertices to target vertices."""
-
-
 def gaifman_adjacency(structure):
     """Adjacency sets of the Gaifman (primal) graph: vertices co-occurring in a tuple."""
     adj = {v: set() for v in structure.vertices()}
@@ -320,16 +316,6 @@ def induced_substructure(structure, vertices):
         rels[name] = set(tuple(old_to_new[v] for v in tup) for tup in rel
                          if all(v in old_to_new for v in tup))
     return Structure(structure.signature, len(keep), rels), old_to_new
-
-
-def relabel_structure(structure, mapping, new_n=None):
-    """Apply a vertex relabeling map to every tuple."""
-    if new_n is None:
-        new_n = structure.n
-    rels = {}
-    for name, rel in structure.relations.items():
-        rels[name] = set(tuple(mapping[v] for v in tup) for tup in rel)
-    return Structure(structure.signature, new_n, rels)
 
 
 def disjoint_union(s, t):

@@ -589,6 +589,7 @@ def formula_to_query(f):
 
 
 def _symmetric_graphlike(s):
+    # unlike Structure.is_graph this accepts loops, so E(x,x) serializes too
     if s.signature.symbols != GRAPH_SIGNATURE:
         return False
     rel = s.relations["E"]

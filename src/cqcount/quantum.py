@@ -137,7 +137,7 @@ def build_test_family(support, counter=None):
     return [candidates[i] for i in chosen]
 
 
-def _solve_rational(a, b):
+def solve_rational(a, b):
     """Solve the square system a x = b exactly; raises on a singular matrix."""
     d = len(b)
     mat = [[Fraction(x) for x in row] + [Fraction(b[i])]
@@ -178,7 +178,7 @@ def extract_constituent_counts(qq, t, oracle=None, counter=None):
             probe = complement_structure(probe)
         a.append(row)
         b.append(Fraction(oracle(probe)))
-    x = _solve_rational(a, b)
+    x = solve_rational(a, b)
     out = {}
     for (coeff, q), value in zip(qq.terms, x):
         if value.denominator != 1:

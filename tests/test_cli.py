@@ -183,3 +183,27 @@ def test_signature_mismatch_gives_exit_code_one(tmp_path, capsys):
             assert code == 1 and out == "", argv
             assert err.startswith("error: %s: " % t), argv
             assert all(word in err for word in words), (argv, err)
+
+
+def test_gadgets_check_the_target_and_exit_one(tmp_path, capsys):
+    q = write(tmp_path, "q", PSI2)
+    c = write(tmp_path, "c", "color 0 0\ncolor 1 2\ncolor 2 1\n")
+    other = write(tmp_path, "other",
+                  "structure\nsignature R/2\ndomain 3\nR 0 1\n")
+    directed = write(tmp_path, "directed",
+                     "structure\nsignature E/2\ndomain 3\nE 0 1\n")
+    runs = []
+    for t in (other, directed):
+        runs += [(["gadget", "uncolored-to-cp", "--query", q, "--target", t],
+                  t, "not a graph"),
+                 (["gadget", "domset", "--target", t, "--k", "2"],
+                  t, "not a graph")]
+    runs += [(["gadget", "minor", "--query", q, "--op", "delete-edge",
+               "--vertices", "0", "2", "--target", other, "--coloring", c],
+              other, "no symbol E"),
+             (["gadget", "gaifman-expand", "--query", q, "--target", other,
+               "--coloring", c], other, "no symbol E")]
+    for argv, t, words in runs:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: %s: " % t) and words in err, (argv, err)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from cqcount import homs
-from cqcount.model import Coloring, Query, graph
+from cqcount.model import Coloring, Query, Signature, Structure, graph
 from cqcount.parser import parse_query
 
 from helpers import random_colored_instance, random_graph, random_query
@@ -92,6 +92,80 @@ def test_side_constraints_against_brute_reference():
                   negated_atoms=negs)
         t = random_graph(rng, rng.randint(0, 5))
         assert homs.count_answers(q, t) == brute_answers(q, t)
+
+
+def random_structure(rng, symbols, n, p):
+    """Random structure over symbols [(name, arity)]: each tuple of each
+    relation is present with probability p."""
+    rels = {name: [tup for tup in product(range(n), repeat=arity)
+                   if rng.random() < p]
+            for name, arity in symbols}
+    return Structure(Signature(symbols), n, rels)
+
+
+def random_free(rng, n):
+    return tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+
+
+def test_ternary_relation_with_a_repeated_variable():
+    rng = random.Random(31)
+    sig = [("R", 3)]
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        s = random_structure(rng, sig, n, 0.08)
+        rels = {"R": set(s.relations["R"]) | {(0, 0, 1)}}
+        q = Query(Structure(Signature(sig), n, rels), random_free(rng, n))
+        t = random_structure(rng, sig, rng.randint(1, 3), 0.4)
+        assert homs.count_answers(q, t) == brute_answers(q, t)
+
+
+def test_unary_and_directed_relations():
+    rng = random.Random(37)
+    sig = [("U", 1), ("E", 2)]
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        q = Query(random_structure(rng, sig, n, 0.25), random_free(rng, n))
+        t = random_structure(rng, sig, rng.randint(0, 4), 0.4)
+        assert homs.count_answers(q, t) == brute_answers(q, t)
+
+
+def test_color_prescribed_counts_against_brute_reference():
+    # a color-prescribed count is a plain count once every query vertex v
+    # and its color class get a unary symbol C<v> of their own
+    rng = random.Random(41)
+    for _ in range(60):
+        pattern = random_graph(rng, rng.randint(1, 4))
+        q = Query(pattern, random_free(rng, pattern.n))
+        t, c = random_colored_instance(rng, pattern)
+        classes = c.classes(pattern.n)
+        sig = [("E", 2)] + [("C%d" % v, 1) for v in pattern.vertices()]
+        marks = {"C%d" % v: [(v,)] for v in pattern.vertices()}
+        marked_q = Query(Structure(sig, pattern.n,
+                                   dict(marks, E=pattern.relations["E"])),
+                         q.free)
+        marked_t = Structure(sig, t.n, dict(
+            {"C%d" % v: [(w,) for w in classes[v]]
+             for v in pattern.vertices()}, E=t.relations["E"]))
+        assert homs.count_cp_answers(q, t, c) == \
+            brute_answers(marked_q, marked_t)
+
+
+def test_surjective_extendable_maps_against_enumeration():
+    rng = random.Random(43)
+    sig = [("E", 2)]
+    for _ in range(80):
+        h1 = random_structure(rng, sig, rng.randint(1, 4), 0.3)
+        h2 = random_structure(rng, sig, rng.randint(1, 4), 0.4)
+        x1, x2 = random_free(rng, h1.n), random_free(rng, h2.n)
+        extendable = set()
+        for values in product(range(h2.n), repeat=h1.n):
+            image = tuple(values[x] for x in x1)
+            if set(image) == set(x2) and all(
+                    tuple(values[v] for v in tup) in h2.relations["E"]
+                    for tup in h1.relations["E"]):
+                extendable.add(image)
+        assert homs.count_surjective_extendable_maps(
+            Query(h1, x1), Query(h2, x2)) == len(extendable)
 
 
 def test_surjective_counts_sum_to_the_total():
