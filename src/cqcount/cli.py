@@ -287,7 +287,10 @@ def cmd_gadget(cfg):
         if getattr(cfg.args, needed) is None:
             raise InputError("gadget %s needs --%s" % (name, needed))
     if name == "family":
-        q = gadgets.family_query(cfg.args.kind, cfg.args.k)
+        try:
+            q = gadgets.family_query(cfg.args.kind, cfg.args.k)
+        except ValueError as e:
+            raise InputError("gadget family: %s" % e)
         sys.stdout.write(serialize_query(q))
         return EXIT_OK
     if name == "minor":

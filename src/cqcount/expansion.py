@@ -106,20 +106,17 @@ def contract_query(q, rho):
 
 
 def expand_inequalities(q):
-    """Replace injectivity constraints by a signed sum of contracted queries."""
+    """Replace injectivity constraints by a signed sum of contracted queries.
+    The combination is unnormalized; compile normalizes once, at the end."""
     if not q.inequalities:
-        return normalize(QuantumQuery([(1, q)])) if q.is_plain() \
-            else QuantumQuery([(1, q)])
+        return QuantumQuery([(1, q)])
     lattice = matroid_flats_mobius(q.free, q.inequalities)
     base = Query(q.structure, q.free, (), q.negated_atoms)
     terms = []
     for rho in lattice.flats:
         blocks = [b for b in rho if len(b) > 1]
         terms.append((Fraction(lattice.mu[rho]), contract_query(base, blocks)))
-    qq = QuantumQuery(terms)
-    if all(t.is_plain() for _, t in qq.terms):
-        qq = normalize(qq)
-    return qq
+    return QuantumQuery(terms)
 
 
 def _with_atoms(structure, atoms, graph_mode):
@@ -133,11 +130,11 @@ def _with_atoms(structure, atoms, graph_mode):
 
 def expand_negations(q):
     """Replace negated free atoms by inclusion-exclusion over the subsets
-    forced positive."""
+    forced positive.  The combination is unnormalized; compile normalizes
+    once, at the end."""
     negs = sorted(q.negated_atoms)
     if not negs:
-        return normalize(QuantumQuery([(1, q)])) if q.is_plain() \
-            else QuantumQuery([(1, q)])
+        return QuantumQuery([(1, q)])
     graph_mode = q.structure.signature.symbols == GRAPH_SIGNATURE
     terms = []
     for size in range(len(negs) + 1):
@@ -145,10 +142,7 @@ def expand_negations(q):
             structure = _with_atoms(q.structure, j, graph_mode)
             terms.append((Fraction((-1) ** size),
                           Query(structure, q.free, q.inequalities, ())))
-    qq = QuantumQuery(terms)
-    if all(t.is_plain() for _, t in qq.terms):
-        qq = normalize(qq)
-    return qq
+    return QuantumQuery(terms)
 
 
 _FALSE = ("false",)
@@ -215,7 +209,8 @@ def _conjunct_atoms(node):
 
 def ep_to_quantum(f):
     """Inclusion-exclusion over nonempty disjunct subsets; intersections share
-    the free variables and rename quantified variables apart per disjunct."""
+    the free variables and rename quantified variables apart per disjunct.
+    The combination is unnormalized; compile normalizes once, at the end."""
     if f.quantifier == "forall":
         raise ValueError("universal formulas need the complement transform")
     f = to_disjunctive_normal_form(f)
@@ -250,10 +245,7 @@ def ep_to_quantum(f):
                            negated_atoms=f.negated_atoms)
             query, _ = formula_to_query(g)
             terms.append((Fraction((-1) ** (size + 1)), query))
-    qq = QuantumQuery(terms)
-    if all(t.is_plain() for _, t in qq.terms):
-        qq = normalize(qq)
-    return qq
+    return QuantumQuery(terms)
 
 
 # ---------------------------------------------------------------------------

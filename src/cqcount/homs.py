@@ -7,7 +7,7 @@ assigned first, each answer candidate passes one accept test, and then the
 quantified vertices are searched until the first extension is found.
 """
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .model import (Query, Signature, Structure, gaifman_adjacency,
                     induced_substructure)
@@ -181,32 +181,26 @@ def _strip_aux(structure):
 
 def augmented_core(q):
     """The vertex-minimal query equivalent to q, via the core of the structure
-    augmented with an all-pairs relation on the free set."""
+    augmented with an all-pairs relation on the free set.  One downward pass
+    drops each quantified vertex v whose deletion the structure maps into; a
+    vertex kept once stays kept, since an equivalent substructure mapping into
+    its own deletion of v would give the structure such a map too."""
     if not q.is_plain():
         raise ValueError("augmented core is defined for plain CQs")
     aug = _augment(q)
     free = list(q.free)
-    while True:
-        shrunk = False
-        n = aug.n
-        for size in range(n - 1, -1, -1):
-            for subset in combinations(range(n), size):
-                sub, old_to_new = induced_substructure(aug, subset)
-                if not all(x in old_to_new for x in free):
-                    continue
-                # the retraction must map the free set onto the surviving free
-                # set; the auxiliary relation makes that map injective
-                sub_free = [old_to_new[x] for x in free]
-                domains = {x: sub_free for x in free}
-                if exists_extension(aug, sub, domains=domains):
-                    aug = sub
-                    free = [old_to_new[x] for x in free]
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-        if not shrunk:
-            break
+    fset = set(q.free)
+    # deleting v renumbers only the vertices above v, all already visited
+    for v in range(aug.n - 1, -1, -1):
+        if v in fset:
+            continue
+        sub, old_to_new = induced_substructure(
+            aug, [u for u in range(aug.n) if u != v])
+        # the retraction must map the free set onto the surviving free set;
+        # the auxiliary relation makes that map injective
+        sub_free = [old_to_new[x] for x in free]
+        if exists_extension(aug, sub, domains={x: sub_free for x in free}):
+            aug, free = sub, sub_free
     return Query(_strip_aux(aug), free)
 
 

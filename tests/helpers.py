@@ -153,3 +153,22 @@ def random_colored_instance(rng, pattern, max_per_class=3, p=0.6):
                 edges.append((a, b))
     g = graph(n, edges)
     return g, Coloring(colors, g, pattern)
+
+
+def min_retract_size(q):
+    """Fewest vertices in a set S containing the free set such that some map
+    V -> S is a homomorphism into the substructure induced on S and permutes
+    the free set: the size of q's augmented core, by plain enumeration of
+    S^V.  Meant for n <= 5."""
+    s = q.structure
+    assert s.n <= 5
+    free = set(q.free)
+    rest = [v for v in s.vertices() if v not in free]
+    atoms = [(rel, tup) for rel in s.relations.values() for tup in rel]
+    for extra in range(len(rest) + 1):
+        for chosen in combinations(rest, extra):
+            keep = sorted(free.union(chosen))
+            for h in product(keep, repeat=s.n):
+                if {h[x] for x in free} == free and all(
+                        tuple(h[v] for v in tup) in rel for rel, tup in atoms):
+                    return len(keep)

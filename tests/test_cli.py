@@ -202,8 +202,13 @@ def test_gadgets_check_the_target_and_exit_one(tmp_path, capsys):
                "--vertices", "0", "2", "--target", other, "--coloring", c],
               other, "no symbol E"),
              (["gadget", "gaifman-expand", "--query", q, "--target", other,
-               "--coloring", c], other, "no symbol E")]
-    for argv, t, words in runs:
+               "--coloring", c], other, "no symbol E"),
+             (["gadget", "family", "--k", "0"], "gadget family",
+              "k must be positive"),
+             (["gadget", "family", "--kind", "zzz"], "gadget family",
+              "unknown family kind 'zzz'")]
+    for argv, where, words in runs:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == "", argv
-        assert err.startswith("error: %s: " % t) and words in err, (argv, err)
+        assert err.startswith("error: %s: " % where) and words in err, \
+            (argv, err)

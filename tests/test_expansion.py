@@ -132,6 +132,12 @@ def test_compile_handles_both_quantifiers_and_constraints():
         qq = expansion.compile(f)
         t = random_graph(rng, rng.randint(1, 4))
         assert quantum.evaluate(qq, t) == expansion.count_formula_answers(f, t)
+        # the output is normalized: cores, pairwise inequivalent, nonzero
+        for i, (c, q) in enumerate(qq.terms):
+            assert c != 0
+            assert homs.augmented_core(q).structure.n == q.structure.n
+            assert not any(homs.are_equivalent(q, q2)
+                           for _, q2 in qq.terms[i + 1:])
 
 
 def test_compile_of_a_plain_cq_is_a_single_core_term():

@@ -7,7 +7,8 @@ from cqcount import homs
 from cqcount.model import Coloring, Query, Signature, Structure, graph
 from cqcount.parser import parse_query
 
-from helpers import random_colored_instance, random_graph, random_query
+from helpers import (min_retract_size, random_colored_instance, random_graph,
+                     random_query)
 
 
 def path(n):
@@ -216,6 +217,13 @@ def test_core_preserves_counts_and_is_minimal():
             assert homs.count_answers(q, t) == homs.count_answers(core, t)
         again = homs.augmented_core(core)
         assert again.structure.n == core.structure.n
+
+
+def test_core_size_matches_a_plain_retract_search():
+    rng = random.Random(31)
+    for _ in range(80):
+        q = random_query(rng, 5)
+        assert homs.augmented_core(q).structure.n == min_retract_size(q)
 
 
 def test_core_keeps_single_free_vertex_attached():
