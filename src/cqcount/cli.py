@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
-from .model import Coloring, Query, gaifman_graph, graph, graph_edges
+from .model import (Coloring, Query, Structure, gaifman_graph, graph,
+                    graph_edges)
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -497,13 +498,20 @@ def _check_extraction(rng, cfg):
             if q.free and all(not homs.are_equivalent(q, q2)
                               for q2 in support):
                 support.append(q)
+        transform = rng.choice(["identity", "complement"])
         qq = quantum.QuantumQuery(
-            [(rng.choice([-2, -1, 1, 2]), q) for q in support])
+            [(rng.choice([-2, -1, 1, 2]), q) for q in support], transform)
         t = _random_graph(rng, rng.randint(1, 4))
         got = quantum.extract_constituent_counts(qq, t)
+        if transform == "complement":
+            # every absent pair stored, apart from model's implicit complement
+            t = Structure(t.signature, t.n, {"E": [
+                (a, b) for a in range(t.n) for b in range(t.n)
+                if (a, b) not in t.relations["E"]]})
         want = {q: homs.count_answers(q, t) for q in support}
         if got != want:
-            return "extraction mismatch on %d-vertex target" % t.n
+            return "extraction mismatch (%s) on %d-vertex target" % (
+                transform, t.n)
     return None
 
 

@@ -5,7 +5,8 @@ binary symbol E whose relation is symmetric and loopless; both orientations of
 every edge are stored.
 """
 
-from itertools import product
+from collections.abc import Set
+from itertools import filterfalse, product
 
 GRAPH_SIGNATURE = (("E", 2),)
 
@@ -49,8 +50,13 @@ class Structure:
         self.n = n
         rels = {}
         for name, arity in signature.symbols:
+            given = relations.get(name, ())
+            if (isinstance(given, Complement) and given.n == n
+                    and given.arity == arity):
+                rels[name] = given  # a view over an already checked relation
+                continue
             tuples = set()
-            for tup in relations.get(name, ()):
+            for tup in given:
                 tup = tuple(tup)
                 if len(tup) != arity:
                     raise ValueError("arity mismatch in %s: %r" % (name, tup))
@@ -58,7 +64,9 @@ class Structure:
                     if not (0 <= v < n):
                         raise ValueError("vertex out of range in %s: %r" % (name, tup))
                 tuples.add(tup)
-            rels[name] = frozenset(tuples)
+            # relations are immutable, so a frozenset of checked tuples is shared
+            rels[name] = (given if isinstance(given, frozenset) and given == tuples
+                          else frozenset(tuples))
         for name in relations:
             if name not in rels:
                 raise ValueError("unknown relation symbol %s" % name)
@@ -217,14 +225,47 @@ def gaifman_graph(structure):
     return graph(structure.n, edges)
 
 
+class Complement(Set):
+    """The tuples of one arity over range(n) that are absent from present: a
+    relation of a reflexive complement, held implicitly.  Membership is a
+    lookup in present plus a bounds check, the length is arithmetic, and
+    iteration walks range(n)**arity lazily."""
+
+    __slots__ = ("present", "n", "arity")
+
+    def __init__(self, present, n, arity):
+        self.present = present
+        self.n = n
+        self.arity = arity
+
+    def __contains__(self, tup):
+        # searches call this per atom check: the cheap rejections come first
+        if tup in self.present or len(tup) != self.arity:
+            return False
+        n = self.n
+        for v in tup:
+            if not 0 <= v < n:
+                return False
+        return True
+
+    def __iter__(self):
+        return filterfalse(self.present.__contains__,
+                           product(range(self.n), repeat=self.arity))
+
+    def __len__(self):
+        return self.n ** self.arity - len(self.present)
+
+
 def complement_structure(structure):
-    """Reflexive complement: each relation becomes all tuples (diagonal included)
-    that are absent from it."""
+    """Reflexive complement: each relation becomes all tuples (diagonal
+    included) that are absent from it.  The complement is implicit: each
+    relation is a Complement view over the original, so no absent tuple is
+    stored.  Complementing twice returns the original relation objects."""
     rels = {}
     for name, arity in structure.signature.symbols:
-        present = structure.relations[name]
-        rels[name] = set(t for t in product(range(structure.n), repeat=arity)
-                         if t not in present)
+        rel = structure.relations[name]
+        rels[name] = (rel.present if isinstance(rel, Complement)
+                      else Complement(rel, structure.n, arity))
     return Structure(structure.signature, structure.n, rels)
 
 
@@ -283,28 +324,6 @@ def clone_vertices(structure, coloring, z):
 
 def complement_symbol(name):
     return "N" + name
-
-
-def lift_structure(structure, symbols=None):
-    """Extend the signature with a fresh reflexive-complement symbol per listed
-    symbol; original relations are unchanged."""
-    if symbols is None:
-        symbols = structure.signature.names()
-    new_syms = []
-    rels = {name: set(rel) for name, rel in structure.relations.items()}
-    for name in symbols:
-        if name not in structure.signature.arity:
-            raise ValueError("unknown symbol %s" % name)
-        cname = complement_symbol(name)
-        if cname in structure.signature.arity or any(s[0] == cname for s in new_syms):
-            raise ValueError("complement symbol %s collides" % cname)
-        arity = structure.signature.arity[name]
-        new_syms.append((cname, arity))
-        present = structure.relations[name]
-        rels[cname] = set(t for t in product(range(structure.n), repeat=arity)
-                          if t not in present)
-    sig = Signature(structure.signature.symbols + tuple(new_syms))
-    return Structure(sig, structure.n, rels)
 
 
 def induced_substructure(structure, vertices):

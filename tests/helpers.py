@@ -3,7 +3,7 @@
 
 from itertools import combinations, permutations, product
 
-from cqcount.model import Coloring, Query, graph, graph_edges
+from cqcount.model import Coloring, Query, Structure, graph, graph_edges
 
 
 def _refine_classes(n, adj):
@@ -125,6 +125,23 @@ def random_graph(rng, n, p=0.5):
     edges = [e for e in [(i, j) for i in range(n) for j in range(i + 1, n)]
              if rng.random() < p]
     return graph(n, edges)
+
+
+def random_structure(rng, signature, n, p=0.5):
+    """Each tuple of each relation is present with probability p."""
+    return Structure(signature, n, {
+        name: [t for t in product(range(n), repeat=arity) if rng.random() < p]
+        for name, arity in signature.symbols})
+
+
+def explicit_complement(structure):
+    """The reflexive complement with every absent tuple stored, built by
+    plain enumeration and none of cqcount's complement code: the reference
+    the implicit complement is checked against."""
+    return Structure(structure.signature, structure.n, {
+        name: [t for t in product(range(structure.n), repeat=arity)
+               if t not in structure.relations[name]]
+        for name, arity in structure.signature.symbols})
 
 
 def random_query(rng, max_n, max_free=None, p=0.6):

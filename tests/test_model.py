@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 
-from cqcount.model import (Coloring, Query, Signature, Structure,
+from cqcount import expansion, quantum
+from cqcount.model import (Coloring, Complement, Query, Signature, Structure,
                            clone_by_multiplicity, clone_vertices,
-                           complement_structure, complement_symbol,
-                           disjoint_union, gaifman_adjacency, gaifman_graph,
-                           graph, graph_edges, induced_substructure,
-                           lift_structure, tensor_product)
+                           complement_structure, disjoint_union,
+                           gaifman_adjacency, gaifman_graph, graph,
+                           graph_edges, induced_substructure, tensor_product)
+from cqcount.parser import parse_formula
 
-from helpers import random_graph
+from helpers import explicit_complement, random_graph, random_structure
 
 
 def test_graph_builder_rejects_loops():
@@ -40,6 +42,44 @@ def test_complement_is_reflexive_and_involutive():
     assert (0, 2) in c.relations["E"]
     back = complement_structure(c)
     assert back.relations["E"] == g.relations["E"]
+
+
+def test_complement_view_contract():
+    sig = Signature((("U", 1), ("E", 2), ("R", 3)))
+    rng = random.Random(5)
+    for n in range(5):
+        s = random_structure(rng, sig, n, 0.4)
+        c = complement_structure(s)
+        explicit = explicit_complement(s)
+        for name, arity in sig.symbols:
+            view, want = c.relations[name], explicit.relations[name]
+            assert isinstance(view, Complement)
+            assert sorted(view) == sorted(want) and len(view) == len(want)
+            assert view == want and want == view
+            for outside in [(n,) * arity, (-1,) * arity,
+                            (0,) * (arity - 1) + (n,), (0,) * (arity - 1),
+                            (0,) * (arity + 1)]:
+                assert outside not in view
+            assert complement_structure(c).relations[name] is s.relations[name]
+        assert c == explicit and explicit == c
+        assert hash(c) == hash(explicit)
+        assert c.total_tuples() == explicit.total_tuples()
+
+
+def test_universal_evaluation_stores_no_complement():
+    # the stored complement of a 1,000-vertex path would hold ~10^6 tuples,
+    # about 150 MB under tracemalloc; the implicit one needs only the path
+    qq = expansion.compile(parse_formula(
+        "formula\nfree x1\nforall y\nbody E(x1,y)\n"))
+    t = graph(1000, [(v, v + 1) for v in range(999)])
+    tracemalloc.start()
+    try:
+        value = quantum.evaluate(qq, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0
+    assert peak < 10 * 2 ** 20
 
 
 def test_tensor_product_sizes_and_projection():
@@ -83,17 +123,6 @@ def test_query_side_constraints_must_be_free():
     q = Query(g, (0, 1), inequalities=[frozenset((0, 1))])
     assert not q.is_plain()
     assert q.quantified() == [2]
-
-
-def test_lift_structure_adds_complement_symbols():
-    g = graph(2, [(0, 1)])
-    lifted = lift_structure(g)
-    name = complement_symbol("E")
-    assert name in lifted.signature.arity
-    assert (0, 0) in lifted.relations[name]
-    assert (0, 1) not in lifted.relations[name]
-    with pytest.raises(ValueError):
-        lift_structure(lifted)
 
 
 def test_induced_substructure_and_union():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cqcount import homs, quantum
-from cqcount.model import Query, complement_structure, graph
+from cqcount.model import Query, Signature, complement_structure, graph
 
-from helpers import random_graph
+from helpers import explicit_complement, random_graph, random_structure
 
 
 def triangle():
@@ -106,6 +106,36 @@ def test_extraction_matches_direct_counts():
         got = quantum.extract_constituent_counts(qq, t)
         teval = t if transform == "identity" else complement_structure(t)
         assert got == {q: homs.count_answers(q, teval) for q in support}
+
+
+def test_complement_transform_matches_an_explicit_complement():
+    ternary_unary = Signature((("R", 3), ("U", 1)))
+
+    def minimal_ternary_query(rng):
+        n = rng.randint(1, 3)
+        free = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        s = random_structure(rng, ternary_unary, n, 0.3)
+        return homs.augmented_core(Query(s, free))
+
+    rng = random.Random(29)
+    for trial in range(20):
+        if trial % 2:
+            support = []
+            while len(support) < 2:
+                q = minimal_ternary_query(rng)
+                if all(not homs.are_equivalent(q, q2) for q2 in support):
+                    support.append(q)
+            t = random_structure(rng, ternary_unary, rng.randint(2, 3), 0.4)
+        else:
+            support = distinct_support(rng, 2)
+            t = random_graph(rng, rng.randint(1, 5))
+        coeffs = [Fraction(rng.choice([-2, -1, 1, 3])) for _ in support]
+        qq = quantum.QuantumQuery(list(zip(coeffs, support)),
+                                  transform="complement")
+        explicit = explicit_complement(t)
+        want = {q: homs.count_answers(q, explicit) for q in support}
+        assert quantum.evaluate(qq, t) == sum(c * want[q] for c, q in qq.terms)
+        assert quantum.extract_constituent_counts(qq, t) == want
 
 
 def test_extraction_uses_only_the_oracle():
