@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
-from .model import (Coloring, Query, Structure, gaifman_graph, graph,
-                    graph_edges)
+from .model import (Coloring, Query, Structure, complement_structure,
+                    gaifman_graph, graph, graph_edges)
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -130,7 +130,7 @@ def cmd_count(cfg):
             raise InputError("--method dp supports plain queries only")
         try:
             value = dec.count_answers_dss(q, t)
-        except (ValueError, dec.TreewidthLimitError) as e:
+        except ValueError as e:
             if cfg.method == "dp":
                 raise InputError("dp method not applicable: %s" % e)
             method = "brute"
@@ -395,15 +395,17 @@ def _random_query(rng, max_n):
 def _check_dp(rng, cfg):
     for _ in range(cfg.trials):
         q = _random_query(rng, min(cfg.max_n, 5))
-        t = _random_graph(rng, rng.randint(0, cfg.max_n))
+        g = _random_graph(rng, rng.randint(0, cfg.max_n))
+        transform = rng.choice(["identity", "complement"])
+        t = complement_structure(g) if transform == "complement" else g
         try:
             fast = dec.count_answers_dss(q, t)
         except ValueError:
             continue
         slow = homs.count_answers(q, t)
         if fast != slow:
-            return "dp=%d brute=%d query=%r target-edges=%r" % (
-                fast, slow, serialize_query(q), graph_edges(t))
+            return "dp=%d brute=%d query=%r target-edges=%r (%s)" % (
+                fast, slow, serialize_query(q), graph_edges(g), transform)
     return None
 
 

@@ -3,6 +3,7 @@ counters: the all-free DP and the fast counter that splits off quantified
 components and materializes their extendability relations.
 """
 
+from functools import lru_cache
 from operator import itemgetter
 
 from .model import (Query, Signature, Structure, gaifman_adjacency,
@@ -21,7 +22,10 @@ class TreeDecomposition:
 
     Nodes are dicts with kind in {leaf, introduce, forget, join}, a sorted bag
     tuple, the introduced/forgotten vertex where applicable, and children.
-    The root bag is empty.
+    The root bag is empty.  Joins appear only where the elimination tree
+    branches, so each vertex has one forget node and one introduce node, plus
+    one more introduce for each join whose bag holds it (both branches of a
+    join hold its bag).
     """
 
     def __init__(self, root, width, exact=True):
@@ -93,8 +97,6 @@ def _elimination_width(adj, vertices):
                     boundary.add(w)
         boundary.discard(v)
         return len(boundary)
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def best(prefix_key):
@@ -179,25 +181,25 @@ def _bags_from_order(adj, vertices, order):
 
 
 def _nice_from_bags(bags, edges):
-    if not bags:
+    """A nice decomposition of the elimination tree rooted at the last bag.
+    A childless bag introduces its vertices from a leaf, those its parent
+    lacks last; a bag with one child adapts that child up to it; only a bag
+    with two or more children joins them.  Adapting forgets in reverse
+    sorted order, so the first forget above a childless bag meets the
+    introduce of the same vertex, which dp_tables fuses."""
+    def leaf():
         return {"kind": "leaf", "bag": (), "children": []}
+
+    if not bags:
+        return leaf()
     adj = {i: [] for i in range(len(bags))}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
 
-    def leaf_chain(bag):
-        node = {"kind": "leaf", "bag": (), "children": []}
-        cur = []
-        for v in sorted(bag):
-            cur = sorted(cur + [v])
-            node = {"kind": "introduce", "vertex": v, "bag": tuple(cur),
-                    "children": [node]}
-        return node
-
     def adapt(node, from_bag, to_bag):
         cur = list(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag)):
+        for v in sorted(set(from_bag) - set(to_bag), reverse=True):
             cur.remove(v)
             node = {"kind": "forget", "vertex": v, "bag": tuple(sorted(cur)),
                     "children": [node]}
@@ -208,17 +210,19 @@ def _nice_from_bags(bags, edges):
         return node
 
     def rec(i, parent):
-        node = leaf_chain(bags[i])
-        for j in sorted(adj[i]):
-            if j == parent:
-                continue
-            sub = adapt(rec(j, i), bags[j], bags[i])
-            node = {"kind": "join", "bag": tuple(sorted(bags[i])),
-                    "children": [node, sub]}
+        bag = bags[i]
+        subs = [adapt(rec(j, i), bags[j], bag)
+                for j in sorted(adj[i]) if j != parent]
+        if not subs:
+            shared = set(bag) & set(bags[parent]) if parent is not None else ()
+            return adapt(adapt(leaf(), (), shared), shared, bag)
+        node = subs[0]
+        for sub in subs[1:]:
+            node = {"kind": "join", "bag": bag, "children": [node, sub]}
         return node
 
-    root = rec(len(bags) - 1, None)
-    return adapt(root, bags[len(bags) - 1], ())
+    root = len(bags) - 1
+    return adapt(rec(root, None), bags[root], ())
 
 
 def decompose_graph(g, limit=EXACT_TREEWIDTH_LIMIT, exact=True):
@@ -252,7 +256,7 @@ def validate_decomposition(td, structure):
     covered = set()
     for bag in bags:
         covered.update(bag)
-    if covered != set(structure.vertices()) and set(structure.vertices()) - covered:
+    if set(structure.vertices()) - covered:
         return False
     for rel in structure.relations.values():
         for tup in rel:
@@ -289,7 +293,12 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     enters a row: the new vertex's candidates come from an index of the
     target relation keyed by the atom's bound positions, intersected over
     every atom the vertex completes and then with domains[v] when given.
-    The index lives for this call only.
+    The index lives for this call only.  A forget node whose child introduces
+    the same vertex runs as one step: each row of the grandchild table keeps
+    its key and gains its count times the number of candidates, so the
+    introduce's table is never built.  Rows without candidates are dropped,
+    so the keys of every table, the root's included, are exactly the
+    assignments that extend.
     """
     keep = tuple(sorted(keep))
     atoms_of = {}
@@ -318,8 +327,11 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             indexes[name, at_v] = index
         return index
 
-    def extend(table, cols, v, at):
-        """Insert v at position `at` of each row of a table over cols."""
+    def extend(table, cols, v, at=None):
+        """Insert v at position `at` of each row of a table over cols.  With
+        at None, v is forgotten as it enters: each row keeps its key and
+        its count times the number of v's candidates, and a row without
+        candidates is dropped."""
         placed = set(cols)
         checks = [(key_getter([cols.index(u) for u in tup if u != v]),
                    candidate_index(name, tup, v))
@@ -331,17 +343,21 @@ def dp_tables(structure, target, td, keep=(), domains=None):
         everything = range(target.n)
         out = {}
         for row, cnt in table.items():
-            cands = None
+            cands = everything
             for bound_of, index in checks:
                 found = index.get(bound_of(row))
                 if not found:
                     break
-                cands = found if cands is None else cands & found
+                cands = found if cands is everything else cands & found
             else:
                 if allowed is not None:
-                    cands = allowed if cands is None else cands & allowed
+                    cands = allowed if cands is everything else cands & allowed
+                if at is None:
+                    if cands:
+                        out[row] = cnt * len(cands)
+                    continue
                 head, tail = row[:at], row[at:]
-                for w in everything if cands is None else cands:
+                for w in cands:
                     out[head + (w,) + tail] = cnt
         return out
 
@@ -359,7 +375,10 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             return extend(rec(child), cols, v,
                           len(keep) + node["bag"].index(v))
         if kind == "forget":
-            at = cols.index(node["vertex"])
+            v = node["vertex"]
+            if child["kind"] == "introduce" and child["vertex"] == v:
+                return extend(rec(child["children"][0]), keep + node["bag"], v)
+            at = cols.index(v)
             table = {}
             for row, cnt in rec(child).items():
                 key = row[:at] + row[at + 1:]
@@ -458,7 +477,7 @@ def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
                      if set(tup) <= fset)
         symbols.append((name, arity))
         rels_q[name] = set(tuple(index[v] for v in tup) for tup in tuples)
-        rels_t[name] = set(t.relations[name])
+        rels_t[name] = t.relations[name]
     for i, component in enumerate(quantified_components(q)):
         boundary, table = _component_root_table(q, t, component, limit,
                                                 dss_cap)

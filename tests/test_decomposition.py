@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from cqcount import decomposition as dec
 from cqcount import homs
-from cqcount.model import Query, Structure, gaifman_adjacency, graph
+from cqcount.model import (GRAPH_SIGNATURE, Query, Structure,
+                           complement_structure, gaifman_adjacency, graph)
 
 from helpers import random_graph, random_query
 
@@ -59,6 +61,45 @@ def test_heuristic_decomposition_is_still_valid():
         width, td = dec.decompose_graph((adj, list(g.vertices())), exact=False)
         assert dec.validate_decomposition(td, g)
         assert width >= tw(g)
+
+
+def nice_nodes(td):
+    stack = [td.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node["children"])
+
+
+def test_nice_decompositions_have_no_redundant_nodes():
+    # one forget per vertex and one introduce, plus one more for each join
+    # holding it (both branches of a join hold its bag); joins only where
+    # the tree branches, so each leaf forgets a vertex before any join
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8))
+        adj = {v: set(ns) for v, ns in gaifman_adjacency(g).items()}
+        for exact in (True, False):
+            _, td = dec.decompose_graph((adj, list(g.vertices())), exact=exact)
+            assert dec.validate_decomposition(td, g)
+            nodes = list(nice_nodes(td))
+            kinds = [node["kind"] for node in nodes]
+            joins = [node["bag"] for node in nodes if node["kind"] == "join"]
+            for v in g.vertices():
+                assert sum(node.get("vertex") == v for node in nodes
+                           if node["kind"] == "forget") == 1
+                assert sum(node.get("vertex") == v for node in nodes
+                           if node["kind"] == "introduce") == \
+                    1 + sum(v in bag for bag in joins)
+            assert kinds.count("join") == kinds.count("leaf") - 1
+            parent_of = {id(child): node for node in nodes
+                         for child in node["children"]}
+            for node in nodes:
+                if node["kind"] != "leaf":
+                    continue
+                while id(node) in parent_of and node["kind"] != "forget":
+                    node = parent_of[id(node)]
+                    assert node["kind"] != "join"
 
 
 def test_dp_hom_count_matches_brute_force():
@@ -121,6 +162,24 @@ def test_dss_count_matches_brute_force():
         q = random_query(rng, 5)
         t = random_graph(rng, rng.randint(0, 5))
         assert dec.count_answers_dss(q, t) == homs.count_answers(q, t)
+
+
+def test_dense_complement_term_stays_small():
+    # the compiled forall y E(x1,y) | E(x2,y) is this term on the reflexive
+    # complement: without fusing the introduce and forget of v2 its table
+    # holds n**3 rows, over 400 MB at n = 150
+    q = Query(Structure(GRAPH_SIGNATURE, 3, {"E": [(0, 2), (1, 2)]}), (0, 1))
+    t = complement_structure(path(40))
+    assert dec.count_answers_dss(q, t) == homs.count_answers(q, t) == 40 ** 2
+    t = complement_structure(path(150))
+    tracemalloc.start()
+    try:
+        value = dec.count_answers_dss(q, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 150 ** 2
+    assert peak < 50 * 2 ** 20
 
 
 def test_dss_rejects_side_constraints():
