@@ -221,7 +221,10 @@ def cmd_minimize(cfg):
         raise InputError("query is unsatisfiable: %s" % q.reason)
     if not q.is_plain():
         raise InputError("minimize supports plain queries only")
-    core = homs.augmented_core(q)
+    try:
+        core = homs.augmented_core(q)
+    except ValueError as e:
+        raise InputError("%s: %s" % (cfg.args.query, e))
     sys.stdout.write(serialize_query(core))
     return EXIT_OK
 
@@ -471,6 +474,43 @@ def _check_core(rng, cfg):
     return None
 
 
+def _check_normalize(rng, cfg):
+    for _ in range(max(1, cfg.trials // 5)):
+        n = rng.randint(1, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        bases = [edges, rng.sample(pairs, len(edges))]
+        if len(edges) >= 2:
+            # a double edge swap keeps every degree, so with the same free set
+            # the swapped query shares the isomorphism key, equivalent or not
+            (a, b), (c, d) = rng.sample(edges, 2)
+            swapped = set(map(frozenset, edges)) - {
+                frozenset((a, b)), frozenset((c, d))}
+            swapped |= {frozenset((a, c)), frozenset((b, d))}
+            if len({a, b, c, d}) == 4 and len(swapped) == len(edges):
+                bases[1] = [tuple(e) for e in swapped]
+        # many free vertices keep the cores large
+        free = rng.sample(range(n), rng.randint(n // 2, n))
+        terms = []
+        for base in bases:
+            for _ in range(rng.randint(1, 3)):
+                # a relabelled copy, its free tuple shuffled
+                perm = rng.sample(range(n), n)
+                copy = Query(graph(n, [(perm[u], perm[v]) for u, v in base]),
+                             rng.sample([perm[x] for x in free], len(free)))
+                terms.append((rng.choice([-2, -1, 1, 2]), copy))
+        qq = quantum.QuantumQuery(terms)
+        normal = quantum.normalize(qq)
+        for _ in range(3):
+            t = _random_graph(rng, rng.randint(0, 4))
+            got = quantum.evaluate(normal, t)
+            want = sum(c * homs.count_answers(q, t) for c, q in qq.terms)
+            if got != want:
+                return "normalized=%s terms=%s on %d-vertex target" % (
+                    got, want, t.n)
+    return None
+
+
 def _check_compile(rng, cfg):
     atoms = ["E(x1,y1)", "E(x1,y2)", "E(x2,y1)", "E(x1,x2)", "E(y1,y2)"]
     for _ in range(max(1, cfg.trials // 5)):
@@ -564,6 +604,7 @@ CHECKS = [
     ("colorful-automorphism-identity", _check_cf_identity),
     ("tensor-multiplicativity", _check_tensor),
     ("core-preserves-counts", _check_core),
+    ("normalize-preserves-counts", _check_normalize),
     ("compile-vs-formula-semantics", _check_compile),
     ("constituent-extraction", _check_extraction),
     ("minor-gadget-counts", _check_minor_gadgets),

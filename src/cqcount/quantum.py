@@ -31,21 +31,56 @@ def _term_key(q):
     return (q.structure.n, serialize_query(q))
 
 
+def _sum_identical(terms):
+    """Coefficients summed per structurally identical query, zeros dropped."""
+    sums = {}
+    for coeff, q in terms:
+        sums[q] = sums.get(q, 0) + Fraction(coeff)
+    return {q: c for q, c in sums.items() if c != 0}
+
+
+def _iso_key(q):
+    """An isomorphism invariant of a query: the domain size, the number of
+    free vertices, the tuple count per symbol and the sorted multiset over
+    vertices of (is free, sorted (symbol, position) incidences).  It ignores
+    vertex numbering and the order of the free tuple, so queries isomorphic by
+    a map that keeps the free set share it."""
+    s = q.structure
+    fset = set(q.free)
+    incidences = [[] for _ in range(s.n)]
+    for name, rel in s.relations.items():
+        for tup in rel:
+            for i, v in enumerate(tup):
+                incidences[v].append((name, i))
+    return (s.n, len(fset),
+            tuple(sorted((name, len(rel)) for name, rel in s.relations.items())),
+            tuple(sorted((v in fset, tuple(sorted(incidences[v])))
+                         for v in range(s.n))))
+
+
 def normalize(qq):
     """Replace every term by its augmented core, merge equivalent terms, drop
-    zero coefficients, and order terms canonically."""
-    cored = []
-    for coeff, q in qq.terms:
-        cored.append((Fraction(coeff), homs.augmented_core(q)))
-    merged = []
-    for coeff, q in cored:
-        for i, (c2, q2) in enumerate(merged):
-            if homs.are_equivalent(q, q2):
-                merged[i] = (c2 + coeff, q2)
+    zero coefficients, and order terms canonically.
+
+    Three hash-keyed passes: structurally identical raw terms are merged
+    before coring, so each distinct raw term is cored once; identical cores
+    are merged; then each core is tested for equivalence only against the
+    kept cores with the same isomorphism key.  Equivalent cores are
+    isomorphic by a map that keeps the free set (an endomorphism of an
+    augmented core that maps the free set onto itself is an automorphism), so
+    they always share a key; are_equivalent still decides every merge."""
+    cores = _sum_identical((c, homs.augmented_core(q))
+                           for q, c in _sum_identical(qq.terms).items())
+    buckets = {}
+    for q, coeff in cores.items():
+        bucket = buckets.setdefault(_iso_key(q), [])
+        for term in bucket:
+            if homs.are_equivalent(q, term[1]):
+                term[0] += coeff
                 break
         else:
-            merged.append((coeff, q))
-    terms = [(c, q) for c, q in merged if c != 0]
+            bucket.append([coeff, q])
+    terms = [(c, q) for bucket in buckets.values() for c, q in bucket if c != 0]
     terms.sort(key=lambda term: _term_key(term[1]))
     return QuantumQuery(terms, transform=qq.transform)
 
@@ -123,11 +158,8 @@ def build_test_family(support, counter=None):
             for x, zv in zip(q.free, z):
                 mult[x] = zv
             cloned, _ = clone_by_multiplicity(q.structure, mult)
-            key = (cloned.n, tuple(sorted(
-                (name, tuple(sorted(rel)))
-                for name, rel in cloned.relations.items())))
-            if key not in seen:
-                seen.add(key)
+            if cloned not in seen:
+                seen.add(cloned)
                 candidates.append(cloned)
     columns = [[counter(q, f) for q in support] for f in candidates]
     chosen = _rank_and_basis(columns, len(support))

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: enumeration of small graphs and
-(graph, free-set) pairs up to isomorphism, and random instance builders."""
+(graph, free-set) pairs up to isomorphism, random instance builders and
+reference implementations."""
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from cqcount import homs
 from cqcount.model import Coloring, Query, Structure, graph, graph_edges
 
 
@@ -189,3 +192,30 @@ def min_retract_size(q):
                 if {h[x] for x in free} == free and all(
                         tuple(h[v] for v in tup) in rel for rel, tup in atoms):
                     return len(keep)
+
+
+def relabelled(rng, q):
+    """q under a random vertex permutation, its free tuple shuffled."""
+    s = q.structure
+    perm = rng.sample(range(s.n), s.n)
+    rels = {name: [tuple(perm[v] for v in tup) for tup in rel]
+            for name, rel in s.relations.items()}
+    free = [perm[x] for x in q.free]
+    rng.shuffle(free)
+    return Query(Structure(s.signature, s.n, rels), free)
+
+
+def naive_normalize(terms):
+    """(coefficient, query) pairs: every term cored, then merged pairwise with
+    the first equivalent kept term, zero sums dropped.  No hashing: the
+    reference quantum.normalize is checked against."""
+    merged = []
+    for coeff, q in terms:
+        core = homs.augmented_core(q)
+        for term in merged:
+            if homs.are_equivalent(core, term[1]):
+                term[0] += Fraction(coeff)
+                break
+        else:
+            merged.append([Fraction(coeff), core])
+    return [(c, q) for c, q in merged if c != 0]

@@ -93,6 +93,14 @@ def test_minimize_emits_the_core(tmp_path, capsys):
     assert core.structure.n == 2
 
 
+def test_minimize_rejects_the_reserved_symbol(tmp_path, capsys):
+    q = write(tmp_path, "q", "query\nsignature Xaux/2\nfree x1\nexists y\n"
+                             "body Xaux(x1,y)\n")
+    code, out, err = run(capsys, ["minimize", "--query", q])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: " % q) and "reserved symbol Xaux" in err
+
+
 def test_expand_and_eval_round_trip(tmp_path, capsys):
     f = write(tmp_path, "f", "formula\nfree x1 x2\nexists y\n"
                              "body E(x1,y) | E(x2,y)\n")

@@ -6,7 +6,8 @@ import pytest
 from cqcount import homs, quantum
 from cqcount.model import Query, Signature, complement_structure, graph
 
-from helpers import explicit_complement, random_graph, random_structure
+from helpers import (explicit_complement, naive_normalize, random_graph,
+                     random_query, random_structure, relabelled)
 
 
 def triangle():
@@ -45,6 +46,48 @@ def test_normalize_cancels_equivalent_cores():
     padded = Query(graph(2, []), (0,))
     qq = quantum.QuantumQuery([(2, padded), (-2, VERTEX)])
     assert quantum.normalize(qq).terms == []
+
+
+def test_iso_key_ignores_numbering_and_free_order():
+    rng = random.Random(11)
+    ternary_unary = Signature((("R", 3), ("U", 1)))
+    for trial in range(200):
+        if trial % 2:
+            n = rng.randint(1, 4)
+            s = random_structure(rng, ternary_unary, n, 0.2)
+            q = Query(s, rng.sample(range(n), rng.randint(0, n)))
+        else:
+            q = random_query(rng, 6)
+        assert quantum._iso_key(relabelled(rng, q)) == quantum._iso_key(q)
+
+
+# all five vertices free, one degree sequence: the same isomorphism key, but
+# not equivalent, so the bucket must keep both
+P5 = Query(graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), range(5))
+K3_K2 = Query(graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), range(5))
+
+
+def test_normalize_matches_pairwise_merging():
+    assert quantum._iso_key(P5) == quantum._iso_key(K3_K2)
+    assert not homs.are_equivalent(P5, K3_K2)
+    rng = random.Random(13)
+    for trial in range(60):
+        bases = [random_query(rng, 5) for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 0:
+            bases += [P5, K3_K2]
+        terms = []
+        for q in bases:
+            c = Fraction(rng.choice([-2, -1, 1, 3]))
+            terms.append((c, q))
+            terms.append((rng.choice([c, -c]), q))  # a duplicate
+            for _ in range(rng.randint(1, 2)):
+                terms.append((rng.choice([c, -c, 1]), relabelled(rng, q)))
+        rng.shuffle(terms)
+        got = quantum.normalize(quantum.QuantumQuery(terms)).terms
+        want = naive_normalize(terms)
+        assert len(got) == len(want)
+        for c, q in got:
+            assert [c2 for c2, q2 in want if homs.are_equivalent(q, q2)] == [c]
 
 
 def test_evaluate_sums_term_counts():
