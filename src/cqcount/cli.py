@@ -59,6 +59,15 @@ def _load_query(path):
         raise InputError("%s: %s" % (path, e))
 
 
+def _load_satisfiable_query(path):
+    """A query for the commands that report on or rewrite the query itself,
+    where an unsatisfiable one has no answer to give."""
+    q, _ = _load_query(path)
+    if isinstance(q, ZeroWitness):
+        raise InputError("%s: query is unsatisfiable: %s" % (path, q.reason))
+    return q
+
+
 def _load_structure(path):
     try:
         return parse_structure(_read(path, "target"))
@@ -184,9 +193,7 @@ def _format_report(cfg, report):
 
 
 def cmd_params(cfg):
-    q, _ = _load_query(cfg.args.query[0])
-    if isinstance(q, ZeroWitness):
-        raise InputError("query is unsatisfiable: %s" % q.reason)
+    q = _load_satisfiable_query(cfg.args.query[0])
     report = params.analyze(q)
     pairs, lines = _format_report(cfg, report)
     _emit(cfg, pairs, lines)
@@ -194,12 +201,7 @@ def cmd_params(cfg):
 
 
 def cmd_classify(cfg):
-    queries = []
-    for path in cfg.args.query:
-        q, _ = _load_query(path)
-        if isinstance(q, ZeroWitness):
-            raise InputError("%s is unsatisfiable: %s" % (path, q.reason))
-        queries.append(q)
+    queries = [_load_satisfiable_query(path) for path in cfg.args.query]
     if len(queries) == 1:
         return cmd_params(cfg)
     out = params.classify(queries)
@@ -216,9 +218,7 @@ def cmd_classify(cfg):
 
 
 def cmd_minimize(cfg):
-    q, _ = _load_query(cfg.args.query)
-    if isinstance(q, ZeroWitness):
-        raise InputError("query is unsatisfiable: %s" % q.reason)
+    q = _load_satisfiable_query(cfg.args.query)
     if not q.is_plain():
         raise InputError("minimize supports plain queries only")
     try:
@@ -298,9 +298,7 @@ def cmd_gadget(cfg):
         sys.stdout.write(serialize_query(q))
         return EXIT_OK
     if name == "minor":
-        q, _ = _load_query(cfg.args.query)
-        if isinstance(q, ZeroWitness):
-            raise InputError("query is unsatisfiable: %s" % q.reason)
+        q = _load_satisfiable_query(cfg.args.query)
         kind = cfg.args.op
         spots = cfg.args.vertices or []
         if kind == "delete-vertex":
@@ -330,9 +328,7 @@ def cmd_gadget(cfg):
         _print_gadget(cfg, out)
         return EXIT_OK
     if name == "uncolored-to-cp":
-        q, _ = _load_query(cfg.args.query)
-        if isinstance(q, ZeroWitness):
-            raise InputError("query is unsatisfiable: %s" % q.reason)
+        q = _load_satisfiable_query(cfg.args.query)
         t = _load_graph(cfg.args.target)
         _check_signature([q], t, cfg.args.target)
         try:
@@ -351,9 +347,7 @@ def cmd_gadget(cfg):
         _print_gadget(cfg, out)
         return EXIT_OK
     if name == "gaifman-expand":
-        q, _ = _load_query(cfg.args.query)
-        if isinstance(q, ZeroWitness):
-            raise InputError("query is unsatisfiable: %s" % q.reason)
+        q = _load_satisfiable_query(cfg.args.query)
         t = _load_structure(cfg.args.target)
         # the target is colored by the query's Gaifman graph, not the query
         _check_signature([Query(gaifman_graph(q.structure), ())], t,
@@ -518,8 +512,9 @@ def _check_compile(rng, cfg):
         disj = ["(" + " & ".join(rng.sample(atoms, rng.randint(1, 2))) + ")"
                 for _ in range(m)]
         quant = rng.choice(["forall", "exists"])
-        text = "formula\nfree x1 x2\n%s y1 y2\nbody %s\n" % (
-            quant, " | ".join(disj))
+        text = "formula\nfree x1 x2\n%s y1 y2\nbody (%s)%s\n" % (
+            quant, " | ".join(disj),
+            " & !E(x1,x2)" if rng.random() < 0.5 else "")
         if rng.random() < 0.5:
             text += "ineq x1 x2\n"
         f = parse_formula(text)

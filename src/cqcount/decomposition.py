@@ -43,11 +43,6 @@ class TreeDecomposition:
         return out
 
 
-def _adjacency(g):
-    adj = gaifman_adjacency(g)
-    return {v: set(adj[v]) for v in g.vertices()}
-
-
 def _components(adj, vertices):
     seen = set()
     comps = []
@@ -246,7 +241,7 @@ def decompose_graph(g, limit=EXACT_TREEWIDTH_LIMIT, exact=True):
 
 def exact_treewidth(g, limit=EXACT_TREEWIDTH_LIMIT):
     """Exact treewidth of a graph-mode structure with a valid nice decomposition."""
-    adj = _adjacency(g)
+    adj = gaifman_adjacency(g)
     return decompose_graph((adj, list(g.vertices())), limit=limit, exact=True)
 
 
@@ -445,8 +440,8 @@ def _component_root_table(q, t, component, limit, dss_cap):
     sub, old_to_new = induced_substructure(q.structure, component + boundary)
     comp_local = [old_to_new[v] for v in component]
     keep_local = [old_to_new[v] for v in boundary]
-    _, td = decompose_graph((_adjacency(sub), comp_local), limit=limit,
-                            exact=True)
+    _, td = decompose_graph((gaifman_adjacency(sub), comp_local),
+                            limit=limit, exact=True)
     return boundary, dp_tables(sub, t, td, keep=keep_local)
 
 
@@ -504,7 +499,7 @@ def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
     if derived is None:
         return 0
     dq, dt = derived
-    adj = _adjacency(dq.structure)
+    adj = gaifman_adjacency(dq.structure)
     _, td = decompose_graph((adj, list(dq.structure.vertices())), limit=limit,
                             exact=True)
     return count_homs_dp(dq.structure, dt, td)

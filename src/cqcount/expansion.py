@@ -1,21 +1,23 @@
 """Compiling extended queries (inequalities, negated free atoms, existential
 and universal positive bodies) down to linear combinations of plain queries.
 
-Inequalities go through Moebius inversion over the partition flats they span,
-negated atoms through inclusion-exclusion, universal bodies through the
-complement transform, and disjunctions through inclusion-exclusion over
-disjunct subsets.
+compile runs one order on queries.  Equalities are substituted away first.
+The quantifier step then turns the formula into queries: disjunctions by
+inclusion-exclusion over disjunct subsets, a universal body through the
+complement transform (its outer negated atoms become positive atoms on the
+reflexive complement).  Every resulting query then loses its negated atoms by
+inclusion-exclusion and its inequalities by Moebius inversion over the
+partition flats they span, and the sum is normalized once.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .model import (GRAPH_SIGNATURE, Query, Signature, Structure,
-                    complement_symbol)
+from .model import GRAPH_SIGNATURE, Query, Structure
 from .parser import (FormulaAST, ZeroWitness, eliminate_equalities,
                      formula_to_query, to_disjunctive_normal_form)
 from .quantum import QuantumQuery, normalize
-from . import homs
 
 MAX_INEQUALITIES = 16
 
@@ -105,12 +107,19 @@ def contract_query(q, rho):
     return Query(structure, free, ineqs, negs)
 
 
+@lru_cache(maxsize=8)
+def _flat_lattice(free, inequalities):
+    # every term of one compile shares its free tuple and inequality set, so
+    # the lattice (up to 2^MAX_INEQUALITIES subsets) is built once for all
+    return matroid_flats_mobius(free, inequalities)
+
+
 def expand_inequalities(q):
     """Replace injectivity constraints by a signed sum of contracted queries.
     The combination is unnormalized; compile normalizes once, at the end."""
     if not q.inequalities:
         return QuantumQuery([(1, q)])
-    lattice = matroid_flats_mobius(q.free, q.inequalities)
+    lattice = _flat_lattice(q.free, q.inequalities)
     base = Query(q.structure, q.free, (), q.negated_atoms)
     terms = []
     for rho in lattice.flats:
@@ -207,6 +216,12 @@ def _conjunct_atoms(node):
     raise ValueError("disjunct is not a conjunction of atoms")
 
 
+def _conjunction(nodes):
+    if not nodes:
+        return ("true",)
+    return nodes[0] if len(nodes) == 1 else ("and", tuple(nodes))
+
+
 def ep_to_quantum(f):
     """Inclusion-exclusion over nonempty disjunct subsets; intersections share
     the free variables and rename quantified variables apart per disjunct.
@@ -238,9 +253,8 @@ def ep_to_quantum(f):
                     name = renamed(v, i)
                     if name not in quantified:
                         quantified.append(name)
-            body = ("true",) if not atoms else (
-                atoms[0] if len(atoms) == 1 else ("and", tuple(atoms)))
-            g = FormulaAST(f.signature, f.free, "exists", quantified, body,
+            g = FormulaAST(f.signature, f.free, "exists", quantified,
+                           _conjunction(atoms),
                            inequalities=f.inequalities,
                            negated_atoms=f.negated_atoms)
             query, _ = formula_to_query(g)
@@ -310,135 +324,41 @@ def count_formula_answers(f, t):
 # ---------------------------------------------------------------------------
 # the full compiler
 
-def _lift_formula(f):
-    """Turn the outer negated atoms into positive atoms over fresh complement
-    symbols, conjoined into the body."""
-    negs = sorted(f.negated_atoms)
-    if not negs:
-        return f, {}
-    used = sorted(set(sym for sym, _ in negs))
-    lifted = {}
-    symbols = list(f.signature.symbols)
-    for sym in used:
-        nsym = complement_symbol(sym)
-        if nsym in f.signature.arity:
-            raise ValueError("symbol %s collides with a complement name" % nsym)
-        symbols.append((nsym, f.signature.arity[sym]))
-        lifted[nsym] = sym
-    atoms = [("atom", complement_symbol(sym), tuple(args))
-             for sym, args in negs]
-    if f.body == ("true",):
-        body = atoms[0] if len(atoms) == 1 else ("and", tuple(atoms))
-    else:
-        body = ("and", tuple([f.body] + atoms))
-    g = FormulaAST(Signature(symbols), f.free, f.quantifier, f.quantified,
-                   body, inequalities=f.inequalities, negated_atoms=(),
-                   equalities=())
-    return g, lifted
-
-
-def _contract_formula(f, block_pairs):
-    """Substitute free variables along the merge pairs of one flat."""
-    rep = {}
-    key = _partition_key(f.free, block_pairs)
-    for block in key:
-        for v in block:
-            rep[v] = block[0]
-    for v in f.quantified:
-        rep[v] = v
-
-    def sub(node):
-        if node[0] == "atom":
-            return ("atom", node[1], tuple(rep[v] for v in node[2]))
-        if node[0] in ("and", "or"):
-            return (node[0], tuple(sub(c) for c in node[1]))
-        return node
-
-    free = list(dict.fromkeys(rep[v] for v in f.free))
-    return f.replace(free=free, body=sub(f.body), inequalities=())
-
-
-def _lower_term(q, lifted, graph_mode):
-    """Move complement-symbol atoms back into the negated-atom list over the
-    original signature."""
-    if not lifted:
-        return q
-    keep_symbols = [sym for sym in q.structure.signature.symbols
-                    if sym[0] not in lifted]
-    fset = set(q.free)
-    negs = list(q.negated_atoms)
-    rels = {}
-    for name, rel in q.structure.relations.items():
-        if name in lifted:
-            for tup in rel:
-                if any(v not in fset for v in tup):
-                    raise AssertionError(
-                        "complement atom on a quantified variable")
-                if graph_mode:
-                    tup = tuple(sorted(tup))
-                negs.append((lifted[name], tup))
-        else:
-            rels[name] = set(rel)
-            if graph_mode and name == "E":
-                rels[name] |= set((b, a) for a, b in rel)
-    structure = Structure(Signature(keep_symbols), q.structure.n, rels)
-    negs = list(dict.fromkeys(negs))
-    return Query(structure, q.free, q.inequalities, negs)
+def _universal_terms(f):
+    """A universal formula as a combination of plain-body queries to evaluate
+    on the reflexive complement of the target.  The outer negated atoms N
+    hold on the complement as positive atoms, so the count is that of the
+    free variables under N and the inequalities, minus the existential dual
+    of the body conjoined with N."""
+    negs = [("atom", sym, args) for sym, args in sorted(f.negated_atoms)]
+    bare = f.replace(quantifier="exists", quantified=[],
+                     body=_conjunction(negs), negated_atoms=())
+    terms = [(Fraction(1), formula_to_query(bare)[0])]
+    dual, _, _ = universal_to_existential(f.replace(negated_atoms=()))
+    if dual is not None:
+        dual = dual.replace(body=_conjunction([dual.body] + negs))
+        terms += [(-c, q) for c, q in ep_to_quantum(dual).terms]
+    return terms
 
 
 def compile(f):
     """Full pipeline from a fragment formula to a normalized linear
-    combination of plain queries.  Evaluating the result (on the target, or on
-    its reflexive complement when the transform flag says so) matches the
-    brute-force formula semantics."""
+    combination of plain queries: equality elimination, then the quantifier
+    step (inclusion-exclusion over disjuncts, through the complement
+    transform for a universal body), then on every term negated atoms by
+    inclusion-exclusion and inequalities by Moebius inversion, and one
+    normalize.  Evaluating the result (on the target, or on its reflexive
+    complement when the transform flag says so) matches the brute-force
+    formula semantics."""
     f = eliminate_equalities(f)
     if isinstance(f, ZeroWitness):
         return QuantumQuery([])
-    graph_mode = f.is_graph_signature()
-    universal = f.quantifier == "forall" and bool(f.quantified)
-    if f.quantifier == "forall" and not f.quantified:
-        f = f.replace(quantifier=None, quantified=[])
-
-    lifted_f, lifted = _lift_formula(f)
-
-    if lifted_f.inequalities:
-        lattice = matroid_flats_mobius(
-            lifted_f.free, [tuple(sorted(p)) for p in lifted_f.inequalities])
-        contracted = []
-        for rho in lattice.flats:
-            pairs = [(b[0], v) for b in rho for v in b[1:]]
-            contracted.append((Fraction(lattice.mu[rho]),
-                               _contract_formula(lifted_f, pairs)))
+    if f.quantifier == "forall" and f.quantified:
+        raw, transform = _universal_terms(f), "complement"
     else:
-        contracted = [(Fraction(1), lifted_f.replace(inequalities=()))]
-
-    raw_terms = []
-    transform = "complement" if universal else "identity"
-    for coeff, g in contracted:
-        if universal:
-            dual, _, k = universal_to_existential(
-                g.replace(quantifier="forall"))
-            const_sig = g.signature
-            edgeless = Structure(const_sig, k,
-                                 {name: set() for name, _ in const_sig.symbols})
-            raw_terms.append((coeff, Query(edgeless, tuple(range(k)))))
-            if dual is not None:
-                inner = ep_to_quantum(dual)
-                for c2, q2 in inner.terms:
-                    raw_terms.append((-coeff * c2, q2))
-        else:
-            inner = ep_to_quantum(g.replace(quantifier="exists"))
-            for c2, q2 in inner.terms:
-                raw_terms.append((coeff * c2, q2))
-
-    expanded = []
-    for coeff, q in raw_terms:
-        q = _lower_term(q, lifted, graph_mode)
-        if q.negated_atoms:
-            inner = expand_negations(q)
-            for c2, q2 in inner.terms:
-                expanded.append((coeff * c2, q2))
-        else:
-            expanded.append((coeff, q))
-
-    return normalize(QuantumQuery(expanded, transform=transform))
+        raw = ep_to_quantum(f.replace(quantifier="exists")).terms
+        transform = "identity"
+    terms = [(c1 * c2 * c3, q3) for c1, q1 in raw
+             for c2, q2 in expand_negations(q1).terms
+             for c3, q3 in expand_inequalities(q2).terms]
+    return normalize(QuantumQuery(terms, transform=transform))

@@ -322,10 +322,6 @@ def clone_vertices(structure, coloring, z):
     return cloned, Coloring([coloring[v] for v in origin])
 
 
-def complement_symbol(name):
-    return "N" + name
-
-
 def induced_substructure(structure, vertices):
     """Substructure induced on a vertex subset.  Returns (structure, old_to_new)."""
     keep = sorted(set(vertices))

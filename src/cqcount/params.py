@@ -4,7 +4,7 @@ matching number) and the advisory five-regime classifier.
 
 from itertools import combinations
 
-from .model import gaifman_adjacency, graph
+from .model import gaifman_adjacency, gaifman_graph, graph
 from . import decomposition as dec
 from . import homs
 
@@ -171,26 +171,23 @@ def analyze(q, tw_limit=dec.EXACT_TREEWIDTH_LIMIT, lmn_cap=LMN_CAP,
     """Compute every structural parameter of one query."""
     exact = {"tw": True, "tw_contract": True, "lmn": True}
     notes = []
-    from .model import gaifman_graph
-    gg = gaifman_graph(q.structure)
-    try:
-        tw, _ = dec.exact_treewidth(gg, limit=tw_limit)
-    except dec.TreewidthLimitError:
-        adj = gaifman_adjacency(gg)
-        _, td = dec.decompose_graph((adj, list(gg.vertices())), exact=False)
-        tw = td.width
-        exact["tw"] = False
-        notes.append("treewidth is a heuristic upper bound (instance above the "
-                     "exact limit)")
-    cg = contract_graph(q)
-    try:
-        twc, _ = dec.exact_treewidth(cg, limit=tw_limit)
-    except dec.TreewidthLimitError:
-        adj = gaifman_adjacency(cg)
-        _, td = dec.decompose_graph((adj, list(cg.vertices())), exact=False)
-        twc = td.width
-        exact["tw_contract"] = False
-        notes.append("contract treewidth is a heuristic upper bound")
+
+    def treewidth(g, key, note):
+        """Exact up to tw_limit, past it a heuristic upper bound and a note."""
+        try:
+            return dec.exact_treewidth(g, limit=tw_limit)[0]
+        except dec.TreewidthLimitError:
+            _, td = dec.decompose_graph(
+                (gaifman_adjacency(g), list(g.vertices())), exact=False)
+            exact[key] = False
+            notes.append(note)
+            return td.width
+
+    tw = treewidth(gaifman_graph(q.structure), "tw",
+                   "treewidth is a heuristic upper bound (instance above "
+                   "the exact limit)")
+    twc = treewidth(contract_graph(q), "tw_contract",
+                    "contract treewidth is a heuristic upper bound")
     dss = dominating_star_size(q)
     try:
         lmn = linked_matching_number(q, cap=lmn_cap)

@@ -49,6 +49,25 @@ def test_count_of_an_unsatisfiable_query(tmp_path, capsys):
     assert out.splitlines()[0] == "count: 0"
 
 
+def test_commands_without_a_count_name_the_unsatisfiable_query(tmp_path,
+                                                               capsys):
+    q = write(tmp_path, "q", "formula\nfree x y\nbody E(x,y)\neq x y\n")
+    t = write(tmp_path, "t", P3)
+    c = write(tmp_path, "c", "color 0 0\ncolor 1 0\ncolor 2 0\n")
+    runs = [["params", "--query", q], ["classify", "--query", q],
+            ["minimize", "--query", q],
+            ["gadget", "minor", "--query", q, "--op", "delete-vertex",
+             "--vertices", "0"],
+            ["gadget", "uncolored-to-cp", "--query", q, "--target", t],
+            ["gadget", "gaifman-expand", "--query", q, "--target", t,
+             "--coloring", c]]
+    for argv in runs:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: %s: query is unsatisfiable: " % q), \
+            (argv, err)
+
+
 def test_colored_counts(tmp_path, capsys):
     q = write(tmp_path, "q", "query\nfree x1\nexists y\nbody E(x1,y)\n")
     t = write(tmp_path, "t", "graph\ndomain 4\nE 0 2\nE 0 3\nE 1 2\n")

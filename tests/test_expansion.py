@@ -6,7 +6,7 @@ from cqcount import expansion, homs, quantum
 from cqcount.model import Query, graph
 from cqcount.parser import parse_formula
 
-from helpers import random_graph
+from helpers import random_graph, random_structure
 
 
 def test_flat_lattice_of_the_inequality_triangle():
@@ -138,6 +138,20 @@ def test_compile_handles_both_quantifiers_and_constraints():
             assert homs.augmented_core(q).structure.n == q.structure.n
             assert not any(homs.are_equivalent(q, q2)
                            for _, q2 in qq.terms[i + 1:])
+
+
+def test_compile_over_a_signature_with_an_N_prefixed_symbol():
+    # NE is an ordinary symbol here, next to the negated atom !E(x1,x2)
+    rng = random.Random(13)
+    for quantifier in ("exists", "forall"):
+        f = parse_formula("formula\nsignature E/2 NE/2\nfree x1 x2\n%s y\n"
+                          "body E(x1,y) & NE(y,x2) & !E(x1,x2)\n" % quantifier)
+        qq = expansion.compile(f)
+        for n in range(1, 4):
+            for _ in range(5):
+                t = random_structure(rng, f.signature, n)
+                assert quantum.evaluate(qq, t) == \
+                    expansion.count_formula_answers(f, t)
 
 
 def test_compile_of_a_plain_cq_is_a_single_core_term():
