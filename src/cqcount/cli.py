@@ -118,12 +118,15 @@ def _emit(cfg, pairs, text_lines=None):
             print(line)
 
 
-def _pick_method(cfg, q):
-    if cfg.method != "auto":
-        return cfg.method
-    if not q.is_plain() or params.dominating_star_size(q) > dec.DSS_CAP:
-        return "brute"
-    return "dp"
+def _count(cfg, q, t, method, domains=None):
+    """decomposition.count under method; the DP's refusals exit 1."""
+    if method == "dp" and not q.is_plain():
+        raise InputError("--method dp supports plain queries only")
+    try:
+        return dec.count(q, t, domains, method)
+    except dec.BudgetError as e:
+        raise InputError("%s: dp method not applicable: %s"
+                         % (cfg.args.target, e))
 
 
 def cmd_count(cfg):
@@ -133,19 +136,10 @@ def cmd_count(cfg):
         _emit(cfg, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
     _check_signature([q], t, cfg.args.target)
-    method = _pick_method(cfg, q)
-    if method == "dp":
-        if not q.is_plain():
-            raise InputError("--method dp supports plain queries only")
-        try:
-            value = dec.count_answers_dss(q, t)
-        except ValueError as e:
-            if cfg.method == "dp":
-                raise InputError("dp method not applicable: %s" % e)
-            method = "brute"
-            value = homs.count_answers(q, t)
-    else:
-        value = homs.count_answers(q, t)
+    method = cfg.method
+    if method == "auto":
+        method, _ = dec.pick_method(q, t)
+    value = _count(cfg, q, t, method)
     _emit(cfg, [("count", value), ("method", method)])
     return EXIT_OK
 
@@ -165,7 +159,8 @@ def cmd_count_colored(cfg, colorful):
     if colorful:
         value = homs.count_cf_answers(q, t, c)
     else:
-        value = homs.count_cp_answers(q, t, c)
+        classes = c.classes(q.structure.n)
+        value = _count(cfg, q, t, cfg.method, dict(enumerate(classes)))
     _emit(cfg, [("count", value)])
     return EXIT_OK
 
@@ -247,7 +242,8 @@ def cmd_eval(cfg):
         raise InputError("%s: %s" % (cfg.args.quantum, e))
     t = _load_structure(cfg.args.target)
     _check_signature([q for _, q in qq.terms], t, cfg.args.target)
-    value = quantum.evaluate(qq, t)
+    value = quantum.evaluate(
+        qq, t, counter=lambda q, target: _count(cfg, q, target, cfg.method))
     if isinstance(value, Fraction):
         shown = "%d/%d" % (value.numerator, value.denominator)
     else:
@@ -395,14 +391,19 @@ def _check_dp(rng, cfg):
         g = _random_graph(rng, rng.randint(0, cfg.max_n))
         transform = rng.choice(["identity", "complement"])
         t = complement_structure(g) if transform == "complement" else g
+        domains = None
+        if rng.random() < 0.5:
+            domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
+                       for v in q.structure.vertices() if rng.random() < 0.7}
         try:
-            fast = dec.count_answers_dss(q, t)
-        except ValueError:
+            fast = dec.count(q, t, domains, method="dp")
+        except dec.BudgetError:
             continue
-        slow = homs.count_answers(q, t)
+        slow = homs.count_answers(q, t, domains)
         if fast != slow:
-            return "dp=%d brute=%d query=%r target-edges=%r (%s)" % (
-                fast, slow, serialize_query(q), graph_edges(g), transform)
+            return ("dp=%d brute=%d query=%r target-edges=%r (%s) "
+                    "domains=%r" % (fast, slow, serialize_query(q),
+                                    graph_edges(g), transform, domains))
     return None
 
 
@@ -639,15 +640,26 @@ def build_parser():
             sp.add_argument("--coloring", required=True)
         sp.add_argument("--machine", action="store_true")
 
+    def method(sp):
+        sp.add_argument("--method", choices=["brute", "dp", "auto"],
+                        default="auto",
+                        help="dp: the tree-decomposition counter; brute: "
+                             "the backtracking search; auto (default): dp "
+                             "for a plain query within DSS_CAP on a target "
+                             "that is not a complement, brute otherwise")
+
     sp = sub.add_parser("count", help="count answers of a query on a target")
     common(sp, query=True, target=True)
-    sp.add_argument("--method", choices=["brute", "dp", "auto"],
-                    default="auto")
+    method(sp)
 
     sp = sub.add_parser("count-cp", help="color-prescribed answer count")
     common(sp, query=True, target=True, coloring=True)
+    method(sp)
 
-    sp = sub.add_parser("count-cf", help="colorful answer count")
+    sp = sub.add_parser("count-cf",
+                        help="colorful answer count (brute force only: "
+                             "its colorful-image condition is not a "
+                             "per-vertex domain, so the dp cannot run it)")
     common(sp, query=True, target=True, coloring=True)
 
     sp = sub.add_parser("params", help="structural parameters of one query")
@@ -674,6 +686,7 @@ def build_parser():
     sp.add_argument("--quantum", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--machine", action="store_true")
+    method(sp)
 
     sp = sub.add_parser("gadget", help="run a reduction gadget")
     sp.add_argument("name", choices=["family", "minor", "uncolored-to-cp",

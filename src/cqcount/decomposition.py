@@ -6,14 +6,27 @@ components and materializes their extendability relations.
 from functools import lru_cache
 from operator import itemgetter
 
-from .model import (Query, Signature, Structure, gaifman_adjacency,
+from . import homs
+from .model import (Complement, Query, Signature, Structure, gaifman_adjacency,
                     induced_substructure)
 
 EXACT_TREEWIDTH_LIMIT = 20
 DSS_CAP = 6
 
 
-class TreewidthLimitError(ValueError):
+class BudgetError(ValueError):
+    """A cost past its documented budget: carries the parameter that measures
+    the cost, its value, and the cap it exceeds with the cap's name."""
+
+    def __init__(self, parameter, value, cap, cap_name):
+        super().__init__("%s = %d exceeds %s = %d"
+                         % (parameter, value, cap_name, cap))
+        self.parameter = parameter
+        self.value = value
+        self.cap = cap
+
+
+class TreewidthLimitError(BudgetError):
     pass
 
 
@@ -225,8 +238,8 @@ def decompose_graph(g, limit=EXACT_TREEWIDTH_LIMIT, exact=True):
     (width, TreeDecomposition)."""
     adj, vertices = g
     if exact and len(vertices) > limit:
-        raise TreewidthLimitError(
-            "instance has %d vertices, exact limit is %d" % (len(vertices), limit))
+        raise TreewidthLimitError("vertices", len(vertices), limit,
+                                  "the exact treewidth limit")
     if exact:
         width, order = _elimination_width(adj, vertices)
     else:
@@ -420,86 +433,180 @@ def quantified_components(q):
 def component_boundary(q, component):
     """The free neighbors of a quantified component, sorted."""
     adj = gaifman_adjacency(q.structure)
-    fset = set(q.free)
+    return _boundary(adj, set(q.free), component)
+
+
+def _boundary(adj, fset, component):
     out = set()
     for v in component:
         out.update(adj[v] & fset)
     return sorted(out)
 
 
-def _component_root_table(q, t, component, limit, dss_cap):
-    """The boundary of one component and the map from boundary assignments
-    (keys in boundary order) to extension counts.  Raises ValueError when
-    the boundary exceeds dss_cap."""
-    boundary = component_boundary(q, component)
-    if len(boundary) > dss_cap:
-        raise ValueError("component boundary exceeds the dss cap (%d > %d)"
-                         % (len(boundary), dss_cap))
-    # induced_substructure keeps the vertex order, so the sorted local keep
-    # columns are the boundary vertices in boundary order
-    sub, old_to_new = induced_substructure(q.structure, component + boundary)
-    comp_local = [old_to_new[v] for v in component]
-    keep_local = [old_to_new[v] for v in boundary]
-    _, td = decompose_graph((gaifman_adjacency(sub), comp_local),
-                            limit=limit, exact=True)
-    return boundary, dp_tables(sub, t, td, keep=keep_local)
+class _Part:
+    """One quantified component as the fast counter plans it: its vertices,
+    its boundary, the substructure induced on both, the local id of each
+    vertex, and the local boundary, which are the DP's keep columns in
+    boundary order (induced_substructure keeps the vertex order)."""
+
+    def __init__(self, q, adj, component, limit):
+        self.vertices = component
+        self.boundary = _boundary(adj, set(q.free), component)
+        self.sub, self.local = induced_substructure(q.structure,
+                                                    component + self.boundary)
+        self.keep = [self.local[v] for v in self.boundary]
+        self.limit = limit
+        self._td = None
+
+    def tree(self, dss_cap):
+        """A nice decomposition of the component's own vertices, built on
+        first use.  Raises BudgetError, before decomposing, when the
+        boundary exceeds dss_cap."""
+        if len(self.boundary) > dss_cap:
+            raise BudgetError("dss", len(self.boundary), dss_cap, "DSS_CAP")
+        if self._td is None:
+            vertices = [self.local[v] for v in self.vertices]
+            _, self._td = decompose_graph(
+                (gaifman_adjacency(self.sub), vertices), limit=self.limit,
+                exact=True)
+        return self._td
+
+
+class _Plan:
+    """Everything the fast counter takes from the query alone: the parts,
+    and the derived free-only query, which keeps the free-only atoms and
+    gives each part with a boundary a fresh symbol over it (names[i], None
+    for a boundary-free part).  index maps a free vertex to its derived id."""
+
+    def __init__(self, q, limit):
+        adj = gaifman_adjacency(q.structure)
+        self.parts = [_Part(q, adj, component, limit)
+                      for component in _components(adj, set(q.quantified()))]
+        self.index = {v: i for i, v in enumerate(q.free)}
+        symbols = list(q.structure.signature.symbols)
+        rels = {name: set(tuple(self.index[v] for v in tup) for tup in rel
+                          if all(v in self.index for v in tup))
+                for name, rel in q.structure.relations.items()}
+        self.names = []
+        for i, part in enumerate(self.parts):
+            if not part.boundary:
+                self.names.append(None)
+                continue
+            name = "R%d" % i
+            while name in dict(symbols):
+                name = name + "_"
+            symbols.append((name, len(part.boundary)))
+            rels[name] = {tuple(self.index[v] for v in part.boundary)}
+            self.names.append(name)
+        free = tuple(range(len(q.free)))
+        self.query = Query(Structure(Signature(symbols), len(free), rels),
+                           free)
+        self.limit = limit
+        self._td = None
+
+    def tree(self):
+        """A nice decomposition of the derived query, built on first use."""
+        if self._td is None:
+            s = self.query.structure
+            _, self._td = decompose_graph(
+                (gaifman_adjacency(s), list(s.vertices())), limit=self.limit,
+                exact=True)
+        return self._td
+
+
+@lru_cache(maxsize=256)
+def _plan(q, limit):
+    # a Query hashes and compares structurally, so the clones of an
+    # interpolation grid or the terms of one quantum query share one plan;
+    # a plan holds no target state
+    return _Plan(q, limit)
+
+
+def _component_root_table(part, t, dss_cap, domains=None):
+    """The map from boundary assignments of one part (keys in boundary
+    order) to extension counts, each vertex v of q kept in domains[v] when
+    given.  Raises BudgetError when the boundary exceeds dss_cap."""
+    td = part.tree(dss_cap)
+    local = None if domains is None else {
+        part.local[v]: d for v, d in domains.items() if v in part.local}
+    return dp_tables(part.sub, t, td, keep=part.keep, domains=local)
 
 
 def extendability_relation(q, t, component_index, limit=EXACT_TREEWIDTH_LIMIT,
                            dss_cap=DSS_CAP):
     """The relation R of boundary tuples of one quantified component that admit
     an extension into the component's pattern."""
-    component = quantified_components(q)[component_index]
-    _, table = _component_root_table(q, t, component, limit, dss_cap)
-    return set(table)
+    part = _plan(q, limit).parts[component_index]
+    return set(_component_root_table(part, t, dss_cap))
 
 
-def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
+def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
+                       domains=None):
     """The X-only query and enriched target realizing the fast counter: keeps
     the free-only atoms and adds one fresh relation per quantified component
-    holding its extendability tuples.  Returns (query, target) or None when
-    some boundary-free component is unsatisfiable."""
+    holding its extendability tuples, each vertex v kept in domains[v] when
+    given.  Returns (query, target) or None when some boundary-free
+    component is unsatisfiable."""
     if not q.is_plain():
         raise ValueError("plain CQs only")
-    free = list(q.free)
-    index = {v: i for i, v in enumerate(free)}
-    fset = set(free)
-    symbols = []
-    rels_q = {}
-    rels_t = {}
-    for name, arity in q.structure.signature.symbols:
-        tuples = set(tup for tup in q.structure.relations[name]
-                     if set(tup) <= fset)
-        symbols.append((name, arity))
-        rels_q[name] = set(tuple(index[v] for v in tup) for tup in tuples)
-        rels_t[name] = t.relations[name]
-    for i, component in enumerate(quantified_components(q)):
-        boundary, table = _component_root_table(q, t, component, limit,
-                                                dss_cap)
-        if not boundary:
+    plan = _plan(q, limit)
+    rels_t = {name: t.relations[name]
+              for name in q.structure.signature.names()}
+    for part, name in zip(plan.parts, plan.names):
+        table = _component_root_table(part, t, dss_cap, domains)
+        if name is None:
             if not table:
                 return None
             continue
-        name = "R%d" % i
-        while name in dict(symbols):
-            name = name + "_"
-        symbols.append((name, len(boundary)))
-        rels_q[name] = {tuple(index[v] for v in boundary)}
         rels_t[name] = set(table)
-    sig = Signature(symbols)
-    derived_q = Query(Structure(sig, len(free), rels_q), tuple(range(len(free))))
-    derived_t = Structure(sig, t.n, rels_t)
-    return derived_q, derived_t
+    return plan.query, Structure(plan.query.structure.signature, t.n, rels_t)
 
 
-def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP):
+def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
+                      domains=None):
     """The fast counter: component extendability relations plus a DP over a
-    decomposition of the contracted free-only query."""
-    derived = derived_free_query(q, t, limit=limit, dss_cap=dss_cap)
+    decomposition of the contracted free-only query, each vertex v kept in
+    domains[v] when given."""
+    derived = derived_free_query(q, t, limit=limit, dss_cap=dss_cap,
+                                 domains=domains)
     if derived is None:
         return 0
     dq, dt = derived
-    adj = gaifman_adjacency(dq.structure)
-    _, td = decompose_graph((adj, list(dq.structure.vertices())), limit=limit,
-                            exact=True)
-    return count_homs_dp(dq.structure, dt, td)
+    plan = _plan(q, limit)
+    free_domains = None if domains is None else {
+        i: domains.get(v) for v, i in plan.index.items()}
+    return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)
+
+
+def pick_method(q, t):
+    """The counter count runs under "auto" and the reason when it is not the
+    DP: ("dp", None) or ("brute", reason).  The DP needs a plain query, a
+    target without Complement views (the DP's index walks all n**arity
+    tuples of a view, where the brute search only tests membership) and a
+    plan within DSS_CAP and the exact treewidth limit.
+    The plan is memoized, so the DP reuses the decompositions built here."""
+    if not q.is_plain():
+        return "brute", "the query has inequalities or negated atoms"
+    if any(isinstance(rel, Complement) for rel in t.relations.values()):
+        return "brute", "the target is a reflexive complement view"
+    plan = _plan(q, EXACT_TREEWIDTH_LIMIT)
+    try:
+        for part in plan.parts:
+            part.tree(DSS_CAP)
+        plan.tree()
+    except BudgetError as e:
+        return "brute", str(e)
+    return "dp", None
+
+
+def count(q, t, domains=None, method="auto"):
+    """Number of answers of q on t, each vertex v kept in domains[v] when
+    given.  method "dp" runs count_answers_dss, "brute" the homs search and
+    "auto" the one pick_method names."""
+    if method == "auto":
+        method, _ = pick_method(q, t)
+    if method == "dp":
+        return count_answers_dss(q, t, domains=domains)
+    if method == "brute":
+        return homs.count_answers(q, t, domains)
+    raise ValueError("unknown counting method %r" % (method,))

@@ -9,7 +9,7 @@ from math import comb
 
 from .model import (Coloring, Query, Structure, clone_vertices, gaifman_graph,
                     graph, graph_edges)
-from . import homs
+from . import decomposition, homs
 from .quantum import solve_rational
 
 
@@ -247,9 +247,10 @@ def uncolored_to_cp_gadget(q, t):
 
 def cf_count_via_uncolored(q, t, c, counter=None):
     """Colorful answer count through cloning and exact interpolation, using an
-    uncolored counter only.  q must be minimal."""
+    uncolored counter only (decomposition.count by default).  q must be
+    minimal."""
     if counter is None:
-        counter = homs.count_answers
+        counter = decomposition.count
     core = homs.augmented_core(q)
     if core.structure.n != q.structure.n:
         raise ValueError("query is not minimal")
@@ -339,12 +340,16 @@ def star_instance(g, k):
 
 def domset_via_star_oracle(g, k, oracle=None):
     """Counts of dominating sets D_1..D_k of g, using only an oracle for the
-    color-prescribed star count."""
+    color-prescribed star count.  The default oracle is decomposition.count
+    with each star vertex kept in its color class."""
     if not g.is_graph():
         raise ValueError("graph-mode input only")
     if oracle is None:
         psi = family_query("psi", k)
-        oracle = lambda s, c: homs.count_cp_answers(psi, s, c)
+
+        def oracle(s, c):
+            classes = c.classes(psi.structure.n)
+            return decomposition.count(psi, s, dict(enumerate(classes)))
     if _is_complete(g):
         # the layered construction needs a non-edge; fall back to enumeration
         return [_brute_dominating_sets(g, ell) for ell in range(1, k + 1)]

@@ -36,14 +36,15 @@ def _plan(structure, free):
     return order, checks
 
 
-def _search(q, t, domains=None, accept=None, colors=None):
+def _search(q, t, domains=None, accept=None, colors=None, first=False):
     """Number of answers of q on t: assignments of q.free that satisfy the
     inequalities and negated atoms, pass accept (called with the values in
     q.free order) and extend to a homomorphism of q.structure into t.
 
     domains[v], when given, restricts vertex v's candidates.  With colors (a
     color per target vertex), only extensions whose image meets every color
-    0..n-1 of q.structure count."""
+    0..n-1 of q.structure count.  With first, the search stops at the first
+    answer, so it returns 1 when one exists and 0 otherwise."""
     order, checks = _plan(q.structure, q.free)
     k = len(q.free)
     rels = t.relations
@@ -75,8 +76,10 @@ def _search(q, t, domains=None, accept=None, colors=None):
                     break
             else:
                 found = rec(i + 1)
-                if found and i >= k:
-                    return 1  # one extension decides a quantified suffix
+                # one extension decides a quantified suffix; with first,
+                # one answer decides the whole search
+                if found and (i >= k or first):
+                    return 1
                 total += found
         return total
 
@@ -101,16 +104,17 @@ def exists_extension(structure, target, pins=None, domains=None,
                    colors=colorful_colors) > 0
 
 
-def count_answers(q, t):
+def count_answers(q, t, domains=None):
     """Number of assignments on the free vertices that extend to a homomorphism,
-    honoring inequalities and negated atoms.  Boolean queries give 0 or 1."""
-    return _search(q, t)
+    honoring inequalities and negated atoms, with each vertex v kept in
+    domains[v] when given.  Boolean queries give 0 or 1."""
+    return _search(q, t, domains)
 
 
 def count_cp_answers(q, t, c):
     """Answers a with c(a(x)) = x that extend to a color-prescribed homomorphism."""
     classes = c.classes(q.structure.n)
-    return _search(q, t, {v: classes[v] for v in q.structure.vertices()})
+    return count_answers(q, t, {v: classes[v] for v in q.structure.vertices()})
 
 
 def count_cf_answers(q, t, c):
@@ -126,12 +130,16 @@ def count_cf_answers(q, t, c):
 
 def count_surjective_answers(q, t, z):
     """Answers whose image on the free vertices is exactly the set z."""
+    return _surjective_search(q, t, z)
+
+
+def _surjective_search(q, t, z, first=False):
     zset = set(z)
     if len(zset) > len(q.free):
         return 0
     zl = sorted(zset)
     return _search(q, t, {v: zl for v in q.free},
-                   accept=lambda vals: set(vals) == zset)
+                   accept=lambda vals: set(vals) == zset, first=first)
 
 
 def _automorphism_restrictions(q):
@@ -209,7 +217,9 @@ def dominates(q1, q2):
     to a homomorphism between the structures."""
     if q1.structure.signature != q2.structure.signature:
         raise ValueError("signature mismatch")
-    return count_surjective_extendable_maps(q1, q2) > 0
+    # one accepted answer decides, so the search stops at the first
+    return _surjective_search(Query(q1.structure, q1.free), q2.structure,
+                              q2.free, first=True) > 0
 
 
 def count_surjective_extendable_maps(q1, q2):

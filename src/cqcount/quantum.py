@@ -8,7 +8,7 @@ from itertools import product
 
 from .model import (Query, clone_by_multiplicity, complement_structure,
                     tensor_product)
-from . import homs
+from . import decomposition, homs
 
 
 class QuantumQuery:
@@ -87,9 +87,10 @@ def normalize(qq):
 
 def evaluate(qq, t, counter=None):
     """Sum of coefficient times answer count over the terms, on t or on its
-    reflexive complement per the transform flag."""
+    reflexive complement per the transform flag.  counter defaults to
+    decomposition.count."""
     if counter is None:
-        counter = homs.count_answers
+        counter = decomposition.count
     target = t if qq.transform == "identity" else complement_structure(t)
     total = Fraction(0)
     for coeff, q in qq.terms:
@@ -148,7 +149,7 @@ def build_test_family(support, counter=None):
     """Cloned structures on which the per-query answer counts form a square
     invertible matrix over the support."""
     if counter is None:
-        counter = homs.count_answers
+        counter = decomposition.count
     candidates = []
     seen = set()
     for q in support:
@@ -193,7 +194,7 @@ def extract_constituent_counts(qq, t, oracle=None, counter=None):
     its reflexive complement when the transform says so), recovered from oracle
     values on tensor products with the test family."""
     if counter is None:
-        counter = homs.count_answers
+        counter = decomposition.count
     if oracle is None:
         oracle = lambda g: evaluate(qq, g, counter=counter)
     support = [q for _, q in qq.terms]

@@ -239,3 +239,48 @@ def test_gadgets_check_the_target_and_exit_one(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err.startswith("error: %s: " % where) and words in err, \
             (argv, err)
+
+
+def test_eval_methods_agree_on_a_universal_formula(tmp_path, capsys):
+    f = write(tmp_path, "f", "formula\nfree x1 x2\nforall y\n"
+                             "body E(x1,y) | E(x2,y)\n")
+    code, out, _ = run(capsys, ["expand", "--formula", f])
+    assert code == 0 and "transform complement" in out
+    qfile = write(tmp_path, "qq", out)
+    t = write(tmp_path, "t", "graph\ndomain 5\nE 0 1\nE 1 2\nE 3 4\nE 0 3\n")
+    values = set()
+    for method in ("dp", "brute", "auto"):
+        code, out, _ = run(capsys, ["eval", "--quantum", qfile, "--target", t,
+                                    "--method", method, "--machine"])
+        assert code == 0
+        values.add(out)
+    assert len(values) == 1
+
+
+def test_count_methods_over_the_dss_cap(tmp_path, capsys):
+    code, star, _ = run(capsys, ["gadget", "family", "--kind", "psi",
+                                 "--k", "7"])
+    assert code == 0
+    q = write(tmp_path, "q", star)
+    t = write(tmp_path, "t", P3)
+    code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
+                                "--machine"])
+    assert code == 0 and out.splitlines()[1] == "method=brute"
+    code, out, err = run(capsys, ["count", "--query", q, "--target", t,
+                                  "--method", "dp"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: " % t) and "DSS_CAP" in err
+
+
+def test_colored_count_methods_agree(tmp_path, capsys):
+    q = write(tmp_path, "q", PSI2)
+    t = write(tmp_path, "t", "graph\ndomain 5\nE 0 2\nE 1 2\nE 1 3\nE 3 4\n")
+    c = write(tmp_path, "c", "color 0 x1\ncolor 1 x2\ncolor 2 y\n"
+                             "color 3 y\ncolor 4 x1\n")
+    outs = set()
+    for method in ("dp", "brute", "auto"):
+        code, out, _ = run(capsys, ["count-cp", "--query", q, "--target", t,
+                                    "--coloring", c, "--method", method])
+        assert code == 0
+        outs.add(out)
+    assert outs == {"count: 2\n"}

@@ -266,3 +266,60 @@ def test_dp_tables_with_keep_and_domains_matches_brute_force():
                    for v in s.vertices() if rng.random() < 0.7}
         got = dec.dp_tables(s, t, td, keep=keep, domains=domains)
         assert got == brute_table(s, t, keep, domains)
+
+
+def random_domains(rng, q, t):
+    return {v: rng.sample(range(t.n), rng.randint(0, t.n))
+            for v in q.structure.vertices() if rng.random() < 0.7}
+
+
+def test_count_with_domains_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(150):
+        q = random_query(rng, 5)
+        t = random_graph(rng, rng.randint(0, 5))
+        domains = random_domains(rng, q, t)
+        want = homs.count_answers(q, t, domains)
+        assert dec.count(q, t, domains, method="dp") == want
+        assert dec.count(q, t, domains) == want
+
+
+def test_pick_method_names_the_reason_for_brute():
+    psi2 = Query(path(3), (0, 2))
+    assert dec.pick_method(psi2, path(4)) == ("dp", None)
+    side = Query(path(3), (0, 2), inequalities=[frozenset((0, 2))])
+    method, reason = dec.pick_method(side, path(4))
+    assert method == "brute" and "inequalities" in reason
+    method, reason = dec.pick_method(psi2, complement_structure(path(4)))
+    assert method == "brute" and "complement" in reason
+    k = dec.DSS_CAP + 1
+    star = Query(graph(k + 1, [(i, k) for i in range(k)]), tuple(range(k)))
+    method, reason = dec.pick_method(star, path(3))
+    assert method == "brute" and "DSS_CAP" in reason
+    # auto falls back; the DP itself refuses with a typed error
+    assert dec.count(star, path(3)) == homs.count_answers(star, path(3))
+    with pytest.raises(dec.BudgetError) as err:
+        dec.count(star, path(3), method="dp")
+    assert (err.value.parameter, err.value.value, err.value.cap) == \
+        ("dss", k, dec.DSS_CAP)
+    assert issubclass(dec.TreewidthLimitError, dec.BudgetError)
+
+
+def test_count_plans_each_query_once(monkeypatch):
+    rng = random.Random(37)
+    calls = []
+    decompose = dec.decompose_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(dec, "decompose_graph", counting)
+    dec._plan.cache_clear()
+    # two quantified components, so three decompositions per plan
+    q = Query(path(5), (0, 2))
+    for _ in range(20):
+        t = random_graph(rng, rng.randint(0, 6))
+        domains = random_domains(rng, q, t) if rng.random() < 0.5 else None
+        assert dec.count(q, t, domains) == homs.count_answers(q, t, domains)
+    assert len(calls) == 3

@@ -267,3 +267,11 @@ def test_partial_automorphism_counts():
     assert homs.count_partial_automorphisms(Query(clique(3), (0, 1, 2))) == 6
     assert homs.count_partial_automorphisms(Query(path(3), (0, 2))) == 2
     assert homs.count_partial_automorphisms(Query(path(3), (0,))) == 1
+
+
+def test_domination_agrees_with_the_surjective_map_count():
+    rng = random.Random(47)
+    for _ in range(150):
+        q1, q2 = random_query(rng, 4), random_query(rng, 4)
+        assert homs.dominates(q1, q2) == \
+            (homs.count_surjective_extendable_maps(q1, q2) > 0)
