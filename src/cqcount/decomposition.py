@@ -41,10 +41,9 @@ class TreeDecomposition:
     join hold its bag).
     """
 
-    def __init__(self, root, width, exact=True):
+    def __init__(self, root, width):
         self.root = root
         self.width = width
-        self.exact = exact
 
     def bags(self):
         out = []
@@ -233,12 +232,15 @@ def _nice_from_bags(bags, edges):
     return adapt(rec(root, None), bags[root], ())
 
 
-def decompose_graph(g, limit=EXACT_TREEWIDTH_LIMIT, exact=True):
-    """Tree-decompose an adjacency map over a vertex set.  Returns
-    (width, TreeDecomposition)."""
+def decompose_graph(g, exact=True):
+    """Tree-decompose an adjacency map over a vertex set: exactly, or by the
+    min-fill heuristic when exact is false.  Returns (width,
+    TreeDecomposition).  Raises TreewidthLimitError, before decomposing, for
+    an exact decomposition of more than EXACT_TREEWIDTH_LIMIT vertices."""
     adj, vertices = g
-    if exact and len(vertices) > limit:
-        raise TreewidthLimitError("vertices", len(vertices), limit,
+    if exact and len(vertices) > EXACT_TREEWIDTH_LIMIT:
+        raise TreewidthLimitError("vertices", len(vertices),
+                                  EXACT_TREEWIDTH_LIMIT,
                                   "the exact treewidth limit")
     if exact:
         width, order = _elimination_width(adj, vertices)
@@ -249,13 +251,12 @@ def decompose_graph(g, limit=EXACT_TREEWIDTH_LIMIT, exact=True):
     if width is None:
         width = max((len(b) - 1 for b in bags), default=-1)
     root = _nice_from_bags(bags, edges)
-    return width, TreeDecomposition(root, width, exact=exact)
+    return width, TreeDecomposition(root, width)
 
 
-def exact_treewidth(g, limit=EXACT_TREEWIDTH_LIMIT):
+def exact_treewidth(g):
     """Exact treewidth of a graph-mode structure with a valid nice decomposition."""
-    adj = gaifman_adjacency(g)
-    return decompose_graph((adj, list(g.vertices())), limit=limit, exact=True)
+    return decompose_graph((gaifman_adjacency(g), list(g.vertices())))
 
 
 def validate_decomposition(td, structure):
@@ -423,64 +424,56 @@ def count_answers_dp(q, t, td):
     return count_homs_dp(q.structure, t, td)
 
 
-def quantified_components(q):
-    """Connected components of the quantified part of the Gaifman graph,
-    ordered by smallest vertex."""
-    adj = gaifman_adjacency(q.structure)
-    return _components(adj, set(q.quantified()))
-
-
-def component_boundary(q, component):
-    """The free neighbors of a quantified component, sorted."""
-    adj = gaifman_adjacency(q.structure)
-    return _boundary(adj, set(q.free), component)
-
-
-def _boundary(adj, fset, component):
-    out = set()
-    for v in component:
-        out.update(adj[v] & fset)
-    return sorted(out)
-
-
 class _Part:
     """One quantified component as the fast counter plans it: its vertices,
-    its boundary, the substructure induced on both, the local id of each
-    vertex, and the local boundary, which are the DP's keep columns in
-    boundary order (induced_substructure keeps the vertex order)."""
+    its boundary (the free neighbors, sorted), the substructure induced on
+    both, the local id of each vertex, and the local boundary, which are the
+    DP's keep columns in boundary order (induced_substructure keeps the
+    vertex order)."""
 
-    def __init__(self, q, adj, component, limit):
+    def __init__(self, q, adj, component):
         self.vertices = component
-        self.boundary = _boundary(adj, set(q.free), component)
+        self.boundary = sorted(
+            set().union(*(adj[v] for v in component)).intersection(q.free))
         self.sub, self.local = induced_substructure(q.structure,
                                                     component + self.boundary)
         self.keep = [self.local[v] for v in self.boundary]
-        self.limit = limit
         self._td = None
 
-    def tree(self, dss_cap):
+    def tree(self):
         """A nice decomposition of the component's own vertices, built on
         first use.  Raises BudgetError, before decomposing, when the
-        boundary exceeds dss_cap."""
-        if len(self.boundary) > dss_cap:
-            raise BudgetError("dss", len(self.boundary), dss_cap, "DSS_CAP")
+        boundary exceeds DSS_CAP."""
+        if len(self.boundary) > DSS_CAP:
+            raise BudgetError("dss", len(self.boundary), DSS_CAP, "DSS_CAP")
         if self._td is None:
             vertices = [self.local[v] for v in self.vertices]
-            _, self._td = decompose_graph(
-                (gaifman_adjacency(self.sub), vertices), limit=self.limit,
-                exact=True)
+            _, self._td = decompose_graph((gaifman_adjacency(self.sub),
+                                           vertices))
         return self._td
+
+    def root_table(self, t, domains=None):
+        """The map from boundary assignments (keys in boundary order) to
+        extension counts, each vertex v of q kept in domains[v] when given.
+        Raises BudgetError when the boundary exceeds DSS_CAP."""
+        local = None if domains is None else {
+            self.local[v]: d for v, d in domains.items() if v in self.local}
+        return dp_tables(self.sub, t, self.tree(), keep=self.keep,
+                         domains=local)
 
 
 class _Plan:
     """Everything the fast counter takes from the query alone: the parts,
-    and the derived free-only query, which keeps the free-only atoms and
-    gives each part with a boundary a fresh symbol over it (names[i], None
-    for a boundary-free part).  index maps a free vertex to its derived id."""
+    one per quantified component ordered by smallest vertex, and the derived
+    free-only query, which keeps the free-only atoms and gives each part
+    with a boundary a fresh symbol over it (names[i], None for a
+    boundary-free part).  index maps a free vertex to its derived id.  The
+    derived query's Gaifman graph is the contract of q (Chen and Mengel,
+    ICDT 2015), so params reads the contract and the boundaries from here."""
 
-    def __init__(self, q, limit):
+    def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
-        self.parts = [_Part(q, adj, component, limit)
+        self.parts = [_Part(q, adj, component)
                       for component in _components(adj, set(q.quantified()))]
         self.index = {v: i for i, v in enumerate(q.free)}
         symbols = list(q.structure.signature.symbols)
@@ -501,47 +494,32 @@ class _Plan:
         free = tuple(range(len(q.free)))
         self.query = Query(Structure(Signature(symbols), len(free), rels),
                            free)
-        self.limit = limit
         self._td = None
 
     def tree(self):
         """A nice decomposition of the derived query, built on first use."""
         if self._td is None:
             s = self.query.structure
-            _, self._td = decompose_graph(
-                (gaifman_adjacency(s), list(s.vertices())), limit=self.limit,
-                exact=True)
+            _, self._td = decompose_graph((gaifman_adjacency(s),
+                                           list(s.vertices())))
         return self._td
 
 
 @lru_cache(maxsize=256)
-def _plan(q, limit):
+def _plan(q):
     # a Query hashes and compares structurally, so the clones of an
     # interpolation grid or the terms of one quantum query share one plan;
     # a plan holds no target state
-    return _Plan(q, limit)
+    return _Plan(q)
 
 
-def _component_root_table(part, t, dss_cap, domains=None):
-    """The map from boundary assignments of one part (keys in boundary
-    order) to extension counts, each vertex v of q kept in domains[v] when
-    given.  Raises BudgetError when the boundary exceeds dss_cap."""
-    td = part.tree(dss_cap)
-    local = None if domains is None else {
-        part.local[v]: d for v, d in domains.items() if v in part.local}
-    return dp_tables(part.sub, t, td, keep=part.keep, domains=local)
-
-
-def extendability_relation(q, t, component_index, limit=EXACT_TREEWIDTH_LIMIT,
-                           dss_cap=DSS_CAP):
+def extendability_relation(q, t, component_index):
     """The relation R of boundary tuples of one quantified component that admit
     an extension into the component's pattern."""
-    part = _plan(q, limit).parts[component_index]
-    return set(_component_root_table(part, t, dss_cap))
+    return set(_plan(q).parts[component_index].root_table(t))
 
 
-def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
-                       domains=None):
+def derived_free_query(q, t, domains=None):
     """The X-only query and enriched target realizing the fast counter: keeps
     the free-only atoms and adds one fresh relation per quantified component
     holding its extendability tuples, each vertex v kept in domains[v] when
@@ -549,11 +527,11 @@ def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
     component is unsatisfiable."""
     if not q.is_plain():
         raise ValueError("plain CQs only")
-    plan = _plan(q, limit)
+    plan = _plan(q)
     rels_t = {name: t.relations[name]
               for name in q.structure.signature.names()}
     for part, name in zip(plan.parts, plan.names):
-        table = _component_root_table(part, t, dss_cap, domains)
+        table = part.root_table(t, domains)
         if name is None:
             if not table:
                 return None
@@ -562,17 +540,15 @@ def derived_free_query(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
     return plan.query, Structure(plan.query.structure.signature, t.n, rels_t)
 
 
-def count_answers_dss(q, t, limit=EXACT_TREEWIDTH_LIMIT, dss_cap=DSS_CAP,
-                      domains=None):
+def count_answers_dss(q, t, domains=None):
     """The fast counter: component extendability relations plus a DP over a
     decomposition of the contracted free-only query, each vertex v kept in
     domains[v] when given."""
-    derived = derived_free_query(q, t, limit=limit, dss_cap=dss_cap,
-                                 domains=domains)
+    derived = derived_free_query(q, t, domains=domains)
     if derived is None:
         return 0
     dq, dt = derived
-    plan = _plan(q, limit)
+    plan = _plan(q)
     free_domains = None if domains is None else {
         i: domains.get(v) for v, i in plan.index.items()}
     return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)
@@ -589,10 +565,10 @@ def pick_method(q, t):
         return "brute", "the query has inequalities or negated atoms"
     if any(isinstance(rel, Complement) for rel in t.relations.values()):
         return "brute", "the target is a reflexive complement view"
-    plan = _plan(q, EXACT_TREEWIDTH_LIMIT)
+    plan = _plan(q)
     try:
         for part in plan.parts:
-            part.tree(DSS_CAP)
+            part.tree()
         plan.tree()
     except BudgetError as e:
         return "brute", str(e)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .decomposition import BudgetError
 from .model import GRAPH_SIGNATURE, Query, Structure
 from .parser import (FormulaAST, ZeroWitness, eliminate_equalities,
                      formula_to_query, to_disjunctive_normal_form)
@@ -63,8 +64,8 @@ def matroid_flats_mobius(free, inequalities):
         if a == b or a not in members or b not in members:
             raise ValueError("inequalities must pair distinct free variables")
     if len(ground) > MAX_INEQUALITIES:
-        raise ValueError("too many inequalities (%d, cap %d)"
-                         % (len(ground), MAX_INEQUALITIES))
+        raise BudgetError("inequalities", len(ground), MAX_INEQUALITIES,
+                          "MAX_INEQUALITIES")
     mu = {}
     for size in range(len(ground) + 1):
         for sigma in combinations(ground, size):

@@ -297,11 +297,6 @@ def count_surjections(i, j):
     return sum((-1) ** s * comb(j, s) * (j - s) ** i for s in range(j + 1))
 
 
-def _is_complete(g):
-    n = g.n
-    return len(set(graph_edges(g))) == n * (n - 1) // 2
-
-
 def _dominates(g, image):
     adj = {v: set() for v in g.vertices()}
     for (a, b) in graph_edges(g):
@@ -350,10 +345,6 @@ def domset_via_star_oracle(g, k, oracle=None):
         def oracle(s, c):
             classes = c.classes(psi.structure.n)
             return decomposition.count(psi, s, dict(enumerate(classes)))
-    if _is_complete(g):
-        # the layered construction needs a non-edge; fall back to enumeration
-        return [_brute_dominating_sets(g, ell) for ell in range(1, k + 1)]
-
     def padded(j):
         return graph(g.n + j, graph_edges(g))
 

@@ -88,20 +88,10 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False):
     return count
 
 
-def exists_extension(structure, target, pins=None, domains=None,
-                     colorful_colors=None):
-    """True when some homomorphism structure -> target extends pins, takes
-    each vertex v into domains[v] when given and, with colorful_colors, meets
-    every color.  The pins are searched as a free prefix with singleton
-    domains."""
-    pins = pins or {}
-    for v, w in pins.items():
-        if not (0 <= v < structure.n and 0 <= w < target.n):
-            raise ValueError("pin out of range: %d -> %d" % (v, w))
-    domains = dict(domains or {})
-    domains.update((v, (w,)) for v, w in pins.items())
-    return _search(Query(structure, tuple(pins)), target, domains,
-                   colors=colorful_colors) > 0
+def exists_extension(structure, target, domains=None):
+    """True when some homomorphism structure -> target takes each vertex v
+    into domains[v] when given."""
+    return _search(Query(structure, ()), target, domains) > 0
 
 
 def count_answers(q, t, domains=None):

@@ -4,7 +4,7 @@ matching number) and the advisory five-regime classifier.
 
 from itertools import combinations
 
-from .model import gaifman_adjacency, gaifman_graph, graph
+from .model import gaifman_adjacency, gaifman_graph
 from . import decomposition as dec
 from . import homs
 
@@ -35,27 +35,14 @@ class ParameterReport:
 def contract_graph(q):
     """Graph on the free vertices: u,v adjacent when they share a Gaifman edge
     or some quantified component is adjacent to both.  Vertices are renumbered
-    by position in q.free."""
-    adj = gaifman_adjacency(q.structure)
-    index = {v: i for i, v in enumerate(q.free)}
-    edges = set()
-    for u in q.free:
-        for v in adj[u]:
-            if v in index and index[u] < index[v]:
-                edges.add((index[u], index[v]))
-    for component in dec.quantified_components(q):
-        boundary = dec.component_boundary(q, component)
-        for a, b in combinations(boundary, 2):
-            edges.add(tuple(sorted((index[a], index[b]))))
-    return graph(len(q.free), sorted(edges))
+    by position in q.free.  This is the Gaifman graph of the fast counter's
+    derived free-only query, which has one atom per component boundary."""
+    return gaifman_graph(dec._plan(q).query.structure)
 
 
 def dominating_star_size(q):
     """Largest number of free neighbors of a single quantified component."""
-    best = 0
-    for component in dec.quantified_components(q):
-        best = max(best, len(dec.component_boundary(q, component)))
-    return best
+    return max((len(part.boundary) for part in dec._plan(q).parts), default=0)
 
 
 def _max_vertex_disjoint_paths(adj, vertices, sources, sinks):
@@ -143,16 +130,18 @@ def _bipartite_matching_saturates(left, right, adj):
     return True
 
 
-def linked_matching_number(q, cap=LMN_CAP):
+def linked_matching_number(q):
     """Largest X-to-Y matching whose quantified endpoints are node-well-linked
-    within the quantified part of the Gaifman graph."""
+    within the quantified part of the Gaifman graph.  Raises BudgetError when
+    the quantified part exceeds LMN_CAP vertices, since the search runs over
+    its subsets."""
     y = sorted(q.quantified())
     x = set(q.free)
     if not y or not x:
         return 0
-    if len(y) > cap:
-        raise ValueError("quantified part has %d vertices, cap is %d"
-                         % (len(y), cap))
+    if len(y) > LMN_CAP:
+        raise dec.BudgetError("quantified vertices", len(y), LMN_CAP,
+                              "LMN_CAP")
     adj = gaifman_adjacency(q.structure)
     from .model import induced_substructure
     hy, old_to_new = induced_substructure(q.structure, y)
@@ -166,16 +155,16 @@ def linked_matching_number(q, cap=LMN_CAP):
     return 0
 
 
-def analyze(q, tw_limit=dec.EXACT_TREEWIDTH_LIMIT, lmn_cap=LMN_CAP,
-            check_minimal=True):
+def analyze(q):
     """Compute every structural parameter of one query."""
     exact = {"tw": True, "tw_contract": True, "lmn": True}
     notes = []
 
     def treewidth(g, key, note):
-        """Exact up to tw_limit, past it a heuristic upper bound and a note."""
+        """Exact up to the exact treewidth limit, past it a heuristic upper
+        bound and a note."""
         try:
-            return dec.exact_treewidth(g, limit=tw_limit)[0]
+            return dec.exact_treewidth(g)[0]
         except dec.TreewidthLimitError:
             _, td = dec.decompose_graph(
                 (gaifman_adjacency(g), list(g.vertices())), exact=False)
@@ -190,20 +179,18 @@ def analyze(q, tw_limit=dec.EXACT_TREEWIDTH_LIMIT, lmn_cap=LMN_CAP,
                     "contract treewidth is a heuristic upper bound")
     dss = dominating_star_size(q)
     try:
-        lmn = linked_matching_number(q, cap=lmn_cap)
-    except ValueError:
+        lmn = linked_matching_number(q)
+    except dec.BudgetError:
         lmn = None
         exact["lmn"] = False
         notes.append("linked matching number not computed (quantified part "
                      "above the enumeration cap)")
-    components = []
-    for component in dec.quantified_components(q):
-        components.append((tuple(component),
-                           tuple(dec.component_boundary(q, component))))
+    components = [(tuple(part.vertices), tuple(part.boundary))
+                  for part in dec._plan(q).parts]
     if dss >= 3:
         notes.append("no O(n^{%d-eps}) algorithm under SETH (class-level "
                      "evidence; dss >= 3)" % dss)
-    if check_minimal and q.is_plain() and q.structure.n <= 8:
+    if q.is_plain() and q.structure.n <= 8:
         core = homs.augmented_core(q)
         if core.structure.n < q.structure.n:
             notes.append("query is not minimal; minimize first, parameters "
@@ -218,13 +205,13 @@ def _trend(values):
     return "growing" if max(values) > min(values) else "bounded"
 
 
-def classify(queries, **kw):
+def classify(queries):
     """Advisory classification.  For a single query: its ParameterReport.  For
     a list, boundedness trends and the matching complexity regime, reported as
     class-level evidence only."""
     if not isinstance(queries, (list, tuple)):
-        return analyze(queries, **kw)
-    reports = [analyze(q, **kw) for q in queries]
+        return analyze(queries)
+    reports = [analyze(q) for q in queries]
     trends = {
         "tw": _trend([r.tw for r in reports]),
         "tw_contract": _trend([r.tw_contract for r in reports]),

@@ -39,8 +39,9 @@ def test_exact_treewidth_values():
 
 
 def test_treewidth_limit_raises():
+    # the size check runs before any subset DP, so this returns at once
     with pytest.raises(dec.TreewidthLimitError):
-        dec.exact_treewidth(clique(8), limit=3)
+        dec.exact_treewidth(clique(dec.EXACT_TREEWIDTH_LIMIT + 1))
 
 
 def test_decompositions_validate_and_are_nice():
@@ -131,22 +132,6 @@ def test_dp_answer_count_rejects_quantified_or_constrained_queries():
     q = Query(s, (0, 1, 2), inequalities=[frozenset((0, 2))])
     with pytest.raises(ValueError):
         dec.count_answers_dp(q, path(3), td)
-
-
-def test_quantified_components_and_boundaries():
-    # two free endpoints joined through one quantified center
-    q = Query(path(3), (0, 2))
-    comps = dec.quantified_components(q)
-    assert comps == [[1]]
-    assert dec.component_boundary(q, comps[0]) == [0, 2]
-    # a loose quantified vertex has an empty boundary
-    q2 = Query(graph(2, []), (0,))
-    comps2 = dec.quantified_components(q2)
-    assert comps2 == [[1]]
-    assert dec.component_boundary(q2, comps2[0]) == []
-    # two separate quantified pendants give two components
-    q3 = Query(path(3), (1,))
-    assert dec.quantified_components(q3) == [[0], [2]]
 
 
 def test_extendability_relation_on_the_wedge():

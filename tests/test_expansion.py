@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cqcount import expansion, homs, quantum
+from cqcount.decomposition import BudgetError
 from cqcount.model import Query, graph
 from cqcount.parser import parse_formula
 
@@ -33,6 +34,16 @@ def test_mobius_signs_alternate_with_rank():
             mu = lat.mu[rho]
             assert mu != 0
             assert (mu > 0) == (lat.rank[rho] % 2 == 0)
+
+
+def test_inequality_cap_raises_a_budget_error():
+    # seven pairwise-distinct free variables span 21 inequalities
+    free = list(range(7))
+    pairs = [(u, v) for i, u in enumerate(free) for v in free[i + 1:]]
+    with pytest.raises(BudgetError) as err:
+        expansion.matroid_flats_mobius(free, pairs)
+    assert (err.value.parameter, err.value.value, err.value.cap) == \
+        ("inequalities", 21, expansion.MAX_INEQUALITIES)
 
 
 def test_contract_query_keeps_loops_and_merges():

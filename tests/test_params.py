@@ -1,6 +1,9 @@
+import pytest
+
+from cqcount import decomposition as dec
 from cqcount import params
 from cqcount.gadgets import family_query
-from cqcount.model import Query, graph, graph_edges
+from cqcount.model import Query, Signature, Structure, graph, graph_edges
 
 
 def path(n):
@@ -27,6 +30,30 @@ def test_contract_graph_of_star_patterns():
     assert params.contract_graph(w13).n == 0
 
 
+def test_contract_of_higher_arity_atoms():
+    # R(x1,x2,y) & R(y,x3,x3): y's component has boundary {x1,x2,x3}
+    sig = Signature([("R", 3)])
+    x1, x2, x3, y = 0, 1, 2, 3
+    s = Structure(sig, 4, {"R": {(x1, x2, y), (y, x3, x3)}})
+    q = Query(s, (x1, x2, x3))
+    assert sorted(graph_edges(params.contract_graph(q))) == clique_edges(3)
+    assert params.dominating_star_size(q) == 3
+    # a free-only R(x1,x2,x3) gives the same triangle and no component
+    q2 = Query(Structure(sig, 3, {"R": {(0, 1, 2)}}), (0, 1, 2))
+    assert sorted(graph_edges(params.contract_graph(q2))) == clique_edges(3)
+    assert params.dominating_star_size(q2) == 0
+
+
+def test_quantified_components_and_boundaries():
+    # two free endpoints joined through one quantified center
+    assert params.analyze(Query(path(3), (0, 2))).components == [((1,), (0, 2))]
+    # a loose quantified vertex has an empty boundary
+    assert params.analyze(Query(graph(2, []), (0,))).components == [((1,), ())]
+    # two separate quantified pendants give two components
+    assert params.analyze(Query(path(3), (1,))).components == \
+        [((0,), (1,)), ((2,), (1,))]
+
+
 def test_dominating_star_size_values():
     assert params.dominating_star_size(family_query("psi", 4)) == 4
     assert params.dominating_star_size(family_query("psi", 7)) == 7
@@ -51,6 +78,18 @@ def test_linked_matching_number_values():
     assert params.linked_matching_number(family_query("gamma", 4)) == 4
     assert params.linked_matching_number(family_query("psi", 4)) == 1
     assert params.linked_matching_number(Query(path(3), (0, 1, 2))) == 0
+
+
+def test_linked_matching_number_cap_raises_a_budget_error():
+    q = Query(path(18), (0,))
+    with pytest.raises(dec.BudgetError) as err:
+        params.linked_matching_number(q)
+    assert (err.value.parameter, err.value.value, err.value.cap) == \
+        ("quantified vertices", 17, params.LMN_CAP)
+    r = params.analyze(q)
+    assert r.lmn is None and not r.exact["lmn"]
+    assert any("linked matching number not computed" in note
+               for note in r.notes)
 
 
 def test_analyze_reports_exact_small_parameters():
