@@ -7,11 +7,12 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
 from .model import (Coloring, Query, Structure, complement_structure,
-                    gaifman_graph, graph, graph_edges)
+                    gaifman_graph, graph, graph_edges, tensor_product)
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -49,12 +50,10 @@ def _load_query(path):
     """Returns (query-or-zero-witness, name_to_index)."""
     text = _read(path, "query")
     try:
-        ast = parse_formula(text)
-        ast = eliminate_equalities(ast)
+        ast = eliminate_equalities(parse_formula(text))
         if isinstance(ast, ZeroWitness):
             return ast, {}
-        q, index = formula_to_query(ast)
-        return q, index
+        return formula_to_query(ast)
     except (ParseError, ValueError) as e:
         raise InputError("%s: %s" % (path, e))
 
@@ -255,13 +254,8 @@ def cmd_eval(cfg):
 def _print_gadget(cfg, out, extra_pairs=()):
     pairs = list(extra_pairs) + [("relation", out.relation),
                                  ("zero", "yes" if out.zero else "no")]
-    if cfg.machine:
-        for key, value in pairs:
-            print("%s=%s" % (key, value))
-    else:
-        print("relation: %s" % out.relation)
-        if out.zero:
-            print("count: 0")
+    _emit(cfg, pairs, ["relation: %s" % out.relation]
+          + (["count: 0"] if out.zero else []))
     if out.zero:
         return
     print("--- structure")
@@ -385,10 +379,31 @@ def _random_query(rng, max_n):
     return Query(s, free)
 
 
+def _random_instance(rng, max_n):
+    """A query over R/3 holding R(x,x,y), or over U/1 and E/2 holding U(x),
+    plus up to four random atoms, and a random target over its signature."""
+    signature, (name, atom) = rng.choice([
+        ((("R", 3),), ("R", (0, 0, 1))), ((("U", 1), ("E", 2)), ("U", (0,)))])
+    n, m = rng.randint(2, max(2, max_n)), rng.randint(0, max_n)
+    rels = {name: [atom]}
+    for sym, arity in rng.choices(signature, k=rng.randint(0, 4)):
+        rels.setdefault(sym, []).append(
+            tuple(rng.randrange(n) for _ in range(arity)))
+    target = {sym: [tup for tup in product(range(m), repeat=arity)
+                    if rng.random() < 0.5 ** (arity - 1)]
+              for sym, arity in signature}
+    free = sorted(rng.sample(range(n), rng.randint(0, n)))
+    return (Query(Structure(signature, n, rels), free),
+            Structure(signature, m, target))
+
+
 def _check_dp(rng, cfg):
     for _ in range(cfg.trials):
-        q = _random_query(rng, min(cfg.max_n, 5))
-        g = _random_graph(rng, rng.randint(0, cfg.max_n))
+        if rng.random() < 0.5:
+            q = _random_query(rng, min(cfg.max_n, 5))
+            g = _random_graph(rng, rng.randint(0, cfg.max_n))
+        else:
+            q, g = _random_instance(rng, min(cfg.max_n, 5))
         transform = rng.choice(["identity", "complement"])
         t = complement_structure(g) if transform == "complement" else g
         domains = None
@@ -401,9 +416,9 @@ def _check_dp(rng, cfg):
             continue
         slow = homs.count_answers(q, t, domains)
         if fast != slow:
-            return ("dp=%d brute=%d query=%r target-edges=%r (%s) "
-                    "domains=%r" % (fast, slow, serialize_query(q),
-                                    graph_edges(g), transform, domains))
+            return ("dp=%d brute=%d query=%r target=%r (%s) domains=%r"
+                    % (fast, slow, serialize_query(q), serialize_structure(g),
+                       transform, domains))
     return None
 
 
@@ -423,19 +438,23 @@ def _check_surjective_sum(rng, cfg):
     return None
 
 
+def _random_colored_target(rng, s, p):
+    """A graph with one or two vertices per vertex of the graph s, each
+    colored by its vertex of s, and an edge between vertices of adjacent
+    colors with probability p.  Returns the graph and its coloring."""
+    colors = [v for v in s.vertices() for _ in range(rng.randint(1, 2))]
+    edges = set(graph_edges(s))
+    t = graph(len(colors), [
+        (a, b) for a in range(len(colors)) for b in range(a + 1, len(colors))
+        if tuple(sorted((colors[a], colors[b]))) in edges
+        and rng.random() < p])
+    return t, Coloring(colors, t, s)
+
+
 def _check_cf_identity(rng, cfg):
     for _ in range(max(1, cfg.trials // 5)):
         q = homs.augmented_core(_random_query(rng, 3))
-        sizes = [rng.randint(1, 2) for _ in range(q.structure.n)]
-        colors = []
-        for v in range(q.structure.n):
-            colors += [v] * sizes[v]
-        qedges = set(graph_edges(q.structure))
-        edges = [(a, b) for a in range(len(colors)) for b in range(len(colors))
-                 if a < b and tuple(sorted((colors[a], colors[b]))) in qedges
-                 and rng.random() < 0.7]
-        t = graph(len(colors), edges)
-        c = Coloring(colors, t, q.structure)
+        t, c = _random_colored_target(rng, q.structure, 0.7)
         cf = homs.count_cf_answers(q, t, c)
         cp = homs.count_cp_answers(q, t, c)
         aut = homs.count_partial_automorphisms(q)
@@ -446,7 +465,6 @@ def _check_cf_identity(rng, cfg):
 
 
 def _check_tensor(rng, cfg):
-    from .model import tensor_product
     for _ in range(max(1, cfg.trials // 5)):
         q = _random_query(rng, 3)
         t1 = _random_graph(rng, rng.randint(1, 3))
@@ -562,17 +580,7 @@ def _check_minor_gadgets(rng, cfg):
         e = rng.choice(edges)
         op = (rng.choice(["delete-edge", "contract-edge"]), e)
         minor, _ = gadgets.query_minor_with_map(q, op)
-        sizes = [rng.randint(1, 2) for _ in range(minor.structure.n)]
-        colors = []
-        for v in range(minor.structure.n):
-            colors += [v] * sizes[v]
-        medges = set(graph_edges(minor.structure))
-        tedges = [(a, b) for a in range(len(colors))
-                  for b in range(len(colors))
-                  if a < b and tuple(sorted((colors[a], colors[b]))) in medges
-                  and rng.random() < 0.6]
-        t = graph(len(colors), tedges)
-        c = Coloring(colors, t, minor.structure)
+        t, c = _random_colored_target(rng, minor.structure, 0.6)
         out = gadgets.minor_instance_gadget(q, op, t, c)
         lhs = homs.count_cp_answers(minor, t, c)
         rhs = homs.count_cp_answers(q, out.structure, out.coloring)

@@ -289,6 +289,34 @@ def validate_decomposition(td, structure):
     return all(occurrence_roots(v) <= 1 for v in covered)
 
 
+def _key_getter(positions):
+    return itemgetter(*positions) if positions else (lambda row: ())
+
+
+def _candidate_masks(t, name, tup, v):
+    """The (index, default) pair that dp_tables reads for an atom name(tup)
+    completed by v, built on first use and memoized in t.masks under (name,
+    positions of v).  A Complement view is indexed from its present tuples
+    as co-masks."""
+    at_v = tuple(i for i, u in enumerate(tup) if u == v)
+    found = t.masks.get((name, at_v))
+    if found is None:
+        rel = t.relations[name]
+        co = isinstance(rel, Complement)
+        bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
+        first, single, index = at_v[0], len(at_v) == 1, {}
+        for fact in rel.present if co else rel:
+            w = fact[first]
+            if single or all(fact[i] == w for i in at_v):
+                key = bound_of(fact)
+                index[key] = index.get(key, 0) | 1 << w
+        full = (1 << t.n) - 1
+        found = t.masks[name, at_v] = (
+            ({key: full & ~m for key, m in index.items()}, full) if co
+            else (index, 0))
+    return found
+
+
 def dp_tables(structure, target, td, keep=(), domains=None):
     """Run the counting DP over a nice decomposition of the non-keep vertices.
 
@@ -299,15 +327,18 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     A row holds the keep columns, then the bag in sorted order.  Rows grow
     one vertex at a time: the keep vertices at each leaf, then the vertex of
     each introduce node.  Each atom is checked once, where its last vertex
-    enters a row: the new vertex's candidates come from an index of the
-    target relation keyed by the atom's bound positions, intersected over
-    every atom the vertex completes and then with domains[v] when given.
-    The index lives for this call only.  A forget node whose child introduces
-    the same vertex runs as one step: each row of the grandchild table keeps
-    its key and gains its count times the number of candidates, so the
-    introduce's table is never built.  Rows without candidates are dropped,
-    so the keys of every table, the root's included, are exactly the
-    assignments that extend.
+    enters a row.  The new vertex's candidates are a bitmask over
+    range(target.n): the AND of domains[v] (when given) and, per atom the
+    vertex completes, the mask that the target's index for (symbol,
+    positions of v) holds under the atom's bound values; a missing key
+    means 0.  Each index is built once per target and memoized on it.  A
+    Complement view's index is built from its present tuples and holds
+    co-masks, full & ~mask, where a missing key means full.
+    A forget node whose child introduces the same vertex runs as one step:
+    each row of the grandchild table keeps its key and gains its count times
+    the popcount of its mask, so the introduce's table is never built.  Rows
+    whose mask is 0 are dropped, so the keys of every table, the root's
+    included, are exactly the assignments that extend.
     """
     keep = tuple(sorted(keep))
     atoms_of = {}
@@ -315,59 +346,35 @@ def dp_tables(structure, target, td, keep=(), domains=None):
         for tup in rel:
             for v in set(tup):
                 atoms_of.setdefault(v, []).append((name, tup))
-    indexes = {}
-
-    def key_getter(positions):
-        return itemgetter(*positions) if positions else (lambda row: ())
-
-    def candidate_index(name, tup, v):
-        """Map from the values at tup's positions other than v's to the set
-        of target values w such that the relation holds w at every position
-        of v."""
-        at_v = tuple(i for i, u in enumerate(tup) if u == v)
-        index = indexes.get((name, at_v))
-        if index is None:
-            bound_of = key_getter([i for i, u in enumerate(tup) if u != v])
-            index = {}
-            for t in target.relations[name]:
-                w = t[at_v[0]]
-                if all(t[i] == w for i in at_v):
-                    index.setdefault(bound_of(t), set()).add(w)
-            indexes[name, at_v] = index
-        return index
+    full = (1 << target.n) - 1
 
     def extend(table, cols, v, at=None):
-        """Insert v at position `at` of each row of a table over cols.  With
-        at None, v is forgotten as it enters: each row keeps its key and
-        its count times the number of v's candidates, and a row without
-        candidates is dropped."""
+        """Insert v at position `at` of each row of a table over cols, or
+        with at None forget v as it enters (the fused introduce-forget)."""
         placed = set(cols)
-        checks = [(key_getter([cols.index(u) for u in tup if u != v]),
-                   candidate_index(name, tup, v))
+        checks = [(_key_getter([cols.index(u) for u in tup if u != v]),
+                   *_candidate_masks(target, name, tup, v))
                   for name, tup in atoms_of.get(v, ())
                   if placed.issuperset(u for u in tup if u != v)]
-        allowed = None
-        if domains is not None and domains.get(v) is not None:
-            allowed = set(domains[v])
-        everything = range(target.n)
+        domain = None if domains is None else domains.get(v)
+        allowed = full if domain is None else sum(1 << w for w in set(domain))
+        members = lru_cache(maxsize=None)(lambda m: [
+            w for w, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
         out = {}
         for row, cnt in table.items():
-            cands = everything
-            for bound_of, index in checks:
-                found = index.get(bound_of(row))
-                if not found:
+            m = allowed
+            for bound_of, index, default in checks:
+                m &= index.get(bound_of(row), default)
+                if not m:
                     break
-                cands = found if cands is everything else cands & found
-            else:
-                if allowed is not None:
-                    cands = allowed if cands is everything else cands & allowed
-                if at is None:
-                    if cands:
-                        out[row] = cnt * len(cands)
-                    continue
-                head, tail = row[:at], row[at:]
-                for w in cands:
-                    out[head + (w,) + tail] = cnt
+            if not m:
+                continue
+            if at is None:
+                out[row] = cnt * m.bit_count()
+                continue
+            head, tail = row[:at], row[at:]
+            for w in members(m):
+                out[head + (w,) + tail] = cnt
         return out
 
     def rec(node):
@@ -409,8 +416,7 @@ def dp_tables(structure, target, td, keep=(), domains=None):
 
 
 def count_homs_dp(structure, target, td, domains=None):
-    table = dp_tables(structure, target, td, keep=(), domains=domains)
-    return table.get((), 0)
+    return dp_tables(structure, target, td, domains=domains).get((), 0)
 
 
 def count_answers_dp(q, t, td):
@@ -528,16 +534,19 @@ def derived_free_query(q, t, domains=None):
     if not q.is_plain():
         raise ValueError("plain CQs only")
     plan = _plan(q)
-    rels_t = {name: t.relations[name]
-              for name in q.structure.signature.names()}
+    passed = q.structure.signature.arity
+    rels_t = {name: t.relations[name] for name in passed}
     for part, name in zip(plan.parts, plan.names):
         table = part.root_table(t, domains)
         if name is None:
             if not table:
                 return None
             continue
-        rels_t[name] = set(table)
-    return plan.query, Structure(plan.query.structure.signature, t.n, rels_t)
+        rels_t[name] = frozenset(table)
+    dt = Structure._trusted(plan.query.structure.signature, t.n, rels_t)
+    # only the fresh relations are indexed per count, and only in dt's memo
+    dt.masks.update(item for item in t.masks.items() if item[0][0] in passed)
+    return plan.query, dt
 
 
 def count_answers_dss(q, t, domains=None):
@@ -557,9 +566,9 @@ def count_answers_dss(q, t, domains=None):
 def pick_method(q, t):
     """The counter count runs under "auto" and the reason when it is not the
     DP: ("dp", None) or ("brute", reason).  The DP needs a plain query, a
-    target without Complement views (the DP's index walks all n**arity
-    tuples of a view, where the brute search only tests membership) and a
-    plan within DSS_CAP and the exact treewidth limit.
+    target without Complement views (the DP counts on one by co-masks, but
+    is not yet measured against the brute search there) and a plan within
+    DSS_CAP and the exact treewidth limit.
     The plan is memoized, so the DP reuses the decompositions built here."""
     if not q.is_plain():
         return "brute", "the query has inequalities or negated atoms"

@@ -71,6 +71,14 @@ class Structure:
             if name not in rels:
                 raise ValueError("unknown relation symbol %s" % name)
         self.relations = rels
+        self.masks = {}  # the fast counter's index; relations are immutable
+
+    @classmethod
+    def _trusted(cls, signature, n, relations):
+        """The constructor minus its per-tuple pass, for valid relations."""
+        s = cls.__new__(cls)
+        s.signature, s.n, s.relations, s.masks = signature, n, relations, {}
+        return s
 
     def __eq__(self, other):
         return (isinstance(other, Structure) and self.signature == other.signature

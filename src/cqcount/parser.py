@@ -588,19 +588,14 @@ def formula_to_query(f):
     return Query(structure, free_idx, ineqs, negs), index
 
 
-def _symmetric_graphlike(s):
-    # unlike Structure.is_graph this accepts loops, so E(x,x) serializes too
-    if s.signature.symbols != GRAPH_SIGNATURE:
-        return False
-    rel = s.relations["E"]
-    return all((v, u) in rel for (u, v) in rel)
-
-
 def serialize_query(q):
     """Canonical text form: variables v0.., free variables first."""
     order = list(q.free) + sorted(q.quantified())
     name = {v: "v%d" % i for i, v in enumerate(order)}
     s = q.structure
+    # unlike Structure.is_graph this accepts loops, so E(x,x) serializes too
+    graphlike = s.signature.symbols == GRAPH_SIGNATURE and all(
+        (v, u) in s.relations["E"] for u, v in s.relations["E"])
     lines = ["query"]
     if s.signature.symbols != GRAPH_SIGNATURE:
         lines.append("signature " + " ".join("%s/%d" % sym
@@ -613,7 +608,7 @@ def serialize_query(q):
     atoms = []
     for sym, _ in s.signature.symbols:
         rel = s.relations[sym]
-        if sym == "E" and _symmetric_graphlike(s):
+        if sym == "E" and graphlike:
             seen = sorted(set(tuple(sorted(t)) for t in rel))
             atoms.extend("E(%s,%s)" % (name[u], name[v]) for u, v in seen)
         else:

@@ -6,7 +6,7 @@ import pytest
 
 from cqcount import decomposition as dec
 from cqcount import homs
-from cqcount.model import (GRAPH_SIGNATURE, Query, Structure,
+from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph)
 
 from helpers import random_graph, random_query
@@ -308,3 +308,78 @@ def test_count_plans_each_query_once(monkeypatch):
         domains = random_domains(rng, q, t) if rng.random() < 0.5 else None
         assert dec.count(q, t, domains) == homs.count_answers(q, t, domains)
     assert len(calls) == 3
+
+
+def test_root_tables_hold_no_zero_counts():
+    # a row whose candidate mask is 0 is dropped, whatever empties it: a
+    # target without vertices, an empty domain, or a domain disjoint from
+    # every candidate of its vertex
+    s = path(3)
+    adj = gaifman_adjacency(s)
+    _, rest = dec.decompose_graph((adj, [1, 2]))
+    _, whole = dec.exact_treewidth(s)
+    lonely = graph(4, [(0, 1), (1, 2)])
+    for t, domains in [(graph(0, []), None), (path(3), {1: []}),
+                       (path(3), {0: []}), (lonely, {1: [3]}),
+                       (lonely, {0: [3]})]:
+        for td, keep in ((rest, [0]), (whole, [])):
+            table = dec.dp_tables(s, t, td, keep=keep, domains=domains)
+            assert 0 not in table.values()
+            assert table == brute_table(s, t, keep, domains or {})
+    rng = random.Random(41)
+    for case in sorted(INDEX_CASES):
+        s, t = random_instance(rng, case)
+        _, td = dec.exact_treewidth(s)
+        assert dec.dp_tables(s, Structure(t.signature, 0, {}), td) == {}
+
+
+def test_a_target_builds_each_index_once():
+    q = Query(path(5), (0, 2))  # two components, so R0 and R1
+    t = cycle(7)
+    first = dec.count(q, t, method="dp")
+    built = dict(t.masks)
+    assert built
+    assert dec.count(q, t, method="dp") == first
+    assert t.masks.keys() == built.keys()
+    assert all(t.masks[key] is found for key, found in built.items())
+    # the derived target shares t's entries; its fresh relations are
+    # indexed in its own memo only
+    dq, dt = dec.derived_free_query(q, t)
+    assert all(dt.masks[key] is found for key, found in built.items())
+    dec.count_homs_dp(dq.structure, dt, dec._plan(q).tree())
+    fresh = {name for name, _ in dt.masks} - set(t.signature.arity)
+    assert fresh == {"R0", "R1"}
+    assert {name for name, _ in t.masks} <= set(t.signature.arity)
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_dp_on_complement_targets_matches_brute_force(case):
+    rng = random.Random("complement:" + case)
+    for _ in range(40):
+        s, t = random_instance(rng, case)
+        free = tuple(sorted(rng.sample(range(s.n), rng.randint(0, s.n))))
+        q = Query(s, free)
+        co = complement_structure(t)
+        domains = random_domains(rng, q, co) if rng.random() < 0.5 else None
+        assert dec.count(q, co, domains, method="dp") == \
+            homs.count_answers(q, co, domains)
+
+
+def test_complement_index_reads_only_present_tuples(monkeypatch):
+    # the co-masks come from the 3,998 present tuples of the path; the view's
+    # 4,000,000 tuples are never walked
+    q = Query(Structure(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]}), (0,))
+    t = complement_structure(path(2000))
+
+    def walk(view):
+        raise AssertionError("a complement view was iterated")
+
+    monkeypatch.setattr(Complement, "__iter__", walk)
+    tracemalloc.start()
+    try:
+        value = dec.count(q, t, method="dp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 2000
+    assert peak < 16 * 2 ** 20
