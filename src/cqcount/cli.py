@@ -4,6 +4,7 @@ self-check suite.
 """
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -742,6 +743,12 @@ def main(argv=None):
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout early (cqcount check | head -1): point
+        # stdout at devnull so the flush at exit cannot fail again, and exit
+        # 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

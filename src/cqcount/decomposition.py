@@ -295,25 +295,34 @@ def _key_getter(positions):
 
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
-    completed by v, built on first use and memoized in t.masks under (name,
-    positions of v).  A Complement view is indexed from its present tuples
-    as co-masks."""
+    of v, built on first use and memoized in t.masks under (name, positions
+    of v).  A Complement view is indexed from its present tuples as
+    co-masks.  A symmetric binary relation indexes alike at both positions:
+    when the second position is first asked for, the relation is tested for
+    symmetry once and, if it holds, the key shares the first one's object."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
     found = t.masks.get((name, at_v))
     if found is None:
         rel = t.relations[name]
         co = isinstance(rel, Complement)
-        bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
-        first, single, index = at_v[0], len(at_v) == 1, {}
-        for fact in rel.present if co else rel:
-            w = fact[first]
-            if single or all(fact[i] == w for i in at_v):
-                key = bound_of(fact)
-                index[key] = index.get(key, 0) | 1 << w
-        full = (1 << t.n) - 1
-        found = t.masks[name, at_v] = (
-            ({key: full & ~m for key, m in index.items()}, full) if co
-            else (index, 0))
+        facts = rel.present if co else rel
+        first, single = at_v[0], len(at_v) == 1
+        twin = t.masks.get((name, (1 - first,))) if (
+            single and len(tup) == 2) else None
+        if twin is not None and all((b, a) in facts for a, b in facts):
+            found = twin
+        else:
+            bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
+            index = {}
+            for fact in facts:
+                w = fact[first]
+                if single or all(fact[i] == w for i in at_v):
+                    key = bound_of(fact)
+                    index[key] = index.get(key, 0) | 1 << w
+            full = (1 << t.n) - 1
+            found = (({key: full & ~m for key, m in index.items()}, full)
+                     if co else (index, 0))
+        t.masks[name, at_v] = found
     return found
 
 
@@ -327,18 +336,23 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     A row holds the keep columns, then the bag in sorted order.  Rows grow
     one vertex at a time: the keep vertices at each leaf, then the vertex of
     each introduce node.  Each atom is checked once, where its last vertex
-    enters a row.  The new vertex's candidates are a bitmask over
-    range(target.n): the AND of domains[v] (when given) and, per atom the
-    vertex completes, the mask that the target's index for (symbol,
-    positions of v) holds under the atom's bound values; a missing key
-    means 0.  Each index is built once per target and memoized on it.  A
-    Complement view's index is built from its present tuples and holds
-    co-masks, full & ~mask, where a missing key means full.
-    A forget node whose child introduces the same vertex runs as one step:
-    each row of the grandchild table keeps its key and gains its count times
-    the popcount of its mask, so the introduce's table is never built.  Rows
-    whose mask is 0 are dropped, so the keys of every table, the root's
-    included, are exactly the assignments that extend.
+    enters a row.  A vertex's candidates are a bitmask over range(target.n):
+    the AND of domains[v] (when given) and, per atom the vertex completes,
+    the mask that the target's index for (symbol, positions of the vertex)
+    holds under the atom's bound values (see _candidate_masks); a missing
+    key means 0, or full for a Complement view's co-masks.  Each (key
+    columns, index) pair is checked once per step, so the two orientations
+    of an undirected edge cost one check.
+    A forget of v right above the introduce of v carries v as a mask: each
+    row below it, down the introduce chain to the first node that is not an
+    introduce (and through the keep vertices at a leaf), holds a count and
+    v's candidates.  The mask starts as v's domain ANDed with v's atoms
+    already bound there, loops included; each vertex bound after that ANDs
+    in the atoms of v it completes, and a row is dropped as soon as its mask
+    is 0.  The forget maps each row to its count times the popcount of its
+    mask, so v is never stored and the rows follow the prefixes that can
+    still extend.  The keys of every table, the root's included, are
+    exactly the assignments that extend.
     """
     keep = tuple(sorted(keep))
     atoms_of = {}
@@ -347,54 +361,101 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             for v in set(tup):
                 atoms_of.setdefault(v, []).append((name, tup))
     full = (1 << target.n) - 1
+    members = lru_cache(maxsize=None)(lambda m: [
+        w for w, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
 
-    def extend(table, cols, v, at=None):
-        """Insert v at position `at` of each row of a table over cols, or
-        with at None forget v as it enters (the fused introduce-forget)."""
-        placed = set(cols)
-        checks = [(_key_getter([cols.index(u) for u in tup if u != v]),
-                   *_candidate_masks(target, name, tup, v))
-                  for name, tup in atoms_of.get(v, ())
-                  if placed.issuperset(u for u in tup if u != v)]
+    def allowed(v):
         domain = None if domains is None else domains.get(v)
-        allowed = full if domain is None else sum(1 << w for w in set(domain))
-        members = lru_cache(maxsize=None)(lambda m: [
-            w for w, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
-        out = {}
-        for row, cnt in table.items():
-            m = allowed
-            for bound_of, index, default in checks:
-                m &= index.get(bound_of(row), default)
-                if not m:
-                    break
+        return full if domain is None else sum(1 << w for w in set(domain))
+
+    def checks(v, cols, last=None):
+        """{(key columns, id of index): (key getter, index, default)} over
+        the atoms of v whose other vertices all lie in cols and, when last
+        is given, include it."""
+        found = {}
+        for name, tup in atoms_of.get(v, ()):
+            others = [u for u in tup if u != v]
+            if all(u in cols for u in others) and (last is None
+                                                   or last in others):
+                columns = tuple(cols.index(u) for u in others)
+                index, default = _candidate_masks(target, name, tup, v)
+                found[columns, id(index)] = (_key_getter(columns), index,
+                                             default)
+        return found
+
+    def narrow(m, row, found):
+        for key, index, default in found:
+            m &= index.get(key(row), default)
             if not m:
-                continue
-            if at is None:
-                out[row] = cnt * m.bit_count()
-                continue
-            head, tail = row[:at], row[at:]
-            for w in members(m):
-                out[head + (w,) + tail] = cnt
-        return out
+                break
+        return m
+
+    def grow(node, v=None):
+        """The table of node: its introduce chain bound vertex by vertex over
+        the first node below that is not an introduce.  With v, each row
+        carries v's mask and the table is that of the fused forget of v."""
+        chain = []
+        while node["kind"] == "introduce":
+            u = node["vertex"]
+            chain.append((u, len(keep) + node["bag"].index(u)))
+            node = node["children"][0]
+        if node["kind"] == "leaf":
+            table, cols, binds = {(): 1}, (), list(zip(keep, range(len(keep))))
+        else:
+            table, cols, binds = rec(node), keep + node["bag"], []
+        binds.extend(reversed(chain))
+        start, carried = (1, ()) if v is None else (
+            allowed(v), checks(v, cols).values())
+        rows = {}
+        for row, cnt in table.items():
+            m = narrow(start, row, carried)
+            if m:
+                rows[row] = (cnt, m)
+        for u, at in binds:
+            own = checks(u, cols).values()
+            cols = cols[:at] + (u,) + cols[at:]
+            candidates = allowed(u)
+            # v's atoms that u completes: those keyed by u alone are read
+            # once per candidate w of u, on a row holding w in every column;
+            # the others once per row
+            by_value, rest = [-1] * target.n, []
+            for (columns, _), check in ({} if v is None else
+                                        checks(v, cols, u)).items():
+                if set(columns) != {at}:
+                    rest.append(check)
+                    continue
+                key, index, default = check
+                for w in members(candidates):
+                    by_value[w] &= index.get(key((w,) * len(cols)), default)
+            out = {}
+            for row, (cnt, m) in rows.items():
+                mu = narrow(candidates, row, own)
+                if not mu:
+                    continue
+                head, tail = row[:at], row[at:]
+                for w in members(mu):
+                    mv = m & by_value[w]
+                    if mv:
+                        new = head + (w,) + tail
+                        for key, index, default in rest:
+                            mv &= index.get(key(new), default)
+                            if not mv:
+                                break
+                        if mv:
+                            out[new] = (cnt, mv)
+            rows = out
+        return {row: cnt * m.bit_count() for row, (cnt, m) in rows.items()}
 
     def rec(node):
         kind = node["kind"]
-        if kind == "leaf":
-            table = {(): 1}
-            for i, v in enumerate(keep):
-                table = extend(table, keep[:i], v, i)
-            return table
+        if kind in ("leaf", "introduce"):
+            return grow(node)
         child = node["children"][0]
-        cols = keep + child["bag"]
-        if kind == "introduce":
-            v = node["vertex"]
-            return extend(rec(child), cols, v,
-                          len(keep) + node["bag"].index(v))
         if kind == "forget":
             v = node["vertex"]
             if child["kind"] == "introduce" and child["vertex"] == v:
-                return extend(rec(child["children"][0]), keep + node["bag"], v)
-            at = cols.index(v)
+                return grow(child["children"][0], v)
+            at = (keep + child["bag"]).index(v)
             table = {}
             for row, cnt in rec(child).items():
                 key = row[:at] + row[at + 1:]
@@ -417,17 +478,6 @@ def dp_tables(structure, target, td, keep=(), domains=None):
 
 def count_homs_dp(structure, target, td, domains=None):
     return dp_tables(structure, target, td, domains=domains).get((), 0)
-
-
-def count_answers_dp(q, t, td):
-    """All-free counting over a supplied decomposition of the Gaifman graph."""
-    if set(q.free) != set(q.structure.vertices()):
-        raise ValueError("count_answers_dp requires all variables free")
-    if not q.is_plain():
-        raise ValueError("plain CQs only")
-    if not validate_decomposition(td, q.structure):
-        raise ValueError("invalid tree decomposition")
-    return count_homs_dp(q.structure, t, td)
 
 
 class _Part:
@@ -517,12 +567,6 @@ def _plan(q):
     # interpolation grid or the terms of one quantum query share one plan;
     # a plan holds no target state
     return _Plan(q)
-
-
-def extendability_relation(q, t, component_index):
-    """The relation R of boundary tuples of one quantified component that admit
-    an extension into the component's pattern."""
-    return set(_plan(q).parts[component_index].root_table(t))
 
 
 def derived_free_query(q, t, domains=None):

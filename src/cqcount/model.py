@@ -339,14 +339,3 @@ def induced_substructure(structure, vertices):
         rels[name] = set(tuple(old_to_new[v] for v in tup) for tup in rel
                          if all(v in old_to_new for v in tup))
     return Structure(structure.signature, len(keep), rels), old_to_new
-
-
-def disjoint_union(s, t):
-    """Disjoint union of two structures over the same signature; t is shifted by s.n."""
-    if s.signature != t.signature:
-        raise ValueError("signature mismatch")
-    rels = {}
-    for name in s.signature.names():
-        rels[name] = set(s.relations[name]) | set(
-            tuple(v + s.n for v in tup) for tup in t.relations[name])
-    return Structure(s.signature, s.n + t.n, rels)

@@ -5,6 +5,7 @@ reference implementations."""
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from cqcount import decomposition as dec
 from cqcount import homs
 from cqcount.model import Coloring, Query, Structure, graph, graph_edges
 
@@ -219,3 +220,31 @@ def naive_normalize(terms):
         else:
             merged.append([Fraction(coeff), core])
     return [(c, q) for c, q in merged if c != 0]
+
+
+def count_answers_dp(q, t, td):
+    """All-free counting over a supplied decomposition of the Gaifman graph."""
+    if set(q.free) != set(q.structure.vertices()):
+        raise ValueError("count_answers_dp requires all variables free")
+    if not q.is_plain():
+        raise ValueError("plain CQs only")
+    if not dec.validate_decomposition(td, q.structure):
+        raise ValueError("invalid tree decomposition")
+    return dec.count_homs_dp(q.structure, t, td)
+
+
+def extendability_relation(q, t, component_index):
+    """The relation R of boundary tuples of one quantified component that admit
+    an extension into the component's pattern."""
+    return set(dec._plan(q).parts[component_index].root_table(t))
+
+
+def disjoint_union(s, t):
+    """Disjoint union of two structures over the same signature; t is shifted by s.n."""
+    if s.signature != t.signature:
+        raise ValueError("signature mismatch")
+    rels = {}
+    for name in s.signature.names():
+        rels[name] = set(s.relations[name]) | set(
+            tuple(v + s.n for v in tup) for tup in t.relations[name])
+    return Structure(s.signature, s.n + t.n, rels)

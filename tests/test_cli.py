@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from cqcount import cli
 from cqcount.parser import parse_quantum, parse_query, parse_structure
 
@@ -284,3 +288,20 @@ def test_colored_count_methods_agree(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert outs == {"count: 2\n"}
+
+
+def test_check_into_a_closed_pipe_exits_quietly():
+    # the reader is gone before the first line is written, so each write of
+    # the report meets a broken pipe
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cqcount.cli", "check", "--seed", "0"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr.decode()
+    assert done.returncode == 1

@@ -9,7 +9,8 @@ from cqcount import homs
 from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph)
 
-from helpers import random_graph, random_query
+from helpers import (count_answers_dp, extendability_relation,
+                     random_graph, random_query)
 
 
 def path(n):
@@ -121,22 +122,22 @@ def test_dp_answer_count_matches_brute_force():
         q = Query(s, tuple(range(n)))
         t = random_graph(rng, rng.randint(0, 5))
         _, td = dec.exact_treewidth(s)
-        assert dec.count_answers_dp(q, t, td) == homs.count_answers(q, t)
+        assert count_answers_dp(q, t, td) == homs.count_answers(q, t)
 
 
 def test_dp_answer_count_rejects_quantified_or_constrained_queries():
     s = path(3)
     _, td = dec.exact_treewidth(s)
     with pytest.raises(ValueError):
-        dec.count_answers_dp(Query(s, (0, 2)), path(3), td)
+        count_answers_dp(Query(s, (0, 2)), path(3), td)
     q = Query(s, (0, 1, 2), inequalities=[frozenset((0, 2))])
     with pytest.raises(ValueError):
-        dec.count_answers_dp(q, path(3), td)
+        count_answers_dp(q, path(3), td)
 
 
 def test_extendability_relation_on_the_wedge():
     q = Query(path(3), (0, 2))
-    rel = dec.extendability_relation(q, path(3), 0)
+    rel = extendability_relation(q, path(3), 0)
     assert len(rel) == homs.count_answers(q, path(3)) == 5
     assert all(len(tup) == 2 for tup in rel)
 
@@ -383,3 +384,148 @@ def test_complement_index_reads_only_present_tuples(monkeypatch):
         tracemalloc.stop()
     assert value == 2000
     assert peak < 16 * 2 ** 20
+
+
+def test_a_symmetric_relation_keeps_one_index_for_both_positions():
+    psi3 = Query(graph(4, [(i, 3) for i in range(3)]), (0, 1, 2))
+    t = cycle(7)
+    assert dec.count(psi3, t, method="dp") == homs.count_answers(psi3, t)
+    assert t.masks["E", (0,)] is t.masks["E", (1,)]
+    # R(0,3), R(3,1): the quantified vertex sits at both positions of R
+    signature = [("R", 2)]
+    q = Query(Structure(signature, 4, {"R": [(0, 3), (3, 1), (2, 3)]}),
+              (0, 1, 2))
+    for tuples, shared in (([(0, 1), (1, 2), (2, 3), (3, 3)], False),
+                           ([(0, 1), (1, 0), (1, 2), (2, 1), (3, 3)], True)):
+        t = Structure(signature, 4, {"R": tuples})
+        assert dec.count(q, t, method="dp") == homs.count_answers(q, t)
+        assert (t.masks["R", (0,)] is t.masks["R", (1,)]) == shared
+
+
+def test_a_sparse_component_table_follows_its_output():
+    # psi_3 on an 80-vertex path: binding the free vertices with the
+    # quantified vertex's mask carried drops every prefix without a common
+    # neighbour, where the full boundary product holds 80**3 = 512,000 rows
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counting.lookups += 1
+            return dict.get(self, key, default)
+
+    psi3 = Query(graph(4, [(i, 3) for i in range(3)]), (0, 1, 2))
+    dec.count(psi3, path(4), method="dp")  # plan outside the measurement
+    t = path(80)
+    index, default = dec._candidate_masks(t, "E", (0, 1), 1)
+    assert dec._candidate_masks(t, "E", (0, 1), 0)[0] is index
+    t.masks["E", (0,)] = t.masks["E", (1,)] = (Counting(index), default)
+    tracemalloc.start()
+    try:
+        value = dec.count(psi3, t, method="dp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbrs = gaifman_adjacency(t)
+    answers = {(a, b, c) for y in range(80)
+               for a in nbrs[y] for b in nbrs[y] for c in nbrs[y]}
+    assert value == len(answers) == 548
+    assert Counting.lookups < 20000
+    assert peak < 2 * 2 ** 20
+
+
+def _node(kind, bag, *children, vertex=None):
+    node = {"kind": kind, "bag": bag, "children": list(children)}
+    if vertex is not None:
+        node["vertex"] = vertex
+    return node
+
+
+def _fused(v, below, bag=()):
+    """forget v over introduce v over below, whose bag is bag."""
+    intro = _node("introduce", tuple(sorted(bag + (v,))), below, vertex=v)
+    return _node("forget", bag, intro, vertex=v)
+
+
+# (vertices, keep, nice decomposition of the others, bags with keep added).
+# In the first two the fused forget of 3 carries its mask over a chain that
+# starts at a forget or at a join; in the last, 2 is carried at a leaf
+# through two keep columns and 3 over the forget of 2.
+CARRIED_TREES = [
+    (4, (0,), _node("forget", (), _fused(
+        3, _node("introduce", (2,), _fused(1, _node("leaf", ())), vertex=2),
+        (2,)), vertex=2), [(0, 1), (0, 2, 3)]),
+    (5, (0,), _node("forget", (), _fused(
+        3, _node("introduce", (4,), _node(
+            "join", (), _fused(1, _node("leaf", ())),
+            _fused(2, _node("leaf", ()))), vertex=4), (4,)), vertex=4),
+     [(0, 1), (0, 2), (0, 3, 4)]),
+    (4, (0, 1), _fused(3, _fused(2, _node("leaf", ()))), [(0, 1, 2), (0, 1, 3)]),
+]
+
+
+def random_carried_instance(rng, vertices, bags):
+    """Random R/2 atoms inside the bags, the carried vertex 3 looped half
+    the time, and a random R/2 target with loops, symmetric half the time."""
+    signature = [("R", 2)]
+    pairs = sorted({(a, b) for bag in bags for a in bag for b in bag})
+    atoms = {pair for pair in pairs if rng.random() < 0.4}
+    if rng.random() < 0.5:
+        atoms.add((3, 3))
+    s = Structure(signature, vertices, {"R": atoms})
+    m = rng.randint(0, 5)
+    tuples = {(a, b) for a in range(m) for b in range(m)
+              if rng.random() < 0.4}
+    if rng.random() < 0.5:
+        tuples |= {(b, a) for a, b in tuples}
+    return s, Structure(signature, m, {"R": tuples})
+
+
+@pytest.mark.parametrize("shape", range(len(CARRIED_TREES)))
+def test_carried_mask_matches_brute_force(shape):
+    # loops on the carried vertex, keep columns it has no atom with, chains
+    # above a forget or a join, empty and disjoint domains, and complement
+    # targets, whose co-masks default to full
+    vertices, keep, root, bags = CARRIED_TREES[shape]
+    td = dec.TreeDecomposition(root, None)
+    rng = random.Random("carried:%d" % shape)
+    for _ in range(60):
+        s, t = random_carried_instance(rng, vertices, bags)
+        for target in (t, complement_structure(t)):
+            domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
+                       for v in s.vertices() if rng.random() < 0.5}
+            if t.n and rng.random() < 0.3:
+                # values on no edge between two distinct values: often
+                # disjoint from the carried vertex's candidates on t
+                linked = {w for tup in t.relations["R"] if tup[0] != tup[1]
+                          for w in tup}
+                domains[3] = [w for w in range(t.n) if w not in linked]
+            for doms in (None, domains):
+                table = dec.dp_tables(s, target, td, keep=keep, domains=doms)
+                assert 0 not in table.values()
+                assert table == brute_table(s, target, keep, doms or {})
+            q = Query(s, keep)
+            assert dec.count(q, target, domains, method="dp") == \
+                homs.count_answers(q, target, domains)
+
+
+def test_carried_mask_reads_ternary_atoms_keyed_by_keep_columns():
+    # R(0,1,2) is completed by keep column 1 under a two-column key, and
+    # R(1,1,2) by keep column 1 alone under the key (w, w)
+    signature, _, _ = INDEX_CASES["ternary-repeated-variable"]
+    td = dec.TreeDecomposition(_fused(2, _node("leaf", ())), None)
+    rng = random.Random(43)
+    shapes = [(0, 1, 2), (1, 1, 2), (2, 1, 0), (2, 2, 1), (1, 0, 0)]
+    for _ in range(80):
+        atoms = {tup for tup in shapes if rng.random() < 0.6} | {(0, 1, 2)}
+        s = Structure(signature, 3, {"R": atoms})
+        m = rng.randint(0, 4)
+        t = Structure(signature, m, {"R": [
+            tup for tup in product(range(m), repeat=3) if rng.random() < 0.3]})
+        for target in (t, complement_structure(t)):
+            domains = random_domains(rng, Query(s, (0, 1)), target)
+            table = dec.dp_tables(s, target, td, keep=(0, 1), domains=domains)
+            assert 0 not in table.values()
+            assert table == brute_table(s, target, (0, 1), domains)
+            q = Query(s, (0, 1))
+            assert dec.count(q, target, domains, method="dp") == \
+                homs.count_answers(q, target, domains)

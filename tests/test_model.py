@@ -6,12 +6,13 @@ import pytest
 from cqcount import expansion, quantum
 from cqcount.model import (Coloring, Complement, Query, Signature, Structure,
                            clone_by_multiplicity, clone_vertices,
-                           complement_structure, disjoint_union,
-                           gaifman_adjacency, gaifman_graph, graph,
-                           graph_edges, induced_substructure, tensor_product)
+                           complement_structure, gaifman_adjacency,
+                           gaifman_graph, graph, graph_edges,
+                           induced_substructure, tensor_product)
 from cqcount.parser import parse_formula
 
-from helpers import explicit_complement, random_graph, random_structure
+from helpers import (disjoint_union, explicit_complement, random_graph,
+                     random_structure)
 
 
 def test_graph_builder_rejects_loops():
