@@ -119,11 +119,12 @@ def _emit(cfg, pairs, text_lines=None):
 
 
 def _count(cfg, q, t, method, domains=None):
-    """decomposition.count under method; the DP's refusals exit 1."""
+    """decomposition.count_and_method under method: the value and the
+    method that produced it.  The DP's refusals exit 1."""
     if method == "dp" and not q.is_plain():
         raise InputError("--method dp supports plain queries only")
     try:
-        return dec.count(q, t, domains, method)
+        return dec.count_and_method(q, t, domains, method)
     except dec.BudgetError as e:
         raise InputError("%s: dp method not applicable: %s"
                          % (cfg.args.target, e))
@@ -136,10 +137,7 @@ def cmd_count(cfg):
         _emit(cfg, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
     _check_signature([q], t, cfg.args.target)
-    method = cfg.method
-    if method == "auto":
-        method, _ = dec.pick_method(q, t)
-    value = _count(cfg, q, t, method)
+    value, method = _count(cfg, q, t, cfg.method)
     _emit(cfg, [("count", value), ("method", method)])
     return EXIT_OK
 
@@ -160,7 +158,7 @@ def cmd_count_colored(cfg, colorful):
         value = homs.count_cf_answers(q, t, c)
     else:
         classes = c.classes(q.structure.n)
-        value = _count(cfg, q, t, cfg.method, dict(enumerate(classes)))
+        value, _ = _count(cfg, q, t, cfg.method, dict(enumerate(classes)))
     _emit(cfg, [("count", value)])
     return EXIT_OK
 
@@ -243,7 +241,8 @@ def cmd_eval(cfg):
     t = _load_structure(cfg.args.target)
     _check_signature([q for _, q in qq.terms], t, cfg.args.target)
     value = quantum.evaluate(
-        qq, t, counter=lambda q, target: _count(cfg, q, target, cfg.method))
+        qq, t,
+        counter=lambda q, target: _count(cfg, q, target, cfg.method)[0])
     if isinstance(value, Fraction):
         shown = "%d/%d" % (value.numerator, value.denominator)
     else:
@@ -465,6 +464,22 @@ def _check_cf_identity(rng, cfg):
     return None
 
 
+def _check_cp(rng, cfg):
+    for _ in range(max(1, cfg.trials // 5)):
+        q = _random_query(rng, 4)
+        g, c = _random_colored_target(rng, q.structure, 0.7)
+        transform = rng.choice(["identity", "complement"])
+        t = complement_structure(g) if transform == "complement" else g
+        classes = dict(enumerate(c.classes(q.structure.n)))
+        cp = homs.count_cp_answers(q, t, c)
+        slow = homs.count_answers(q, t, classes)
+        if cp != slow:
+            return ("cp=%d brute=%d query=%r target=%r (%s) colors=%r"
+                    % (cp, slow, serialize_query(q), serialize_structure(g),
+                       transform, c.colors))
+    return None
+
+
 def _check_tensor(rng, cfg):
     for _ in range(max(1, cfg.trials // 5)):
         q = _random_query(rng, 3)
@@ -607,6 +622,7 @@ CHECKS = [
     ("dp-counter-vs-brute", _check_dp),
     ("surjective-partition", _check_surjective_sum),
     ("colorful-automorphism-identity", _check_cf_identity),
+    ("cp-vs-brute", _check_cp),
     ("tensor-multiplicativity", _check_tensor),
     ("core-preserves-counts", _check_core),
     ("normalize-preserves-counts", _check_normalize),

@@ -12,6 +12,11 @@ from .model import (Complement, Query, Signature, Structure, gaifman_adjacency,
 
 EXACT_TREEWIDTH_LIMIT = 20
 DSS_CAP = 6
+# The most rows one DP table may hold while it is built.  A row carries up to
+# an n-bit mask, so a table of boundary 2 on a dense target (about n**2 rows)
+# would cost about n**3/8 bytes; past the cap dp_tables raises BudgetError
+# and count, under "auto", counts on the brute search instead.
+TABLE_ROWS_CAP = 2 ** 18
 
 
 class BudgetError(ValueError):
@@ -352,7 +357,10 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     is 0.  The forget maps each row to its count times the popcount of its
     mask, so v is never stored and the rows follow the prefixes that can
     still extend.  The keys of every table, the root's included, are
-    exactly the assignments that extend.
+    exactly the assignments that extend.  The last vertex bound under a
+    fused forget stores its row's count times that popcount at once.
+    A table that passes TABLE_ROWS_CAP rows while it is built raises
+    BudgetError; the size is checked once per row of the table below.
     """
     keep = tuple(sorted(keep))
     atoms_of = {}
@@ -410,8 +418,9 @@ def dp_tables(structure, target, td, keep=(), domains=None):
         for row, cnt in table.items():
             m = narrow(start, row, carried)
             if m:
-                rows[row] = (cnt, m)
-        for u, at in binds:
+                rows[row] = (cnt, m) if binds else cnt * m.bit_count()
+        for i, (u, at) in enumerate(binds, 1):
+            last = i == len(binds)
             own = checks(u, cols).values()
             cols = cols[:at] + (u,) + cols[at:]
             candidates = allowed(u)
@@ -442,9 +451,13 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                             if not mv:
                                 break
                         if mv:
-                            out[new] = (cnt, mv)
+                            out[new] = (cnt * mv.bit_count() if last
+                                        else (cnt, mv))
+                if len(out) > TABLE_ROWS_CAP:
+                    raise BudgetError("table rows", len(out), TABLE_ROWS_CAP,
+                                      "TABLE_ROWS_CAP")
             rows = out
-        return {row: cnt * m.bit_count() for row, (cnt, m) in rows.items()}
+        return rows
 
     def rec(node):
         kind = node["kind"]
@@ -608,16 +621,15 @@ def count_answers_dss(q, t, domains=None):
 
 
 def pick_method(q, t):
-    """The counter count runs under "auto" and the reason when it is not the
-    DP: ("dp", None) or ("brute", reason).  The DP needs a plain query, a
-    target without Complement views (the DP counts on one by co-masks, but
-    is not yet measured against the brute search there) and a plan within
-    DSS_CAP and the exact treewidth limit.
+    """The counter that count tries first under "auto", and the reason when
+    it is not the DP: ("dp", None) or ("brute", reason).  The DP needs a plain
+    query and a plan within DSS_CAP and the exact treewidth limit; it counts
+    on Complement views by co-masks.  Whether its tables stay within
+    TABLE_ROWS_CAP shows only while they are built, so count falls back on
+    that budget itself.
     The plan is memoized, so the DP reuses the decompositions built here."""
     if not q.is_plain():
         return "brute", "the query has inequalities or negated atoms"
-    if any(isinstance(rel, Complement) for rel in t.relations.values()):
-        return "brute", "the target is a reflexive complement view"
     plan = _plan(q)
     try:
         for part in plan.parts:
@@ -631,11 +643,23 @@ def pick_method(q, t):
 def count(q, t, domains=None, method="auto"):
     """Number of answers of q on t, each vertex v kept in domains[v] when
     given.  method "dp" runs count_answers_dss, "brute" the homs search and
-    "auto" the one pick_method names."""
+    "auto" the one pick_method names, falling back to brute force when a DP
+    table passes TABLE_ROWS_CAP.  Under "dp" a passed budget raises
+    BudgetError."""
+    return count_and_method(q, t, domains, method)[0]
+
+
+def count_and_method(q, t, domains=None, method="auto"):
+    """count's value and the method that produced it: "dp" or "brute"."""
     if method == "auto":
         method, _ = pick_method(q, t)
+        if method == "dp":
+            try:
+                return count_answers_dss(q, t, domains=domains), "dp"
+            except BudgetError:
+                method = "brute"
     if method == "dp":
-        return count_answers_dss(q, t, domains=domains)
+        return count_answers_dss(q, t, domains=domains), "dp"
     if method == "brute":
-        return homs.count_answers(q, t, domains)
+        return homs.count_answers(q, t, domains), "brute"
     raise ValueError("unknown counting method %r" % (method,))

@@ -317,17 +317,12 @@ def star_instance(g, k):
     primal vertices."""
     n = g.n
     adjacent = set(graph_edges(g))
-
-    def vid(layer, v):
-        return layer * n + v
-
-    edges = []
-    for i in range(1, k + 1):
-        for u in range(n):
-            for v in range(n):
-                if u != v and tuple(sorted((u, v))) not in adjacent:
-                    edges.append(tuple(sorted((vid(0, u), vid(i, v)))))
-    g2 = graph((k + 1) * n, sorted(set(edges)))
+    apart = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (min(u, v), max(u, v)) not in adjacent]
+    # layer 0 holds the center copies 0..n-1, layer i the leaf copies
+    # i*n..i*n+n-1, so every edge is already ordered
+    g2 = graph((k + 1) * n, [(u, i * n + v) for i in range(1, k + 1)
+                             for u, v in apart])
     psi = family_query("psi", k)
     colors = [k] * n + [i for i in range(k) for _ in range(n)]
     return g2, Coloring(colors, g2, psi.structure)

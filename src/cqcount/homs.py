@@ -1,6 +1,8 @@
 """Brute-force counting of homomorphism variants, query minimization and
 equivalence.  This module is the ground truth the faster counters are checked
-against; everything here enumerates with pruning but no clever algorithmics.
+against; everything here enumerates with pruning but no clever algorithmics,
+apart from count_cp_answers, which counts through decomposition.count.  Its
+oracle is count_answers with the color classes as domains.
 
 Every count runs one search, planned once per call: the free vertices are
 assigned first, each answer candidate passes one accept test, and then the
@@ -102,9 +104,12 @@ def count_answers(q, t, domains=None):
 
 
 def count_cp_answers(q, t, c):
-    """Answers a with c(a(x)) = x that extend to a color-prescribed homomorphism."""
+    """Answers a with c(a(x)) = x that extend to a color-prescribed
+    homomorphism: a count with each vertex kept in its color class, on the
+    counter decomposition.count picks."""
+    from .decomposition import count  # decomposition imports this module
     classes = c.classes(q.structure.n)
-    return count_answers(q, t, {v: classes[v] for v in q.structure.vertices()})
+    return count(q, t, dict(enumerate(classes)))
 
 
 def count_cf_answers(q, t, c):

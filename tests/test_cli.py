@@ -276,6 +276,20 @@ def test_count_methods_over_the_dss_cap(tmp_path, capsys):
     assert err.startswith("error: %s: " % t) and "DSS_CAP" in err
 
 
+def test_count_names_brute_after_a_row_cap_fallback(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli.dec, "TABLE_ROWS_CAP", 3)
+    q = write(tmp_path, "q", PSI2)
+    t = write(tmp_path, "t", P3)
+    code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
+                                "--machine"])
+    assert code == 0 and out.splitlines() == ["count=5", "method=brute"]
+    code, out, err = run(capsys, ["count", "--query", q, "--target", t,
+                                  "--method", "dp"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: " % t) and "TABLE_ROWS_CAP" in err
+
+
 def test_colored_count_methods_agree(tmp_path, capsys):
     q = write(tmp_path, "q", PSI2)
     t = write(tmp_path, "t", "graph\ndomain 5\nE 0 2\nE 1 2\nE 1 3\nE 3 4\n")

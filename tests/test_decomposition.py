@@ -276,8 +276,8 @@ def test_pick_method_names_the_reason_for_brute():
     side = Query(path(3), (0, 2), inequalities=[frozenset((0, 2))])
     method, reason = dec.pick_method(side, path(4))
     assert method == "brute" and "inequalities" in reason
-    method, reason = dec.pick_method(psi2, complement_structure(path(4)))
-    assert method == "brute" and "complement" in reason
+    assert dec.pick_method(psi2, complement_structure(path(4))) == \
+        ("dp", None)
     k = dec.DSS_CAP + 1
     star = Query(graph(k + 1, [(i, k) for i in range(k)]), tuple(range(k)))
     method, reason = dec.pick_method(star, path(3))
@@ -529,3 +529,49 @@ def test_carried_mask_reads_ternary_atoms_keyed_by_keep_columns():
             q = Query(s, (0, 1))
             assert dec.count(q, target, domains, method="dp") == \
                 homs.count_answers(q, target, domains)
+
+
+# the compiled forall y E(x1,y) | E(x2,y) counts this term on the reflexive
+# complement; its component table holds a row per pair (x1, x2)
+DENSE_TERM = Query(Structure(GRAPH_SIGNATURE, 3, {"E": [(0, 2), (1, 2)]}),
+                   (0, 1))
+
+
+def test_a_table_past_the_row_cap_raises_a_budget_error():
+    t = complement_structure(path(600))  # 360,000 rows, past 2**18
+    with pytest.raises(dec.BudgetError) as err:
+        dec.count(DENSE_TERM, t, method="dp")
+    assert (err.value.parameter, err.value.cap) == \
+        ("table rows", dec.TABLE_ROWS_CAP)
+    assert err.value.value > dec.TABLE_ROWS_CAP
+    assert "TABLE_ROWS_CAP" in str(err.value)
+
+
+def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
+    monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 1000)
+    t = complement_structure(path(200))
+    assert dec.pick_method(DENSE_TERM, t) == ("dp", None)
+    tracemalloc.start()
+    try:
+        value, method = dec.count_and_method(DENSE_TERM, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (value, method) == (homs.count_answers(DENSE_TERM, t), "brute")
+    assert value == 200 ** 2
+    # the DP's 40,000-row table would take several MB
+    assert peak < 2 ** 20
+    assert dec.count(DENSE_TERM, t) == value
+
+
+def test_a_sparse_table_stays_on_the_dp_below_its_boundary_product(
+        monkeypatch):
+    # psi_3 on path(80): the boundary product has 512,000 rows, the
+    # component table 548
+    monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 2 ** 12)
+    psi3 = Query(graph(4, [(i, 3) for i in range(3)]), (0, 1, 2))
+    t = path(80)
+    nbrs = [[u for u in (v - 1, v + 1) if 0 <= u < 80] for v in range(80)]
+    want = len({a for y in range(80) for a in product(nbrs[y], repeat=3)})
+    assert want == 548
+    assert dec.count_and_method(psi3, t) == (want, "dp")

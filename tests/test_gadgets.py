@@ -133,6 +133,27 @@ def test_star_instance_shape():
     assert coloring.colors[:3] == (2, 2, 2)
 
 
+def test_star_instance_matches_the_per_layer_construction():
+    # the construction that tests each pair's adjacency once per layer
+    def layered(g, k):
+        n, adjacent = g.n, set(graph_edges(g))
+        edges = [tuple(sorted((u, i * n + v))) for i in range(1, k + 1)
+                 for u in range(n) for v in range(n)
+                 if u != v and tuple(sorted((u, v))) not in adjacent]
+        return graph((k + 1) * n, sorted(set(edges)))
+
+    rng = random.Random(53)
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(0, 6))
+        for k in range(1, 4):
+            inst, coloring = gadgets.star_instance(g, k)
+            want = layered(g, k)
+            assert inst.n == want.n
+            assert inst.relations == want.relations
+            assert coloring.colors == tuple([k] * g.n + [
+                i for i in range(k) for _ in range(g.n)])
+
+
 def test_dominating_set_counts_on_named_graphs():
     c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert gadgets.domset_via_star_oracle(c4, 2) == [0, 6]

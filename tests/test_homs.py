@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from cqcount import homs
-from cqcount.model import Coloring, Query, Signature, Structure, graph
+from cqcount.model import (Coloring, Query, Signature, Structure,
+                           complement_structure, graph)
 from cqcount.parser import parse_query
 
 from helpers import (min_retract_size, random_colored_instance, random_graph,
@@ -149,6 +150,21 @@ def test_color_prescribed_counts_against_brute_reference():
              for v in pattern.vertices()}, E=t.relations["E"]))
         assert homs.count_cp_answers(q, t, c) == \
             brute_answers(marked_q, marked_t)
+
+
+def test_color_prescribed_counts_equal_counts_within_the_classes():
+    # count_cp_answers counts on the DP; count_answers with the color
+    # classes as domains is its oracle, on targets and their complements
+    rng = random.Random(47)
+    for i in range(80):
+        pattern = random_graph(rng, rng.randint(1, 5))
+        free = () if i % 3 == 0 else random_free(rng, pattern.n)
+        q = Query(pattern, free)
+        t, c = random_colored_instance(rng, pattern)
+        classes = dict(enumerate(c.classes(pattern.n)))
+        for target in (t, complement_structure(t)):
+            assert homs.count_cp_answers(q, target, c) == \
+                homs.count_answers(q, target, classes)
 
 
 def test_surjective_extendable_maps_against_enumeration():
