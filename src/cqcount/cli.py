@@ -13,7 +13,8 @@ from itertools import product
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
 from .model import (Coloring, Query, Structure, complement_structure,
-                    gaifman_graph, graph, graph_edges, tensor_product)
+                    gaifman_graph, graph, graph_edges, induced_substructure,
+                    tensor_product)
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -493,6 +494,17 @@ def _check_tensor(rng, cfg):
     return None
 
 
+def _retractable(q, v):
+    """True when q maps into its deletion of the quantified vertex v with the
+    free set sent onto itself: one fresh search into the induced
+    substructure, independent of the maps augmented_core reuses."""
+    aug = homs._augment(q)
+    sub, old_to_new = induced_substructure(
+        aug, [u for u in aug.vertices() if u != v])
+    sub_free = [old_to_new[x] for x in q.free]
+    return homs.exists_extension(aug, sub, {x: sub_free for x in q.free})
+
+
 def _check_core(rng, cfg):
     for _ in range(max(1, cfg.trials // 5)):
         q = _random_query(rng, 4)
@@ -500,6 +512,8 @@ def _check_core(rng, cfg):
         t = _random_graph(rng, rng.randint(0, 4))
         if homs.count_answers(q, t) != homs.count_answers(core, t):
             return "core disagrees on query=%r" % serialize_query(q)
+        if any(_retractable(core, v) for v in core.quantified()):
+            return "core not minimal on query=%r" % serialize_query(q)
     return None
 
 

@@ -7,7 +7,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import homs
-from .model import (Complement, Query, Signature, Structure, gaifman_adjacency,
+# BudgetError and TreewidthLimitError live in model, so homs can raise them
+# without an import cycle; callers also name them as dec.BudgetError
+from .model import (BudgetError, Complement, Query, Signature, Structure,
+                    TreewidthLimitError, gaifman_adjacency,
                     induced_substructure)
 
 EXACT_TREEWIDTH_LIMIT = 20
@@ -17,22 +20,6 @@ DSS_CAP = 6
 # would cost about n**3/8 bytes; past the cap dp_tables raises BudgetError
 # and count, under "auto", counts on the brute search instead.
 TABLE_ROWS_CAP = 2 ** 18
-
-
-class BudgetError(ValueError):
-    """A cost past its documented budget: carries the parameter that measures
-    the cost, its value, and the cap it exceeds with the cap's name."""
-
-    def __init__(self, parameter, value, cap, cap_name):
-        super().__init__("%s = %d exceeds %s = %d"
-                         % (parameter, value, cap_name, cap))
-        self.parameter = parameter
-        self.value = value
-        self.cap = cap
-
-
-class TreewidthLimitError(BudgetError):
-    pass
 
 
 class TreeDecomposition:

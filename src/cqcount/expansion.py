@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .decomposition import BudgetError
-from .model import GRAPH_SIGNATURE, Query, Structure
+from .model import GRAPH_SIGNATURE, BudgetError, Query, Structure
 from .parser import (FormulaAST, ZeroWitness, eliminate_equalities,
                      formula_to_query, to_disjunctive_normal_form)
 from .quantum import QuantumQuery, normalize

@@ -6,15 +6,23 @@ oracle is count_answers with the color classes as domains.
 
 Every count runs one search, planned once per call: the free vertices are
 assigned first, each answer candidate passes one accept test, and then the
-quantified vertices are searched until the first extension is found.
+quantified vertices are searched until the first extension is found.  A
+search for one extension can hand back the map it found; augmented_core
+searches into the query itself and reuses each found retraction's image to
+answer the later deletion tests without searching.
 """
 
 from itertools import permutations
+from math import factorial
 
-from .model import (Query, Signature, Structure, gaifman_adjacency,
-                    induced_substructure)
+from .model import (BudgetError, Query, Signature, Structure,
+                    gaifman_adjacency, induced_substructure)
 
 AUX_SYMBOL = "Xaux"
+# The most permutations _automorphism_restrictions may walk: |X|! * |Y|! for
+# X the free and Y the quantified vertices.  Each costs a pass over the atoms
+# in Python, a few microseconds, so the cap keeps one call under a second.
+PERMUTATION_CAP = 40320
 
 
 def _plan(structure, free):
@@ -38,7 +46,8 @@ def _plan(structure, free):
     return order, checks
 
 
-def _search(q, t, domains=None, accept=None, colors=None, first=False):
+def _search(q, t, domains=None, accept=None, colors=None, first=False,
+            witness=None):
     """Number of answers of q on t: assignments of q.free that satisfy the
     inequalities and negated atoms, pass accept (called with the values in
     q.free order) and extend to a homomorphism of q.structure into t.
@@ -46,7 +55,12 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False):
     domains[v], when given, restricts vertex v's candidates.  With colors (a
     color per target vertex), only extensions whose image meets every color
     0..n-1 of q.structure count.  With first, the search stops at the first
-    answer, so it returns 1 when one exists and 0 otherwise."""
+    answer, so it returns 1 when one exists and 0 otherwise.
+
+    witness, a dict, receives the homomorphism found (vertex of q to vertex
+    of t) when the search ends at its first extension, that is with first or
+    without free vertices, and stays as it was when there is none.  rec
+    returns as soon as an extension is complete, so a[] then holds it."""
     order, checks = _plan(q.structure, q.free)
     k = len(q.free)
     rels = t.relations
@@ -87,13 +101,17 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False):
 
     count = rec(0)
     rec = None  # rec's closure holds rec: break the cycle so t is freed now
+    if count and witness is not None:
+        witness.update(zip(order, a))
     return count
 
 
-def exists_extension(structure, target, domains=None):
+def exists_extension(structure, target, domains=None, witness=None):
     """True when some homomorphism structure -> target takes each vertex v
-    into domains[v] when given."""
-    return _search(Query(structure, ()), target, domains) > 0
+    into domains[v] when given.  witness, a dict, receives that homomorphism
+    when there is one and is left untouched otherwise."""
+    return _search(Query(structure, ()), target, domains,
+                   witness=witness) > 0
 
 
 def count_answers(q, t, domains=None):
@@ -138,23 +156,28 @@ def _surjective_search(q, t, z, first=False):
 
 
 def _automorphism_restrictions(q):
-    """Distinct restrictions to X of automorphisms of H that fix X setwise."""
-    structure = q.structure
+    """Distinct restrictions to X of automorphisms of H that fix X setwise.
+    Only permutations mapping X onto X and Y onto Y are walked, and a
+    restriction, once found, skips the rest of its Y arrangements.  Raises
+    BudgetError when |X|! * |Y|! exceeds PERMUTATION_CAP."""
+    free, rest = q.free, q.quantified()
+    size = factorial(len(free)) * factorial(len(rest))
+    if size > PERMUTATION_CAP:
+        raise BudgetError("free-preserving permutations", size,
+                          PERMUTATION_CAP, "PERMUTATION_CAP")
+    atoms = [(rel, tup) for rel in q.structure.relations.values()
+             for tup in rel]
+    perm = list(q.structure.vertices())
     seen = set()
-    fset = set(q.free)
-    for perm in permutations(range(structure.n)):
-        if any(perm[x] not in fset for x in q.free):
-            continue
-        ok = True
-        for name, rel in structure.relations.items():
-            for tup in rel:
-                if tuple(perm[v] for v in tup) not in rel:
-                    ok = False
-                    break
-            if not ok:
+    for free_image in permutations(free):
+        for x, w in zip(free, free_image):
+            perm[x] = w
+        for rest_image in permutations(rest):
+            for y, w in zip(rest, rest_image):
+                perm[y] = w
+            if all(tuple(perm[v] for v in tup) in rel for rel, tup in atoms):
+                seen.add(free_image)
                 break
-        if ok:
-            seen.add(tuple(perm[x] for x in q.free))
     return seen
 
 
@@ -187,24 +210,36 @@ def augmented_core(q):
     augmented with an all-pairs relation on the free set.  One downward pass
     drops each quantified vertex v whose deletion the structure maps into; a
     vertex kept once stays kept, since an equivalent substructure mapping into
-    its own deletion of v would give the structure such a map too."""
+    its own deletion of v would give the structure such a map too.
+
+    The pass keeps the augmented structure A whole and the set S of vertices
+    not yet deleted.  A maps into S - v exactly when the substructure on S
+    does, since A and S are equivalent, so each test searches A into A with
+    the free vertices kept in the free set, which the auxiliary relation
+    makes a bijection, and the others in S - v.  Every deletion since the
+    last found map (the witness) lies outside its image, so that map still
+    sends A into S - v for each later v outside its image: such a v is
+    deleted without a search, as a fresh search would have deleted it."""
     if not q.is_plain():
         raise ValueError("augmented core is defined for plain CQs")
     aug = _augment(q)
     free = list(q.free)
     fset = set(q.free)
-    # deleting v renumbers only the vertices above v, all already visited
+    alive = set(aug.vertices())
+    image = range(aug.n)  # the last witness's image; the identity's at first
     for v in range(aug.n - 1, -1, -1):
         if v in fset:
             continue
-        sub, old_to_new = induced_substructure(
-            aug, [u for u in range(aug.n) if u != v])
-        # the retraction must map the free set onto the surviving free set;
-        # the auxiliary relation makes that map injective
-        sub_free = [old_to_new[x] for x in free]
-        if exists_extension(aug, sub, domains={x: sub_free for x in free}):
-            aug, free = sub, sub_free
-    return Query(_strip_aux(aug), free)
+        if v in image:
+            rest = sorted(alive - {v})
+            domains = {u: free if u in fset else rest for u in aug.vertices()}
+            witness = {}
+            if not exists_extension(aug, aug, domains, witness):
+                continue
+            image = set(witness.values())
+        alive.discard(v)
+    core, old_to_new = induced_substructure(aug, alive)
+    return Query(_strip_aux(core), [old_to_new[x] for x in free])
 
 
 def dominates(q1, q2):

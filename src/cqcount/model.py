@@ -11,6 +11,22 @@ from itertools import filterfalse, product
 GRAPH_SIGNATURE = (("E", 2),)
 
 
+class BudgetError(ValueError):
+    """A cost past its documented budget: carries the parameter that measures
+    the cost, its value, and the cap it exceeds with the cap's name."""
+
+    def __init__(self, parameter, value, cap, cap_name):
+        super().__init__("%s = %d exceeds %s = %d"
+                         % (parameter, value, cap_name, cap))
+        self.parameter = parameter
+        self.value = value
+        self.cap = cap
+
+
+class TreewidthLimitError(BudgetError):
+    pass
+
+
 class Signature:
     """An ordered list of relation symbols with arities."""
 

@@ -7,7 +7,8 @@ from itertools import combinations, permutations, product
 
 from cqcount import decomposition as dec
 from cqcount import homs
-from cqcount.model import Coloring, Query, Structure, graph, graph_edges
+from cqcount.model import (Coloring, Query, Structure, graph, graph_edges,
+                           induced_substructure)
 
 
 def _refine_classes(n, adj):
@@ -193,6 +194,24 @@ def min_retract_size(q):
                 if {h[x] for x in free} == free and all(
                         tuple(h[v] for v in tup) in rel for rel, tup in atoms):
                     return len(keep)
+
+
+def one_vertex_core(q):
+    """The augmented core by the plain one-vertex pass: per quantified vertex
+    v, top down, a fresh search into the induced substructure without v,
+    with no map reused.  The reference homs.augmented_core is checked
+    against."""
+    aug = homs._augment(q)
+    free = list(q.free)
+    for v in range(aug.n - 1, -1, -1):
+        if v in q.free:
+            continue
+        sub, old_to_new = induced_substructure(
+            aug, [u for u in range(aug.n) if u != v])
+        sub_free = [old_to_new[x] for x in free]
+        if homs.exists_extension(aug, sub, {x: sub_free for x in free}):
+            aug, free = sub, sub_free
+    return Query(homs._strip_aux(aug), free)
 
 
 def relabelled(rng, q):

@@ -4,12 +4,12 @@ from itertools import product
 import pytest
 
 from cqcount import homs
-from cqcount.model import (Coloring, Query, Signature, Structure,
+from cqcount.model import (BudgetError, Coloring, Query, Signature, Structure,
                            complement_structure, graph)
-from cqcount.parser import parse_query
+from cqcount.parser import parse_query, serialize_query
 
-from helpers import (min_retract_size, random_colored_instance, random_graph,
-                     random_query)
+from helpers import (min_retract_size, one_vertex_core,
+                     random_colored_instance, random_graph, random_query)
 
 
 def path(n):
@@ -261,6 +261,63 @@ def test_clique_core_of_redundant_pattern():
     assert core.structure.n == 3
 
 
+def test_core_matches_the_one_vertex_pass():
+    rng = random.Random(37)
+    # sparse queries with few free vertices shrink the most
+    queries = [random_query(rng, 10, max_free=3,
+                            p=rng.choice([0.15, 0.25, 0.35, 0.5]))
+               for _ in range(200)]
+    for _ in range(200):
+        s = random_structure(rng, [("E", 2), ("R", 3), ("U", 1)],
+                             rng.randint(1, 7), rng.choice([0.02, 0.04, 0.08]))
+        free = rng.sample(range(s.n), rng.randint(0, min(3, s.n)))
+        queries.append(Query(s, free))
+    for q in queries:
+        assert serialize_query(homs.augmented_core(q)) == \
+            serialize_query(one_vertex_core(q))
+
+
+def test_extension_witness_is_a_homomorphism_within_the_domains():
+    rng = random.Random(41)
+    sig = [("E", 2), ("U", 1)]
+    found = missed = 0
+    for _ in range(150):
+        s = random_structure(rng, sig, rng.randint(1, 4), 0.3)
+        t = random_structure(rng, sig, rng.randint(1, 4), 0.5)
+        domains = {v: rng.sample(range(t.n), rng.randint(1, t.n))
+                   for v in s.vertices() if rng.random() < 0.5}
+        witness = {}
+        if homs.exists_extension(s, t, domains, witness):
+            found += 1
+            assert sorted(witness) == list(s.vertices())
+            for name, rel in s.relations.items():
+                for tup in rel:
+                    assert tuple(witness[v] for v in tup) in t.relations[name]
+            for v, allowed in domains.items():
+                assert witness[v] in allowed
+        else:
+            missed += 1
+            assert witness == {}
+    assert found and missed
+
+
+def test_core_reuses_one_witness_for_pendant_leaves(monkeypatch):
+    # the first search folds every leaf onto one leaf; the later leaves lie
+    # outside its image, and only that leaf needs a second, failing search
+    calls = []
+    search = homs.exists_extension
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "exists_extension", counted)
+    star = Query(graph(9, [(0, leaf) for leaf in range(1, 9)]), (0,))
+    core = homs.augmented_core(star)
+    assert core.structure.n == 2
+    assert len(calls) <= 2
+
+
 def test_domination_and_equivalence():
     edge = Query(graph(2, [(0, 1)]), (0,))
     wedge = Query(path(3), (0,))
@@ -283,6 +340,30 @@ def test_partial_automorphism_counts():
     assert homs.count_partial_automorphisms(Query(clique(3), (0, 1, 2))) == 6
     assert homs.count_partial_automorphisms(Query(path(3), (0, 2))) == 2
     assert homs.count_partial_automorphisms(Query(path(3), (0,))) == 1
+
+
+def test_partial_automorphisms_match_all_permutations():
+    from itertools import permutations
+    rng = random.Random(43)
+    for _ in range(60):
+        q = random_query(rng, 6, p=rng.choice([0.3, 0.6]))
+        s, free = q.structure, set(q.free)
+        atoms = [(rel, tup) for rel in s.relations.values() for tup in rel]
+        want = {tuple(perm[x] for x in q.free)
+                for perm in permutations(s.vertices())
+                if all(perm[x] in free for x in free)
+                and all(tuple(perm[v] for v in tup) in rel
+                        for rel, tup in atoms)}
+        assert homs._automorphism_restrictions(q) == want
+
+
+def test_partial_automorphisms_refuse_past_the_permutation_cap():
+    # 4! * 5! = 2880 free-preserving permutations pass; 9! do not
+    homs.count_partial_automorphisms(Query(path(9), (0, 2, 4, 6)))
+    with pytest.raises(BudgetError) as err:
+        homs.count_partial_automorphisms(Query(path(9), ()))
+    assert err.value.value == 362880
+    assert err.value.cap == homs.PERMUTATION_CAP
 
 
 def test_domination_agrees_with_the_surjective_map_count():
