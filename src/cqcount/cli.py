@@ -684,8 +684,9 @@ def build_parser():
                         default="auto",
                         help="dp: the tree-decomposition counter; brute: "
                              "the backtracking search; auto (default): dp "
-                             "for a plain query within DSS_CAP on a target "
-                             "that is not a complement, brute otherwise")
+                             "for a plain query within DSS_CAP and the exact "
+                             "treewidth limit, brute otherwise or once a dp "
+                             "table passes TABLE_ROWS_CAP")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
     common(sp, query=True, target=True)

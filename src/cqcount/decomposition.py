@@ -1,8 +1,12 @@
-"""Exact treewidth, nice tree decompositions, and the tree-decomposition based
+"""Exact treewidth, elimination trees, and the tree-decomposition based
 counters: the all-free DP and the fast counter that splits off quantified
-components and materializes their extendability relations.
+components and materializes their extendability relations.  The
+decomposition is the elimination tree of an exact or min-fill order: each
+vertex's bag is the vertex with its later neighbours, and the DP runs once
+per eliminated vertex.
 """
 
+from bisect import bisect
 from functools import lru_cache
 from operator import itemgetter
 
@@ -23,28 +27,22 @@ TABLE_ROWS_CAP = 2 ** 18
 
 
 class TreeDecomposition:
-    """A nice rooted tree decomposition.
+    """An elimination tree.  order lists the vertices as they are eliminated
+    and up[i] the later neighbours of order[i] at its elimination, sorted,
+    so its bag is order[i] with up[i].  Its parent is the first-eliminated
+    vertex of up[i], or the next position when up[i] is empty, which chains
+    disconnected pieces; children[i] lists the positions whose parent is i,
+    ascending.  The last vertex is the root."""
 
-    Nodes are dicts with kind in {leaf, introduce, forget, join}, a sorted bag
-    tuple, the introduced/forgotten vertex where applicable, and children.
-    The root bag is empty.  Joins appear only where the elimination tree
-    branches, so each vertex has one forget node and one introduce node, plus
-    one more introduce for each join whose bag holds it (both branches of a
-    join hold its bag).
-    """
-
-    def __init__(self, root, width):
-        self.root = root
+    def __init__(self, order, up, width):
+        self.order = list(order)
+        self.up = [tuple(sorted(later)) for later in up]
         self.width = width
-
-    def bags(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node["bag"])
-            stack.extend(node["children"])
-        return out
+        position = {v: i for i, v in enumerate(self.order)}
+        self.children = [[] for _ in self.order]
+        for i, later in enumerate(self.up[:-1]):
+            parent = min(map(position.get, later)) if later else i + 1
+            self.children[parent].append(i)
 
 
 def _components(adj, vertices):
@@ -129,99 +127,29 @@ def _elimination_width(adj, vertices):
     return width, order
 
 
-def _min_fill_order(adj, vertices):
-    work = {v: set(adj[v] & set(vertices)) for v in vertices}
-    order = []
-    remaining = set(vertices)
-    while remaining:
-        def fill(v):
-            nbrs = [u for u in work[v] if u in remaining]
-            missing = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1:]:
-                    if b not in work[a]:
-                        missing += 1
-            return (missing, len(nbrs), v)
-        v = min(remaining, key=fill)
-        nbrs = [u for u in work[v] if u in remaining]
+def _eliminate(adj, vertices, order=None):
+    """Eliminate the vertices one at a time, in the given order or else the
+    vertex of least fill first (then fewest neighbours, then the smallest),
+    joining each one's later neighbours into a clique.  Returns the order
+    and each vertex's later neighbours, sorted."""
+    among = set(vertices)
+    work = {v: adj[v] & among for v in vertices}
+
+    def fill(v):
+        nbrs = list(work[v])
+        return (sum(b not in work[a] for i, a in enumerate(nbrs)
+                    for b in nbrs[i + 1:]), len(nbrs), v)
+
+    eliminated, up = [], []
+    while work:
+        v = order[len(eliminated)] if order else min(work, key=fill)
+        nbrs = work.pop(v)
         for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    work[a].add(b)
-        order.append(v)
-        remaining.discard(v)
-    return order
-
-
-def _bags_from_order(adj, vertices, order):
-    """Simulate the elimination, producing one bag per vertex plus tree edges."""
-    work = {v: set(adj[v] & set(vertices)) for v in vertices}
-    position = {v: i for i, v in enumerate(order)}
-    bags = []
-    parent_vertex = []
-    remaining = set(vertices)
-    for v in order:
-        nbrs = sorted(u for u in work[v] if u in remaining and u != v)
-        bags.append(tuple(sorted([v] + nbrs)))
-        parent_vertex.append(min(nbrs, key=lambda u: position[u]) if nbrs else None)
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    work[a].add(b)
-        remaining.discard(v)
-    # tree edges: bag of v attaches to the bag of its first-eliminated neighbor
-    edges = []
-    for i, v in enumerate(order):
-        if parent_vertex[i] is not None:
-            edges.append((i, position[parent_vertex[i]]))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))  # chain disconnected pieces
-    return bags, edges
-
-
-def _nice_from_bags(bags, edges):
-    """A nice decomposition of the elimination tree rooted at the last bag.
-    A childless bag introduces its vertices from a leaf, those its parent
-    lacks last; a bag with one child adapts that child up to it; only a bag
-    with two or more children joins them.  Adapting forgets in reverse
-    sorted order, so the first forget above a childless bag meets the
-    introduce of the same vertex, which dp_tables fuses."""
-    def leaf():
-        return {"kind": "leaf", "bag": (), "children": []}
-
-    if not bags:
-        return leaf()
-    adj = {i: [] for i in range(len(bags))}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def adapt(node, from_bag, to_bag):
-        cur = list(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag), reverse=True):
-            cur.remove(v)
-            node = {"kind": "forget", "vertex": v, "bag": tuple(sorted(cur)),
-                    "children": [node]}
-        for v in sorted(set(to_bag) - set(from_bag)):
-            cur = sorted(cur + [v])
-            node = {"kind": "introduce", "vertex": v, "bag": tuple(cur),
-                    "children": [node]}
-        return node
-
-    def rec(i, parent):
-        bag = bags[i]
-        subs = [adapt(rec(j, i), bags[j], bag)
-                for j in sorted(adj[i]) if j != parent]
-        if not subs:
-            shared = set(bag) & set(bags[parent]) if parent is not None else ()
-            return adapt(adapt(leaf(), (), shared), shared, bag)
-        node = subs[0]
-        for sub in subs[1:]:
-            node = {"kind": "join", "bag": bag, "children": [node, sub]}
-        return node
-
-    root = len(bags) - 1
-    return adapt(rec(root, None), bags[root], ())
+            work[a] |= nbrs
+            work[a] -= {a, v}
+        eliminated.append(v)
+        up.append(tuple(sorted(nbrs)))
+    return eliminated, up
 
 
 def decompose_graph(g, exact=True):
@@ -234,51 +162,16 @@ def decompose_graph(g, exact=True):
         raise TreewidthLimitError("vertices", len(vertices),
                                   EXACT_TREEWIDTH_LIMIT,
                                   "the exact treewidth limit")
-    if exact:
-        width, order = _elimination_width(adj, vertices)
-    else:
-        order = _min_fill_order(adj, vertices)
-        width = None
-    bags, edges = _bags_from_order(adj, vertices, order)
-    if width is None:
-        width = max((len(b) - 1 for b in bags), default=-1)
-    root = _nice_from_bags(bags, edges)
-    return width, TreeDecomposition(root, width)
+    order = _elimination_width(adj, vertices)[1] if exact else None
+    order, up = _eliminate(adj, vertices, order)
+    width = max(map(len, up), default=-1)
+    return width, TreeDecomposition(order, up, width)
 
 
 def exact_treewidth(g):
-    """Exact treewidth of a graph-mode structure with a valid nice decomposition."""
+    """Exact treewidth of a graph-mode structure with an elimination tree of
+    that width."""
     return decompose_graph((gaifman_adjacency(g), list(g.vertices())))
-
-
-def validate_decomposition(td, structure):
-    """Check coverage, atom containment and connectedness of occurrences."""
-    bags = td.bags()
-    covered = set()
-    for bag in bags:
-        covered.update(bag)
-    if set(structure.vertices()) - covered:
-        return False
-    for rel in structure.relations.values():
-        for tup in rel:
-            need = set(tup)
-            if not any(need <= set(bag) for bag in bags):
-                return False
-    # connectedness: occurrences of each vertex form one subtree, i.e. at most
-    # one node contains the vertex while its parent does not
-    def occurrence_roots(v):
-        roots = 0
-        stack = [(td.root, False)]
-        while stack:
-            node, parent_has = stack.pop()
-            here = v in node["bag"]
-            if here and not parent_has:
-                roots += 1
-            for child in node["children"]:
-                stack.append((child, here))
-        return roots
-
-    return all(occurrence_roots(v) <= 1 for v in covered)
 
 
 def _key_getter(positions):
@@ -319,33 +212,34 @@ def _candidate_masks(t, name, tup, v):
 
 
 def dp_tables(structure, target, td, keep=(), domains=None):
-    """Run the counting DP over a nice decomposition of the non-keep vertices.
+    """Run the counting DP over an elimination tree of the non-keep vertices.
 
     Vertices in keep appear implicitly in every bag; the returned root table
     maps assignments of sorted(keep) to the number of homomorphisms of the
     remaining vertices consistent with that boundary assignment.
 
-    A row holds the keep columns, then the bag in sorted order.  Rows grow
-    one vertex at a time: the keep vertices at each leaf, then the vertex of
-    each introduce node.  Each atom is checked once, where its last vertex
-    enters a row.  A vertex's candidates are a bitmask over range(target.n):
-    the AND of domains[v] (when given) and, per atom the vertex completes,
-    the mask that the target's index for (symbol, positions of the vertex)
-    holds under the atom's bound values (see _candidate_masks); a missing
-    key means 0, or full for a Complement view's co-masks.  Each (key
-    columns, index) pair is checked once per step, so the two orientations
-    of an undirected edge cost one check.
-    A forget of v right above the introduce of v carries v as a mask: each
-    row below it, down the introduce chain to the first node that is not an
-    introduce (and through the keep vertices at a leaf), holds a count and
-    v's candidates.  The mask starts as v's domain ANDed with v's atoms
-    already bound there, loops included; each vertex bound after that ANDs
-    in the atoms of v it completes, and a row is dropped as soon as its mask
-    is 0.  The forget maps each row to its count times the popcount of its
-    mask, so v is never stored and the rows follow the prefixes that can
-    still extend.  The keys of every table, the root's included, are
-    exactly the assignments that extend.  The last vertex bound under a
-    fused forget stores its row's count times that popcount at once.
+    The table of an eliminated vertex v is keyed by the keep columns, then
+    v's later neighbours up in sorted order, and counts the extensions over
+    v and the vertices below it.  A childless v binds the keep columns and
+    then up, one vertex at a time.  Otherwise each child's table gains the
+    vertices of v's bag that it lacks, in sorted order, the children's
+    tables are joined, and v is summed out.  Each atom is checked once,
+    where its last vertex enters a row.  A vertex's candidates are a
+    bitmask over range(target.n): the AND of domains[v] (when given) and,
+    per atom the vertex completes, the mask that the target's index for
+    (symbol, positions of the vertex) holds under the atom's bound values
+    (see _candidate_masks); a missing key means 0, or full for a Complement
+    view's co-masks.  Each (key columns, index) pair is checked once per
+    step, so the two orientations of an undirected edge cost one check.
+    v is carried as a mask when it would be bound last: at a childless v,
+    and over a single child that lacks v after any other vertex it lacks.
+    Each row then holds a count and v's candidates.  The mask starts as
+    v's domain ANDed with v's atoms already bound, loops included; each
+    vertex bound after that ANDs in the atoms of v it completes, and a row
+    is dropped as soon as its mask is 0.  The last bind stores each row's
+    count times the popcount of its mask, so v is never stored and the rows
+    follow the prefixes that can still extend.  The keys of every table,
+    the root's included, are exactly the assignments that extend.
     A table that passes TABLE_ROWS_CAP rows while it is built raises
     BudgetError; the size is checked once per row of the table below.
     """
@@ -385,20 +279,10 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                 break
         return m
 
-    def grow(node, v=None):
-        """The table of node: its introduce chain bound vertex by vertex over
-        the first node below that is not an introduce.  With v, each row
-        carries v's mask and the table is that of the fused forget of v."""
-        chain = []
-        while node["kind"] == "introduce":
-            u = node["vertex"]
-            chain.append((u, len(keep) + node["bag"].index(u)))
-            node = node["children"][0]
-        if node["kind"] == "leaf":
-            table, cols, binds = {(): 1}, (), list(zip(keep, range(len(keep))))
-        else:
-            table, cols, binds = rec(node), keep + node["bag"], []
-        binds.extend(reversed(chain))
+    def grow(table, cols, binds, v=None):
+        """table, keyed by cols, with each vertex of binds bound in turn:
+        keep columns in order, then the others at their sorted place after
+        keep.  With v, each row carries v's mask and v is summed out."""
         start, carried = (1, ()) if v is None else (
             allowed(v), checks(v, cols).values())
         rows = {}
@@ -406,9 +290,11 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             m = narrow(start, row, carried)
             if m:
                 rows[row] = (cnt, m) if binds else cnt * m.bit_count()
-        for i, (u, at) in enumerate(binds, 1):
+        for i, u in enumerate(binds, 1):
             last = i == len(binds)
             own = checks(u, cols).values()
+            at = len(cols) if len(cols) < len(keep) else bisect(
+                cols, u, len(keep))
             cols = cols[:at] + (u,) + cols[at:]
             candidates = allowed(u)
             # v's atoms that u completes: those keyed by u alone are read
@@ -446,34 +332,32 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             rows = out
         return rows
 
-    def rec(node):
-        kind = node["kind"]
-        if kind in ("leaf", "introduce"):
-            return grow(node)
-        child = node["children"][0]
-        if kind == "forget":
-            v = node["vertex"]
-            if child["kind"] == "introduce" and child["vertex"] == v:
-                return grow(child["children"][0], v)
-            at = (keep + child["bag"]).index(v)
-            table = {}
-            for row, cnt in rec(child).items():
-                key = row[:at] + row[at + 1:]
-                table[key] = table.get(key, 0) + cnt
-            return table
-        if kind == "join":
-            small, large = rec(child), rec(node["children"][1])
-            if len(small) > len(large):
-                small, large = large, small
-            table = {}
-            for key, cnt in small.items():
-                other = large.get(key)
-                if other:
-                    table[key] = cnt * other
-            return table
-        raise ValueError("unknown node kind %r" % kind)
+    def rec(i):
+        """The table of the i-th eliminated vertex, keyed by keep + up[i]."""
+        v, up, kids = td.order[i], td.up[i], td.children[i]
+        if not kids:
+            return grow({(): 1}, (), keep + up, v)
+        bag = tuple(sorted(up + (v,)))
+        tables = []
+        for c in kids:
+            below = keep + td.up[c]
+            lack = [u for u in bag if u not in below]
+            if len(kids) == 1 and lack and lack[-1] == v:
+                return grow(rec(c), below, lack[:-1], v)
+            tables.append(grow(rec(c), below, lack) if lack else rec(c))
+        table = tables[0]
+        for other in tables[1:]:
+            small, large = sorted((table, other), key=len)
+            table = {key: cnt * large[key] for key, cnt in small.items()
+                     if key in large}
+        at = len(keep) + bag.index(v)
+        out = {}
+        for row, cnt in table.items():
+            key = row[:at] + row[at + 1:]
+            out[key] = out.get(key, 0) + cnt
+        return out
 
-    return rec(td.root)
+    return rec(len(td.order) - 1) if td.order else grow({(): 1}, (), keep)
 
 
 def count_homs_dp(structure, target, td, domains=None):
@@ -497,7 +381,7 @@ class _Part:
         self._td = None
 
     def tree(self):
-        """A nice decomposition of the component's own vertices, built on
+        """An elimination tree of the component's own vertices, built on
         first use.  Raises BudgetError, before decomposing, when the
         boundary exceeds DSS_CAP."""
         if len(self.boundary) > DSS_CAP:
@@ -553,7 +437,7 @@ class _Plan:
         self._td = None
 
     def tree(self):
-        """A nice decomposition of the derived query, built on first use."""
+        """An elimination tree of the derived query, built on first use."""
         if self._td is None:
             s = self.query.structure
             _, self._td = decompose_graph((gaifman_adjacency(s),
@@ -607,7 +491,7 @@ def count_answers_dss(q, t, domains=None):
     return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)
 
 
-def pick_method(q, t):
+def pick_method(q):
     """The counter that count tries first under "auto", and the reason when
     it is not the DP: ("dp", None) or ("brute", reason).  The DP needs a plain
     query and a plan within DSS_CAP and the exact treewidth limit; it counts
@@ -639,7 +523,7 @@ def count(q, t, domains=None, method="auto"):
 def count_and_method(q, t, domains=None, method="auto"):
     """count's value and the method that produced it: "dp" or "brute"."""
     if method == "auto":
-        method, _ = pick_method(q, t)
+        method, _ = pick_method(q)
         if method == "dp":
             try:
                 return count_answers_dss(q, t, domains=domains), "dp"

@@ -182,19 +182,16 @@ def _dual(node):
 
 
 def universal_to_existential(f):
-    """Rewrite a universal positive formula as (existential dual, complement
-    flag, number of free variables): the count on t is n^k minus the dual's
-    count on the reflexive complement of t."""
+    """The existential dual of a universal positive formula, or None when the
+    dual is false: with k free variables, the count on t is n^k minus the
+    dual's count on the reflexive complement of t."""
     if f.quantifier != "forall":
         raise ValueError("formula is not universally quantified")
     if f.negated_atoms:
         raise ValueError("universal body must be positive")
     dual = _dual(f.body)
-    if dual == _FALSE:
-        dual_formula = None
-    else:
-        dual_formula = f.replace(quantifier="exists", body=dual)
-    return dual_formula, "complement", len(f.free)
+    return None if dual == _FALSE else f.replace(quantifier="exists",
+                                                 body=dual)
 
 
 def _disjuncts(node):
@@ -334,7 +331,7 @@ def _universal_terms(f):
     bare = f.replace(quantifier="exists", quantified=[],
                      body=_conjunction(negs), negated_atoms=())
     terms = [(Fraction(1), formula_to_query(bare)[0])]
-    dual, _, _ = universal_to_existential(f.replace(negated_atoms=()))
+    dual = universal_to_existential(f.replace(negated_atoms=()))
     if dual is not None:
         dual = dual.replace(body=_conjunction([dual.body] + negs))
         terms += [(-c, q) for c, q in ep_to_quantum(dual).terms]

@@ -330,16 +330,16 @@ def star_instance(g, k):
 
 def domset_via_star_oracle(g, k, oracle=None):
     """Counts of dominating sets D_1..D_k of g, using only an oracle for the
-    color-prescribed star count.  The default oracle is decomposition.count
-    with each star vertex kept in its color class."""
+    color-prescribed star count.  The default oracle is
+    homs.count_cp_answers of the star query psi_k."""
     if not g.is_graph():
         raise ValueError("graph-mode input only")
     if oracle is None:
         psi = family_query("psi", k)
 
         def oracle(s, c):
-            classes = c.classes(psi.structure.n)
-            return decomposition.count(psi, s, dict(enumerate(classes)))
+            return homs.count_cp_answers(psi, s, c)
+
     def padded(j):
         return graph(g.n + j, graph_edges(g))
 

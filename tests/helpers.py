@@ -241,13 +241,29 @@ def naive_normalize(terms):
     return [(c, q) for c, q in merged if c != 0]
 
 
+def validate_decomposition(td, structure):
+    """Check an elimination tree's bags, order[i] with up[i]: they cover the
+    vertices, some bag holds each atom, and each vertex's bags form one
+    subtree, so exactly one of them has no parent or a parent without it."""
+    bags = [set(up) | {v} for v, up in zip(td.order, td.up)]
+    parent = {c: p for p, kids in enumerate(td.children) for c in kids}
+    covered = set().union(*bags)
+    if set(structure.vertices()) - covered:
+        return False
+    if not all(any(set(tup) <= bag for bag in bags)
+               for rel in structure.relations.values() for tup in rel):
+        return False
+    return all(sum(v in bag and (i not in parent or v not in bags[parent[i]])
+                   for i, bag in enumerate(bags)) == 1 for v in covered)
+
+
 def count_answers_dp(q, t, td):
     """All-free counting over a supplied decomposition of the Gaifman graph."""
     if set(q.free) != set(q.structure.vertices()):
         raise ValueError("count_answers_dp requires all variables free")
     if not q.is_plain():
         raise ValueError("plain CQs only")
-    if not dec.validate_decomposition(td, q.structure):
+    if not validate_decomposition(td, q.structure):
         raise ValueError("invalid tree decomposition")
     return dec.count_homs_dp(q.structure, t, td)
 

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -10,7 +10,7 @@ from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph)
 
 from helpers import (count_answers_dp, extendability_relation,
-                     random_graph, random_query)
+                     random_graph, random_query, validate_decomposition)
 
 
 def path(n):
@@ -45,14 +45,36 @@ def test_treewidth_limit_raises():
         dec.exact_treewidth(clique(dec.EXACT_TREEWIDTH_LIMIT + 1))
 
 
-def test_decompositions_validate_and_are_nice():
+def check_elimination_tree(td, g):
+    """Each vertex is eliminated once, each up[i] lies in its parent's bag,
+    the width is the largest up and the bags decompose g."""
+    assert sorted(td.order) == list(g.vertices())
+    bags = [set(up) | {v} for v, up in zip(td.order, td.up)]
+    # every vertex but the last, the root, is the child of one vertex
+    assert sorted(c for kids in td.children for c in kids) == \
+        list(range(len(bags) - 1))
+    for p, kids in enumerate(td.children):
+        for c in kids:
+            assert c < p and set(td.up[c]) <= bags[p]
+    assert td.width == max(map(len, td.up), default=-1)
+    assert validate_decomposition(td, g)
+
+
+def least_elimination_width(g):
+    """The treewidth of g as the least width over every elimination order."""
+    adj = gaifman_adjacency(g)
+    vertices = list(g.vertices())
+    return min((max(map(len, dec._eliminate(adj, vertices, order)[1]),
+                    default=-1) for order in permutations(vertices)))
+
+
+def test_exact_elimination_trees_are_valid_and_of_least_width():
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7))
         width, td = dec.exact_treewidth(g)
-        assert dec.validate_decomposition(td, g)
-        assert td.width == width
-        assert td.root["bag"] == ()
+        check_elimination_tree(td, g)
+        assert td.width == width == least_elimination_width(g)
 
 
 def test_heuristic_decomposition_is_still_valid():
@@ -61,47 +83,21 @@ def test_heuristic_decomposition_is_still_valid():
         g = random_graph(rng, rng.randint(1, 8))
         adj = {v: set(ns) for v, ns in gaifman_adjacency(g).items()}
         width, td = dec.decompose_graph((adj, list(g.vertices())), exact=False)
-        assert dec.validate_decomposition(td, g)
+        assert validate_decomposition(td, g)
         assert width >= tw(g)
 
 
-def nice_nodes(td):
-    stack = [td.root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node["children"])
-
-
-def test_nice_decompositions_have_no_redundant_nodes():
-    # one forget per vertex and one introduce, plus one more for each join
-    # holding it (both branches of a join hold its bag); joins only where
-    # the tree branches, so each leaf forgets a vertex before any join
+def test_exact_and_min_fill_elimination_trees_are_valid():
     rng = random.Random(29)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8))
         adj = {v: set(ns) for v, ns in gaifman_adjacency(g).items()}
         for exact in (True, False):
-            _, td = dec.decompose_graph((adj, list(g.vertices())), exact=exact)
-            assert dec.validate_decomposition(td, g)
-            nodes = list(nice_nodes(td))
-            kinds = [node["kind"] for node in nodes]
-            joins = [node["bag"] for node in nodes if node["kind"] == "join"]
-            for v in g.vertices():
-                assert sum(node.get("vertex") == v for node in nodes
-                           if node["kind"] == "forget") == 1
-                assert sum(node.get("vertex") == v for node in nodes
-                           if node["kind"] == "introduce") == \
-                    1 + sum(v in bag for bag in joins)
-            assert kinds.count("join") == kinds.count("leaf") - 1
-            parent_of = {id(child): node for node in nodes
-                         for child in node["children"]}
-            for node in nodes:
-                if node["kind"] != "leaf":
-                    continue
-                while id(node) in parent_of and node["kind"] != "forget":
-                    node = parent_of[id(node)]
-                    assert node["kind"] != "join"
+            width, td = dec.decompose_graph((adj, list(g.vertices())),
+                                            exact=exact)
+            check_elimination_tree(td, g)
+            assert width == td.width
+            assert width == tw(g) if exact else width >= tw(g)
 
 
 def test_dp_hom_count_matches_brute_force():
@@ -272,15 +268,16 @@ def test_count_with_domains_matches_brute_force():
 
 def test_pick_method_names_the_reason_for_brute():
     psi2 = Query(path(3), (0, 2))
-    assert dec.pick_method(psi2, path(4)) == ("dp", None)
+    assert dec.pick_method(psi2) == ("dp", None)
     side = Query(path(3), (0, 2), inequalities=[frozenset((0, 2))])
-    method, reason = dec.pick_method(side, path(4))
+    method, reason = dec.pick_method(side)
     assert method == "brute" and "inequalities" in reason
-    assert dec.pick_method(psi2, complement_structure(path(4))) == \
-        ("dp", None)
+    co = complement_structure(path(4))
+    assert dec.count_and_method(psi2, co) == \
+        (homs.count_answers(psi2, co), "dp")
     k = dec.DSS_CAP + 1
     star = Query(graph(k + 1, [(i, k) for i in range(k)]), tuple(range(k)))
-    method, reason = dec.pick_method(star, path(3))
+    method, reason = dec.pick_method(star)
     assert method == "brute" and "DSS_CAP" in reason
     # auto falls back; the DP itself refuses with a typed error
     assert dec.count(star, path(3)) == homs.count_answers(star, path(3))
@@ -433,33 +430,16 @@ def test_a_sparse_component_table_follows_its_output():
     assert peak < 2 * 2 ** 20
 
 
-def _node(kind, bag, *children, vertex=None):
-    node = {"kind": kind, "bag": bag, "children": list(children)}
-    if vertex is not None:
-        node["vertex"] = vertex
-    return node
-
-
-def _fused(v, below, bag=()):
-    """forget v over introduce v over below, whose bag is bag."""
-    intro = _node("introduce", tuple(sorted(bag + (v,))), below, vertex=v)
-    return _node("forget", bag, intro, vertex=v)
-
-
-# (vertices, keep, nice decomposition of the others, bags with keep added).
-# In the first two the fused forget of 3 carries its mask over a chain that
-# starts at a forget or at a join; in the last, 2 is carried at a leaf
-# through two keep columns and 3 over the forget of 2.
+# (vertices, keep, elimination order and later neighbours of the others,
+# bags with keep added).  In the first, 3 is carried over the bind of 2 on
+# top of the child 1, summed out at its leaf; in the second, over the bind of
+# 2 on top of 5, which joins the children 1 and 4; in the last, 2 is carried
+# at its leaf through two keep columns and 3 over the sum-out of 2.
 CARRIED_TREES = [
-    (4, (0,), _node("forget", (), _fused(
-        3, _node("introduce", (2,), _fused(1, _node("leaf", ())), vertex=2),
-        (2,)), vertex=2), [(0, 1), (0, 2, 3)]),
-    (5, (0,), _node("forget", (), _fused(
-        3, _node("introduce", (4,), _node(
-            "join", (), _fused(1, _node("leaf", ())),
-            _fused(2, _node("leaf", ()))), vertex=4), (4,)), vertex=4),
-     [(0, 1), (0, 2), (0, 3, 4)]),
-    (4, (0, 1), _fused(3, _fused(2, _node("leaf", ()))), [(0, 1, 2), (0, 1, 3)]),
+    (4, (0,), ([1, 3, 2], [(), (2,), ()]), [(0, 1), (0, 2, 3)]),
+    (6, (0,), ([1, 4, 5, 3, 2], [(5,), (5,), (), (2,), ()]),
+     [(0, 1, 5), (0, 4, 5), (0, 2, 3)]),
+    (4, (0, 1), ([2, 3], [(), ()]), [(0, 1, 2), (0, 1, 3)]),
 ]
 
 
@@ -482,11 +462,11 @@ def random_carried_instance(rng, vertices, bags):
 
 @pytest.mark.parametrize("shape", range(len(CARRIED_TREES)))
 def test_carried_mask_matches_brute_force(shape):
-    # loops on the carried vertex, keep columns it has no atom with, chains
-    # above a forget or a join, empty and disjoint domains, and complement
+    # loops on the carried vertex, keep columns it has no atom with, binds
+    # above a sum-out or a join, empty and disjoint domains, and complement
     # targets, whose co-masks default to full
-    vertices, keep, root, bags = CARRIED_TREES[shape]
-    td = dec.TreeDecomposition(root, None)
+    vertices, keep, (order, up), bags = CARRIED_TREES[shape]
+    td = dec.TreeDecomposition(order, up, None)
     rng = random.Random("carried:%d" % shape)
     for _ in range(60):
         s, t = random_carried_instance(rng, vertices, bags)
@@ -512,7 +492,7 @@ def test_carried_mask_reads_ternary_atoms_keyed_by_keep_columns():
     # R(0,1,2) is completed by keep column 1 under a two-column key, and
     # R(1,1,2) by keep column 1 alone under the key (w, w)
     signature, _, _ = INDEX_CASES["ternary-repeated-variable"]
-    td = dec.TreeDecomposition(_fused(2, _node("leaf", ())), None)
+    td = dec.TreeDecomposition([2], [()], None)
     rng = random.Random(43)
     shapes = [(0, 1, 2), (1, 1, 2), (2, 1, 0), (2, 2, 1), (1, 0, 0)]
     for _ in range(80):
@@ -550,7 +530,7 @@ def test_a_table_past_the_row_cap_raises_a_budget_error():
 def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
     monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 1000)
     t = complement_structure(path(200))
-    assert dec.pick_method(DENSE_TERM, t) == ("dp", None)
+    assert dec.pick_method(DENSE_TERM) == ("dp", None)
     tracemalloc.start()
     try:
         value, method = dec.count_and_method(DENSE_TERM, t)

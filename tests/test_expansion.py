@@ -191,7 +191,10 @@ def test_non_maximal_clique_count_on_triangle_with_pendant():
 
 def test_universal_to_existential_complements_the_body():
     f = parse_formula("formula\nfree x\nforall y\nbody E(x,y)\n")
-    dual, transform, k = expansion.universal_to_existential(f)
-    assert transform == "complement"
-    assert k == 1
+    dual = expansion.universal_to_existential(f)
     assert dual.quantifier == "exists"
+    assert (dual.free, dual.quantified) == (f.free, f.quantified)
+    assert dual.body == ("atom", "E", ("x", "y"))
+    # a body that always holds has a false dual
+    f = parse_formula("formula\nfree x\nforall y\nbody E(x,y) | true\n")
+    assert expansion.universal_to_existential(f) is None
