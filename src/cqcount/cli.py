@@ -25,17 +25,6 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-class RunConfig:
-    def __init__(self, args):
-        self.command = args.command
-        self.machine = getattr(args, "machine", False)
-        self.method = getattr(args, "method", "auto")
-        self.seed = getattr(args, "seed", 0)
-        self.trials = getattr(args, "trials", 50)
-        self.max_n = getattr(args, "max_n", 5)
-        self.args = args
-
-
 class InputError(Exception):
     pass
 
@@ -109,8 +98,8 @@ def _load_coloring(path, name_to_index):
         raise InputError("%s: %s" % (path, e))
 
 
-def _emit(cfg, pairs, text_lines=None):
-    if cfg.machine:
+def _emit(args, pairs, text_lines=None):
+    if args.machine:
         for key, value in pairs:
             print("%s=%s" % (key, value))
     else:
@@ -119,52 +108,52 @@ def _emit(cfg, pairs, text_lines=None):
             print(line)
 
 
-def _count(cfg, q, t, method, domains=None):
-    """decomposition.count_and_method under method: the value and the
+def _count(args, q, t, domains=None):
+    """decomposition.count_and_method under --method: the value and the
     method that produced it.  The DP's refusals exit 1."""
-    if method == "dp" and not q.is_plain():
+    if args.method == "dp" and not q.is_plain():
         raise InputError("--method dp supports plain queries only")
     try:
-        return dec.count_and_method(q, t, domains, method)
+        return dec.count_and_method(q, t, domains, args.method)
     except dec.BudgetError as e:
         raise InputError("%s: dp method not applicable: %s"
-                         % (cfg.args.target, e))
+                         % (args.target, e))
 
 
-def cmd_count(cfg):
-    q, _ = _load_query(cfg.args.query)
-    t = _load_structure(cfg.args.target)
+def cmd_count(args):
+    q, _ = _load_query(args.query)
+    t = _load_structure(args.target)
     if isinstance(q, ZeroWitness):
-        _emit(cfg, [("count", 0), ("method", "zero-witness")])
+        _emit(args, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
-    _check_signature([q], t, cfg.args.target)
-    value, method = _count(cfg, q, t, cfg.method)
-    _emit(cfg, [("count", value), ("method", method)])
+    _check_signature([q], t, args.target)
+    value, method = _count(args, q, t)
+    _emit(args, [("count", value), ("method", method)])
     return EXIT_OK
 
 
-def cmd_count_colored(cfg, colorful):
-    q, index = _load_query(cfg.args.query)
-    t = _load_structure(cfg.args.target)
+def cmd_count_colored(args, colorful):
+    q, index = _load_query(args.query)
+    t = _load_structure(args.target)
     if isinstance(q, ZeroWitness):
-        _emit(cfg, [("count", 0), ("method", "zero-witness")])
+        _emit(args, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
-    _check_signature([q], t, cfg.args.target)
-    c = _load_coloring(cfg.args.coloring, index)
+    _check_signature([q], t, args.target)
+    c = _load_coloring(args.coloring, index)
     try:
         c = Coloring(c.colors, t, q.structure)
     except ValueError as e:
-        raise InputError("%s: %s" % (cfg.args.coloring, e))
+        raise InputError("%s: %s" % (args.coloring, e))
     if colorful:
         value = homs.count_cf_answers(q, t, c)
     else:
         classes = c.classes(q.structure.n)
-        value, _ = _count(cfg, q, t, cfg.method, dict(enumerate(classes)))
-    _emit(cfg, [("count", value)])
+        value, _ = _count(args, q, t, dict(enumerate(classes)))
+    _emit(args, [("count", value)])
     return EXIT_OK
 
 
-def _format_report(cfg, report):
+def _format_report(report):
     pairs = [("tw", report.tw), ("tw_contract", report.tw_contract),
              ("dss", report.dss),
              ("lmn", report.lmn if report.lmn is not None else "unknown")]
@@ -186,18 +175,18 @@ def _format_report(cfg, report):
     return pairs, lines
 
 
-def cmd_params(cfg):
-    q = _load_satisfiable_query(cfg.args.query[0])
+def cmd_params(args):
+    q = _load_satisfiable_query(args.query[0])
     report = params.analyze(q)
-    pairs, lines = _format_report(cfg, report)
-    _emit(cfg, pairs, lines)
+    pairs, lines = _format_report(report)
+    _emit(args, pairs, lines)
     return EXIT_OK
 
 
-def cmd_classify(cfg):
-    queries = [_load_satisfiable_query(path) for path in cfg.args.query]
+def cmd_classify(args):
+    queries = [_load_satisfiable_query(path) for path in args.query]
     if len(queries) == 1:
-        return cmd_params(cfg)
+        return cmd_params(args)
     out = params.classify(queries)
     pairs = [("regime", out["regime"])]
     lines = ["regime: %s" % out["regime"]]
@@ -207,55 +196,55 @@ def cmd_classify(cfg):
     for i, note in enumerate(out["notes"]):
         pairs.append(("note%d" % i, note))
         lines.append("note: %s" % note)
-    _emit(cfg, pairs, lines)
+    _emit(args, pairs, lines)
     return EXIT_OK
 
 
-def cmd_minimize(cfg):
-    q = _load_satisfiable_query(cfg.args.query)
+def cmd_minimize(args):
+    q = _load_satisfiable_query(args.query)
     if not q.is_plain():
         raise InputError("minimize supports plain queries only")
     try:
         core = homs.augmented_core(q)
     except ValueError as e:
-        raise InputError("%s: %s" % (cfg.args.query, e))
+        raise InputError("%s: %s" % (args.query, e))
     sys.stdout.write(serialize_query(core))
     return EXIT_OK
 
 
-def cmd_expand(cfg):
-    text = _read(cfg.args.formula, "formula")
+def cmd_expand(args):
+    text = _read(args.formula, "formula")
     try:
         ast = parse_formula(text)
         qq = expansion.compile(ast)
     except (ParseError, ValueError) as e:
-        raise InputError("%s: %s" % (cfg.args.formula, e))
+        raise InputError("%s: %s" % (args.formula, e))
     sys.stdout.write(serialize_quantum(qq))
     return EXIT_OK
 
 
-def cmd_eval(cfg):
+def cmd_eval(args):
     try:
-        qq = parse_quantum(_read(cfg.args.quantum, "quantum query"))
+        qq = parse_quantum(_read(args.quantum, "quantum query"))
     except ParseError as e:
-        raise InputError("%s: %s" % (cfg.args.quantum, e))
-    t = _load_structure(cfg.args.target)
-    _check_signature([q for _, q in qq.terms], t, cfg.args.target)
+        raise InputError("%s: %s" % (args.quantum, e))
+    t = _load_structure(args.target)
+    _check_signature([q for _, q in qq.terms], t, args.target)
     value = quantum.evaluate(
         qq, t,
-        counter=lambda q, target: _count(cfg, q, target, cfg.method)[0])
+        counter=lambda q, target: _count(args, q, target)[0])
     if isinstance(value, Fraction):
         shown = "%d/%d" % (value.numerator, value.denominator)
     else:
         shown = str(value)
-    _emit(cfg, [("value", shown)])
+    _emit(args, [("value", shown)])
     return EXIT_OK
 
 
-def _print_gadget(cfg, out, extra_pairs=()):
+def _print_gadget(args, out, extra_pairs=()):
     pairs = list(extra_pairs) + [("relation", out.relation),
                                  ("zero", "yes" if out.zero else "no")]
-    _emit(cfg, pairs, ["relation: %s" % out.relation]
+    _emit(args, pairs, ["relation: %s" % out.relation]
           + (["count: 0"] if out.zero else []))
     if out.zero:
         return
@@ -276,22 +265,22 @@ _GADGET_NEEDS = {
 }
 
 
-def cmd_gadget(cfg):
-    name = cfg.args.name
+def cmd_gadget(args):
+    name = args.name
     for needed in _GADGET_NEEDS.get(name, ()):
-        if getattr(cfg.args, needed) is None:
+        if getattr(args, needed) is None:
             raise InputError("gadget %s needs --%s" % (name, needed))
     if name == "family":
         try:
-            q = gadgets.family_query(cfg.args.kind, cfg.args.k)
+            q = gadgets.family_query(args.kind, args.k)
         except ValueError as e:
             raise InputError("gadget family: %s" % e)
         sys.stdout.write(serialize_query(q))
         return EXIT_OK
     if name == "minor":
-        q = _load_satisfiable_query(cfg.args.query)
-        kind = cfg.args.op
-        spots = cfg.args.vertices or []
+        q = _load_satisfiable_query(args.query)
+        kind = args.op
+        spots = args.vertices or []
         if kind == "delete-vertex":
             if len(spots) != 1:
                 raise InputError("delete-vertex needs one vertex")
@@ -301,63 +290,63 @@ def cmd_gadget(cfg):
                 raise InputError("%s needs two vertices" % kind)
             op = (kind, (spots[0], spots[1]))
         try:
-            minor = gadgets.apply_query_minor(q, op)
+            minor = gadgets.query_minor_with_map(q, op)[0]
         except ValueError as e:
             raise InputError(str(e))
-        if cfg.args.target is None:
+        if args.target is None:
             sys.stdout.write(serialize_query(minor))
             return EXIT_OK
-        if cfg.args.coloring is None:
+        if args.coloring is None:
             raise InputError("the instance gadget needs --coloring")
-        t = _load_structure(cfg.args.target)
-        _check_signature([q], t, cfg.args.target)
-        c = _load_coloring(cfg.args.coloring, {})
+        t = _load_structure(args.target)
+        _check_signature([q], t, args.target)
+        c = _load_coloring(args.coloring, {})
         try:
             out = gadgets.minor_instance_gadget(q, op, t, c)
         except ValueError as e:
             raise InputError(str(e))
-        _print_gadget(cfg, out)
+        _print_gadget(args, out)
         return EXIT_OK
     if name == "uncolored-to-cp":
-        q = _load_satisfiable_query(cfg.args.query)
-        t = _load_graph(cfg.args.target)
-        _check_signature([q], t, cfg.args.target)
+        q = _load_satisfiable_query(args.query)
+        t = _load_graph(args.target)
+        _check_signature([q], t, args.target)
         try:
             out = gadgets.uncolored_to_cp_gadget(q, t)
         except ValueError as e:
-            raise InputError("%s: %s" % (cfg.args.query, e))
-        _print_gadget(cfg, out)
+            raise InputError("%s: %s" % (args.query, e))
+        _print_gadget(args, out)
         return EXIT_OK
     if name == "gamma-to-grate":
-        t = _load_structure(cfg.args.target)
-        c = _load_coloring(cfg.args.coloring, {})
+        t = _load_structure(args.target)
+        c = _load_coloring(args.coloring, {})
         try:
-            out = gadgets.gamma_to_grate_gadget(cfg.args.k, t, c)
+            out = gadgets.gamma_to_grate_gadget(args.k, t, c)
         except ValueError as e:
             raise InputError(str(e))
-        _print_gadget(cfg, out)
+        _print_gadget(args, out)
         return EXIT_OK
     if name == "gaifman-expand":
-        q = _load_satisfiable_query(cfg.args.query)
-        t = _load_structure(cfg.args.target)
+        q = _load_satisfiable_query(args.query)
+        t = _load_structure(args.target)
         # the target is colored by the query's Gaifman graph, not the query
         _check_signature([Query(gaifman_graph(q.structure), ())], t,
-                         cfg.args.target)
-        c = _load_coloring(cfg.args.coloring, {})
+                         args.target)
+        c = _load_coloring(args.coloring, {})
         try:
             out = gadgets.gaifman_expand_gadget(q, t, c)
         except ValueError as e:
             raise InputError(str(e))
-        _print_gadget(cfg, out)
+        _print_gadget(args, out)
         return EXIT_OK
     if name == "domset":
-        t = _load_graph(cfg.args.target)
+        t = _load_graph(args.target)
         try:
-            counts = gadgets.domset_via_star_oracle(t, cfg.args.k)
+            counts = gadgets.domset_via_star_oracle(t, args.k)
         except ValueError as e:
             raise InputError(str(e))
         pairs = [("D%d" % (i + 1), v) for i, v in enumerate(counts)]
-        _emit(cfg, pairs, ["dominating sets of size %d: %d" % (i + 1, v)
+        _emit(args, pairs, ["dominating sets of size %d: %d" % (i + 1, v)
                            for i, v in enumerate(counts)])
         return EXIT_OK
     raise InputError("unknown gadget %r" % name)
@@ -398,13 +387,13 @@ def _random_instance(rng, max_n):
             Structure(signature, m, target))
 
 
-def _check_dp(rng, cfg):
-    for _ in range(cfg.trials):
+def _check_dp(rng, args):
+    for _ in range(args.trials):
         if rng.random() < 0.5:
-            q = _random_query(rng, min(cfg.max_n, 5))
-            g = _random_graph(rng, rng.randint(0, cfg.max_n))
+            q = _random_query(rng, min(args.max_n, 5))
+            g = _random_graph(rng, rng.randint(0, args.max_n))
         else:
-            q, g = _random_instance(rng, min(cfg.max_n, 5))
+            q, g = _random_instance(rng, min(args.max_n, 5))
         transform = rng.choice(["identity", "complement"])
         t = complement_structure(g) if transform == "complement" else g
         domains = None
@@ -423,9 +412,9 @@ def _check_dp(rng, cfg):
     return None
 
 
-def _check_surjective_sum(rng, cfg):
+def _check_surjective_sum(rng, args):
     from itertools import combinations
-    for _ in range(max(1, cfg.trials // 5)):
+    for _ in range(max(1, args.trials // 5)):
         q = _random_query(rng, 3)
         t = _random_graph(rng, rng.randint(0, 3))
         total = homs.count_answers(q, t)
@@ -452,21 +441,24 @@ def _random_colored_target(rng, s, p):
     return t, Coloring(colors, t, s)
 
 
-def _check_cf_identity(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_cf_identity(rng, args):
+    """The colorful count is #Aut times the color-prescribed one, and the
+    interpolation through uncolored counts gives it too."""
+    for _ in range(max(1, args.trials // 5)):
         q = homs.augmented_core(_random_query(rng, 3))
         t, c = _random_colored_target(rng, q.structure, 0.7)
         cf = homs.count_cf_answers(q, t, c)
         cp = homs.count_cp_answers(q, t, c)
         aut = homs.count_partial_automorphisms(q)
-        if cf != aut * cp:
-            return "cf=%d aut=%d cp=%d query=%r" % (cf, aut, cp,
-                                                    serialize_query(q))
+        interpolated = gadgets.cf_count_via_uncolored(q, t, c)
+        if cf != aut * cp or interpolated != cf:
+            return "cf=%d interpolated=%d aut=%d cp=%d query=%r" % (
+                cf, interpolated, aut, cp, serialize_query(q))
     return None
 
 
-def _check_cp(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_cp(rng, args):
+    for _ in range(max(1, args.trials // 5)):
         q = _random_query(rng, 4)
         g, c = _random_colored_target(rng, q.structure, 0.7)
         transform = rng.choice(["identity", "complement"])
@@ -481,8 +473,8 @@ def _check_cp(rng, cfg):
     return None
 
 
-def _check_tensor(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_tensor(rng, args):
+    for _ in range(max(1, args.trials // 5)):
         q = _random_query(rng, 3)
         t1 = _random_graph(rng, rng.randint(1, 3))
         t2 = _random_graph(rng, rng.randint(1, 3))
@@ -505,8 +497,8 @@ def _retractable(q, v):
     return homs.exists_extension(aug, sub, {x: sub_free for x in q.free})
 
 
-def _check_core(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_core(rng, args):
+    for _ in range(max(1, args.trials // 5)):
         q = _random_query(rng, 4)
         core = homs.augmented_core(q)
         t = _random_graph(rng, rng.randint(0, 4))
@@ -517,8 +509,8 @@ def _check_core(rng, cfg):
     return None
 
 
-def _check_normalize(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_normalize(rng, args):
+    for _ in range(max(1, args.trials // 5)):
         n = rng.randint(1, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = rng.sample(pairs, rng.randint(0, len(pairs)))
@@ -554,9 +546,9 @@ def _check_normalize(rng, cfg):
     return None
 
 
-def _check_compile(rng, cfg):
+def _check_compile(rng, args):
     atoms = ["E(x1,y1)", "E(x1,y2)", "E(x2,y1)", "E(x1,x2)", "E(y1,y2)"]
-    for _ in range(max(1, cfg.trials // 5)):
+    for _ in range(max(1, args.trials // 5)):
         m = rng.randint(1, 2)
         disj = ["(" + " & ".join(rng.sample(atoms, rng.randint(1, 2))) + ")"
                 for _ in range(m)]
@@ -576,8 +568,8 @@ def _check_compile(rng, cfg):
     return None
 
 
-def _check_extraction(rng, cfg):
-    for _ in range(max(1, cfg.trials // 10)):
+def _check_extraction(rng, args):
+    for _ in range(max(1, args.trials // 10)):
         support = []
         while len(support) < 2:
             q = homs.augmented_core(_random_query(rng, 3))
@@ -601,8 +593,8 @@ def _check_extraction(rng, cfg):
     return None
 
 
-def _check_minor_gadgets(rng, cfg):
-    for _ in range(max(1, cfg.trials // 5)):
+def _check_minor_gadgets(rng, args):
+    for _ in range(max(1, args.trials // 5)):
         q = _random_query(rng, 4)
         edges = graph_edges(q.structure)
         if not edges:
@@ -619,8 +611,8 @@ def _check_minor_gadgets(rng, cfg):
     return None
 
 
-def _check_domset(rng, cfg):
-    for _ in range(max(1, cfg.trials // 10)):
+def _check_domset(rng, args):
+    for _ in range(max(1, args.trials // 10)):
         g = _random_graph(rng, rng.randint(1, 5))
         k = rng.randint(1, 2)
         got = gadgets.domset_via_star_oracle(g, k)
@@ -647,13 +639,13 @@ CHECKS = [
 ]
 
 
-def cmd_check(cfg):
+def cmd_check(args):
     failures = 0
     for name, fn in CHECKS:
-        rng = random.Random("%d:%s" % (cfg.seed, name))
-        counterexample = fn(rng, cfg)
+        rng = random.Random("%d:%s" % (args.seed, name))
+        counterexample = fn(rng, args)
         status = "pass" if counterexample is None else "fail"
-        if cfg.machine:
+        if args.machine:
             print("%s=%s" % (name, status))
         else:
             print("%s: %s" % (name, status))
@@ -753,8 +745,8 @@ def build_parser():
 
 COMMANDS = {
     "count": cmd_count,
-    "count-cp": lambda cfg: cmd_count_colored(cfg, colorful=False),
-    "count-cf": lambda cfg: cmd_count_colored(cfg, colorful=True),
+    "count-cp": lambda args: cmd_count_colored(args, colorful=False),
+    "count-cf": lambda args: cmd_count_colored(args, colorful=True),
     "params": cmd_params,
     "classify": cmd_classify,
     "minimize": cmd_minimize,
@@ -768,9 +760,8 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(args)
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](args)
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

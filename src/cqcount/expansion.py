@@ -15,8 +15,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .model import GRAPH_SIGNATURE, BudgetError, Query, Structure
-from .parser import (FormulaAST, ZeroWitness, eliminate_equalities,
-                     formula_to_query, to_disjunctive_normal_form)
+from .parser import (FormulaAST, ZeroWitness, _conjuncts, _partition,
+                     eliminate_equalities, formula_to_query,
+                     to_disjunctive_normal_form)
 from .quantum import QuantumQuery, normalize
 
 MAX_INEQUALITIES = 16
@@ -35,22 +36,7 @@ class FlatLattice:
 
 def _partition_key(members, pairs):
     """Canonical partition of members induced by the given merge pairs."""
-    parent = {v: v for v in members}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    blocks = {}
-    for v in members:
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+    return tuple(sorted(tuple(sorted(b)) for b in _partition(members, pairs)))
 
 
 def matroid_flats_mobius(free, inequalities):
@@ -200,19 +186,6 @@ def _disjuncts(node):
     return [node]
 
 
-def _conjunct_atoms(node):
-    if node[0] == "true":
-        return []
-    if node[0] == "atom":
-        return [node]
-    if node[0] == "and":
-        out = []
-        for c in node[1]:
-            out.extend(_conjunct_atoms(c))
-        return out
-    raise ValueError("disjunct is not a conjunction of atoms")
-
-
 def _conjunction(nodes):
     if not nodes:
         return ("true",)
@@ -243,9 +216,13 @@ def ep_to_quantum(f):
             atoms = []
             quantified = []
             for i in subset:
-                for _, sym, args in _conjunct_atoms(disjuncts[i]):
-                    atoms.append(("atom", sym,
-                                  tuple(renamed(v, i) for v in args)))
+                for leaf in _conjuncts(disjuncts[i]):
+                    if leaf[0] == "atom":
+                        atoms.append(("atom", leaf[1],
+                                      tuple(renamed(v, i) for v in leaf[2])))
+                    elif leaf[0] != "true":
+                        raise ValueError(
+                            "disjunct is not a conjunction of atoms")
                 for v in f.quantified:
                     name = renamed(v, i)
                     if name not in quantified:

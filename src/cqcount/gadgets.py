@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .model import (Coloring, Query, Structure, clone_vertices, gaifman_graph,
-                    graph, graph_edges)
+from .model import (Coloring, Query, Structure, clone_vertices,
+                    gaifman_adjacency, gaifman_graph, graph, graph_edges)
 from . import decomposition, homs
-from .quantum import solve_rational
+from .quantum import row_reduce
 
 
 class GadgetOutput:
@@ -92,16 +92,10 @@ def omega_positions(k):
 # ---------------------------------------------------------------------------
 # query minors
 
-def apply_query_minor(q, op):
-    """Apply one minor operation (delete-vertex v, delete-edge (u,v),
-    contract-edge (u,v)) to a graph-mode query."""
-    minor, _ = query_minor_with_map(q, op)
-    return minor
-
-
 def query_minor_with_map(q, op):
-    """As apply_query_minor, also returning the old-to-new vertex map
-    (contracted pairs map to the merged vertex)."""
+    """Apply one minor operation (delete-vertex v, delete-edge (u,v),
+    contract-edge (u,v)) to a graph-mode query.  Returns the minor and the
+    old-to-new vertex map (contracted pairs map to the merged vertex)."""
     if not q.structure.is_graph():
         raise ValueError("minor operations need a graph-mode query")
     kind, arg = op
@@ -261,10 +255,11 @@ def cf_count_via_uncolored(q, t, c, counter=None):
         return 1 if counter(q, t) else 0
     nodes = list(range(1, ell + 2))
     # rows 0 and 1 of the inverse of V[i][j] = nodes[i]**j: row r solves
-    # V^T x = e_r
-    vt = [[node ** j for node in nodes] for j in range(len(nodes))]
-    inv = [solve_rational(vt, [int(i == r) for i in range(len(nodes))])
-           for r in (0, 1)]
+    # V^T x = e_r, read off one reduction of [V^T | e_0 e_1]
+    d = len(nodes)
+    rref, _ = row_reduce([[node ** j for node in nodes]
+                          + [int(j == 0), int(j == 1)] for j in range(d)])
+    inv = [[row[d + r] for row in rref] for r in (0, 1)]
     want = [1 if v in set(q.free) else 0 for v in range(k)]
     total = Fraction(0)
     for grid in product(range(len(nodes)), repeat=k):
@@ -280,14 +275,6 @@ def cf_count_via_uncolored(q, t, c, counter=None):
     return int(total)
 
 
-def cp_count_via_uncolored(q, t, c, counter=None):
-    cf = cf_count_via_uncolored(q, t, c, counter=counter)
-    aut = homs.count_partial_automorphisms(q)
-    if cf % aut:
-        raise AssertionError("colorful count not divisible by #Aut")
-    return cf // aut
-
-
 # ---------------------------------------------------------------------------
 # dominating sets via the star query
 
@@ -298,10 +285,7 @@ def count_surjections(i, j):
 
 
 def _dominates(g, image):
-    adj = {v: set() for v in g.vertices()}
-    for (a, b) in graph_edges(g):
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = gaifman_adjacency(g)
     s = set(image)
     return all(v in s or adj[v] & s for v in g.vertices())
 

@@ -141,12 +141,9 @@ def count_cf_answers(q, t, c):
                    colors=c.colors)
 
 
-def count_surjective_answers(q, t, z):
-    """Answers whose image on the free vertices is exactly the set z."""
-    return _surjective_search(q, t, z)
-
-
-def _surjective_search(q, t, z, first=False):
+def count_surjective_answers(q, t, z, first=False):
+    """Answers whose image on the free vertices is exactly the set z.  With
+    first, the search stops at the first such answer."""
     zset = set(z)
     if len(zset) > len(q.free):
         return 0
@@ -248,17 +245,8 @@ def dominates(q1, q2):
     if q1.structure.signature != q2.structure.signature:
         raise ValueError("signature mismatch")
     # one accepted answer decides, so the search stops at the first
-    return _surjective_search(Query(q1.structure, q1.free), q2.structure,
-                              q2.free, first=True) > 0
-
-
-def count_surjective_extendable_maps(q1, q2):
-    """Number of surjections s: X1 ->> X2 extendable to a homomorphism H1 -> H2:
-    the answers of (H1, X1) on H2 whose free image is exactly X2."""
-    if q1.structure.signature != q2.structure.signature:
-        raise ValueError("signature mismatch")
     return count_surjective_answers(Query(q1.structure, q1.free),
-                                    q2.structure, q2.free)
+                                    q2.structure, q2.free, first=True) > 0
 
 
 def are_equivalent(q1, q2):

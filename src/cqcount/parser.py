@@ -117,6 +117,8 @@ def parse_structure(text):
             if graph_mode and sig.symbols != GRAPH_SIGNATURE:
                 raise ParseError("graph mode requires the signature E/2", lineno)
         elif head == "domain":
+            if n is not None:
+                raise ParseError("duplicate domain line", lineno)
             if len(tokens) != 2:
                 raise ParseError("expected 'domain <n>'", lineno)
             try:
@@ -304,19 +306,31 @@ class _ExprParser:
         return ("atom", tok, tuple(args))
 
 
-def _flatten_conjunction(node):
-    """Top-level conjuncts of a body expression, or None if not a conjunction."""
+def _conjuncts(node):
+    """The leaves of the top "and" tree of a body expression; the callers
+    check which leaf kinds they allow."""
     if node[0] == "and":
-        out = []
-        for child in node[1]:
-            sub = _flatten_conjunction(child)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    if node[0] in ("atom", "not", "true"):
-        return [node]
-    return None
+        return [leaf for child in node[1] for leaf in _conjuncts(child)]
+    return [node]
+
+
+def _partition(members, pairs):
+    """The blocks of members that the pairs merge, by union-find: each block
+    lists its members in input order, the blocks by their first member."""
+    parent = {v: v for v in members}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in members:
+        blocks.setdefault(find(v), []).append(v)
+    return list(blocks.values())
 
 
 def parse_formula(text):
@@ -398,16 +412,8 @@ def parse_formula(text):
                 raise ParseError("unbound variable %r" % v, body_line)
 
     # negations must sit in the top-level conjunction and touch only free vars
-    def top_conjuncts(node):
-        if node[0] == "and":
-            out = []
-            for child in node[1]:
-                out.extend(top_conjuncts(child))
-            return out
-        return [node]
-
     positive = []
-    for node in top_conjuncts(body):
+    for node in _conjuncts(body):
         if node[0] == "not":
             _, sym, args = node[1]
             check_atom(sym, args)
@@ -455,7 +461,7 @@ def parse_formula(text):
     if is_query:
         if quantifier == "forall":
             raise ParseError("a query cannot be universally quantified")
-        if _flatten_conjunction(body) is None:
+        if any(node[0] not in ("atom", "true") for node in _conjuncts(body)):
             raise ParseError("query bodies must be conjunctions of atoms")
 
     return FormulaAST(sig, free, quantifier, quantified, body,
@@ -469,25 +475,10 @@ def eliminate_equalities(f):
     in graph mode, or an inequality collapsing)."""
     if not f.equalities:
         return f
-    parent = {v: v for v in f.variables()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in f.equalities:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
     fset = set(f.free)
     # pick a free representative whenever the class contains one
     rep = {}
-    classes = {}
-    for v in f.variables():
-        classes.setdefault(find(v), []).append(v)
-    for members in classes.values():
+    for members in _partition(f.variables(), f.equalities):
         free_members = [v for v in members if v in fset]
         choice = free_members[0] if free_members else members[0]
         for v in members:
@@ -563,8 +554,8 @@ def formula_to_query(f):
         raise ValueError("eliminate equalities first")
     if f.quantifier == "forall":
         raise ValueError("universal formulas are not conjunctive queries")
-    conjuncts = _flatten_conjunction(f.body)
-    if conjuncts is None:
+    conjuncts = _conjuncts(f.body)
+    if any(node[0] not in ("atom", "not", "true") for node in conjuncts):
         raise ValueError("body is not a conjunction")
     order = f.free + f.quantified
     index = {v: i for i, v in enumerate(order)}
@@ -681,7 +672,13 @@ def parse_quantum(text):
         if coeff == 0:
             raise ParseError("zero coefficient", lineno)
         qtext = "\n".join(text_line for _, text_line in body[1:])
-        q = parse_query(qtext)
+        try:
+            q = parse_query(qtext)
+        except ParseError:
+            raise
+        except ValueError as e:
+            # a formula block that is not a conjunctive query
+            raise ParseError(str(e), lineno)
         if isinstance(q, ZeroWitness):
             raise ParseError("unsatisfiable constituent", lineno)
         terms.append((coeff, q))

@@ -6,8 +6,7 @@ through tensor products with a cloning test family.
 from fractions import Fraction
 from itertools import product
 
-from .model import (Query, clone_by_multiplicity, complement_structure,
-                    tensor_product)
+from .model import clone_by_multiplicity, complement_structure, tensor_product
 from . import decomposition, homs
 
 
@@ -100,49 +99,28 @@ def evaluate(qq, t, counter=None):
     return total
 
 
-def sorted_support(support):
-    """Support sorted consistently with the surjective-extendable-map order:
-    whenever q_j admits such a map from q_i, q_j comes no later than q_i."""
-    items = sorted(support, key=_term_key)
-    remaining = list(items)
-    out = []
-    while remaining:
-        for q in remaining:
-            if all(q2 is q or not homs.dominates(q, q2) or
-                   homs.are_equivalent(q, q2) for q2 in remaining):
-                out.append(q)
-                remaining.remove(q)
-                break
-        else:
-            raise AssertionError("cycle of non-equivalent dominations")
-    return out
-
-
-def surjective_map_matrix(support):
-    """L[i][j] = number of surjective extendable maps from support[i] onto
-    support[j]; lower-triangular with positive diagonal on a sorted minimal
-    support."""
-    return [[homs.count_surjective_extendable_maps(qi, qj) for qj in support]
-            for qi in support]
-
-
-def _rank_and_basis(columns, rows):
-    """Greedy column selection to full row rank, by rational elimination."""
-    chosen = []
-    basis = []
-    for idx, col in enumerate(columns):
-        vec = [Fraction(x) for x in col]
-        for b in basis:
-            pivot = next(i for i, x in enumerate(b) if x != 0)
-            if vec[pivot] != 0:
-                f = vec[pivot] / b[pivot]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        if any(x != 0 for x in vec):
-            basis.append(vec)
-            chosen.append(idx)
-        if len(chosen) == rows:
+def row_reduce(matrix):
+    """Reduced row-echelon form of matrix over the rationals, and its pivot
+    columns: the greedy left-to-right independent set of columns.  The pass
+    stops once the rank equals the row count."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return chosen
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        f = rows[r][col]
+        rows[r] = [x / f for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def build_test_family(support, counter=None):
@@ -162,8 +140,8 @@ def build_test_family(support, counter=None):
             if cloned not in seen:
                 seen.add(cloned)
                 candidates.append(cloned)
-    columns = [[counter(q, f) for q in support] for f in candidates]
-    chosen = _rank_and_basis(columns, len(support))
+    _, chosen = row_reduce([[counter(q, f) for f in candidates]
+                            for q in support])
     if len(chosen) < len(support):
         raise AssertionError("cloning family does not reach full rank; "
                              "support is not minimal and non-equivalent")
@@ -173,20 +151,10 @@ def build_test_family(support, counter=None):
 def solve_rational(a, b):
     """Solve the square system a x = b exactly; raises on a singular matrix."""
     d = len(b)
-    mat = [[Fraction(x) for x in row] + [Fraction(b[i])]
-           for i, row in enumerate(a)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system; invalid or non-minimal support")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        f = mat[col][col]
-        mat[col] = [x / f for x in mat[col]]
-        for r in range(d):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return [mat[i][d] for i in range(d)]
+    rref, pivots = row_reduce([list(row) + [b[i]] for i, row in enumerate(a)])
+    if pivots != list(range(d)):
+        raise ValueError("singular system; invalid or non-minimal support")
+    return [row[d] for row in rref]
 
 
 def extract_constituent_counts(qq, t, oracle=None, counter=None):

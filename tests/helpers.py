@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from cqcount import decomposition as dec
-from cqcount import homs
+from cqcount import gadgets, homs, quantum
 from cqcount.model import (Coloring, Query, Structure, graph, graph_edges,
                            induced_substructure)
 
@@ -283,3 +283,48 @@ def disjoint_union(s, t):
         rels[name] = set(s.relations[name]) | set(
             tuple(v + s.n for v in tup) for tup in t.relations[name])
     return Structure(s.signature, s.n + t.n, rels)
+
+
+def count_surjective_extendable_maps(q1, q2):
+    """Number of surjections s: X1 ->> X2 extendable to a homomorphism H1 -> H2:
+    the answers of (H1, X1) on H2 whose free image is exactly X2."""
+    if q1.structure.signature != q2.structure.signature:
+        raise ValueError("signature mismatch")
+    return homs.count_surjective_answers(Query(q1.structure, q1.free),
+                                         q2.structure, q2.free)
+
+
+def sorted_support(support):
+    """Support sorted consistently with the surjective-extendable-map order:
+    whenever q_j admits such a map from q_i, q_j comes no later than q_i."""
+    items = sorted(support, key=quantum._term_key)
+    remaining = list(items)
+    out = []
+    while remaining:
+        for q in remaining:
+            if all(q2 is q or not homs.dominates(q, q2) or
+                   homs.are_equivalent(q, q2) for q2 in remaining):
+                out.append(q)
+                remaining.remove(q)
+                break
+        else:
+            raise AssertionError("cycle of non-equivalent dominations")
+    return out
+
+
+def surjective_map_matrix(support):
+    """L[i][j] = number of surjective extendable maps from support[i] onto
+    support[j]; lower-triangular with positive diagonal on a sorted minimal
+    support."""
+    return [[count_surjective_extendable_maps(qi, qj) for qj in support]
+            for qi in support]
+
+
+def cp_count_via_uncolored(q, t, c, counter=None):
+    """Color-prescribed count from the interpolated colorful count, divided by
+    the number of partial automorphisms."""
+    cf = gadgets.cf_count_via_uncolored(q, t, c, counter=counter)
+    aut = homs.count_partial_automorphisms(q)
+    if cf % aut:
+        raise AssertionError("colorful count not divisible by #Aut")
+    return cf // aut

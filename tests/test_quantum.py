@@ -7,7 +7,8 @@ from cqcount import homs, quantum
 from cqcount.model import Query, Signature, complement_structure, graph
 
 from helpers import (explicit_complement, naive_normalize, random_graph,
-                     random_query, random_structure, relabelled)
+                     random_query, random_structure, relabelled,
+                     sorted_support, surjective_map_matrix)
 
 
 def triangle():
@@ -109,9 +110,9 @@ def test_surjective_map_matrix_is_lower_triangular():
     rng = random.Random(3)
     for _ in range(30):
         support = distinct_support(rng, rng.randint(1, 3))
-        s = quantum.sorted_support(support)
+        s = sorted_support(support)
         assert sorted(map(id, s)) == sorted(map(id, support))
-        mat = quantum.surjective_map_matrix(s)
+        mat = surjective_map_matrix(s)
         for i in range(len(s)):
             assert mat[i][i] > 0
             for j in range(i + 1, len(s)):
@@ -121,14 +122,27 @@ def test_surjective_map_matrix_is_lower_triangular():
 def test_build_test_family_is_square_and_invertible():
     rng = random.Random(5)
     for _ in range(10):
-        support = quantum.sorted_support(distinct_support(rng, 2))
+        support = sorted_support(distinct_support(rng, 2))
         family = quantum.build_test_family(support)
         assert len(family) == len(support)
         rows = [[homs.count_answers(q, f) for f in family] for q in support]
         # the family certifies independence: the count matrix is invertible
-        det_cols = list(zip(*rows))
-        chosen = quantum._rank_and_basis(det_cols, len(support))
-        assert len(chosen) == len(support)
+        assert len(quantum.row_reduce(rows)[1]) == len(support)
+
+
+def test_row_reduce_skips_a_dependent_column():
+    # the middle column is twice the first, so the pivots skip it
+    rref, pivots = quantum.row_reduce([[1, 2, 0], [3, 6, 1]])
+    assert pivots == [0, 2]
+    assert rref == [[1, 2, 0], [0, 0, 1]]
+
+
+def test_solve_rational_solves_and_rejects_a_singular_matrix():
+    assert quantum.solve_rational([[2, 1], [1, 3]], [3, 4]) == [1, 1]
+    with pytest.raises(ValueError, match="singular"):
+        quantum.solve_rational([[1, 2], [2, 4]], [1, 3])
+    with pytest.raises(ValueError, match="singular"):
+        quantum.solve_rational([[1, 2], [2, 4]], [1, 2])
 
 
 def test_extraction_known_values():
