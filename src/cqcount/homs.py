@@ -5,17 +5,24 @@ apart from count_cp_answers, which counts through decomposition.count.  Its
 oracle is count_answers with the color classes as domains.
 
 Every count runs one search, planned once per call: the free vertices are
-assigned first, each answer candidate passes one accept test, and then the
-quantified vertices are searched until the first extension is found.  A
-search for one extension can hand back the map it found; augmented_core
-searches into the query itself and reuses each found retraction's image to
-answer the later deletion tests without searching.
+bound first, then the quantified vertices until the first extension is
+found.  Each atom is tested where its last vertex is bound, each inequality
+and negated atom where its later free vertex is, and a colorful count
+skips a color already taken; each free prefix that passes them meets one
+accept test.  A position scans its domain until the candidates it has
+scanned outnumber its first stored atom's facts, and then reads them from
+that atom's index, built for the call (see _search).  A Complement view is
+only ever tested by membership.  A search for one extension can hand back
+the map it found; augmented_core searches into the query itself and reuses
+each found retraction's image to answer the later deletion tests without
+searching.
 """
 
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
-from .model import (BudgetError, Query, Signature, Structure,
+from .model import (BudgetError, Complement, Query, Signature, Structure,
                     gaifman_adjacency, induced_substructure)
 
 AUX_SYMBOL = "Xaux"
@@ -25,25 +32,79 @@ AUX_SYMBOL = "Xaux"
 PERMUTATION_CAP = 40320
 
 
-def _plan(structure, free):
-    """The search order and, per position, the atoms completed there.
+def _tuple_getter(places):
+    """A function giving a sequence's values at places, always as a tuple:
+    itemgetter, which gives a bare value for a single place, wrapped."""
+    if len(places) == 1:
+        p, = places
+        return lambda s: (s[p],)
+    return itemgetter(*places) if places else lambda s: ()
+
+
+def _plan(q, t):
+    """The search order and, per position: the tests a candidate there must
+    pass, as (getter of the positions' values, target relation, whether the
+    values must lie in it), first the atoms whose last vertex it is, then
+    the negated atoms whose last free vertex it is; the getter of the
+    earlier positions it must differ from by an inequality, or None; and its
+    lead, the first of those atoms on a stored relation (not a Complement
+    view), as (place in the tests, relation, positions), or None.
 
     The free vertices come first in the given order, then the quantified
-    vertices by descending Gaifman degree, index as tie-break.  Each atom is
-    checked at the position of its last vertex, written as a tuple of
-    positions, so atoms among free vertices prune the free prefix."""
-    adj = gaifman_adjacency(structure)
-    fset = set(free)
-    rest = sorted((v for v in structure.vertices() if v not in fset),
+    vertices by descending Gaifman degree, index as tie-break.  So atoms,
+    inequalities and negated atoms among free vertices all prune the free
+    prefix."""
+    adj = gaifman_adjacency(q.structure)
+    fset = set(q.free)
+    rest = sorted((v for v in q.structure.vertices() if v not in fset),
                   key=lambda v: (-len(adj[v]), v))
-    order = list(free) + rest
+    order = list(q.free) + rest
     pos = {v: i for i, v in enumerate(order)}
-    checks = [[] for _ in order]
-    for name, rel in structure.relations.items():
+    atoms = [[] for _ in order]
+    for name, rel in q.structure.relations.items():
         for tup in rel:
             at = tuple(pos[v] for v in tup)
-            checks[max(at)].append((name, at))
-    return order, checks
+            atoms[max(at)].append((t.relations[name], at))
+    tests = [[(_tuple_getter(at), rel, True) for rel, at in here]
+             for here in atoms]
+    for sym, args in q.negated_atoms:
+        at = tuple(pos[v] for v in args)
+        tests[max(at)].append((_tuple_getter(at), t.relations[sym], False))
+    earlier = [[] for _ in order]
+    for pair in q.inequalities:
+        i, j = sorted(pos[v] for v in pair)
+        earlier[j].append(i)
+    unequal = [_tuple_getter(ps) if ps else None for ps in earlier]
+    lead = [next(((j, rel, at) for j, (rel, at) in enumerate(here)
+                  if not isinstance(rel, Complement)), None)
+            for here in atoms]
+    return order, tests, unequal, lead
+
+
+def _index(rel, at, i, cands):
+    """Position i's candidates that complete a fact of rel on the atom at,
+    under the values at the atom's earlier positions.  Returns the index and
+    the getter of its key from the search's values.  Where a position
+    repeats in at, a fact whose values there disagree completes nothing.
+    Each list keeps the order of cands, which the scan would take, so a
+    search finds the same first witness either way."""
+    places = {}  # position -> its first place in the atom
+    for j, p in enumerate(at):
+        places.setdefault(p, j)
+    same = [(j, places[p]) for j, p in enumerate(at) if places[p] != j]
+    earlier = [p for p in places if p != i]
+    key = _tuple_getter([places[p] for p in earlier])
+    here = places[i]
+    rank = {w: r for r, w in enumerate(cands)}
+    index = {}
+    for fact in rel:
+        w = fact[here]
+        if w in rank and (not same or all(fact[j] == fact[f]
+                                           for j, f in same)):
+            index.setdefault(key(fact), []).append(w)
+    for ws in index.values():
+        ws.sort(key=rank.__getitem__)
+    return index, _tuple_getter(earlier)
 
 
 def _search(q, t, domains=None, accept=None, colors=None, first=False,
@@ -57,41 +118,77 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False,
     0..n-1 of q.structure count.  With first, the search stops at the first
     answer, so it returns 1 when one exists and 0 otherwise.
 
+    The search binds one position at a time (see _plan) and rejects a
+    candidate as soon as one of its tests fails: an atom at its last vertex,
+    an inequality or a negated atom at its later free vertex.  accept runs
+    once per free prefix that passed them.  With colors, a candidate is
+    skipped unless its color is one of 0..n-1 that no earlier position took:
+    the n positions must meet n colors, so the colors along an extension
+    that counts are distinct, and a complete map built this way meets them
+    all.  No test is left at the leaf.
+
+    A position draws its candidates from its domain, or from range(t.n).
+    When it has a lead atom (one on a stored relation: a Complement view is
+    only ever tested by membership), it counts the candidates it is handed
+    to scan, and once that count passes the size of the lead's relation, it
+    builds the lead's index (see _index) and from then on reads its
+    candidates from the index under the earlier values.  So an index never
+    costs more than the scans it replaces, and a search into a small
+    structure, such as the compiler's, mostly keeps scanning.  The index
+    lives for this call only.
+
     witness, a dict, receives the homomorphism found (vertex of q to vertex
     of t) when the search ends at its first extension, that is with first or
     without free vertices, and stays as it was when there is none.  rec
     returns as soon as an extension is complete, so a[] then holds it."""
-    order, checks = _plan(q.structure, q.free)
+    order, tests, unequal, lead = _plan(q, t)
     k = len(q.free)
-    rels = t.relations
+    last = len(order)
+    # a domain is a set of candidates: a repeated one counts once, as it
+    # does in an index
     cands = [range(t.n) if domains is None or domains.get(v) is None
-             else domains[v] for v in order]
-    ineqs = [tuple(q.free.index(x) for x in pair) for pair in q.inequalities]
-    negs = [(rels[sym], tuple(q.free.index(x) for x in args))
-            for sym, args in q.negated_atoms]
-    every_color = set(range(q.structure.n))
-    a = [None] * len(order)  # a[i] is the image of order[i]
-
-    def accepted(vals):
-        return (all(vals[i] != vals[j] for i, j in ineqs)
-                and not any(tuple(vals[i] for i in args) in rel
-                            for rel, args in negs)
-                and (accept is None or accept(vals)))
+             else list(dict.fromkeys(domains[v])) for v in order]
+    # per position: the candidates scanned so far and, once it switched,
+    # (its lead's index, the index's key getter, the tests left beside it)
+    scanned = [0] * last
+    indexed = [None] * last
+    left = set(range(q.structure.n))  # the colors no position has taken
+    a = [None] * last  # a[i] is the image of order[i]
 
     def rec(i):
-        if i == k and not accepted(a[:k]):
+        if i == k and accept is not None and not accept(a[:k]):
             return 0
-        if i == len(order):
-            return int(colors is None or
-                       {colors[w] for w in a} == every_color)
+        if i == last:
+            return 1
+        if (indexed[i] is None and lead[i] is not None
+                and scanned[i] > len(lead[i][1])):
+            j, rel, at = lead[i]
+            indexed[i] = (_index(rel, at, i, cands[i])
+                          + (tests[i][:j] + tests[i][j + 1:],))
+        if indexed[i] is not None:
+            index, key, checks = indexed[i]
+            pool = index.get(key(a), ())
+        else:
+            pool, checks = cands[i], tests[i]
+            scanned[i] += len(pool)
+        differ = unequal[i]
         total = 0
-        for w in cands[i]:
+        for w in pool:
+            if differ is not None and w in differ(a):
+                continue
+            if colors is not None and colors[w] not in left:
+                continue
             a[i] = w
-            for name, at in checks[i]:
-                if tuple(a[p] for p in at) not in rels[name]:
+            for get, rel, want in checks:
+                if (get(a) in rel) is not want:
                     break
             else:
-                found = rec(i + 1)
+                if colors is None:
+                    found = rec(i + 1)
+                else:
+                    left.remove(colors[w])
+                    found = rec(i + 1)
+                    left.add(colors[w])
                 # one extension decides a quantified suffix; with first,
                 # one answer decides the whole search
                 if found and (i >= k or first):

@@ -88,12 +88,14 @@ class Structure:
                 raise ValueError("unknown relation symbol %s" % name)
         self.relations = rels
         self.masks = {}  # the fast counter's index; relations are immutable
+        self._hash = None  # computed on first use, for the same reason
 
     @classmethod
     def _trusted(cls, signature, n, relations):
         """The constructor minus its per-tuple pass, for valid relations."""
         s = cls.__new__(cls)
         s.signature, s.n, s.relations, s.masks = signature, n, relations, {}
+        s._hash = None
         return s
 
     def __eq__(self, other):
@@ -101,8 +103,10 @@ class Structure:
                 and self.n == other.n and self.relations == other.relations)
 
     def __hash__(self):
-        return hash((self.signature, self.n,
-                     tuple(sorted((k, tuple(sorted(v))) for k, v in self.relations.items()))))
+        if self._hash is None:
+            self._hash = hash((self.signature, self.n, tuple(sorted(
+                (k, tuple(sorted(v))) for k, v in self.relations.items()))))
+        return self._hash
 
     def __repr__(self):
         sizes = {k: len(v) for k, v in self.relations.items()}

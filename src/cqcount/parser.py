@@ -15,6 +15,7 @@ IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
+        self.message = message
         self.line = line
         self.col = col
         where = ""
@@ -674,8 +675,11 @@ def parse_quantum(text):
         qtext = "\n".join(text_line for _, text_line in body[1:])
         try:
             q = parse_query(qtext)
-        except ParseError:
-            raise
+        except ParseError as e:
+            # e.line counts the block's query lines: name the file's line,
+            # or the block's coeff line where e names none
+            line = lineno if e.line is None else body[e.line][0]
+            raise ParseError(e.message, line, e.col) from None
         except ValueError as e:
             # a formula block that is not a conjunctive query
             raise ParseError(str(e), lineno)

@@ -201,6 +201,18 @@ def test_eval_of_a_block_that_is_not_a_query_gives_exit_code_one(tmp_path,
         assert err.startswith("error: %s: " % qq) and "(line 2)" in err
 
 
+def test_eval_names_the_file_line_of_an_error_in_a_later_block(tmp_path,
+                                                              capsys):
+    t = write(tmp_path, "t", P3)
+    qq = write(tmp_path, "qq",
+               "coeff 1/1\nquery\nfree x y\nbody E(x,y)\n---\n"
+               "coeff -1/1\nquery\nfree x\nbody E(x,z)\n")
+    code, out, err = run(capsys, ["eval", "--quantum", qq, "--target", t])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: " % qq)
+    assert "unbound variable 'z' (line 9)" in err
+
+
 def test_check_suite_passes_and_is_deterministic(tmp_path, capsys):
     argv = ["check", "--trials", "10", "--max-n", "4", "--seed", "1",
             "--machine"]

@@ -4,13 +4,13 @@ from itertools import product
 import pytest
 
 from cqcount import homs
-from cqcount.model import (BudgetError, Coloring, Query, Signature, Structure,
-                           complement_structure, graph)
+from cqcount.model import (BudgetError, Coloring, Complement, Query,
+                           Signature, Structure, complement_structure, graph)
 from cqcount.parser import parse_query, serialize_query
 
-from helpers import (count_surjective_extendable_maps, min_retract_size,
-                     one_vertex_core, random_colored_instance, random_graph,
-                     random_query)
+from helpers import (count_surjective_extendable_maps, explicit_complement,
+                     min_retract_size, one_vertex_core, random_colored_instance,
+                     random_graph, random_query)
 
 
 def path(n):
@@ -21,13 +21,16 @@ def clique(n):
     return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def brute_answers(q, t):
-    """Reference count by full enumeration over all free assignments."""
+def brute_answers(q, t, domains=None):
+    """Reference count by full enumeration over all free assignments, each
+    vertex v kept in domains[v] when given."""
     total = 0
     free = list(q.free)
     quantified = q.quantified()
     order = free + quantified
-    for values in product(range(t.n), repeat=len(order)):
+    pools = [range(t.n) if domains is None or domains.get(v) is None
+             else domains[v] for v in order]
+    for values in product(*pools):
         a = dict(zip(order, values))
         if any(a[u] == a[v] for block in q.inequalities
                for u in block for v in block if u < v):
@@ -42,7 +45,7 @@ def brute_answers(q, t):
     if quantified:
         seen = set()
         total = 0
-        for values in product(range(t.n), repeat=len(order)):
+        for values in product(*pools):
             a = dict(zip(order, values))
             if any(a[u] == a[v] for block in q.inequalities
                    for u in block for v in block if u < v):
@@ -130,6 +133,112 @@ def test_unary_and_directed_relations():
         q = Query(random_structure(rng, sig, n, 0.25), random_free(rng, n))
         t = random_structure(rng, sig, rng.randint(0, 4), 0.4)
         assert homs.count_answers(q, t) == brute_answers(q, t)
+
+
+def random_side_constraints(rng, q, symbols):
+    """q with random inequalities and negated atoms on its free vertices."""
+    free = list(q.free)
+    ineqs = {frozenset(pair) for pair in product(free, free)
+             if pair[0] < pair[1] and rng.random() < 0.3}
+    negs = {(name, args) for name, arity in symbols
+            for args in product(free, repeat=arity) if rng.random() < 0.15}
+    return Query(q.structure, q.free, inequalities=ineqs, negated_atoms=negs)
+
+
+def test_search_on_complement_targets_never_walks_a_view(monkeypatch):
+    # a Complement view is only ever tested by membership: the positions
+    # whose atoms lie on views scan, the others may switch to an index
+    def walk(view):
+        raise AssertionError("the search iterated a Complement view")
+
+    monkeypatch.setattr(Complement, "__iter__", walk)
+    built = counted_indexes(monkeypatch)
+    rng = random.Random(59)
+    sig = [("U", 1), ("E", 2)]
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        q = random_side_constraints(rng, Query(
+            random_structure(rng, sig, n, 0.3), random_free(rng, n)), sig)
+        s = random_structure(rng, sig, rng.randint(1, 6), 0.4)
+        views, stored = complement_structure(s), explicit_complement(s)
+        mixed = Structure(Signature(sig), s.n, {"U": s.relations["U"],
+                                                "E": views.relations["E"]})
+        mixed_ref = Structure(Signature(sig), s.n, {
+            "U": s.relations["U"], "E": stored.relations["E"]})
+        domains = {v: sorted(rng.sample(range(s.n), rng.randint(0, s.n)))
+                   for v in range(n) if rng.random() < 0.4}
+        for target, ref in ((views, stored), (mixed, mixed_ref)):
+            assert homs.count_answers(q, target, domains) == \
+                brute_answers(q, ref, domains)
+    assert built and not any(isinstance(rel, Complement) for rel in built)
+
+
+def counted_indexes(monkeypatch):
+    """The relations whose index a search builds, recorded as it builds."""
+    built = []
+    index = homs._index
+
+    def counted(rel, *args):
+        built.append(rel)
+        return index(rel, *args)
+
+    monkeypatch.setattr(homs, "_index", counted)
+    return built
+
+
+def test_positions_switch_to_an_index_and_keep_their_counts(monkeypatch):
+    # U(0), E(0,1), R(1,2,1), E(2,3) on G(10, 0.3) with ternary facts, many
+    # of them repeating their first value last: over the free choices, some
+    # position scans past each relation's size and switches to its index
+    built = counted_indexes(monkeypatch)
+    rng = random.Random(61)
+    sig = Signature([("E", 2), ("R", 3), ("U", 1)])
+    n = 10
+    q_rels = {"U": [(0,)], "E": [(0, 1), (2, 3)], "R": [(1, 2, 1)]}
+    for _ in range(2):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        t = Structure(sig, n, {
+            "E": [p for p in pairs if rng.random() < 0.3],
+            "R": [tup for tup in product(range(n), repeat=3)
+                  if rng.random() < (0.25 if tup[0] == tup[2] else 0.04)],
+            "U": [(v,) for v in range(n) if rng.random() < 0.5]})
+        # a repeated domain value counts once, scanned or indexed
+        doubled = {v: list(range(n)) * 2 for v in range(4)}
+        for free in [(), (0,), (3, 0), (2, 1), (1, 0, 3), (0, 1, 2, 3)]:
+            q = Query(Structure(sig, 4, q_rels), free)
+            want = brute_answers(q, t)
+            assert homs.count_answers(q, t) == want
+            assert homs.count_answers(q, t, doubled) == want
+        for name in ("E", "R", "U"):
+            assert any(rel is t.relations[name] for rel in built)
+        built.clear()
+
+
+def colorful_answers(q, t, c):
+    """cf answers by enumerating every map of q.structure into t, and testing
+    its colors only once the map is complete."""
+    nq = q.structure.n
+    atoms = [(t.relations[name], tup)
+             for name, rel in q.structure.relations.items() for tup in rel]
+    seen = set()
+    for values in product(range(t.n), repeat=nq):
+        if ({c[w] for w in values} == set(range(nq))
+                and {c[values[x]] for x in q.free} == set(q.free)
+                and all(tuple(values[v] for v in tup) in rel
+                        for rel, tup in atoms)):
+            seen.add(tuple(values[x] for x in q.free))
+    return len(seen)
+
+
+def test_colorful_counts_against_a_leaf_test(monkeypatch):
+    built = counted_indexes(monkeypatch)
+    rng = random.Random(67)
+    for _ in range(40):
+        pattern = random_graph(rng, rng.randint(1, 4))
+        q = Query(pattern, random_free(rng, pattern.n))
+        t, c = random_colored_instance(rng, pattern, max_per_class=4, p=0.7)
+        assert homs.count_cf_answers(q, t, c) == colorful_answers(q, t, c)
+    assert built
 
 
 def test_color_prescribed_counts_against_brute_reference():

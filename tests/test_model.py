@@ -67,6 +67,21 @@ def test_complement_view_contract():
         assert c.total_tuples() == explicit.total_tuples()
 
 
+def test_equal_structures_hash_equal_however_built():
+    sig = Signature((("U", 1), ("E", 2), ("R", 3)))
+    rng = random.Random(11)
+    for n in range(1, 5):
+        s = random_structure(rng, sig, n, 0.4)
+        built = [s, Structure(sig, n, {name: list(rel) for name, rel
+                                       in s.relations.items()}),
+                 Structure._trusted(sig, n, dict(s.relations)),
+                 complement_structure(complement_structure(s))]
+        want = hash(s)
+        for other in built:
+            assert other == s
+            assert hash(other) == want and hash(other) == want  # cached
+
+
 def test_universal_evaluation_stores_no_complement():
     # the stored complement of a 1,000-vertex path would hold ~10^6 tuples,
     # about 150 MB under tracemalloc; the implicit one needs only the path

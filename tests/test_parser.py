@@ -123,6 +123,24 @@ def test_quantum_text_round_trip():
         serialize_quantum(qq)
 
 
+TWO_BLOCKS = ("transform identity\ncoeff 1/1\nquery\nfree x y\nbody E(x,y)\n"
+              "---\ncoeff -1/1\nquery\n# the free line\nfree x\n\n"
+              "body E(x,z)\n")
+
+
+def test_quantum_block_errors_name_the_file_line():
+    # the second block's body is on file line 12, its third query line
+    with pytest.raises(ParseError) as e:
+        parse_quantum(TWO_BLOCKS)
+    assert e.value.line == 12
+    assert str(e.value) == "unbound variable 'z' (line 12)"
+    # an error without a line inside the block names the block's coeff line
+    with pytest.raises(ParseError) as e:
+        parse_quantum("coeff 1/1\nquery\nfree x\nbody E(x,x)\n---\n"
+                      "coeff 2/1\nquery\nfree x\n")
+    assert str(e.value) == "missing body line (line 6)"
+
+
 @pytest.mark.parametrize("block", [
     "formula\nfree x\nforall y\nbody E(x,y)\n",
     "formula\nfree x y\nbody E(x,y) | E(y,x)\n",
