@@ -389,17 +389,28 @@ def _random_instance(rng, max_n):
 
 def _check_dp(rng, args):
     for _ in range(args.trials):
-        if rng.random() < 0.5:
+        draw = rng.random()
+        if draw < 0.4:
             q = _random_query(rng, min(args.max_n, 5))
             g = _random_graph(rng, rng.randint(0, args.max_n))
-        else:
+        elif draw < 0.7:
             q, g = _random_instance(rng, min(args.max_n, 5))
+        else:
+            # repeated components, which share one table when their
+            # domains agree: poly's y_i, subdivided's midpoints
+            q = gadgets.family_query(rng.choice(["poly", "subdivided"]),
+                                     rng.randint(3, 4))
+            g = _random_graph(rng, rng.randint(0, args.max_n))
         transform = rng.choice(["identity", "complement"])
         t = complement_structure(g) if transform == "complement" else g
         domains = None
-        if rng.random() < 0.5:
+        draw = rng.random()
+        if draw < 0.4:
             domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
                        for v in q.structure.vertices() if rng.random() < 0.7}
+        elif draw < 0.6:
+            domain = rng.sample(range(t.n), rng.randint(0, t.n))
+            domains = dict.fromkeys(q.structure.vertices(), domain)
         try:
             fast = dec.count(q, t, domains, method="dp")
         except dec.BudgetError:

@@ -38,6 +38,8 @@ class TreeDecomposition:
         self.order = list(order)
         self.up = [tuple(sorted(later)) for later in up]
         self.width = width
+        # dp_tables' schedules over this tree, by (structure, keep)
+        self.schedules = {}
         position = {v: i for i, v in enumerate(self.order)}
         self.children = [[] for _ in self.order]
         for i, later in enumerate(self.up[:-1]):
@@ -194,7 +196,8 @@ def _candidate_masks(t, name, tup, v):
         first, single = at_v[0], len(at_v) == 1
         twin = t.masks.get((name, (1 - first,))) if (
             single and len(tup) == 2) else None
-        if twin is not None and all((b, a) in facts for a, b in facts):
+        if twin is not None and facts.issuperset(map(itemgetter(1, 0),
+                                                     facts)):
             found = twin
         else:
             bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
@@ -209,6 +212,86 @@ def _candidate_masks(t, name, tup, v):
                      if co else (index, 0))
         t.masks[name, at_v] = found
     return found
+
+
+def _schedule(structure, td, keep):
+    """The target-free steps of dp_tables over td with the sorted keep
+    columns, in the order they run: ("grow", fresh, v, carried, binds)
+    grows the table on top of the stack (or {(): 1} when fresh) and
+    ("merge", kids, at) joins the top kids tables and sums out column at.
+    A grow step lists v's checks on the incoming columns and, per bound
+    vertex u, (u, u's checks, its insertion column, the row width after it,
+    v's checks keyed by u alone, v's other checks that u completes).  A
+    check is (columns, key getter, mask key, atom, vertex): the mask key
+    (symbol, positions of the vertex) names the target index that
+    _candidate_masks builds for the atom; checks that share columns and a
+    mask key are listed once."""
+    atoms_of = {}
+    for name, rel in structure.relations.items():
+        for tup in rel:
+            for v in set(tup):
+                atoms_of.setdefault(v, []).append((name, tup))
+    steps = []
+
+    def checks(v, cols, last=None):
+        """The checks of v's atoms whose other vertices all lie in cols and,
+        when last is given, include it."""
+        found = {}
+        for name, tup in atoms_of.get(v, ()):
+            others = [u for u in tup if u != v]
+            if all(u in cols for u in others) and (last is None
+                                                   or last in others):
+                columns = tuple(cols.index(u) for u in others)
+                mask_key = (name, tuple(i for i, u in enumerate(tup)
+                                        if u == v))
+                found[columns, mask_key] = (columns, _key_getter(columns),
+                                            mask_key, tup, v)
+        return list(found.values())
+
+    def grow(fresh, cols, binds, v=None):
+        """Bind each vertex of binds in turn: keep columns in order, then
+        the others at their sorted place after keep.  With v, each row
+        carries v's mask and v is summed out."""
+        carried = [] if v is None else checks(v, cols)
+        steps_of_binds = []
+        for u in binds:
+            own = checks(u, cols)
+            at = len(cols) if len(cols) < len(keep) else bisect(
+                cols, u, len(keep))
+            cols = cols[:at] + (u,) + cols[at:]
+            # v's atoms that u completes: those keyed by u alone are read
+            # once per candidate w of u, on a row holding w in every column;
+            # the others once per row
+            by_value, rest = [], []
+            for check in ([] if v is None else checks(v, cols, u)):
+                (by_value if set(check[0]) == {at} else rest).append(check)
+            steps_of_binds.append((u, own, at, len(cols), by_value, rest))
+        steps.append(("grow", fresh, v, carried, steps_of_binds))
+
+    def rec(i):
+        """Steps leaving the table of the i-th eliminated vertex, keyed by
+        keep + up[i], on top of the stack."""
+        v, up, kids = td.order[i], td.up[i], td.children[i]
+        if not kids:
+            grow(True, (), keep + up, v)
+            return
+        bag = tuple(sorted(up + (v,)))
+        for c in kids:
+            below = keep + td.up[c]
+            lack = [u for u in bag if u not in below]
+            rec(c)
+            if len(kids) == 1 and lack and lack[-1] == v:
+                grow(False, below, lack[:-1], v)
+                return
+            if lack:
+                grow(False, below, lack)
+        steps.append(("merge", len(kids), len(keep) + bag.index(v)))
+
+    if td.order:
+        rec(len(td.order) - 1)
+    else:
+        grow(True, (), keep)
+    return steps
 
 
 def dp_tables(structure, target, td, keep=(), domains=None):
@@ -242,35 +325,37 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     the root's included, are exactly the assignments that extend.
     A table that passes TABLE_ROWS_CAP rows while it is built raises
     BudgetError; the size is checked once per row of the table below.
+
+    Everything above that the target does not decide (the steps, bind
+    order, insertion columns, sum-out positions and each check's key getter
+    and mask key) is the schedule of (structure, td, keep), built by
+    _schedule once and kept in td.schedules, so it lives as long as the
+    tree: the fast counter's trees live in its memoized plan.  A call
+    resolves the checks against target.masks, computes each vertex's
+    domain mask once and runs the steps.
     """
     keep = tuple(sorted(keep))
-    atoms_of = {}
-    for name, rel in structure.relations.items():
-        for tup in rel:
-            for v in set(tup):
-                atoms_of.setdefault(v, []).append((name, tup))
-    full = (1 << target.n) - 1
+    steps = td.schedules.get((structure, keep))
+    if steps is None:
+        steps = td.schedules[structure, keep] = _schedule(structure, td, keep)
+    n, masks = target.n, target.masks
+    full = (1 << n) - 1
+    allowed = {} if domains is None else {
+        v: sum(1 << w for w in set(domain))
+        for v, domain in domains.items() if domain is not None}
     members = lru_cache(maxsize=None)(lambda m: [
         w for w, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
 
-    def allowed(v):
-        domain = None if domains is None else domains.get(v)
-        return full if domain is None else sum(1 << w for w in set(domain))
-
-    def checks(v, cols, last=None):
-        """{(key columns, id of index): (key getter, index, default)} over
-        the atoms of v whose other vertices all lie in cols and, when last
-        is given, include it."""
+    def resolve(checks):
+        """(key getter, index, default) per check, once per (key columns,
+        index), building a missing index."""
         found = {}
-        for name, tup in atoms_of.get(v, ()):
-            others = [u for u in tup if u != v]
-            if all(u in cols for u in others) and (last is None
-                                                   or last in others):
-                columns = tuple(cols.index(u) for u in others)
-                index, default = _candidate_masks(target, name, tup, v)
-                found[columns, id(index)] = (_key_getter(columns), index,
-                                             default)
-        return found
+        for columns, key, mask_key, tup, v in checks:
+            pair = masks.get(mask_key)
+            if pair is None:
+                pair = _candidate_masks(target, mask_key[0], tup, v)
+            found[columns, id(pair[0])] = (key,) + pair
+        return found.values()
 
     def narrow(m, row, found):
         for key, index, default in found:
@@ -279,36 +364,22 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                 break
         return m
 
-    def grow(table, cols, binds, v=None):
-        """table, keyed by cols, with each vertex of binds bound in turn:
-        keep columns in order, then the others at their sorted place after
-        keep.  With v, each row carries v's mask and v is summed out."""
-        start, carried = (1, ()) if v is None else (
-            allowed(v), checks(v, cols).values())
+    def grow(table, v, carried, binds):
+        start = 1 if v is None else allowed.get(v, full)
+        carried = resolve(carried)
         rows = {}
         for row, cnt in table.items():
             m = narrow(start, row, carried)
             if m:
                 rows[row] = (cnt, m) if binds else cnt * m.bit_count()
-        for i, u in enumerate(binds, 1):
+        for i, (u, own, at, width, by_key, rest) in enumerate(binds, 1):
             last = i == len(binds)
-            own = checks(u, cols).values()
-            at = len(cols) if len(cols) < len(keep) else bisect(
-                cols, u, len(keep))
-            cols = cols[:at] + (u,) + cols[at:]
-            candidates = allowed(u)
-            # v's atoms that u completes: those keyed by u alone are read
-            # once per candidate w of u, on a row holding w in every column;
-            # the others once per row
-            by_value, rest = [-1] * target.n, []
-            for (columns, _), check in ({} if v is None else
-                                        checks(v, cols, u)).items():
-                if set(columns) != {at}:
-                    rest.append(check)
-                    continue
-                key, index, default = check
+            own, rest = resolve(own), resolve(rest)
+            candidates = allowed.get(u, full)
+            by_value = [-1] * n
+            for key, index, default in resolve(by_key):
                 for w in members(candidates):
-                    by_value[w] &= index.get(key((w,) * len(cols)), default)
+                    by_value[w] &= index.get(key((w,) * width), default)
             out = {}
             for row, (cnt, m) in rows.items():
                 mu = narrow(candidates, row, own)
@@ -332,32 +403,30 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             rows = out
         return rows
 
-    def rec(i):
-        """The table of the i-th eliminated vertex, keyed by keep + up[i]."""
-        v, up, kids = td.order[i], td.up[i], td.children[i]
-        if not kids:
-            return grow({(): 1}, (), keep + up, v)
-        bag = tuple(sorted(up + (v,)))
-        tables = []
-        for c in kids:
-            below = keep + td.up[c]
-            lack = [u for u in bag if u not in below]
-            if len(kids) == 1 and lack and lack[-1] == v:
-                return grow(rec(c), below, lack[:-1], v)
-            tables.append(grow(rec(c), below, lack) if lack else rec(c))
+    def merge(tables, at):
         table = tables[0]
         for other in tables[1:]:
             small, large = sorted((table, other), key=len)
             table = {key: cnt * large[key] for key, cnt in small.items()
                      if key in large}
-        at = len(keep) + bag.index(v)
         out = {}
         for row, cnt in table.items():
             key = row[:at] + row[at + 1:]
             out[key] = out.get(key, 0) + cnt
         return out
 
-    return rec(len(td.order) - 1) if td.order else grow({(): 1}, (), keep)
+    stack = []
+    for step in steps:
+        if step[0] == "merge":
+            _, kids, at = step
+            tables = stack[-kids:]
+            del stack[-kids:]
+            stack.append(merge(tables, at))
+        else:
+            _, fresh, v, carried, binds = step
+            table = {(): 1} if fresh else stack.pop()
+            stack.append(grow(table, v, carried, binds))
+    return stack.pop()
 
 
 def count_homs_dp(structure, target, td, domains=None):
@@ -369,37 +438,49 @@ class _Part:
     its boundary (the free neighbors, sorted), the substructure induced on
     both, the local id of each vertex, and the local boundary, which are the
     DP's keep columns in boundary order (induced_substructure keeps the
-    vertex order)."""
+    vertex order).  lead is the first part of the plan with an equal
+    substructure and keep, itself if none: such parts are one component
+    repeated (the y_i of poly_k), so they share the lead's substructure
+    object, its elimination tree and the tree's schedule, and a count
+    builds one table for all of them whose local domains agree."""
 
-    def __init__(self, q, adj, component):
+    def __init__(self, q, adj, component, leads):
         self.vertices = component
         self.boundary = sorted(
             set().union(*(adj[v] for v in component)).intersection(q.free))
         self.sub, self.local = induced_substructure(q.structure,
                                                     component + self.boundary)
-        self.keep = [self.local[v] for v in self.boundary]
+        self.keep = tuple(self.local[v] for v in self.boundary)
+        self.lead = leads.setdefault((self.sub, self.keep), self)
+        self.sub = self.lead.sub
         self._td = None
 
     def tree(self):
         """An elimination tree of the component's own vertices, built on
-        first use.  Raises BudgetError, before decomposing, when the
-        boundary exceeds DSS_CAP."""
+        first use and shared with the lead.  Raises BudgetError, before
+        decomposing, when the boundary exceeds DSS_CAP."""
         if len(self.boundary) > DSS_CAP:
             raise BudgetError("dss", len(self.boundary), DSS_CAP, "DSS_CAP")
+        if self.lead is not self:
+            return self.lead.tree()
         if self._td is None:
             vertices = [self.local[v] for v in self.vertices]
             _, self._td = decompose_graph((gaifman_adjacency(self.sub),
                                            vertices))
         return self._td
 
+    def local_domains(self, domains):
+        """domains, given per vertex of q, restricted to the part and keyed
+        by local id; None for None."""
+        return None if domains is None else {
+            self.local[v]: d for v, d in domains.items() if v in self.local}
+
     def root_table(self, t, domains=None):
         """The map from boundary assignments (keys in boundary order) to
         extension counts, each vertex v of q kept in domains[v] when given.
         Raises BudgetError when the boundary exceeds DSS_CAP."""
-        local = None if domains is None else {
-            self.local[v]: d for v, d in domains.items() if v in self.local}
         return dp_tables(self.sub, t, self.tree(), keep=self.keep,
-                         domains=local)
+                         domains=self.local_domains(domains))
 
 
 class _Plan:
@@ -409,11 +490,16 @@ class _Plan:
     with a boundary a fresh symbol over it (names[i], None for a
     boundary-free part).  index maps a free vertex to its derived id.  The
     derived query's Gaifman graph is the contract of q (Chen and Mengel,
-    ICDT 2015), so params reads the contract and the boundaries from here."""
+    ICDT 2015), so params reads the contract and the boundaries from here.
+    The plan owns the target-free half of every DP it runs: the derived
+    query's tree and each lead part's tree keep their schedules (see
+    dp_tables), so they live and go with the plan in _plan's cache.  Parts
+    that share a lead share one table per count (see derived_free_query)."""
 
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
-        self.parts = [_Part(q, adj, component)
+        leads = {}
+        self.parts = [_Part(q, adj, component, leads)
                       for component in _components(adj, set(q.quantified()))]
         self.index = {v: i for i, v in enumerate(q.free)}
         symbols = list(q.structure.signature.symbols)
@@ -457,20 +543,28 @@ def derived_free_query(q, t, domains=None):
     """The X-only query and enriched target realizing the fast counter: keeps
     the free-only atoms and adds one fresh relation per quantified component
     holding its extendability tuples, each vertex v kept in domains[v] when
-    given.  Returns (query, target) or None when some boundary-free
+    given.  Parts with one lead whose local domains agree, as they always
+    do when domains is None, get one table built once and one relation
+    object.  Returns (query, target) or None when some boundary-free
     component is unsatisfiable."""
     if not q.is_plain():
         raise ValueError("plain CQs only")
     plan = _plan(q)
     passed = q.structure.signature.arity
     rels_t = {name: t.relations[name] for name in passed}
+    built = {}  # lead part -> [(local domains, relation)]
     for part, name in zip(plan.parts, plan.names):
-        table = part.root_table(t, domains)
+        local = part.local_domains(domains)
+        made = built.setdefault(part.lead, [])
+        rel = next((rel for other, rel in made if other == local), None)
+        if rel is None:
+            rel = frozenset(part.root_table(t, domains))
+            made.append((local, rel))
         if name is None:
-            if not table:
+            if not rel:
                 return None
             continue
-        rels_t[name] = frozenset(table)
+        rels_t[name] = rel
     dt = Structure._trusted(plan.query.structure.signature, t.n, rels_t)
     # only the fresh relations are indexed per count, and only in dt's memo
     dt.masks.update(item for item in t.masks.items() if item[0][0] in passed)

@@ -286,17 +286,17 @@ def _augment(q):
     if AUX_SYMBOL in s.signature.arity:
         raise ValueError("reserved symbol %s in use" % AUX_SYMBOL)
     sig = Signature(s.signature.symbols + ((AUX_SYMBOL, 2),))
-    rels = {name: set(rel) for name, rel in s.relations.items()}
-    rels[AUX_SYMBOL] = set((a, b) for a in q.free for b in q.free if a != b)
-    return Structure(sig, s.n, rels)
+    rels = dict(s.relations)
+    rels[AUX_SYMBOL] = frozenset((a, b) for a in q.free for b in q.free
+                                 if a != b)
+    return Structure._trusted(sig, s.n, rels)
 
 
 def _strip_aux(structure):
     sig = Signature([sym for sym in structure.signature.symbols
                      if sym[0] != AUX_SYMBOL])
-    rels = {name: set(rel) for name, rel in structure.relations.items()
-            if name != AUX_SYMBOL}
-    return Structure(sig, structure.n, rels)
+    return Structure._trusted(sig, structure.n, {
+        name: structure.relations[name] for name in sig.arity})
 
 
 def augmented_core(q):
@@ -313,7 +313,8 @@ def augmented_core(q):
     makes a bijection, and the others in S - v.  Every deletion since the
     last found map (the witness) lies outside its image, so that map still
     sends A into S - v for each later v outside its image: such a v is
-    deleted without a search, as a fresh search would have deleted it."""
+    deleted without a search, as a fresh search would have deleted it.
+    When the pass deletes nothing, q is its own core and is returned."""
     if not q.is_plain():
         raise ValueError("augmented core is defined for plain CQs")
     aug = _augment(q)
@@ -332,6 +333,8 @@ def augmented_core(q):
                 continue
             image = set(witness.values())
         alive.discard(v)
+    if len(alive) == aug.n:
+        return q  # nothing deleted: stripping the relation gives q back
     core, old_to_new = induced_substructure(aug, alive)
     return Query(_strip_aux(core), [old_to_new[x] for x in free])
 

@@ -356,6 +356,7 @@ def induced_substructure(structure, vertices):
     old_to_new = {v: i for i, v in enumerate(keep)}
     rels = {}
     for name, rel in structure.relations.items():
-        rels[name] = set(tuple(old_to_new[v] for v in tup) for tup in rel
-                         if all(v in old_to_new for v in tup))
-    return Structure(structure.signature, len(keep), rels), old_to_new
+        rels[name] = frozenset(tuple(old_to_new[v] for v in tup) for tup in rel
+                               if all(v in old_to_new for v in tup))
+    # renumbered tuples of a checked structure need no second check
+    return Structure._trusted(structure.signature, len(keep), rels), old_to_new

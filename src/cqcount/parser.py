@@ -160,7 +160,9 @@ def parse_structure(text):
         raise ParseError("missing signature")
     if n is None:
         raise ParseError("missing domain line")
-    return Structure(sig, n, tuples)
+    # every tuple was checked for arity and range as it was read
+    return Structure._trusted(sig, n, {name: frozenset(tuples.get(name, ()))
+                                       for name in sig.arity})
 
 
 def serialize_structure(s):

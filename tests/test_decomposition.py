@@ -6,6 +6,7 @@ import pytest
 
 from cqcount import decomposition as dec
 from cqcount import homs
+from cqcount.gadgets import family_query
 from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph)
 
@@ -306,6 +307,91 @@ def test_count_plans_each_query_once(monkeypatch):
         domains = random_domains(rng, q, t) if rng.random() < 0.5 else None
         assert dec.count(q, t, domains) == homs.count_answers(q, t, domains)
     assert len(calls) == 3
+
+
+def plan_trees(q):
+    """The distinct elimination trees of q's plan: the derived query's and
+    one per group of repeated parts."""
+    plan = dec._plan(q)
+    trees = [plan.tree()] + [part.tree() for part in plan.parts]
+    return list({id(td): td for td in trees}.values())
+
+
+def test_count_schedules_each_tree_once(monkeypatch):
+    rng = random.Random(53)
+    calls = []
+    schedule = dec._schedule
+
+    def counting(structure, td, keep):
+        calls.append(td)
+        return schedule(structure, td, keep)
+
+    monkeypatch.setattr(dec, "_schedule", counting)
+    # two different components; poly_4's three y_i share one tree
+    for q in (Query(path(5), (0, 2)), family_query("poly", 4)):
+        dec._plan.cache_clear()
+        calls.clear()
+        for _ in range(20):
+            t = random_graph(rng, rng.randint(0, 6))
+            domains = (random_domains(rng, q, t) if rng.random() < 0.5
+                       else None)
+            assert dec.count(q, t, domains) == \
+                homs.count_answers(q, t, domains)
+        trees = plan_trees(q)
+        assert len(trees) == (3 if q.free == (0, 2) else 2)
+        assert sorted(map(id, calls)) == sorted(map(id, trees))
+
+
+def component_tables(monkeypatch):
+    """A list that gains the keep columns of every component table built."""
+    built = []
+    dp_tables = dec.dp_tables
+
+    def counting(structure, target, td, keep=(), domains=None):
+        if keep:
+            built.append(keep)
+        return dp_tables(structure, target, td, keep, domains)
+
+    monkeypatch.setattr(dec, "dp_tables", counting)
+    return built
+
+
+@pytest.mark.parametrize("family", [("poly", 4), ("subdivided", 3)])
+def test_repeated_components_share_one_table(monkeypatch, family):
+    q = family_query(*family)
+    parts = len(dec._plan(q).parts)
+    assert parts == 3
+    built = component_tables(monkeypatch)
+    rng = random.Random("shared:%s" % (family,))
+    for _ in range(15):
+        g = random_graph(rng, rng.randint(3, 6))
+        for t in (g, complement_structure(g)):
+            free_only = dict.fromkeys(
+                q.free, rng.sample(range(t.n), rng.randint(1, t.n)))
+            same = rng.sample(range(t.n), rng.randint(1, t.n))
+            # the i-th quantified vertex avoids value i, so no two parts
+            # see the same local domains
+            apart = {y: [w for w in range(t.n) if w != i]
+                     for i, y in enumerate(q.quantified())}
+            for domains, tables in ((None, 1), (free_only, 1),
+                                    (dict.fromkeys(range(q.structure.n),
+                                                   same), 1),
+                                    (apart, parts)):
+                built.clear()
+                assert dec.count(q, t, domains, method="dp") == \
+                    homs.count_answers(q, t, domains)
+                assert len(built) == tables
+
+
+def test_repeated_components_count_as_brute_force_under_random_domains():
+    rng = random.Random(59)
+    for _ in range(40):
+        q = family_query(rng.choice(["poly", "subdivided"]), rng.randint(2, 4))
+        g = random_graph(rng, rng.randint(0, 5))
+        t = complement_structure(g) if rng.random() < 0.5 else g
+        domains = random_domains(rng, q, t) if rng.random() < 0.7 else None
+        assert dec.count(q, t, domains, method="dp") == \
+            homs.count_answers(q, t, domains)
 
 
 def test_root_tables_hold_no_zero_counts():
