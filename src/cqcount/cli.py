@@ -390,16 +390,25 @@ def _random_instance(rng, max_n):
 def _check_dp(rng, args):
     for _ in range(args.trials):
         draw = rng.random()
-        if draw < 0.4:
+        if draw < 0.35:
             q = _random_query(rng, min(args.max_n, 5))
             g = _random_graph(rng, rng.randint(0, args.max_n))
-        elif draw < 0.7:
+        elif draw < 0.6:
             q, g = _random_instance(rng, min(args.max_n, 5))
-        else:
+        elif draw < 0.8:
             # repeated components, which share one table when their
             # domains agree: poly's y_i, subdivided's midpoints
             q = gadgets.family_query(rng.choice(["poly", "subdivided"]),
                                      rng.randint(3, 4))
+            g = _random_graph(rng, rng.randint(0, args.max_n))
+        else:
+            # one part whose boundary is every free vertex, counted by its
+            # keys unless a free-only edge joins the query
+            q = gadgets.family_query(rng.choice(["psi", "gamma", "omega"]),
+                                     rng.randint(2, 3))
+            if rng.random() < 0.5:
+                q = Query(graph(q.structure.n, graph_edges(q.structure)
+                                + [tuple(rng.sample(q.free, 2))]), q.free)
             g = _random_graph(rng, rng.randint(0, args.max_n))
         transform = rng.choice(["identity", "complement"])
         t = complement_structure(g) if transform == "complement" else g

@@ -180,22 +180,38 @@ def _key_getter(positions):
     return itemgetter(*positions) if positions else (lambda row: ())
 
 
+def _row_getter(positions):
+    """The tuple of a row's values at positions, a tuple even for one."""
+    if len(positions) == 1:
+        at, = positions
+        return lambda row: (row[at],)
+    return _key_getter(positions)
+
+
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
     of v, built on first use and memoized in t.masks under (name, positions
-    of v).  A Complement view is indexed from its present tuples as
-    co-masks.  A symmetric binary relation indexes alike at both positions:
-    when the second position is first asked for, the relation is tested for
-    symmetry once and, if it holds, the key shares the first one's object."""
+    of v) and shared by every name of t over the same relation object, as
+    the parts of one lead group are.  A Complement view is indexed from its
+    present tuples as co-masks.  A symmetric binary relation indexes alike
+    at both positions: when the second position is first asked for, the
+    relation is tested for symmetry once and, if it holds, the key shares
+    the first one's object."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
     found = t.masks.get((name, at_v))
+    if found is not None:
+        return found
+    rel = t.relations[name]
+    # the parts of one lead group share one relation object under several
+    # names, so an index is looked up by that object
+    built = {at: pair for (other, at), pair in t.masks.items()
+             if t.relations[other] is rel}
+    found = built.get(at_v)
     if found is None:
-        rel = t.relations[name]
         co = isinstance(rel, Complement)
         facts = rel.present if co else rel
         first, single = at_v[0], len(at_v) == 1
-        twin = t.masks.get((name, (1 - first,))) if (
-            single and len(tup) == 2) else None
+        twin = built.get((1 - first,)) if single and len(tup) == 2 else None
         if twin is not None and facts.issuperset(map(itemgetter(1, 0),
                                                      facts)):
             found = twin
@@ -210,22 +226,28 @@ def _candidate_masks(t, name, tup, v):
             full = (1 << t.n) - 1
             found = (({key: full & ~m for key, m in index.items()}, full)
                      if co else (index, 0))
-        t.masks[name, at_v] = found
+    t.masks[name, at_v] = found
     return found
 
 
 def _schedule(structure, td, keep):
     """The target-free steps of dp_tables over td with the sorted keep
-    columns, in the order they run: ("grow", fresh, v, carried, binds)
-    grows the table on top of the stack (or {(): 1} when fresh) and
-    ("merge", kids, at) joins the top kids tables and sums out column at.
-    A grow step lists v's checks on the incoming columns and, per bound
+    columns, in the order they run: ("grow", fresh, v, carried, binds,
+    sum_out) grows the table on top of the stack (or {(): 1} when fresh)
+    and ("merge", kids, at) joins the top kids tables and sums out column
+    at.  A grow step lists v's checks on the incoming columns and, per bound
     vertex u, (u, u's checks, its insertion column, the row width after it,
     v's checks keyed by u alone, v's other checks that u completes).  A
     check is (columns, key getter, mask key, atom, vertex): the mask key
     (symbol, positions of the vertex) names the target index that
     _candidate_masks builds for the atom; checks that share columns and a
-    mask key are listed once."""
+    mask key are listed once.  A sum-out over a single child's table is
+    folded into the grow step that leaves it, so a merge step only joins
+    two or more tables or sums out a merge's output.  sum_out is then
+    (kept, key, collapsed): the columns of the last bind's row that stay,
+    the getter of those columns from that row, and, when the last bind's
+    own column is summed out and no check of v needs the new row, the
+    getter of the same columns from the row before the bind, else None."""
     atoms_of = {}
     for name, rel in structure.relations.items():
         for tup in rel:
@@ -266,7 +288,25 @@ def _schedule(structure, td, keep):
             for check in ([] if v is None else checks(v, cols, u)):
                 (by_value if set(check[0]) == {at} else rest).append(check)
             steps_of_binds.append((u, own, at, len(cols), by_value, rest))
-        steps.append(("grow", fresh, v, carried, steps_of_binds))
+        steps.append(("grow", fresh, v, carried, steps_of_binds, None))
+
+    def sum_out(kids, at):
+        """Join the top kids tables and sum out column at: in the grow step
+        that leaves a single child's table when there is one, else in a
+        merge step."""
+        last = steps[-1]
+        if kids > 1 or last[0] != "grow" or not last[4]:
+            steps.append(("merge", kids, at))
+            return
+        _, fresh, v, carried, binds, folded = last
+        _, _, bound_at, width, _, rest = binds[-1]
+        kept = list(folded[0] if folded else range(width))
+        del kept[at]
+        collapsed = None
+        if bound_at not in kept and not rest:
+            collapsed = _row_getter([c - (c > bound_at) for c in kept])
+        steps[-1] = ("grow", fresh, v, carried, binds,
+                     (tuple(kept), _row_getter(kept), collapsed))
 
     def rec(i):
         """Steps leaving the table of the i-th eliminated vertex, keyed by
@@ -285,7 +325,7 @@ def _schedule(structure, td, keep):
                 return
             if lack:
                 grow(False, below, lack)
-        steps.append(("merge", len(kids), len(keep) + bag.index(v)))
+        sum_out(len(kids), len(keep) + bag.index(v))
 
     if td.order:
         rec(len(td.order) - 1)
@@ -321,13 +361,19 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     vertex bound after that ANDs in the atoms of v it completes, and a row
     is dropped as soon as its mask is 0.  The last bind stores each row's
     count times the popcount of its mask, so v is never stored and the rows
-    follow the prefixes that can still extend.  The keys of every table,
-    the root's included, are exactly the assignments that extend.
-    A table that passes TABLE_ROWS_CAP rows while it is built raises
-    BudgetError; the size is checked once per row of the table below.
+    follow the prefixes that can still extend.  Over a single child, v is
+    summed out by that last bind (see _schedule): it adds each row's count
+    under the row with v's column removed, and when that column is the one
+    it binds and no check needs the new row, a row's candidates w collapse
+    to one count, the sum of cnt * popcount(mask & v's checks on w), with
+    no row built per candidate.  A join of two or more children is a
+    separate merge.  The keys of every table, the root's included, are
+    exactly the assignments that extend.  A table that passes
+    TABLE_ROWS_CAP rows while it is built raises BudgetError; the size is
+    checked once per row of the table below.
 
     Everything above that the target does not decide (the steps, bind
-    order, insertion columns, sum-out positions and each check's key getter
+    order, insertion columns, sum-out columns and each check's key getter
     and mask key) is the schedule of (structure, td, keep), built by
     _schedule once and kept in td.schedules, so it lives as long as the
     tree: the fast counter's trees live in its memoized plan.  A call
@@ -343,8 +389,14 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     allowed = {} if domains is None else {
         v: sum(1 << w for w in set(domain))
         for v, domain in domains.items() if domain is not None}
-    members = lru_cache(maxsize=None)(lambda m: [
-        w for w, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
+    bits = {}
+
+    def members(m):
+        found = bits.get(m)
+        if found is None:
+            found = bits[m] = [w for w, bit in enumerate(bin(m)[:1:-1])
+                               if bit == "1"]
+        return found
 
     def resolve(checks):
         """(key getter, index, default) per check, once per (key columns,
@@ -364,7 +416,7 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                 break
         return m
 
-    def grow(table, v, carried, binds):
+    def grow(table, v, carried, binds, sum_out):
         start = 1 if v is None else allowed.get(v, full)
         carried = resolve(carried)
         rows = {}
@@ -372,12 +424,13 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             m = narrow(start, row, carried)
             if m:
                 rows[row] = (cnt, m) if binds else cnt * m.bit_count()
+        summed, collapsed = sum_out[1:] if sum_out else (None, None)
         for i, (u, own, at, width, by_key, rest) in enumerate(binds, 1):
             last = i == len(binds)
-            own, rest = resolve(own), resolve(rest)
+            own, rest, by_key = resolve(own), resolve(rest), resolve(by_key)
             candidates = allowed.get(u, full)
             by_value = [-1] * n
-            for key, index, default in resolve(by_key):
+            for key, index, default in by_key:
                 for w in members(candidates):
                     by_value[w] &= index.get(key((w,) * width), default)
             out = {}
@@ -385,18 +438,36 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                 mu = narrow(candidates, row, own)
                 if not mu:
                     continue
-                head, tail = row[:at], row[at:]
-                for w in members(mu):
-                    mv = m & by_value[w]
-                    if mv:
+                if last and collapsed:
+                    # every candidate lands on one key: count, build no row
+                    if by_key:
+                        cnt *= sum((m & by_value[w]).bit_count()
+                                   for w in members(mu))
+                    else:
+                        cnt *= m.bit_count() * mu.bit_count()
+                    if cnt:
+                        row = collapsed(row)
+                        out[row] = out.get(row, 0) + cnt
+                else:
+                    head, tail = row[:at], row[at:]
+                    for w in members(mu):
+                        mv = m & by_value[w]
+                        if not mv:
+                            continue
                         new = head + (w,) + tail
                         for key, index, default in rest:
                             mv &= index.get(key(new), default)
                             if not mv:
                                 break
-                        if mv:
-                            out[new] = (cnt * mv.bit_count() if last
-                                        else (cnt, mv))
+                        if not mv:
+                            continue
+                        if not last:
+                            out[new] = (cnt, mv)
+                        elif summed:
+                            new = summed(new)
+                            out[new] = out.get(new, 0) + cnt * mv.bit_count()
+                        else:
+                            out[new] = cnt * mv.bit_count()
                 if len(out) > TABLE_ROWS_CAP:
                     raise BudgetError("table rows", len(out), TABLE_ROWS_CAP,
                                       "TABLE_ROWS_CAP")
@@ -423,9 +494,9 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             del stack[-kids:]
             stack.append(merge(tables, at))
         else:
-            _, fresh, v, carried, binds = step
+            _, fresh, v, carried, binds, sum_out = step
             table = {(): 1} if fresh else stack.pop()
-            stack.append(grow(table, v, carried, binds))
+            stack.append(grow(table, v, carried, binds, sum_out))
     return stack.pop()
 
 
@@ -494,7 +565,11 @@ class _Plan:
     The plan owns the target-free half of every DP it runs: the derived
     query's tree and each lead part's tree keep their schedules (see
     dp_tables), so they live and go with the plan in _plan's cache.  Parts
-    that share a lead share one table per count (see derived_free_query)."""
+    that share a lead share one table per count (see derived_free_query).
+    covering names the derived symbol when exactly one part has a boundary,
+    that boundary is every free vertex and no atom is free-only: the derived
+    query is then that one atom, and its answers are the relation's keys.
+    Otherwise covering is None."""
 
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
@@ -506,6 +581,7 @@ class _Plan:
         rels = {name: set(tuple(self.index[v] for v in tup) for tup in rel
                           if all(v in self.index for v in tup))
                 for name, rel in q.structure.relations.items()}
+        free_only = any(rels.values())
         self.names = []
         for i, part in enumerate(self.parts):
             if not part.boundary:
@@ -520,6 +596,12 @@ class _Plan:
         free = tuple(range(len(q.free)))
         self.query = Query(Structure(Signature(symbols), len(free), rels),
                            free)
+        bounded = [(part, name) for part, name in zip(self.parts, self.names)
+                   if name is not None]
+        self.covering = None
+        if (len(bounded) == 1 and not free_only
+                and len(bounded[0][0].boundary) == len(free)):
+            self.covering = bounded[0][1]
         self._td = None
 
     def tree(self):
@@ -574,12 +656,17 @@ def derived_free_query(q, t, domains=None):
 def count_answers_dss(q, t, domains=None):
     """The fast counter: component extendability relations plus a DP over a
     decomposition of the contracted free-only query, each vertex v kept in
-    domains[v] when given."""
+    domains[v] when given.  When the plan has a covering part the count is
+    the size of its relation, whose keys are the answers (the free
+    vertices' domains already narrowed its boundary columns), and no final
+    DP runs."""
     derived = derived_free_query(q, t, domains=domains)
     if derived is None:
         return 0
     dq, dt = derived
     plan = _plan(q)
+    if plan.covering:
+        return len(dt.relations[plan.covering])
     free_domains = None if domains is None else {
         i: domains.get(v) for v, i in plan.index.items()}
     return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)

@@ -394,6 +394,108 @@ def test_repeated_components_count_as_brute_force_under_random_domains():
             homs.count_answers(q, t, domains)
 
 
+@pytest.mark.parametrize("family", [("poly", 4), ("subdivided", 3)])
+def test_a_lead_group_indexes_each_relation_object_once(family):
+    # the parts of one lead group share a relation object under three
+    # names; a symmetric relation's one index serves every name and position
+    q = family_query(*family)
+    plan = dec._plan(q)
+    names = [name for name in plan.names if name]
+    rng = random.Random("indexes:%s" % (family,))
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(3, 6))
+        for t in (g, complement_structure(g)):
+            apart = {y: [w for w in range(t.n) if w != i]
+                     for i, y in enumerate(q.quantified())}
+            for domains, relations in ((None, 1), (apart, 3)):
+                dq, dt = dec.derived_free_query(q, t, domains)
+                dec.count_homs_dp(dq.structure, dt, plan.tree())
+                assert len({id(dt.relations[name]) for name in names}) == \
+                    relations
+                indexes = {id(pair[0]) for (name, _), pair in dt.masks.items()
+                           if name in names}
+                assert len(indexes) == relations
+
+
+def family_schedules(q):
+    """The schedules of every tree of q's plan, as dp_tables runs them."""
+    plan = dec._plan(q)
+    yield dec._schedule(plan.query.structure, plan.tree(), ())
+    for part in plan.parts:
+        yield dec._schedule(part.sub, part.tree(), part.keep)
+
+
+def test_single_child_sum_outs_fold_into_the_grow_before_them():
+    # merge steps are left to joins of two or more tables and to sums over
+    # a merge's output; the folded tables match brute force
+    rng = random.Random(61)
+    schedules = [steps for kind in ("psi", "gamma", "omega", "poly",
+                                    "subdivided")
+                 for k in (2, 3, 4) for steps in
+                 family_schedules(family_query(kind, k))]
+    for _ in range(80):
+        s = random_graph(rng, rng.randint(1, 6))
+        keep = tuple(sorted(rng.sample(range(s.n),
+                                       rng.randint(0, min(2, s.n)))))
+        rest = [v for v in s.vertices() if v not in keep]
+        _, td = dec.decompose_graph((gaifman_adjacency(s), rest),
+                                    exact=rng.random() < 0.5)
+        schedules.append(dec._schedule(s, td, keep))
+        t = random_graph(rng, rng.randint(0, 4))
+        domains = random_domains(rng, Query(s, ()), t)
+        assert dec.dp_tables(s, t, td, keep, domains) == \
+            brute_table(s, t, keep, domains)
+    for steps in schedules:
+        for step, after in zip(steps, steps[1:]):
+            assert not (step[0] == "grow" and after[:2] == ("merge", 1))
+    assert any(step[0] == "grow" and step[5] is not None
+               for steps in schedules for step in steps)
+
+
+COVERING = [(kind, k) for kind in ("psi", "gamma", "omega") for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family", COVERING)
+def test_a_covering_part_is_counted_by_its_keys(monkeypatch, family):
+    q = family_query(*family)
+
+    def final_dp(*args, **kwargs):
+        raise AssertionError("the final DP ran")
+
+    monkeypatch.setattr(dec, "count_homs_dp", final_dp)
+    rng = random.Random("covering:%s" % (family,))
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(0, 5))
+        for t in (g, complement_structure(g)):
+            for domains in (None, random_domains(rng, q, t)):
+                assert dec.count_answers_dss(q, t, domains) == \
+                    homs.count_answers(q, t, domains)
+
+
+def test_a_free_only_atom_keeps_the_final_dp(monkeypatch):
+    # psi_2 with E(x0, x1): the one part still covers the free set, but
+    # its keys are not the answers
+    q = Query(graph(3, [(0, 2), (1, 2), (0, 1)]), (0, 1))
+    calls = []
+    count_homs_dp = dec.count_homs_dp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count_homs_dp(*args, **kwargs)
+
+    monkeypatch.setattr(dec, "count_homs_dp", counting)
+    rng = random.Random(67)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 6))
+        t = complement_structure(g) if rng.random() < 0.5 else g
+        domains = random_domains(rng, q, t) if rng.random() < 0.5 else None
+        calls.clear()
+        assert dec.count_answers_dss(q, t, domains) == \
+            homs.count_answers(q, t, domains)
+        assert len(calls) == (dec.derived_free_query(q, t, domains)
+                              is not None)
+
+
 def test_root_tables_hold_no_zero_counts():
     # a row whose candidate mask is 0 is dropped, whatever empties it: a
     # target without vertices, an empty domain, or a domain disjoint from
