@@ -387,14 +387,62 @@ def _random_instance(rng, max_n):
             Structure(signature, m, target))
 
 
+def _random_wide_instance(rng, max_n):
+    """A query with one or two 3- or 4-ary atoms on the quantified c and d
+    and one or two free vertices, and two pendant quantified vertices that
+    each link c to a part of the first such atom, plus a few random edges;
+    and a sparse target over its signature: the images of a few random maps
+    of the query and up to one random tuple per target vertex and symbol.
+    d has the smallest quantified id and c the next, so the exact
+    elimination tree mostly eliminates c after the pendants and joins their
+    tables at c, where the wide atom lies in neither table alone."""
+    signature = (("E", 2), ("T", 3), ("Q", 4))
+    nf = rng.randint(2, 3)
+    n = nf + 4
+    ids = rng.sample(range(n), n)
+    free = sorted(ids[:nf])
+    d, c, *pendants = sorted(ids[nf:])
+    rels = {name: [] for name, _ in signature}
+    for _ in range(rng.randint(1, 2)):
+        name, arity = rng.choice(signature[1:])
+        tup = [c, d] + rng.sample(free, rng.randint(1, arity - 2))
+        tup += [rng.choice(tup) for _ in range(arity - len(tup))]
+        rng.shuffle(tup)
+        rels[name].append(tuple(tup))
+    wide = sorted(set((rels["T"] or rels["Q"])[0]) - {c})
+    rng.shuffle(wide)
+    cut = rng.randint(1, len(wide) - 1)
+    for p, part in zip(pendants, (wide[:cut], wide[cut:])):
+        for u in [c] + part:
+            rels["E"].append((p, u) if rng.random() < 0.5 else (u, p))
+    for _ in range(rng.randint(0, 2)):
+        rels["E"].append((rng.randrange(n), rng.randrange(n)))
+    m = rng.randint(1, max_n)
+    target = {name: set() for name, _ in signature}
+    for _ in range(rng.randint(1, 3)):
+        image = [rng.randrange(m) for _ in range(n)]
+        for name, tuples in rels.items():
+            target[name].update(tuple(image[v] for v in tup)
+                                for tup in tuples)
+    for name, arity in signature:
+        target[name].update(tuple(rng.randrange(m) for _ in range(arity))
+                            for _ in range(rng.randint(0, m)))
+    return (Query(Structure(signature, n, rels), free),
+            Structure(signature, m, target))
+
+
 def _check_dp(rng, args):
     for _ in range(args.trials):
         draw = rng.random()
-        if draw < 0.35:
+        if draw < 0.3:
             q = _random_query(rng, min(args.max_n, 5))
             g = _random_graph(rng, rng.randint(0, args.max_n))
-        elif draw < 0.6:
+        elif draw < 0.5:
             q, g = _random_instance(rng, min(args.max_n, 5))
+        elif draw < 0.65:
+            # wide atoms lie in no single table of their component, so a
+            # join checks them
+            q, g = _random_wide_instance(rng, args.max_n)
         elif draw < 0.8:
             # repeated components, which share one table when their
             # domains agree: poly's y_i, subdivided's midpoints
@@ -403,7 +451,8 @@ def _check_dp(rng, args):
             g = _random_graph(rng, rng.randint(0, args.max_n))
         else:
             # one part whose boundary is every free vertex, counted by its
-            # keys unless a free-only edge joins the query
+            # keys; a free-only edge lies in that part, so its table checks
+            # it
             q = gadgets.family_query(rng.choice(["psi", "gamma", "omega"]),
                                      rng.randint(2, 3))
             if rng.random() < 0.5:

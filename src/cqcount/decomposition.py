@@ -3,7 +3,9 @@ counters: the all-free DP and the fast counter that splits off quantified
 components and materializes their extendability relations.  The
 decomposition is the elimination tree of an exact or min-fill order: each
 vertex's bag is the vertex with its later neighbours, and the DP runs once
-per eliminated vertex.
+per eliminated vertex.  A component's DP keeps its boundary in the graph
+but never eliminates it, so each table holds only the boundary columns
+that its vertex's atoms or fill edges bring.
 """
 
 from bisect import bisect
@@ -232,28 +234,67 @@ def _candidate_masks(t, name, tup, v):
 
 def _schedule(structure, td, keep):
     """The target-free steps of dp_tables over td with the sorted keep
-    columns, in the order they run: ("grow", fresh, v, carried, binds,
-    sum_out) grows the table on top of the stack (or {(): 1} when fresh)
-    and ("merge", kids, at) joins the top kids tables and sums out column
-    at.  A grow step lists v's checks on the incoming columns and, per bound
+    columns, in the order they run.  A table's columns are its vertices in
+    sorted order.  ("grow", fresh, v, carried, binds, sum_out) grows the
+    table on top of the stack (or {(): 1} when fresh), with v carried when
+    given; ("join", kids, stages, out) joins the top kids tables.
+
+    A grow step lists v's checks on the incoming columns and, per bound
     vertex u, (u, u's checks, its insertion column, the row width after it,
     v's checks keyed by u alone, v's other checks that u completes).  A
     check is (columns, key getter, mask key, atom, vertex): the mask key
     (symbol, positions of the vertex) names the target index that
     _candidate_masks builds for the atom; checks that share columns and a
-    mask key are listed once.  A sum-out over a single child's table is
-    folded into the grow step that leaves it, so a merge step only joins
-    two or more tables or sums out a merge's output.  sum_out is then
-    (kept, key, collapsed): the columns of the last bind's row that stay,
-    the getter of those columns from that row, and, when the last bind's
-    own column is summed out and no check of v needs the new row, the
-    getter of the same columns from the row before the bind, else None."""
+    mask key are listed once.  sum_out is None or (kept, key, collapsed):
+    the columns of the last bind's row that stay, the getter of those
+    columns from that row, and, when the last bind's own column is summed
+    out and no check of v needs the new row, the getter of the same columns
+    from the row before the bind, else None.
+
+    A join step's row is the first table's row followed, per later table,
+    by that table's columns that the row lacks.  stages holds per later
+    table (key getter on the row so far, the same key on that table's row,
+    getter of its new columns, checks of the atoms that the stage completes
+    and no single table holds); a join check is a check plus the row column
+    of its vertex.  out is (kept, key): the row columns that stay, in
+    sorted vertex order, and their getter.
+
+    A sum-out never stands alone: it folds into the step that leaves the
+    summed table, so no table is keyed by a whole bag."""
     atoms_of = {}
+    atoms = []
     for name, rel in structure.relations.items():
         for tup in rel:
+            atoms.append((name, tup))
             for v in set(tup):
                 atoms_of.setdefault(v, []).append((name, tup))
+    kept = set(keep)
+    # a vertex with an empty up roots its own tree of the forest
+    below = [[c for c in kids if td.up[c]] for kids in td.children]
+    parent = {c: p for p, kids in enumerate(below) for c in kids}
+    roots = [i for i, up in enumerate(td.up) if not up]
+    # up+ of each vertex: its later neighbours once keep joins the graph and
+    # is never eliminated, which adds to up the keep neighbours of the
+    # vertex and of every vertex below it
+    near = [set() for _ in td.order]
+    plus = []
+    for i, v in enumerate(td.order):
+        near[i].update(u for _, tup in atoms_of.get(v, ()) for u in tup
+                       if u in kept)
+        plus.append(tuple(sorted(near[i].union(td.up[i]))))
+        if i in parent:
+            near[parent[i]] |= near[i]
     steps = []
+
+    def bind_order(vertices):
+        return sorted(vertices, key=lambda u: (u not in kept, u))
+
+    def check(name, tup, v, cols):
+        """The check of the atom name(tup) on v, keyed by the columns of its
+        other vertices in cols."""
+        columns = tuple(cols.index(u) for u in tup if u != v)
+        mask_key = (name, tuple(i for i, u in enumerate(tup) if u == v))
+        return columns, _key_getter(columns), mask_key, tup, v
 
     def checks(v, cols, last=None):
         """The checks of v's atoms whose other vertices all lie in cols and,
@@ -263,23 +304,19 @@ def _schedule(structure, td, keep):
             others = [u for u in tup if u != v]
             if all(u in cols for u in others) and (last is None
                                                    or last in others):
-                columns = tuple(cols.index(u) for u in others)
-                mask_key = (name, tuple(i for i, u in enumerate(tup)
-                                        if u == v))
-                found[columns, mask_key] = (columns, _key_getter(columns),
-                                            mask_key, tup, v)
+                made = check(name, tup, v, cols)
+                found[made[0], made[2]] = made
         return list(found.values())
 
     def grow(fresh, cols, binds, v=None):
-        """Bind each vertex of binds in turn: keep columns in order, then
-        the others at their sorted place after keep.  With v, each row
-        carries v's mask and v is summed out."""
+        """Bind each vertex of binds in turn at its sorted column; with v,
+        each row carries v's mask and v is summed out.  Returns the
+        columns."""
         carried = [] if v is None else checks(v, cols)
         steps_of_binds = []
         for u in binds:
             own = checks(u, cols)
-            at = len(cols) if len(cols) < len(keep) else bisect(
-                cols, u, len(keep))
+            at = bisect(cols, u)
             cols = cols[:at] + (u,) + cols[at:]
             # v's atoms that u completes: those keyed by u alone are read
             # once per candidate w of u, on a row holding w in every column;
@@ -289,92 +326,148 @@ def _schedule(structure, td, keep):
                 (by_value if set(check[0]) == {at} else rest).append(check)
             steps_of_binds.append((u, own, at, len(cols), by_value, rest))
         steps.append(("grow", fresh, v, carried, steps_of_binds, None))
+        return cols
 
-    def sum_out(kids, at):
-        """Join the top kids tables and sum out column at: in the grow step
-        that leaves a single child's table when there is one, else in a
-        merge step."""
+    def join(parts):
+        """Join the tables over the column tuples parts, the last on top of
+        the stack.  Returns the columns."""
+        row = parts[0]
+        stages = []
+        for cols in parts[1:]:
+            shared = [u for u in cols if u in row]
+            extra = [u for u in cols if u not in row]
+            before, row = set(row), row + tuple(extra)
+            found = []
+            for name, tup in atoms:
+                within = set(tup)
+                if (within.issubset(row) and not within <= before
+                        and not within <= set(cols)):
+                    found.append(check(name, tup, tup[0], row)
+                                 + (row.index(tup[0]),))
+            stages.append((_key_getter([row.index(u) for u in shared]),
+                           _key_getter([cols.index(u) for u in shared]),
+                           _row_getter([cols.index(u) for u in extra]),
+                           found))
+        out = [row.index(u) for u in sorted(row)]
+        steps.append(("join", len(parts), stages,
+                      (tuple(out), _row_getter(out))))
+        return tuple(sorted(row))
+
+    def sum_out(cols, v):
+        """Fold the sum-out of v into the step that leaves the table over
+        cols.  Returns the columns that stay."""
+        at = cols.index(v)
         last = steps[-1]
-        if kids > 1 or last[0] != "grow" or not last[4]:
-            steps.append(("merge", kids, at))
-            return
-        _, fresh, v, carried, binds, folded = last
-        _, _, bound_at, width, _, rest = binds[-1]
-        kept = list(folded[0] if folded else range(width))
-        del kept[at]
-        collapsed = None
-        if bound_at not in kept and not rest:
-            collapsed = _row_getter([c - (c > bound_at) for c in kept])
-        steps[-1] = ("grow", fresh, v, carried, binds,
-                     (tuple(kept), _row_getter(kept), collapsed))
+        if last[0] == "join":
+            _, kids, stages, (out, _) = last
+            out = out[:at] + out[at + 1:]
+            steps[-1] = ("join", kids, stages, (out, _row_getter(out)))
+        else:
+            _, fresh, carried_v, carried, binds, folded = last
+            _, _, bound_at, width, _, rest = binds[-1]
+            out = list(folded[0] if folded else range(width))
+            del out[at]
+            collapsed = None
+            if bound_at not in out and not rest:
+                collapsed = _row_getter([c - (c > bound_at) for c in out])
+            steps[-1] = ("grow", fresh, carried_v, carried, binds,
+                         (tuple(out), _row_getter(out), collapsed))
+        return cols[:at] + cols[at + 1:]
 
-    def rec(i):
+    def next_sum_out(i):
+        """The vertex whose sum-out folds into the step that leaves the
+        table of the i-th eliminated vertex: its parent, when the parent
+        has no other child and lacks no column of that table; else None."""
+        p = parent.get(i)
+        if p is not None and below[p] == [i] and \
+                set(plus[i]) == set(plus[p]).union((td.order[p],)):
+            return td.order[p]
+        return None
+
+    def build(i):
         """Steps leaving the table of the i-th eliminated vertex, keyed by
-        keep + up[i], on top of the stack."""
-        v, up, kids = td.order[i], td.up[i], td.children[i]
+        its up+, on top of the stack, or with i None the root table over
+        keep.  Returns the columns."""
+        if i is None:
+            v, kids, bag = None, roots, keep
+        else:
+            v, kids = td.order[i], below[i]
+            bag = tuple(sorted(plus[i] + (v,)))
         if not kids:
-            grow(True, (), keep + up, v)
-            return
-        bag = tuple(sorted(up + (v,)))
-        for c in kids:
-            below = keep + td.up[c]
-            lack = [u for u in bag if u not in below]
-            rec(c)
-            if len(kids) == 1 and lack and lack[-1] == v:
-                grow(False, below, lack[:-1], v)
-                return
+            return grow(True, (), bind_order(u for u in bag if u != v), v)
+        lack = bind_order(u for u in bag
+                          if all(u not in plus[c] for c in kids))
+        # a lacked vertex that the next sum-out removes is bound last, so
+        # that sum-out collapses; otherwise a single leaf child binds the
+        # whole bag with v last, so v's sum-out collapses
+        after = None if i is None else next_sum_out(i)
+        if len(kids) == 1 and not below[kids[0]] and after not in lack:
+            c = kids[0]
+            first = [u for u in bind_order(plus[c]) if u != v]
+            last = [] if v is None else [v]
+            cols = grow(True, (), first + lack + last, td.order[c])
+        else:
+            tables = [build(c) for c in kids]
+            cols = join(tables) if len(tables) > 1 else tables[0]
             if lack:
-                grow(False, below, lack)
-        sum_out(len(kids), len(keep) + bag.index(v))
+                cols = grow(False, cols, sorted(lack,
+                                                key=lambda u: u == after))
+        return cols if v is None else sum_out(cols, v)
 
-    if td.order:
-        rec(len(td.order) - 1)
-    else:
-        grow(True, (), keep)
+    build(None)
     return steps
 
 
 def dp_tables(structure, target, td, keep=(), domains=None):
-    """Run the counting DP over an elimination tree of the non-keep vertices.
+    """Run the counting DP over an elimination tree of the non-keep vertices;
+    the returned root table maps assignments of sorted(keep) to the number
+    of homomorphisms of the remaining vertices consistent with that boundary
+    assignment.
 
-    Vertices in keep appear implicitly in every bag; the returned root table
-    maps assignments of sorted(keep) to the number of homomorphisms of the
-    remaining vertices consistent with that boundary assignment.
-
-    The table of an eliminated vertex v is keyed by the keep columns, then
-    v's later neighbours up in sorted order, and counts the extensions over
-    v and the vertices below it.  A childless v binds the keep columns and
-    then up, one vertex at a time.  Otherwise each child's table gains the
-    vertices of v's bag that it lacks, in sorted order, the children's
-    tables are joined, and v is summed out.  Each atom is checked once,
-    where its last vertex enters a row.  A vertex's candidates are a
+    The plan is bucket elimination over the tree's vertices together with
+    keep, where keep is never eliminated.  Each eliminated vertex v has a
+    table keyed by its up+ in sorted order: its later neighbours once keep
+    joins the graph, which are its up plus the keep columns that its atoms
+    or a fill edge bring.  It counts the extensions over v and the vertices
+    below it.  A childless v binds up+, keep columns first, one vertex at a
+    time.  Otherwise the children's tables are joined on their shared
+    columns, the bag vertices that no child holds are bound, and v is
+    summed out.  A vertex whose up is empty roots a tree of the forest; at
+    the top the roots' tables are joined and the keep columns that none of
+    them holds are bound.  An atom is checked where its last vertex enters
+    a row, and an atom that a join completes and no single joined table
+    holds is checked on the joined row.  A vertex's candidates are a
     bitmask over range(target.n): the AND of domains[v] (when given) and,
     per atom the vertex completes, the mask that the target's index for
     (symbol, positions of the vertex) holds under the atom's bound values
     (see _candidate_masks); a missing key means 0, or full for a Complement
     view's co-masks.  Each (key columns, index) pair is checked once per
     step, so the two orientations of an undirected edge cost one check.
-    v is carried as a mask when it would be bound last: at a childless v,
-    and over a single child that lacks v after any other vertex it lacks.
-    Each row then holds a count and v's candidates.  The mask starts as
-    v's domain ANDed with v's atoms already bound, loops included; each
-    vertex bound after that ANDs in the atoms of v it completes, and a row
-    is dropped as soon as its mask is 0.  The last bind stores each row's
-    count times the popcount of its mask, so v is never stored and the rows
-    follow the prefixes that can still extend.  Over a single child, v is
-    summed out by that last bind (see _schedule): it adds each row's count
-    under the row with v's column removed, and when that column is the one
-    it binds and no check needs the new row, a row's candidates w collapse
-    to one count, the sum of cnt * popcount(mask & v's checks on w), with
-    no row built per candidate.  A join of two or more children is a
-    separate merge.  The keys of every table, the root's included, are
-    exactly the assignments that extend.  A table that passes
+
+    A childless v is carried as a mask: each row holds a count and v's
+    candidates.  The mask starts as v's domain ANDed with v's atoms already
+    bound, loops included; each vertex bound after that ANDs in the atoms
+    of v it completes, and a row is dropped as soon as its mask is 0.  The
+    last bind stores each row's count times the popcount of its mask, so v
+    is never stored and the rows follow the prefixes that can still extend.
+    A single childless child binds its parent's whole bag with the parent
+    bound last, so the parent's sum-out collapses: a row's candidates w
+    become one count, the sum of cnt * popcount(mask & v's checks on w),
+    with no row built per candidate.  Every other sum-out is folded into
+    the join or the last bind that leaves the table, which adds each row's
+    count under its key without the summed column; when that bind's own
+    vertex is the one summed out, it collapses to cnt * popcount(candidates)
+    per row.  So when v's parent is summed out in v's own step and v's
+    children lack the parent, the parent is bound last there, and a single
+    childless child keeps its own table rather than binding the bag.  The
+    keys of every table, the root's included, are exactly the assignments
+    that extend, so an empty table ends the DP with {}.  A table that passes
     TABLE_ROWS_CAP rows while it is built raises BudgetError; the size is
     checked once per row of the table below.
 
     Everything above that the target does not decide (the steps, bind
-    order, insertion columns, sum-out columns and each check's key getter
-    and mask key) is the schedule of (structure, td, keep), built by
+    order, insertion and sum-out columns, join keys and each check's key
+    getter and mask key) is the schedule of (structure, td, keep), built by
     _schedule once and kept in td.schedules, so it lives as long as the
     tree: the fast counter's trees live in its memoized plan.  A call
     resolves the checks against target.masks, computes each vertex's
@@ -398,14 +491,17 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                                if bit == "1"]
         return found
 
+    def index_of(mask_key, tup, v):
+        pair = masks.get(mask_key)
+        return pair if pair is not None else _candidate_masks(
+            target, mask_key[0], tup, v)
+
     def resolve(checks):
         """(key getter, index, default) per check, once per (key columns,
         index), building a missing index."""
         found = {}
         for columns, key, mask_key, tup, v in checks:
-            pair = masks.get(mask_key)
-            if pair is None:
-                pair = _candidate_masks(target, mask_key[0], tup, v)
+            pair = index_of(mask_key, tup, v)
             found[columns, id(pair[0])] = (key,) + pair
         return found.values()
 
@@ -474,29 +570,46 @@ def dp_tables(structure, target, td, keep=(), domains=None):
             rows = out
         return rows
 
-    def merge(tables, at):
-        table = tables[0]
-        for other in tables[1:]:
-            small, large = sorted((table, other), key=len)
-            table = {key: cnt * large[key] for key, cnt in small.items()
-                     if key in large}
-        out = {}
-        for row, cnt in table.items():
-            key = row[:at] + row[at + 1:]
-            out[key] = out.get(key, 0) + cnt
-        return out
+    def join(tables, stages, out):
+        probes = []
+        for table, (key, own_key, extra, checks) in zip(tables[1:], stages):
+            index = {}
+            for row, cnt in table.items():
+                index.setdefault(own_key(row), []).append((extra(row), cnt))
+            probes.append((key, index, [
+                (check,) + index_of(mask_key, tup, u) + (at,)
+                for _, check, mask_key, tup, u, at in checks]))
+        result = {}
+        for row, cnt in tables[0].items():
+            partial = [(row, cnt)]
+            for key, index, checks in probes:
+                partial = [(head + tail, c * more) for head, c in partial
+                           for tail, more in index.get(key(head), ())]
+                for check, found, default, at in checks:
+                    partial = [(new, c) for new, c in partial
+                               if found.get(check(new), default) >> new[at]
+                               & 1]
+            for new, c in partial:
+                new = out(new)
+                result[new] = result.get(new, 0) + c
+            if len(result) > TABLE_ROWS_CAP:
+                raise BudgetError("table rows", len(result), TABLE_ROWS_CAP,
+                                  "TABLE_ROWS_CAP")
+        return result
 
     stack = []
     for step in steps:
-        if step[0] == "merge":
-            _, kids, at = step
+        if step[0] == "join":
+            _, kids, stages, (_, out) = step
             tables = stack[-kids:]
             del stack[-kids:]
-            stack.append(merge(tables, at))
+            stack.append(join(tables, stages, out))
         else:
             _, fresh, v, carried, binds, sum_out = step
             table = {(): 1} if fresh else stack.pop()
             stack.append(grow(table, v, carried, binds, sum_out))
+        if not stack[-1]:
+            return {}
     return stack.pop()
 
 
@@ -566,10 +679,10 @@ class _Plan:
     query's tree and each lead part's tree keep their schedules (see
     dp_tables), so they live and go with the plan in _plan's cache.  Parts
     that share a lead share one table per count (see derived_free_query).
-    covering names the derived symbol when exactly one part has a boundary,
-    that boundary is every free vertex and no atom is free-only: the derived
-    query is then that one atom, and its answers are the relation's keys.
-    Otherwise covering is None."""
+    covering names the derived symbol when exactly one part has a boundary
+    and that boundary is every free vertex: the part's substructure then
+    holds every free-only atom, so its table checks them, and the answers
+    are the relation's keys.  Otherwise covering is None."""
 
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
@@ -581,7 +694,6 @@ class _Plan:
         rels = {name: set(tuple(self.index[v] for v in tup) for tup in rel
                           if all(v in self.index for v in tup))
                 for name, rel in q.structure.relations.items()}
-        free_only = any(rels.values())
         self.names = []
         for i, part in enumerate(self.parts):
             if not part.boundary:
@@ -599,8 +711,7 @@ class _Plan:
         bounded = [(part, name) for part, name in zip(self.parts, self.names)
                    if name is not None]
         self.covering = None
-        if (len(bounded) == 1 and not free_only
-                and len(bounded[0][0].boundary) == len(free)):
+        if len(bounded) == 1 and len(bounded[0][0].boundary) == len(free):
             self.covering = bounded[0][1]
         self._td = None
 

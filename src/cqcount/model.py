@@ -325,14 +325,11 @@ def clone_by_multiplicity(structure, multiplicity):
             raise ValueError("negative multiplicity")
         copies[v] = list(range(len(origin), len(origin) + m))
         origin.extend([v] * m)
-    rels = {}
-    for name, rel in structure.relations.items():
-        out = set()
-        for tup in rel:
-            for combo in product(*(copies[v] for v in tup)):
-                out.add(combo)
-        rels[name] = out
-    return Structure(structure.signature, len(origin), rels), origin
+    # relabelled copies of a checked structure's tuples need no second check
+    rels = {name: frozenset(combo for tup in rel
+                            for combo in product(*(copies[v] for v in tup)))
+            for name, rel in structure.relations.items()}
+    return Structure._trusted(structure.signature, len(origin), rels), origin
 
 
 def clone_vertices(structure, coloring, z):

@@ -8,7 +8,8 @@ from cqcount import decomposition as dec
 from cqcount import homs
 from cqcount.gadgets import family_query
 from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
-                           complement_structure, gaifman_adjacency, graph)
+                           complement_structure, gaifman_adjacency, graph,
+                           graph_edges)
 
 from helpers import (count_answers_dp, extendability_relation,
                      random_graph, random_query, validate_decomposition)
@@ -426,8 +427,9 @@ def family_schedules(q):
 
 
 def test_single_child_sum_outs_fold_into_the_grow_before_them():
-    # merge steps are left to joins of two or more tables and to sums over
-    # a merge's output; the folded tables match brute force
+    # no step only sums out: a join joins two or more tables and every
+    # sum-out is folded into a grow or a join; the folded tables match brute
+    # force
     rng = random.Random(61)
     schedules = [steps for kind in ("psi", "gamma", "omega", "poly",
                                     "subdivided")
@@ -446,10 +448,99 @@ def test_single_child_sum_outs_fold_into_the_grow_before_them():
         assert dec.dp_tables(s, t, td, keep, domains) == \
             brute_table(s, t, keep, domains)
     for steps in schedules:
-        for step, after in zip(steps, steps[1:]):
-            assert not (step[0] == "grow" and after[:2] == ("merge", 1))
+        for step in steps:
+            assert step[0] == "grow" or (step[0] == "join" and step[1] >= 2)
     assert any(step[0] == "grow" and step[5] is not None
                for steps in schedules for step in steps)
+
+
+def widest_key(steps):
+    """The most columns of a row that a schedule stores: a grow's rows
+    after each bind but the last, and the table that each step leaves."""
+    widest = 0
+    for step in steps:
+        if step[0] == "join":
+            widths = [len(step[3][0])]
+        else:
+            binds, folded = step[4], step[5]
+            widths = [width for _, _, _, width, _, _ in binds[:-1]]
+            widths.append(len(folded[0]) if folded
+                          else binds[-1][3] if binds else 0)
+        widest = max(widest, *widths)
+    return widest
+
+
+def plan_keys(q):
+    """(keep plus the widest up, widest_key) over the component tables of
+    q's plan."""
+    parts = dec._plan(q).parts
+    old = max((len(part.keep) + len(up) for part in parts
+               for up in part.tree().up), default=0)
+    new = max((widest_key(dec._schedule(part.sub, part.tree(), part.keep))
+               for part in parts), default=0)
+    return old, new
+
+
+# (keep plus the widest up, the widest key) of each family's component
+# tables at k = 1..4: only gamma and omega narrow
+FAMILY_KEYS = {
+    "psi": [(1, 1), (2, 2), (3, 3), (4, 4)],
+    "gamma": [(1, 1), (3, 2), (5, 3), (7, 4)],
+    "omega": [(1, 1), (3, 2), (5, 4), (6, 6)],
+    "poly": [(0, 0), (2, 2), (2, 2), (2, 2)],
+    "subdivided": [(0, 0), (2, 2), (2, 2), (2, 2)],
+    "w1": [(0, 0), (1, 0), (2, 1), (3, 2)],
+}
+
+
+def test_no_plan_key_grows():
+    for kind, keys in FAMILY_KEYS.items():
+        assert [plan_keys(family_query(kind, k)) for k in (1, 2, 3, 4)] == \
+            keys
+    rng = random.Random(73)
+    for _ in range(200):
+        q = random_query(rng, 7)
+        old, new = plan_keys(q)
+        assert new <= old
+        plan = dec._plan(q)
+        td = plan.tree()
+        assert widest_key(dec._schedule(plan.query.structure, td, ())) <= \
+            max(map(len, td.up), default=0)
+
+
+def test_dp_tables_with_keep_isolated_from_a_disconnected_rest():
+    # the rest splits into pieces, each a root of its own tree; some keep
+    # vertices touch no piece, so the top binds them, and atoms among keep
+    # columns that no single root holds are checked at the top
+    rng = random.Random(79)
+    signature = [("E", 2), ("T", 3)]
+    for _ in range(120):
+        n = rng.randint(3, 7)
+        keep = sorted(rng.sample(range(n), rng.randint(1, 3)))
+        rest = [v for v in range(n) if v not in keep]
+        cut = rng.randint(0, len(rest))
+        pieces = [rest[:cut], rest[cut:]]
+        near = rng.sample(keep, rng.randint(0, len(keep)))
+        rels = {"E": set(), "T": set()}
+        for group in pieces + [keep]:
+            for _ in range(rng.randint(0, 3)):
+                rels["E"].add((rng.choice(group + near), rng.choice(group))
+                              if group else (keep[0], keep[0]))
+        for _ in range(rng.randint(0, 2)):
+            rels["T"].add(tuple(rng.choice(keep) for _ in range(3)))
+        s = Structure(signature, n, rels)
+        m = rng.randint(0, 4)
+        g = Structure(signature, m, {
+            name: [tup for tup in product(range(m), repeat=arity)
+                   if rng.random() < 0.5 ** (arity - 1)]
+            for name, arity in signature})
+        for exact in (True, False):
+            _, td = dec.decompose_graph((gaifman_adjacency(s), rest), exact)
+            for t in (g, complement_structure(g)):
+                domains = random_domains(rng, Query(s, ()), t)
+                for doms in (None, domains):
+                    assert dec.dp_tables(s, t, td, keep, doms) == \
+                        brute_table(s, t, keep, doms or {})
 
 
 COVERING = [(kind, k) for kind in ("psi", "gamma", "omega") for k in (1, 2, 3)]
@@ -472,28 +563,28 @@ def test_a_covering_part_is_counted_by_its_keys(monkeypatch, family):
                     homs.count_answers(q, t, domains)
 
 
-def test_a_free_only_atom_keeps_the_final_dp(monkeypatch):
-    # psi_2 with E(x0, x1): the one part still covers the free set, but
-    # its keys are not the answers
-    q = Query(graph(3, [(0, 2), (1, 2), (0, 1)]), (0, 1))
-    calls = []
-    count_homs_dp = dec.count_homs_dp
+@pytest.mark.parametrize("family", [(kind, k) for kind in ("psi", "gamma",
+                                                          "omega")
+                                    for k in (2, 3)])
+def test_a_covering_part_checks_its_free_only_atoms(monkeypatch, family):
+    # a free-only edge lies in the covering part's substructure, so the
+    # part's table checks it and its keys are still the answers
+    base = family_query(*family)
+    edges = graph_edges(base.structure)
+    q = Query(graph(base.structure.n, edges + [(0, 1)]), base.free)
+    assert dec._plan(q).covering is not None
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return count_homs_dp(*args, **kwargs)
+    def final_dp(*args, **kwargs):
+        raise AssertionError("the final DP ran")
 
-    monkeypatch.setattr(dec, "count_homs_dp", counting)
-    rng = random.Random(67)
-    for _ in range(30):
+    monkeypatch.setattr(dec, "count_homs_dp", final_dp)
+    rng = random.Random("free-only:%s" % (family,))
+    for _ in range(10):
         g = random_graph(rng, rng.randint(0, 6))
-        t = complement_structure(g) if rng.random() < 0.5 else g
-        domains = random_domains(rng, q, t) if rng.random() < 0.5 else None
-        calls.clear()
-        assert dec.count_answers_dss(q, t, domains) == \
-            homs.count_answers(q, t, domains)
-        assert len(calls) == (dec.derived_free_query(q, t, domains)
-                              is not None)
+        for t in (g, complement_structure(g)):
+            for domains in (None, random_domains(rng, q, t)):
+                assert dec.count_answers_dss(q, t, domains) == \
+                    homs.count_answers(q, t, domains)
 
 
 def test_root_tables_hold_no_zero_counts():

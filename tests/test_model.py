@@ -115,6 +115,27 @@ def test_clone_by_multiplicity_counts():
     assert len(graph_edges(cloned)) == 6
 
 
+def test_clone_by_multiplicity_equals_the_checked_constructor():
+    # clones are built without the per-tuple check; multiplicity 0 deletes
+    # a vertex and every tuple through it
+    rng = random.Random(71)
+    signature = Signature([("U", 1), ("E", 2), ("R", 3)])
+    for _ in range(40):
+        s = random_structure(rng, signature, rng.randint(0, 4), p=0.4)
+        multiplicity = [rng.randint(0, 2) for _ in s.vertices()]
+        cloned, origin = clone_by_multiplicity(s, multiplicity)
+        checked = Structure(signature, len(origin), cloned.relations)
+        assert cloned == checked and hash(cloned) == hash(checked)
+        assert all(isinstance(rel, frozenset)
+                   for rel in cloned.relations.values())
+        assert sorted(origin) == [v for v in s.vertices()
+                                  for _ in range(multiplicity[v])]
+        for name, rel in cloned.relations.items():
+            assert {tuple(origin[v] for v in tup) for tup in rel} == {
+                tup for tup in s.relations[name]
+                if all(multiplicity[v] for v in tup)}
+
+
 def test_clone_vertices_demands_positive_multiplicity():
     g = graph(2, [(0, 1)])
     c = Coloring([0, 1], g, g)
