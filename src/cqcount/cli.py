@@ -14,7 +14,7 @@ from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
 from .model import (Coloring, Query, Structure, complement_structure,
                     gaifman_graph, graph, graph_edges, induced_substructure,
-                    tensor_product)
+                    is_undirected, tensor_product, unmatched_pair)
 from .parser import (ParseError, ZeroWitness, eliminate_equalities,
                      formula_to_query, parse_coloring, parse_formula,
                      parse_quantum, parse_structure, serialize_coloring,
@@ -77,7 +77,8 @@ def _load_graph(path):
 def _check_signature(queries, t, target_path):
     """Every symbol of every query must exist in the target with the same
     arity; otherwise the counters would look up a relation that is not
-    there."""
+    there.  A query over E/2 alone reads its E atoms as undirected, so the
+    target's E must then be symmetric."""
     for q in queries:
         for name, arity in q.structure.signature.symbols:
             have = t.signature.arity.get(name)
@@ -89,6 +90,12 @@ def _check_signature(queries, t, target_path):
                 raise InputError("%s: symbol %s has arity %d in the target "
                                  "but %d in the query"
                                  % (target_path, name, have, arity))
+    if any(is_undirected(q.structure.signature) for q in queries):
+        pair = unmatched_pair(t.relations["E"])
+        if pair is not None:
+            raise InputError("%s: the query's E atoms are undirected, but the "
+                             "target's E holds %r and not its reverse"
+                             % (target_path, pair))
 
 
 def _load_coloring(path, name_to_index):
@@ -318,7 +325,7 @@ def cmd_gadget(args):
         _print_gadget(args, out)
         return EXIT_OK
     if name == "gamma-to-grate":
-        t = _load_structure(args.target)
+        t = _load_graph(args.target)
         c = _load_coloring(args.coloring, {})
         try:
             out = gadgets.gamma_to_grate_gadget(args.k, t, c)
@@ -502,11 +509,9 @@ def _random_colored_target(rng, s, p):
     colored by its vertex of s, and an edge between vertices of adjacent
     colors with probability p.  Returns the graph and its coloring."""
     colors = [v for v in s.vertices() for _ in range(rng.randint(1, 2))]
-    edges = set(graph_edges(s))
     t = graph(len(colors), [
         (a, b) for a in range(len(colors)) for b in range(a + 1, len(colors))
-        if tuple(sorted((colors[a], colors[b]))) in edges
-        and rng.random() < p])
+        if (colors[a], colors[b]) in s.relations["E"] and rng.random() < p])
     return t, Coloring(colors, t, s)
 
 
@@ -616,24 +621,34 @@ def _check_normalize(rng, args):
 
 
 def _check_compile(rng, args):
-    atoms = ["E(x1,y1)", "E(x1,y2)", "E(x2,y1)", "E(x1,x2)", "E(y1,y2)"]
+    pairs = [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x1", "x2"),
+             ("y1", "y2")]
     for _ in range(max(1, args.trials // 5)):
         m = rng.randint(1, 2)
-        disj = ["(" + " & ".join(rng.sample(atoms, rng.randint(1, 2))) + ")"
-                for _ in range(m)]
+        disj = [rng.sample(pairs, rng.randint(1, 2)) for _ in range(m)]
         quant = rng.choice(["forall", "exists"])
+        negated = rng.random() < 0.5
         text = "formula\nfree x1 x2\n%s y1 y2\nbody (%s)%s\n" % (
-            quant, " | ".join(disj),
-            " & !E(x1,x2)" if rng.random() < 0.5 else "")
+            quant, " | ".join("(%s)" % " & ".join("E(%s,%s)" % p for p in d)
+                              for d in disj),
+            " & !E(x1,x2)" if negated else "")
         if rng.random() < 0.5:
             text += "ineq x1 x2\n"
+        if rng.random() < 0.5:
+            # merging the variables of one of its atoms makes that atom
+            # diagonal: a loop, which only a reflexive complement holds
+            text += "eq %s %s\n" % rng.choice(
+                [p for d in disj for p in d] + [("x1", "x2")] * negated)
         f = parse_formula(text)
         qq = expansion.compile(f)
-        t = _random_graph(rng, rng.randint(1, 4))
+        g = _random_graph(rng, rng.randint(1, 4))
+        transform = rng.choice(["identity", "complement"])
+        t = complement_structure(g) if transform == "complement" else g
         a = quantum.evaluate(qq, t)
         b = expansion.count_formula_answers(f, t)
         if a != b:
-            return "compiled=%s brute=%s formula=%r" % (a, b, text)
+            return "compiled=%s brute=%s formula=%r target=%r (%s)" % (
+                a, b, text, serialize_structure(g), transform)
     return None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .model import GRAPH_SIGNATURE, BudgetError, Query, Structure
+from .model import BudgetError, Query, Structure, query_structure
 from .parser import (FormulaAST, ZeroWitness, _conjuncts, _partition,
                      eliminate_equalities, formula_to_query,
                      to_disjunctive_normal_form)
@@ -114,15 +114,6 @@ def expand_inequalities(q):
     return QuantumQuery(terms)
 
 
-def _with_atoms(structure, atoms, graph_mode):
-    rels = {name: set(rel) for name, rel in structure.relations.items()}
-    for sym, args in atoms:
-        rels[sym].add(tuple(args))
-        if graph_mode and sym == "E" and args[0] != args[1]:
-            rels[sym].add((args[1], args[0]))
-    return Structure(structure.signature, structure.n, rels)
-
-
 def expand_negations(q):
     """Replace negated free atoms by inclusion-exclusion over the subsets
     forced positive.  The combination is unnormalized; compile normalizes
@@ -130,11 +121,12 @@ def expand_negations(q):
     negs = sorted(q.negated_atoms)
     if not negs:
         return QuantumQuery([(1, q)])
-    graph_mode = q.structure.signature.symbols == GRAPH_SIGNATURE
+    s = q.structure
+    atoms = [(sym, tup) for sym, rel in s.relations.items() for tup in rel]
     terms = []
     for size in range(len(negs) + 1):
         for j in combinations(negs, size):
-            structure = _with_atoms(q.structure, j, graph_mode)
+            structure = query_structure(s.signature, s.n, atoms + list(j))
             terms.append((Fraction((-1) ** size),
                           Query(structure, q.free, q.inequalities, ())))
     return QuantumQuery(terms)
@@ -323,7 +315,12 @@ def compile(f):
     inclusion-exclusion and inequalities by Moebius inversion, and one
     normalize.  Evaluating the result (on the target, or on its reflexive
     complement when the transform flag says so) matches the brute-force
-    formula semantics."""
+    formula semantics.
+
+    Over the signature E/2 alone the queries read their E atoms as
+    undirected (model.query_structure), while count_formula_answers reads
+    each atom as written: the two agree on targets whose E is symmetric,
+    loops allowed, and a caller must evaluate on such targets only."""
     f = eliminate_equalities(f)
     if isinstance(f, ZeroWitness):
         return QuantumQuery([])

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from math import comb
 
 from .model import (Coloring, Query, Structure, clone_vertices,
-                    gaifman_adjacency, gaifman_graph, graph, graph_edges)
+                    gaifman_adjacency, gaifman_graph, graph)
 from . import decomposition, homs
 from .quantum import row_reduce
 
@@ -100,116 +100,76 @@ def query_minor_with_map(q, op):
         raise ValueError("minor operations need a graph-mode query")
     kind, arg = op
     s = q.structure
-    edges = set(graph_edges(s))
-    fset = set(q.free)
+    rel = s.relations["E"]
+    cut = ()  # the pairs the minor drops
     if kind == "delete-vertex":
-        v = arg
-        if any(v in e for e in edges):
-            raise ValueError("vertex %d is not isolated" % v)
-        order = [u for u in s.vertices() if u != v]
-        new = {u: i for i, u in enumerate(order)}
-        g2 = graph(len(order), [(new[a], new[b]) for a, b in edges])
-        free = tuple(new[x] for x in q.free if x != v)
-        return Query(g2, free), new
-    if kind == "delete-edge":
-        e = tuple(sorted(arg))
-        if e not in edges:
-            raise ValueError("edge %r not present" % (e,))
-        g2 = graph(s.n, sorted(edges - {e}))
-        ident = {u: u for u in s.vertices()}
-        return Query(g2, q.free), ident
-    if kind == "contract-edge":
+        if any(arg in e for e in rel):
+            raise ValueError("vertex %d is not isolated" % arg)
+        gone = arg
+    elif kind in ("delete-edge", "contract-edge"):
         u, v = sorted(arg)
-        if (u, v) not in edges:
-            raise ValueError("edge %r not present" % (arg,))
-        order = [w for w in s.vertices() if w != v]
-        new = {w: i for i, w in enumerate(order)}
-        new[v] = new[u]
-        merged = set()
-        for a, b in edges:
-            a2, b2 = new[a], new[b]
-            if a2 != b2:
-                merged.add(tuple(sorted((a2, b2))))
-        g2 = graph(s.n - 1, sorted(merged))
-        if u in fset or v in fset:
-            # keep the original free order with the merged vertex in place
-            free = []
-            placed = False
-            for x in q.free:
-                if x in (u, v):
-                    if not placed:
-                        free.append(new[u])
-                        placed = True
-                else:
-                    free.append(new[x])
-            free = tuple(free)
+        if (u, v) not in rel:
+            raise ValueError("edge %r not present"
+                             % ((u, v) if kind == "delete-edge" else arg,))
+        if kind == "delete-edge":
+            gone, cut = None, ((u, v), (v, u))
         else:
-            free = tuple(new[x] for x in q.free)
-        return Query(g2, free), new
-    raise ValueError("unknown minor operation %r" % (kind,))
+            gone = v
+    else:
+        raise ValueError("unknown minor operation %r" % (kind,))
+    order = [w for w in s.vertices() if w != gone]
+    new = {w: i for i, w in enumerate(order)}
+    if kind == "contract-edge":
+        new[v] = new[u]  # the merged vertex takes u's place
+    g2 = graph(len(order), [(new[a], new[b]) for a, b in rel
+                            if (a, b) not in cut and new[a] != new[b]])
+    # the free order keeps the first of a merged pair in place
+    free = tuple(dict.fromkeys(new[x] for x in q.free if x in new))
+    return Query(g2, free), new
 
 
 def minor_instance_gadget(q, op, t, c):
     """Given an instance colored by the minor of q, produce an instance colored
-    by q itself with the same color-prescribed answer count."""
+    by q itself with the same color-prescribed answer count.  t must be a
+    graph."""
     minor, vmap = query_minor_with_map(q, op)
     Coloring(c.colors, t, minor.structure)  # validate against the minor
+    if not t.is_graph():
+        raise ValueError("graph-mode targets only")
     inverse = {}
     for old, new in vmap.items():
         inverse.setdefault(new, []).append(old)
     kind, arg = op
-    edges = set(graph_edges(t))
+    rel = t.relations["E"]
     if kind == "delete-edge":
         u, v = sorted(arg)
         class_u = [x for x in t.vertices() if inverse[c[x]] == [u]]
         class_v = [x for x in t.vertices() if inverse[c[x]] == [v]]
-        extra = set(tuple(sorted((a, b))) for a in class_u for b in class_v)
-        g2 = graph(t.n, sorted(edges | extra))
+        g2 = graph(t.n, list(rel) + list(product(class_u, class_v)))
         colors = [inverse[c[x]][0] for x in t.vertices()]
-        out = GadgetOutput(g2, Coloring(colors, g2, q.structure),
-                           "count_cp_answers equal")
-        return out
-    if kind == "delete-vertex":
-        v = arg
-        g2 = graph(t.n + 1, sorted(edges))
-        colors = [inverse[c[x]][0] for x in t.vertices()] + [v]
-        return GadgetOutput(g2, Coloring(colors, g2, q.structure),
-                            "count_cp_answers equal")
-    if kind == "contract-edge":
+    elif kind == "delete-vertex":
+        g2 = graph(t.n + 1, rel)
+        colors = [inverse[c[x]][0] for x in t.vertices()] + [arg]
+    else:
         u, v = sorted(arg)
-        w = vmap[u]
-        qedges = set(graph_edges(q.structure))
-
-        def q_adjacent(a, b):
-            return tuple(sorted((a, b))) in qedges
-
-        colors = []
-        split_mate = {}
-        for x in t.vertices():
-            pre = inverse[c[x]]
-            if len(pre) == 2:
-                colors.append(u)
-                split_mate[x] = None  # second copy appended later
-            else:
-                colors.append(pre[0])
-        new_edges = []
-        for x in list(split_mate):
-            mate = len(colors)
-            split_mate[x] = mate
-            colors.append(v)
-            new_edges.append((x, mate))
-        for a, b in edges:
+        qrel = q.structure.relations["E"]
+        # a vertex of the merged color splits into a u copy, itself, and a
+        # v copy appended after the others
+        colors = [u if c[x] == vmap[u] else inverse[c[x]][0]
+                  for x in t.vertices()]
+        split = [x for x in t.vertices() if c[x] == vmap[u]]
+        mate = {x: t.n + i for i, x in enumerate(split)}
+        colors += [v] * len(split)
+        edges = list(mate.items())
+        for a, b in rel:
             # rebuild each original edge, routing ends through the copies
-            ends_a = [a] + ([split_mate[a]] if a in split_mate else [])
-            ends_b = [b] + ([split_mate[b]] if b in split_mate else [])
-            for ea in ends_a:
-                for eb in ends_b:
-                    if q_adjacent(colors[ea], colors[eb]):
-                        new_edges.append(tuple(sorted((ea, eb))))
-        g2 = graph(len(colors), sorted(set(new_edges)))
-        return GadgetOutput(g2, Coloring(colors, g2, q.structure),
-                            "count_cp_answers equal")
-    raise ValueError("unknown minor operation %r" % (kind,))
+            for ea in (a, mate.get(a, a)):
+                for eb in (b, mate.get(b, b)):
+                    if (colors[ea], colors[eb]) in qrel:
+                        edges.append((ea, eb))
+        g2 = graph(len(colors), edges)
+    return GadgetOutput(g2, Coloring(colors, g2, q.structure),
+                        "count_cp_answers equal")
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +188,9 @@ def uncolored_to_cp_gadget(q, t):
     def vid(u, a):
         return u * n + a
 
-    edges = set()
-    for (u, v) in graph_edges(q.structure):
-        for (a, b) in graph_edges(t):
-            edges.add(tuple(sorted((vid(u, a), vid(v, b)))))
-            edges.add(tuple(sorted((vid(u, b), vid(v, a)))))
-    g2 = graph(m * n, sorted(edges))
+    g2 = graph(m * n, [(vid(u, a), vid(v, b))
+                       for u, v in q.structure.relations["E"]
+                       for a, b in t.relations["E"]])
     colors = [u for u in range(m) for _ in range(n)]
     return GadgetOutput(g2, Coloring(colors, g2, q.structure),
                         "count_answers(q,t) = count_cp_answers(q,gadget)")
@@ -300,9 +257,9 @@ def star_instance(g, k):
     leaves, with an edge exactly between copies of distinct non-adjacent
     primal vertices."""
     n = g.n
-    adjacent = set(graph_edges(g))
+    adjacent = g.relations["E"]
     apart = [(u, v) for u in range(n) for v in range(n)
-             if u != v and (min(u, v), max(u, v)) not in adjacent]
+             if u != v and (u, v) not in adjacent]
     # layer 0 holds the center copies 0..n-1, layer i the leaf copies
     # i*n..i*n+n-1, so every edge is already ordered
     g2 = graph((k + 1) * n, [(u, i * n + v) for i in range(1, k + 1)
@@ -312,24 +269,20 @@ def star_instance(g, k):
     return g2, Coloring(colors, g2, psi.structure)
 
 
-def domset_via_star_oracle(g, k, oracle=None):
+def domset_via_star_oracle(g, k):
     """Counts of dominating sets D_1..D_k of g, using only an oracle for the
-    color-prescribed star count.  The default oracle is
-    homs.count_cp_answers of the star query psi_k."""
+    color-prescribed star count: homs.count_cp_answers of the star query
+    psi_k."""
     if not g.is_graph():
         raise ValueError("graph-mode input only")
-    if oracle is None:
-        psi = family_query("psi", k)
-
-        def oracle(s, c):
-            return homs.count_cp_answers(psi, s, c)
+    psi = family_query("psi", k)
 
     def padded(j):
-        return graph(g.n + j, graph_edges(g))
+        return graph(g.n + j, g.relations["E"])
 
     def dom_tuples_k(target):
         inst, coloring = star_instance(target, k)
-        return target.n ** k - oracle(inst, coloring)
+        return target.n ** k - homs.count_cp_answers(psi, inst, coloring)
 
     dom = {0: 1 if g.n == 0 else 0, k: dom_tuples_k(g)}
     for j in range(k - 1, 0, -1):
@@ -360,73 +313,50 @@ def domset_via_star_oracle(g, k, oracle=None):
 
 def gamma_to_grate_gadget(k, t, c):
     """Rebuild a gamma_k-colored instance as an omega_k-colored one with the
-    same color-prescribed answer count."""
+    same color-prescribed answer count.  t must be a graph."""
     gamma = family_query("gamma", k)
     Coloring(c.colors, t, gamma.structure)
+    if not t.is_graph():
+        raise ValueError("graph-mode targets only")
     omega = family_query("omega", k)
-    pos = omega_positions(k)
-    edges_t = set(graph_edges(t))
-
-    vertices = []      # (omega_color, payload) payload=(orig,) or (u, u2)
-    index = {}
+    grid = omega_positions(k)["grid"]
+    rel = t.relations["E"]
+    colors = []  # the omega color of each new vertex
+    # omega color -> [(payload, new vertex)], payload (x,) or a pair (u, u2)
+    bucket = {color: [] for color in omega.structure.vertices()}
 
     def add(color, payload):
-        key = (color, payload)
-        if key not in index:
-            index[key] = len(vertices)
-            vertices.append(key)
-        return index[key]
+        bucket[color].append((payload, len(colors)))
+        colors.append(color)
+        return len(colors) - 1
 
     # free classes carry over; free x_m sits at diagonal position (m, k-1-m)
-    for x in t.vertices():
-        if c[x] < k:
-            add(c[x], (x,))
-    # diagonal vertices (u,u) for u in the matching class of the position
-    for (i, j), _ in pos["grid"].items():
+    free = {x: add(c[x], (x,)) for x in t.vertices() if c[x] < k}
+    matched = [(a, b) for a, b in sorted(rel) if c[a] >= k and c[b] >= k]
+    diagonal = {}
+    for (i, j), color in grid.items():
         if i + j == k - 1:
-            color = pos["grid"][(i, j)]
+            # the copies (u,u) of the matching class of the position
             for u in t.vertices():
                 if c[u] == k + i:
-                    add(color, (u, u))
+                    diagonal[u] = add(color, (u, u))
         else:
-            color = pos["grid"][(i, j)]
-            for (a, b) in edges_t:
-                if c[a] >= k and c[b] >= k:
-                    add(color, (a, b))
-                    add(color, (b, a))
-
-    edges = set()
+            for pair in matched:
+                add(color, pair)
     # pendant edges: an original x-y edge joins x to the diagonal copy (u,u)
-    for (a, b) in edges_t:
-        for x, u in ((a, b), (b, a)):
-            if c[x] < k and c[u] >= k:
-                i = c[u] - k
-                xcol = c[x]
-                if (xcol, (x,)) in index and \
-                        (pos["grid"][(i, k - 1 - i)], (u, u)) in index:
-                    edges.add(tuple(sorted((
-                        index[(xcol, (x,))],
-                        index[(pos["grid"][(i, k - 1 - i)], (u, u))]))))
-    # grid edges: first coordinates agree vertically, second horizontally
-    for (i, j), col in pos["grid"].items():
-        for (i2, j2), col2 in (((i, j + 1), None), ((i + 1, j), None)):
-            if (i2, j2) not in pos["grid"]:
+    edges = [(free[x], diagonal[u]) for x, u in rel if c[x] < k <= c[u]]
+    # grid edges: a step in j keeps the first coordinate, a step in i the
+    # second
+    for (i, j), color in grid.items():
+        for step, same in (((i, j + 1), 0), ((i + 1, j), 1)):
+            if step not in grid:
                 continue
-            col2 = pos["grid"][(i2, j2)]
-            for (color_a, pa) in list(index):
-                if color_a != col or len(pa) != 2:
-                    continue
-                for (color_b, pb) in list(index):
-                    if color_b != col2 or len(pb) != 2:
-                        continue
-                    if i2 == i and pa[0] == pb[0]:
-                        edges.add(tuple(sorted((index[(color_a, pa)],
-                                                index[(color_b, pb)]))))
-                    if i2 == i + 1 and pa[1] == pb[1]:
-                        edges.add(tuple(sorted((index[(color_a, pa)],
-                                                index[(color_b, pb)]))))
-    g2 = graph(len(vertices), sorted(edges))
-    colors = [color for color, _ in vertices]
+            ends = {}
+            for payload, b in bucket[grid[step]]:
+                ends.setdefault(payload[same], []).append(b)
+            edges += [(a, b) for payload, a in bucket[color]
+                      for b in ends.get(payload[same], ())]
+    g2 = graph(len(colors), edges)
     return GadgetOutput(g2, Coloring(colors, g2, omega.structure),
                         "count_cp_answers(gamma_k,t) = count_cp_answers(omega_k,gadget)")
 
@@ -439,7 +369,9 @@ def gaifman_expand_gadget(q, t, c):
     of the Gaifman-colored graph t."""
     gaif = gaifman_graph(q.structure)
     Coloring(c.colors, t, gaif)
-    edges_t = set(graph_edges(t))
+    if not t.is_graph():
+        raise ValueError("graph-mode targets only")
+    rel = t.relations["E"]
     classes = {}
     for v in t.vertices():
         classes.setdefault(c[v], []).append(v)
@@ -451,12 +383,7 @@ def gaifman_expand_gadget(q, t, c):
             distinct = list(dict.fromkeys(tup))
             found = False
             for combo in product(*(classes.get(d, []) for d in distinct)):
-                ok = True
-                for a, b in combinations(combo, 2):
-                    if tuple(sorted((a, b))) not in edges_t:
-                        ok = False
-                        break
-                if ok:
+                if all((a, b) in rel for a, b in combinations(combo, 2)):
                     found = True
                     assign = dict(zip(distinct, combo))
                     rels[name].add(tuple(assign[v] for v in tup))

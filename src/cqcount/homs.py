@@ -18,7 +18,6 @@ each found retraction's image to answer the later deletion tests without
 searching.
 """
 
-from itertools import permutations
 from math import factorial
 from operator import itemgetter
 
@@ -26,9 +25,10 @@ from .model import (BudgetError, Complement, Query, Signature, Structure,
                     gaifman_adjacency, induced_substructure)
 
 AUX_SYMBOL = "Xaux"
-# The most permutations _automorphism_restrictions may walk: |X|! * |Y|! for
-# X the free and Y the quantified vertices.  Each costs a pass over the atoms
-# in Python, a few microseconds, so the cap keeps one call under a second.
+# The most free-preserving permutations, |X|! * |Y|! for X the free and Y the
+# quantified vertices, that count_partial_automorphisms may have to search:
+# its search into the query meets each of them as a leaf at worst, so the
+# cap bounds one call.
 PERMUTATION_CAP = 40320
 
 
@@ -249,35 +249,22 @@ def count_surjective_answers(q, t, z, first=False):
                    accept=lambda vals: set(vals) == zset, first=first)
 
 
-def _automorphism_restrictions(q):
-    """Distinct restrictions to X of automorphisms of H that fix X setwise.
-    Only permutations mapping X onto X and Y onto Y are walked, and a
-    restriction, once found, skips the rest of its Y arrangements.  Raises
-    BudgetError when |X|! * |Y|! exceeds PERMUTATION_CAP."""
+def count_partial_automorphisms(q):
+    """Number of bijections X -> X extendable to an automorphism of H: one
+    search of H into itself with the free vertices kept in X and the
+    quantified ones in Y, every vertex a color of its own.  So each map
+    counted is a bijection, and a bijective endomorphism of a finite
+    structure is an automorphism.  Raises BudgetError when |X|! * |Y|!
+    exceeds PERMUTATION_CAP."""
     free, rest = q.free, q.quantified()
     size = factorial(len(free)) * factorial(len(rest))
     if size > PERMUTATION_CAP:
         raise BudgetError("free-preserving permutations", size,
                           PERMUTATION_CAP, "PERMUTATION_CAP")
-    atoms = [(rel, tup) for rel in q.structure.relations.values()
-             for tup in rel]
-    perm = list(q.structure.vertices())
-    seen = set()
-    for free_image in permutations(free):
-        for x, w in zip(free, free_image):
-            perm[x] = w
-        for rest_image in permutations(rest):
-            for y, w in zip(rest, rest_image):
-                perm[y] = w
-            if all(tuple(perm[v] for v in tup) in rel for rel, tup in atoms):
-                seen.add(free_image)
-                break
-    return seen
-
-
-def count_partial_automorphisms(q):
-    """Number of bijections X -> X extendable to an automorphism of H."""
-    return len(_automorphism_restrictions(q))
+    domains = dict.fromkeys(rest, rest)
+    domains.update(dict.fromkeys(free, free))
+    return _search(Query(q.structure, free), q.structure, domains,
+                   colors=range(q.structure.n))
 
 
 def _augment(q):

@@ -2,7 +2,9 @@
 
 Vertices are dense integers 0..n-1.  A "graph" is a structure over the single
 binary symbol E whose relation is symmetric and loopless; both orientations of
-every edge are stored.
+every edge are stored.  A query over E/2 alone reads its E atoms as undirected,
+loops included (is_undirected, query_structure), and is counted on symmetric
+targets.
 """
 
 from collections.abc import Set
@@ -117,27 +119,49 @@ class Structure:
 
     def is_graph(self):
         """True when this is a loopless symmetric graph over the symbol E/2."""
-        if self.signature.symbols != GRAPH_SIGNATURE:
+        if not is_undirected(self.signature):
             return False
         rel = self.relations["E"]
-        for (u, v) in rel:
-            if u == v or (v, u) not in rel:
-                return False
-        return True
+        return unmatched_pair(rel) is None and all(u != v for u, v in rel)
 
     def total_tuples(self):
         return sum(len(r) for r in self.relations.values())
 
 
+def unmatched_pair(rel):
+    """A pair of the binary relation rel whose reverse rel lacks, or None
+    when rel is symmetric."""
+    return next(((u, v) for u, v in rel if (v, u) not in rel), None)
+
+
+def is_undirected(signature):
+    """True when a query over signature reads its E atoms as undirected:
+    over the graph signature E/2 alone.  Its target's E must then be
+    symmetric for the counts to mean what the query says."""
+    return signature.symbols == GRAPH_SIGNATURE
+
+
+def query_structure(signature, n, atoms):
+    """The structure on n vertices holding atoms, (symbol, vertex tuple)
+    pairs.  When is_undirected(signature), both orientations of each E atom
+    are stored, as in a graph."""
+    undirected = is_undirected(signature)
+    rels = {}
+    for sym, args in atoms:
+        rel = rels.setdefault(sym, set())
+        rel.add(tuple(args))
+        if undirected:
+            rel.add(tuple(reversed(args)))
+    return Structure(signature, n, rels)
+
+
 def graph(n, edges):
     """Build a graph structure from an undirected edge list."""
-    rel = set()
-    for (u, v) in edges:
+    atoms = [("E", e) for e in edges]
+    for _, (u, v) in atoms:
         if u == v:
             raise ValueError("loop %d in graph" % u)
-        rel.add((u, v))
-        rel.add((v, u))
-    return Structure(Signature(GRAPH_SIGNATURE), n, {"E": rel})
+    return query_structure(Signature(GRAPH_SIGNATURE), n, atoms)
 
 
 def graph_edges(structure):

@@ -8,7 +8,8 @@ One statement per line, `#` starts a comment, identifiers match
 import re
 from fractions import Fraction
 
-from .model import (GRAPH_SIGNATURE, Coloring, Query, Signature, Structure)
+from .model import (GRAPH_SIGNATURE, Coloring, Query, Signature, Structure,
+                    graph_edges, is_undirected, query_structure)
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -52,9 +53,6 @@ class FormulaAST:
         self.inequalities = frozenset(frozenset(p) for p in inequalities)
         self.negated_atoms = frozenset((s, tuple(a)) for s, a in negated_atoms)
         self.equalities = tuple(tuple(p) for p in equalities)
-
-    def is_graph_signature(self):
-        return self.signature.symbols == GRAPH_SIGNATURE
 
     def variables(self):
         return self.free + self.quantified
@@ -170,7 +168,7 @@ def serialize_structure(s):
     if s.is_graph():
         lines.append("graph")
         lines.append("domain %d" % s.n)
-        for (u, v) in sorted(set(tuple(sorted(t)) for t in s.relations["E"])):
+        for (u, v) in graph_edges(s):
             lines.append("E %d %d" % (u, v))
     else:
         lines.append("structure")
@@ -474,8 +472,8 @@ def parse_formula(text):
 
 def eliminate_equalities(f):
     """Substitute equal variables by a single representative.  Returns a
-    ZeroWitness when the substitution is plainly unsatisfiable (diagonal atom
-    in graph mode, or an inequality collapsing)."""
+    ZeroWitness when an inequality collapses; an atom whose variables merge
+    stays, as a diagonal atom (a loop in the query)."""
     if not f.equalities:
         return f
     fset = set(f.free)
@@ -487,15 +485,9 @@ def eliminate_equalities(f):
         for v in members:
             rep[v] = choice
 
-    graph_mode = f.is_graph_signature()
-    zero = []
-
     def sub_tree(node):
         if node[0] == "atom":
-            args = tuple(rep[v] for v in node[2])
-            if graph_mode and args[0] == args[1]:
-                zero.append("diagonal atom %s%r" % (node[1], args))
-            return ("atom", node[1], args)
+            return ("atom", node[1], tuple(rep[v] for v in node[2]))
         if node[0] in ("and", "or"):
             return (node[0], tuple(sub_tree(c) for c in node[1]))
         return node
@@ -510,14 +502,8 @@ def eliminate_equalities(f):
         if rep[a] == rep[b]:
             return ZeroWitness("inequality %s != %s collapsed" % (a, b))
         ineqs.add((rep[a], rep[b]))
-    negs = []
-    for sym, args in f.negated_atoms:
-        args = tuple(rep[v] for v in args)
-        if graph_mode and args[0] == args[1]:
-            continue  # a loopless target never has the diagonal tuple
-        negs.append((sym, args))
-    if zero:
-        return ZeroWitness(zero[0])
+    negs = [(sym, tuple(rep[v] for v in args))
+            for sym, args in f.negated_atoms]
     return FormulaAST(f.signature, new_free, f.quantifier, new_quant, body,
                       inequalities=ineqs, negated_atoms=negs, equalities=())
 
@@ -558,23 +544,13 @@ def formula_to_query(f):
     if f.quantifier == "forall":
         raise ValueError("universal formulas are not conjunctive queries")
     conjuncts = _conjuncts(f.body)
-    if any(node[0] not in ("atom", "not", "true") for node in conjuncts):
+    if any(node[0] not in ("atom", "true") for node in conjuncts):
         raise ValueError("body is not a conjunction")
     order = f.free + f.quantified
     index = {v: i for i, v in enumerate(order)}
-    rels = {}
-    graph_mode = f.is_graph_signature()
-    for node in conjuncts:
-        if node[0] == "true":
-            continue
-        if node[0] != "atom":
-            raise ValueError("body is not a conjunction of atoms")
-        _, sym, args = node
-        tup = tuple(index[v] for v in args)
-        rels.setdefault(sym, set()).add(tup)
-        if graph_mode and tup[0] != tup[1]:
-            rels[sym].add((tup[1], tup[0]))
-    structure = Structure(f.signature, len(order), rels)
+    structure = query_structure(f.signature, len(order), [
+        (node[1], [index[v] for v in node[2]])
+        for node in conjuncts if node[0] == "atom"])
     free_idx = tuple(index[v] for v in f.free)
     ineqs = [frozenset((index[a], index[b])) for a, b in
              (tuple(p) for p in f.inequalities)]
@@ -587,11 +563,10 @@ def serialize_query(q):
     order = list(q.free) + sorted(q.quantified())
     name = {v: "v%d" % i for i, v in enumerate(order)}
     s = q.structure
-    # unlike Structure.is_graph this accepts loops, so E(x,x) serializes too
-    graphlike = s.signature.symbols == GRAPH_SIGNATURE and all(
-        (v, u) in s.relations["E"] for u, v in s.relations["E"])
+    # query_structure stored each undirected E atom both ways: print it once
+    undirected = is_undirected(s.signature)
     lines = ["query"]
-    if s.signature.symbols != GRAPH_SIGNATURE:
+    if not undirected:
         lines.append("signature " + " ".join("%s/%d" % sym
                                              for sym in s.signature.symbols))
     if q.free:
@@ -601,13 +576,9 @@ def serialize_query(q):
         lines.append("exists " + " ".join(name[v] for v in quant))
     atoms = []
     for sym, _ in s.signature.symbols:
-        rel = s.relations[sym]
-        if sym == "E" and graphlike:
-            seen = sorted(set(tuple(sorted(t)) for t in rel))
-            atoms.extend("E(%s,%s)" % (name[u], name[v]) for u, v in seen)
-        else:
-            atoms.extend("%s(%s)" % (sym, ",".join(name[v] for v in tup))
-                         for tup in sorted(rel))
+        atoms.extend("%s(%s)" % (sym, ",".join(name[v] for v in tup))
+                     for tup in s.relations[sym]
+                     if not undirected or tup[0] <= tup[1])
     atoms.sort()
     negs = sorted("!%s(%s)" % (sym, ",".join(name[v] for v in args))
                   for sym, args in q.negated_atoms)

@@ -123,11 +123,9 @@ def row_reduce(matrix):
     return rows, pivots
 
 
-def build_test_family(support, counter=None):
+def build_test_family(support):
     """Cloned structures on which the per-query answer counts form a square
     invertible matrix over the support."""
-    if counter is None:
-        counter = decomposition.count
     candidates = []
     seen = set()
     for q in support:
@@ -140,7 +138,7 @@ def build_test_family(support, counter=None):
             if cloned not in seen:
                 seen.add(cloned)
                 candidates.append(cloned)
-    _, chosen = row_reduce([[counter(q, f) for f in candidates]
+    _, chosen = row_reduce([[decomposition.count(q, f) for f in candidates]
                             for q in support])
     if len(chosen) < len(support):
         raise AssertionError("cloning family does not reach full rank; "
@@ -157,23 +155,22 @@ def solve_rational(a, b):
     return [row[d] for row in rref]
 
 
-def extract_constituent_counts(qq, t, oracle=None, counter=None):
+def extract_constituent_counts(qq, t, oracle=None):
     """Per-term answer counts on the evaluation target (the target itself, or
     its reflexive complement when the transform says so), recovered from oracle
-    values on tensor products with the test family."""
-    if counter is None:
-        counter = decomposition.count
+    values on tensor products with the test family.  The oracle defaults to
+    evaluate."""
     if oracle is None:
-        oracle = lambda g: evaluate(qq, g, counter=counter)
+        oracle = lambda g: evaluate(qq, g)
     support = [q for _, q in qq.terms]
     if not support:
         return {}
-    family = build_test_family(support, counter=counter)
+    family = build_test_family(support)
     teval = t if qq.transform == "identity" else complement_structure(t)
     a = []
     b = []
     for f in family:
-        row = [coeff * counter(q, f) for coeff, q in qq.terms]
+        row = [coeff * decomposition.count(q, f) for coeff, q in qq.terms]
         probe = tensor_product(teval, f)
         if qq.transform == "complement":
             probe = complement_structure(probe)

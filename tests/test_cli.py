@@ -55,7 +55,8 @@ def test_count_of_an_unsatisfiable_query(tmp_path, capsys):
 
 def test_commands_without_a_count_name_the_unsatisfiable_query(tmp_path,
                                                                capsys):
-    q = write(tmp_path, "q", "formula\nfree x y\nbody E(x,y)\neq x y\n")
+    q = write(tmp_path, "q",
+              "formula\nfree x y\nbody E(x,y)\nineq x y\neq x y\n")
     t = write(tmp_path, "t", P3)
     c = write(tmp_path, "c", "color 0 0\ncolor 1 0\ncolor 2 0\n")
     runs = [["params", "--query", q], ["classify", "--query", q],
@@ -350,3 +351,51 @@ def test_check_into_a_closed_pipe_exits_quietly():
         os.close(write)
     assert "Traceback" not in done.stderr.decode()
     assert done.returncode == 1
+
+
+LOOPED = ("structure\nsignature E/2\ndomain 3\n"
+          "E 0 0\nE 1 1\nE 0 1\nE 1 0\n")
+
+
+def test_a_merged_edge_counts_as_the_loop_it_becomes(tmp_path, capsys):
+    # eq x y turns E(x,y) into E(x,x): both count the 2 loops, and on the
+    # reflexive complement of one edge on 3 vertices, its 3 loops
+    merged = write(tmp_path, "merged",
+                   "formula\nfree x y\nbody E(x,y)\neq x y\n")
+    loop = write(tmp_path, "loop", "formula\nfree x\nbody E(x,x)\n")
+    t = write(tmp_path, "t", LOOPED)
+    g = write(tmp_path, "g", "graph\ndomain 3\nE 0 1\n")
+    for q in (merged, loop):
+        code, out, _ = run(capsys, ["count", "--query", q, "--target", t])
+        assert code == 0 and out.splitlines()[0] == "count: 2"
+        with open(q) as fh:
+            block = fh.read()
+        qq = write(tmp_path, "qq", "transform complement\ncoeff 1/1\n" + block)
+        code, out, _ = run(capsys, ["eval", "--quantum", qq, "--target", g])
+        assert code == 0 and out == "value: 3\n"
+
+
+def test_an_asymmetric_target_exits_one_naming_the_file(tmp_path, capsys):
+    q = write(tmp_path, "q", PSI2)
+    qq = write(tmp_path, "qq", "coeff 1/1\n" + PSI2)
+    c = write(tmp_path, "c", "color 0 0\ncolor 1 2\ncolor 2 1\n")
+    grate = write(tmp_path, "grate", "color 0 0\ncolor 1 2\ncolor 2 3\n")
+    directed = write(tmp_path, "directed",
+                     "structure\nsignature E/2\ndomain 3\nE 0 2\nE 2 1\n"
+                     "E 1 2\n")
+    runs = [(["count", "--query", q, "--target", directed],
+             "holds (0, 2) and not its reverse"),
+            (["eval", "--quantum", qq, "--target", directed],
+             "holds (0, 2) and not its reverse"),
+            (["gadget", "minor", "--query", q, "--op", "delete-edge",
+              "--vertices", "0", "2", "--target", directed, "--coloring", c],
+             "holds (0, 2) and not its reverse"),
+            (["gadget", "gaifman-expand", "--query", q, "--target", directed,
+              "--coloring", c], "holds (0, 2) and not its reverse"),
+            (["gadget", "gamma-to-grate", "--k", "2", "--target", directed,
+              "--coloring", grate], "not a graph")]
+    for argv, words in runs:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: %s: " % directed) and words in err, \
+            (argv, err)

@@ -710,10 +710,13 @@ def test_a_sparse_component_table_follows_its_output():
 
 
 # (vertices, keep, elimination order and later neighbours of the others,
-# bags with keep added).  In the first, 3 is carried over the bind of 2 on
-# top of the child 1, summed out at its leaf; in the second, over the bind of
-# 2 on top of 5, which joins the children 1 and 4; in the last, 2 is carried
-# at its leaf through two keep columns and 3 over the sum-out of 2.
+# bags with keep added).  Each vertex with an empty up roots its own tree,
+# and the top joins the roots' tables.  In the first, the root 1 is carried
+# at its leaf through keep column 0, and 3 is carried over the binds of 0
+# and of its root 2, which is summed out in the same step; in the second,
+# the root 5 joins its children 1 and 4, each carried at its leaf through
+# 0 and 5, and the root 2 is as in the first; in the last, the roots 2 and
+# 3 are each carried at their leaf through both keep columns.
 CARRIED_TREES = [
     (4, (0,), ([1, 3, 2], [(), (2,), ()]), [(0, 1), (0, 2, 3)]),
     (6, (0,), ([1, 4, 5, 3, 2], [(5,), (5,), (), (2,), ()]),

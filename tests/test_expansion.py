@@ -4,7 +4,7 @@ import pytest
 
 from cqcount import expansion, homs, quantum
 from cqcount.decomposition import BudgetError
-from cqcount.model import Query, graph
+from cqcount.model import Query, Structure, complement_structure, graph
 from cqcount.parser import parse_formula
 
 from helpers import random_graph, random_structure
@@ -173,8 +173,31 @@ def test_compile_of_a_plain_cq_is_a_single_core_term():
     assert qq.terms[0][1].structure.n == 2
 
 
+def test_compiled_diagonal_atoms_match_the_oracle_on_looped_targets():
+    # merged variables give loops and negated loops, which only a target
+    # with loops tells apart: a reflexive complement, or random E/2 loops
+    texts = ["formula\nfree x y\nbody true & !E(x,y)\neq x y\n",
+             "formula\nfree x y\nexists z\nbody E(x,z) & E(z,y)\neq x y\n",
+             "formula\nfree x y\nforall z\nbody E(x,z) | E(y,z)\n"
+             "eq y z\n",
+             "formula\nfree x1 x2\nexists y\nbody E(x1,y) & E(x2,y) "
+             "& !E(x1,x2)\neq x2 y\n"]
+    rng = random.Random(61)
+    for text in texts:
+        f = parse_formula(text)
+        qq = expansion.compile(f)
+        for _ in range(15):
+            g = random_graph(rng, rng.randint(1, 4))
+            loops = [(v, v) for v in g.vertices() if rng.random() < 0.5]
+            for t in (complement_structure(g),
+                      Structure(g.signature, g.n,
+                                {"E": set(g.relations["E"]) | set(loops)})):
+                assert quantum.evaluate(qq, t) == \
+                    expansion.count_formula_answers(f, t), text
+
+
 def test_compile_of_an_unsatisfiable_formula_is_empty():
-    f = parse_formula("formula\nfree x y\nbody E(x,y)\neq x y\n")
+    f = parse_formula("formula\nfree x y\nbody E(x,y)\nineq x y\neq x y\n")
     qq = expansion.compile(f)
     assert qq.terms == []
     assert quantum.evaluate(qq, graph(3, [(0, 1)])) == 0

@@ -210,3 +210,18 @@ def test_gaifman_expand_gadget_on_ternary_patterns():
             assert lhs == 0
             continue
         assert lhs == homs.count_cp_answers(q, out.structure, out.coloring)
+
+
+def test_graph_gadgets_refuse_an_asymmetric_target():
+    # each target is colored validly, but holds one orientation of an edge
+    sig = Signature((("E", 2),))
+    psi = gadgets.family_query("psi", 2)
+    t = Structure(sig, 3, {"E": {(0, 2)}})
+    with pytest.raises(ValueError, match="graph-mode targets only"):
+        gadgets.minor_instance_gadget(psi, ("delete-edge", (1, 2)), t,
+                                      Coloring([0, 1, 2]))
+    with pytest.raises(ValueError, match="graph-mode targets only"):
+        gadgets.gaifman_expand_gadget(psi, t, Coloring([0, 1, 2]))
+    t = Structure(sig, 4, {"E": {(0, 2), (1, 3), (3, 1), (2, 3)}})
+    with pytest.raises(ValueError, match="graph-mode targets only"):
+        gadgets.gamma_to_grate_gadget(2, t, Coloring([0, 1, 2, 3]))

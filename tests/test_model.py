@@ -8,7 +8,8 @@ from cqcount.model import (Coloring, Complement, Query, Signature, Structure,
                            clone_by_multiplicity, clone_vertices,
                            complement_structure, gaifman_adjacency,
                            gaifman_graph, graph, graph_edges,
-                           induced_substructure, tensor_product)
+                           induced_substructure, query_structure,
+                           tensor_product, unmatched_pair)
 from cqcount.parser import parse_formula
 
 from helpers import (disjoint_union, explicit_complement, random_graph,
@@ -18,6 +19,20 @@ from helpers import (disjoint_union, explicit_complement, random_graph,
 def test_graph_builder_rejects_loops():
     with pytest.raises(ValueError):
         graph(2, [(0, 0)])
+
+
+def test_query_structures_store_e_atoms_undirected_over_e2_alone():
+    atoms = [("E", (0, 1)), ("E", (2, 2))]
+    s = query_structure(Signature((("E", 2),)), 3, atoms)
+    assert s.relations["E"] == {(0, 1), (1, 0), (2, 2)}
+    assert unmatched_pair(s.relations["E"]) is None and not s.is_graph()
+    # beside another symbol, E is one binary relation among others
+    wide = query_structure(Signature((("E", 2), ("U", 1))), 3,
+                           atoms + [("U", (1,))])
+    assert wide.relations["E"] == {(0, 1), (2, 2)}
+    assert unmatched_pair(wide.relations["E"]) == (0, 1)
+    assert query_structure(Signature((("E", 2),)), 2, [("E", (0, 1))]) == \
+        graph(2, [(0, 1)])
 
 
 def test_graph_stores_both_orientations():

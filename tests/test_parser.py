@@ -74,6 +74,15 @@ def test_unbound_variable_rejected():
         parse_formula("formula\nfree x\nbody E(x,z)\n")
 
 
+def test_equality_elimination_keeps_diagonal_atoms():
+    f = parse_formula("formula\nfree x y\nbody E(x,y) & !E(y,x)\neq x y\n")
+    g = eliminate_equalities(f)
+    assert g.body == ("atom", "E", ("x", "x"))
+    assert g.negated_atoms == {("E", ("x", "x"))}
+    q = parse_query("query\nfree x y\nbody E(x,y)\neq x y\n")
+    assert q.structure.relations["E"] == {(0, 0)}
+
+
 def test_equality_elimination_prefers_free_representatives():
     f = parse_formula("formula\nfree x\nexists y z\nbody E(y,z)\neq x y\n")
     g = eliminate_equalities(f)
@@ -82,7 +91,7 @@ def test_equality_elimination_prefers_free_representatives():
 
 
 def test_equality_collapse_gives_zero_witness():
-    f = parse_formula("formula\nfree x y\nbody E(x,y)\neq x y\n")
+    f = parse_formula("formula\nfree x y\nbody E(x,y)\nineq x y\neq x y\n")
     assert isinstance(eliminate_equalities(f), ZeroWitness)
     f = parse_formula("formula\nfree x y\nbody true\nineq x y\neq x y\n")
     assert isinstance(eliminate_equalities(f), ZeroWitness)
