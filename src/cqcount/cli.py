@@ -98,11 +98,18 @@ def _check_signature(queries, t, target_path):
                              % (target_path, pair))
 
 
-def _load_coloring(path, name_to_index):
+def _load_coloring(args, t, s, name_to_index=None):
+    """The --coloring file as a coloring of the --target t by the structure
+    s.  A coloring that is not a homomorphism t -> s names both files."""
     try:
-        return parse_coloring(_read(path, "coloring"), name_to_index)
+        c = parse_coloring(_read(args.coloring, "coloring"), name_to_index)
     except ParseError as e:
-        raise InputError("%s: %s" % (path, e))
+        raise InputError("%s: %s" % (args.coloring, e))
+    try:
+        return Coloring(c.colors, t, s)
+    except ValueError as e:
+        raise InputError("%s: %s (target %s)" % (args.coloring, e,
+                                                 args.target))
 
 
 def _emit(args, pairs, text_lines=None):
@@ -146,11 +153,7 @@ def cmd_count_colored(args, colorful):
         _emit(args, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
     _check_signature([q], t, args.target)
-    c = _load_coloring(args.coloring, index)
-    try:
-        c = Coloring(c.colors, t, q.structure)
-    except ValueError as e:
-        raise InputError("%s: %s" % (args.coloring, e))
+    c = _load_coloring(args, t, q.structure, index)
     if colorful:
         value = homs.count_cf_answers(q, t, c)
     else:
@@ -307,11 +310,11 @@ def cmd_gadget(args):
             raise InputError("the instance gadget needs --coloring")
         t = _load_structure(args.target)
         _check_signature([q], t, args.target)
-        c = _load_coloring(args.coloring, {})
+        c = _load_coloring(args, t, minor.structure)
         try:
             out = gadgets.minor_instance_gadget(q, op, t, c)
-        except ValueError as e:
-            raise InputError(str(e))
+        except ValueError as e:  # a target that is not a graph
+            raise InputError("%s: %s" % (args.target, e))
         _print_gadget(args, out)
         return EXIT_OK
     if name == "uncolored-to-cp":
@@ -326,11 +329,12 @@ def cmd_gadget(args):
         return EXIT_OK
     if name == "gamma-to-grate":
         t = _load_graph(args.target)
-        c = _load_coloring(args.coloring, {})
         try:
-            out = gadgets.gamma_to_grate_gadget(args.k, t, c)
+            gamma = gadgets.family_query("gamma", args.k)
         except ValueError as e:
-            raise InputError(str(e))
+            raise InputError("gadget gamma-to-grate: %s" % e)
+        c = _load_coloring(args, t, gamma.structure)
+        out = gadgets.gamma_to_grate_gadget(args.k, t, c)
         _print_gadget(args, out)
         return EXIT_OK
     if name == "gaifman-expand":
@@ -339,11 +343,11 @@ def cmd_gadget(args):
         # the target is colored by the query's Gaifman graph, not the query
         _check_signature([Query(gaifman_graph(q.structure), ())], t,
                          args.target)
-        c = _load_coloring(args.coloring, {})
+        c = _load_coloring(args, t, gaifman_graph(q.structure))
         try:
             out = gadgets.gaifman_expand_gadget(q, t, c)
-        except ValueError as e:
-            raise InputError(str(e))
+        except ValueError as e:  # a target that is not a graph
+            raise InputError("%s: %s" % (args.target, e))
         _print_gadget(args, out)
         return EXIT_OK
     if name == "domset":
@@ -562,13 +566,12 @@ def _check_tensor(rng, args):
 
 def _retractable(q, v):
     """True when q maps into its deletion of the quantified vertex v with the
-    free set sent onto itself: one fresh search into the induced
-    substructure, independent of the maps augmented_core reuses."""
-    aug = homs._augment(q)
+    free set sent onto itself: one fresh search for a map onto the free
+    set's image, so a bijection, with no free vertex pinned or map reused."""
     sub, old_to_new = induced_substructure(
-        aug, [u for u in aug.vertices() if u != v])
-    sub_free = [old_to_new[x] for x in q.free]
-    return homs.exists_extension(aug, sub, {x: sub_free for x in q.free})
+        q.structure, [u for u in q.structure.vertices() if u != v])
+    return homs.count_surjective_answers(
+        q, sub, [old_to_new[x] for x in q.free], first=True) > 0
 
 
 def _check_core(rng, args):

@@ -12,7 +12,7 @@ partition flats they span, and the sum is normalized once.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .model import BudgetError, Query, Structure, query_structure
 from .parser import (FormulaAST, ZeroWitness, _conjuncts, _partition,
@@ -233,11 +233,18 @@ def ep_to_quantum(f):
 
 def count_formula_answers(f, t):
     """Number of free assignments satisfying the side constraints whose body
-    holds under the formula's quantifier."""
-    f = eliminate_equalities(f)
-    if isinstance(f, ZeroWitness):
-        return 0
-    variables = f.variables()
+    holds under the formula's quantifier, by enumeration.  Each equality is
+    a constraint, not a substitution, so this shares nothing with
+    eliminate_equalities: the free values must agree along every chain of
+    equalities (so free variables an equality joins count as one), and a
+    quantified assignment that breaks one is skipped by exists and satisfies
+    forall."""
+    fset = set(f.free)
+    joined = {v: {v} for v in f.variables()}  # v's class under the equalities
+    for x, y in f.equalities:
+        merged = joined[x] | joined[y]
+        for v in merged:
+            joined[v] = merged
 
     def holds(node, a):
         if node[0] == "true":
@@ -250,40 +257,22 @@ def count_formula_answers(f, t):
             return any(holds(c, a) for c in node[1])
         raise ValueError("unexpected node %r" % (node[0],))
 
-    def quantify(i, a):
-        if i == len(variables):
-            return holds(f.body, a)
-        v = variables[i]
-        results = (quantify(i + 1, dict(a, **{v: w})) for w in range(t.n))
-        if f.quantifier == "forall":
-            return all(results)
-        return any(results)
+    def matrix(a):
+        if any(a[x] != a[y] for x, y in f.equalities):
+            return f.quantifier == "forall"
+        return holds(f.body, a)
 
     count = 0
-    free = f.free
-    fsets = [range(t.n)] * len(free)
-
-    def outer(i, a):
-        nonlocal count
-        if i == len(free):
-            for pair in f.inequalities:
-                x, y = tuple(pair)
-                if a[x] == a[y]:
-                    return
-            for sym, args in f.negated_atoms:
-                if tuple(a[v] for v in args) in t.relations[sym]:
-                    return
-            if quantify(len(free), a):
-                count += 1
-            return
-        for w in fsets[i]:
-            a[free[i]] = w
-            outer(i + 1, a)
-        a.pop(free[i], None)
-
-    if not free:
-        return 1 if quantify(0, {}) else 0
-    outer(0, {})
+    for values in product(range(t.n), repeat=len(f.free)):
+        a = dict(zip(f.free, values))
+        if (any(a[x] != a[u] for x in f.free for u in joined[x] & fset)
+                or any(a[x] == a[y] for x, y in map(tuple, f.inequalities))
+                or any(tuple(a[v] for v in args) in t.relations[sym]
+                       for sym, args in f.negated_atoms)):
+            continue
+        results = (matrix({**a, **dict(zip(f.quantified, ys))})
+                   for ys in product(range(t.n), repeat=len(f.quantified)))
+        count += all(results) if f.quantifier == "forall" else any(results)
     return count
 
 

@@ -13,18 +13,17 @@ accept test.  A position scans its domain until the candidates it has
 scanned outnumber its first stored atom's facts, and then reads them from
 that atom's index, built for the call (see _search).  A Complement view is
 only ever tested by membership.  A search for one extension can hand back
-the map it found; augmented_core searches into the query itself and reuses
-each found retraction's image to answer the later deletion tests without
-searching.
+the map it found; augmented_core searches the query into itself with each
+free vertex pinned to itself, and reuses each found retraction's image to
+answer the later deletion tests without searching.
 """
 
 from math import factorial
 from operator import itemgetter
 
-from .model import (BudgetError, Complement, Query, Signature, Structure,
-                    gaifman_adjacency, induced_substructure)
+from .model import (BudgetError, Complement, Query, gaifman_adjacency,
+                    induced_substructure)
 
-AUX_SYMBOL = "Xaux"
 # The most free-preserving permutations, |X|! * |Y|! for X the free and Y the
 # quantified vertices, that count_partial_automorphisms may have to search:
 # its search into the query meets each of them as a leaf at worst, so the
@@ -267,63 +266,45 @@ def count_partial_automorphisms(q):
                    colors=range(q.structure.n))
 
 
-def _augment(q):
-    """Add the all-ordered-pairs auxiliary relation on the free set."""
-    s = q.structure
-    if AUX_SYMBOL in s.signature.arity:
-        raise ValueError("reserved symbol %s in use" % AUX_SYMBOL)
-    sig = Signature(s.signature.symbols + ((AUX_SYMBOL, 2),))
-    rels = dict(s.relations)
-    rels[AUX_SYMBOL] = frozenset((a, b) for a in q.free for b in q.free
-                                 if a != b)
-    return Structure._trusted(sig, s.n, rels)
-
-
-def _strip_aux(structure):
-    sig = Signature([sym for sym in structure.signature.symbols
-                     if sym[0] != AUX_SYMBOL])
-    return Structure._trusted(sig, structure.n, {
-        name: structure.relations[name] for name in sig.arity})
-
-
 def augmented_core(q):
-    """The vertex-minimal query equivalent to q, via the core of the structure
-    augmented with an all-pairs relation on the free set.  One downward pass
-    drops each quantified vertex v whose deletion the structure maps into; a
-    vertex kept once stays kept, since an equivalent substructure mapping into
-    its own deletion of v would give the structure such a map too.
+    """The vertex-minimal query equivalent to q: the core of q.structure with
+    its free vertices fixed pointwise.  One downward pass drops each
+    quantified vertex v whose deletion the structure maps into, with the
+    free set sent onto itself; a vertex kept once stays kept, since an
+    equivalent substructure mapping into its own deletion of v would give
+    the structure such a map too.
 
-    The pass keeps the augmented structure A whole and the set S of vertices
-    not yet deleted.  A maps into S - v exactly when the substructure on S
-    does, since A and S are equivalent, so each test searches A into A with
-    the free vertices kept in the free set, which the auxiliary relation
-    makes a bijection, and the others in S - v.  Every deletion since the
-    last found map (the witness) lies outside its image, so that map still
-    sends A into S - v for each later v outside its image: such a v is
-    deleted without a search, as a fresh search would have deleted it.
-    When the pass deletes nothing, q is its own core and is returned."""
+    Pinning each free vertex asks no more: if h maps q.structure into S - v
+    and permutes the free set by a permutation of order k, then h^k maps it
+    into S - v too and fixes every free vertex.  So each test searches
+    q.structure, which is equivalent to the substructure on the set S of
+    vertices not yet deleted, into itself with each free vertex x kept in
+    (x,) and the others in S - v.  Every deletion since the last found map
+    (the witness) lies outside its image, so that map still sends the
+    structure into S - v for each later v outside its image: such a v is
+    deleted without a search.  When the pass deletes nothing, q is its own
+    core and is returned."""
     if not q.is_plain():
         raise ValueError("augmented core is defined for plain CQs")
-    aug = _augment(q)
-    free = list(q.free)
+    s = q.structure
     fset = set(q.free)
-    alive = set(aug.vertices())
-    image = range(aug.n)  # the last witness's image; the identity's at first
-    for v in range(aug.n - 1, -1, -1):
+    alive = set(s.vertices())
+    image = range(s.n)  # the last witness's image; the identity's at first
+    for v in range(s.n - 1, -1, -1):
         if v in fset:
             continue
         if v in image:
             rest = sorted(alive - {v})
-            domains = {u: free if u in fset else rest for u in aug.vertices()}
+            domains = {u: (u,) if u in fset else rest for u in s.vertices()}
             witness = {}
-            if not exists_extension(aug, aug, domains, witness):
+            if not exists_extension(s, s, domains, witness):
                 continue
             image = set(witness.values())
         alive.discard(v)
-    if len(alive) == aug.n:
-        return q  # nothing deleted: stripping the relation gives q back
-    core, old_to_new = induced_substructure(aug, alive)
-    return Query(_strip_aux(core), [old_to_new[x] for x in free])
+    if len(alive) == s.n:
+        return q
+    core, old_to_new = induced_substructure(s, alive)
+    return Query(core, [old_to_new[x] for x in q.free])
 
 
 def dominates(q1, q2):

@@ -198,20 +198,21 @@ def min_retract_size(q):
 
 def one_vertex_core(q):
     """The augmented core by the plain one-vertex pass: per quantified vertex
-    v, top down, a fresh search into the induced substructure without v,
-    with no map reused.  The reference homs.augmented_core is checked
-    against."""
-    aug = homs._augment(q)
-    free = list(q.free)
-    for v in range(aug.n - 1, -1, -1):
+    v, top down, a fresh search into the induced substructure without v that
+    sends the free set onto itself, with no map reused and no free vertex
+    pinned.  The reference homs.augmented_core is checked against."""
+    s, free = q.structure, list(q.free)
+    for v in range(s.n - 1, -1, -1):
         if v in q.free:
             continue
         sub, old_to_new = induced_substructure(
-            aug, [u for u in range(aug.n) if u != v])
+            s, [u for u in range(s.n) if u != v])
         sub_free = [old_to_new[x] for x in free]
-        if homs.exists_extension(aug, sub, {x: sub_free for x in free}):
-            aug, free = sub, sub_free
-    return Query(homs._strip_aux(aug), free)
+        # onto the free set's image, which has as many vertices: a bijection
+        if homs.count_surjective_answers(Query(s, free), sub, sub_free,
+                                         first=True):
+            s, free = sub, sub_free
+    return Query(s, free)
 
 
 def relabelled(rng, q):

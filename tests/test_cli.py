@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cqcount import cli
 from cqcount.parser import parse_quantum, parse_query, parse_structure
 
@@ -117,12 +119,18 @@ def test_minimize_emits_the_core(tmp_path, capsys):
     assert core.structure.n == 2
 
 
-def test_minimize_rejects_the_reserved_symbol(tmp_path, capsys):
-    q = write(tmp_path, "q", "query\nsignature Xaux/2\nfree x1\nexists y\n"
-                             "body Xaux(x1,y)\n")
-    code, out, err = run(capsys, ["minimize", "--query", q])
-    assert code == 1 and out == ""
-    assert err.startswith("error: %s: " % q) and "reserved symbol Xaux" in err
+def test_minimize_cores_an_xaux_query_like_any_other(tmp_path, capsys):
+    # Xaux is an ordinary symbol: the core search adds no relation of its own
+    outs = []
+    for sym in ("Xaux", "R"):
+        q = write(tmp_path, sym, "query\nsignature %s/2\nfree x1 x2\n"
+                                 "exists y z\nbody %s(x1,y) & %s(x2,y) & "
+                                 "%s(x1,z) & %s(x2,z)\n" % ((sym,) * 5))
+        code, out, err = run(capsys, ["minimize", "--query", q])
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert parse_query(outs[0]).structure.n == 3
+    assert outs[0] == outs[1].replace("R", "Xaux")
 
 
 def test_expand_and_eval_round_trip(tmp_path, capsys):
@@ -275,6 +283,42 @@ def test_gadgets_check_the_target_and_exit_one(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err.startswith("error: %s: " % where) and words in err, \
             (argv, err)
+
+
+# symmetric E/2 with two loops: it passes the signature check, and no
+# coloring by a loopless query is a homomorphism on it
+LOOPED = "structure\nsignature E/2\ndomain 3\nE 0 1\nE 1 0\nE 0 0\nE 2 2\n"
+GOOD = "color 0 0\ncolor 1 2\ncolor 2 1\n"
+BAD = "color 0 0\ncolor 1 1\ncolor 2 2\n"
+COLORING_ERRORS = {
+    "minor": (["--query", "q", "--op", "delete-edge", "--vertices", "0", "2"],
+              LOOPED, GOOD, "E(0, 1)"),
+    "gaifman-expand": (["--query", "q"], LOOPED, GOOD, "E(2, 2)"),
+    "gamma-to-grate": (["--k", "2"], P3, BAD, "E(0, 1)"),
+}
+
+
+@pytest.mark.parametrize("gadget", sorted(COLORING_ERRORS))
+def test_gadget_coloring_errors_name_the_coloring_and_the_target(
+        tmp_path, capsys, gadget):
+    extra, target, coloring, tup = COLORING_ERRORS[gadget]
+    q = write(tmp_path, "q", PSI2)
+    t = write(tmp_path, "t", target)
+    c = write(tmp_path, "c", coloring)
+    argv = ["gadget", gadget] + [q if a == "q" else a for a in extra]
+    code, out, err = run(capsys, argv + ["--target", t, "--coloring", c])
+    assert code == 1 and out == ""
+    assert err == ("error: %s: coloring is not a homomorphism on %s "
+                   "(target %s)\n" % (c, tup, t))
+
+
+def test_gamma_to_grate_names_itself_on_a_bad_k(tmp_path, capsys):
+    t = write(tmp_path, "t", P3)
+    c = write(tmp_path, "c", BAD)
+    code, out, err = run(capsys, ["gadget", "gamma-to-grate", "--k", "0",
+                                  "--target", t, "--coloring", c])
+    assert code == 1 and out == ""
+    assert err == "error: gadget gamma-to-grate: k must be positive\n"
 
 
 def test_eval_methods_agree_on_a_universal_formula(tmp_path, capsys):

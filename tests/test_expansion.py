@@ -108,6 +108,36 @@ def test_formula_counter_on_small_examples():
     assert expansion.count_formula_answers(g, graph(3, [(0, 1)])) == 2
 
 
+def test_formula_counter_reads_equalities_as_constraints(monkeypatch):
+    # hand counts, met by the compiler and by the oracle with the
+    # compiler's substitution patched out of reach
+    loops = complement_structure(graph(3, [(0, 1)]))  # every vertex looped
+    cases = [
+        # a diagonal atom: some looped y, any x1 and x2
+        ("exists y1 y2\nbody E(y1,y2)\neq y1 y2", graph(2, [(0, 1)]), 0),
+        ("exists y1 y2\nbody E(y1,y2)\neq y1 y2",
+         complement_structure(graph(2, [(0, 1)])), 4),
+        # forall y with y = x1 is the body at y = x1: E(x2,x1) on a loopless
+        # graph
+        ("forall y\nbody E(x1,y) | E(x2,y)\neq x1 y", graph(3, [(0, 1)]), 2),
+        # x1 = y = x2 joins the free variables: no vacuous x1 != x2 answers
+        ("forall y\nbody E(x1,y)\neq x1 y\neq y x2", loops, 3),
+        ("exists y\nbody E(x1,y)\neq x1 y\neq y x2\nineq x1 x2", loops, 0),
+    ]
+    compiled = []
+    for text, t, count in cases:
+        f = parse_formula("formula\nfree x1 x2\n%s\n" % text)
+        compiled.append(quantum.evaluate(expansion.compile(f), t))
+
+    def refuse(f):
+        raise AssertionError("the oracle substituted")
+
+    monkeypatch.setattr(expansion, "eliminate_equalities", refuse)
+    for (text, t, count), value in zip(cases, compiled):
+        f = parse_formula("formula\nfree x1 x2\n%s\n" % text)
+        assert expansion.count_formula_answers(f, t) == value == count, text
+
+
 def test_ep_to_quantum_matches_formula_counts():
     rng = random.Random(9)
     atoms = ["E(x1,y1)", "E(x1,y2)", "E(x2,y1)", "E(x1,x2)", "E(y1,y2)",

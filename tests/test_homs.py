@@ -10,7 +10,7 @@ from cqcount.parser import parse_query, serialize_query
 
 from helpers import (count_surjective_extendable_maps, explicit_complement,
                      min_retract_size, one_vertex_core, random_colored_instance,
-                     random_graph, random_query)
+                     random_graph, random_query, relabelled)
 
 
 def path(n):
@@ -385,6 +385,66 @@ def test_core_matches_the_one_vertex_pass():
     for q in queries:
         assert serialize_query(homs.augmented_core(q)) == \
             serialize_query(one_vertex_core(q))
+
+
+# bases whose free set has automorphisms that move it: C4 with two opposite
+# or all four vertices free, K_{2,3} with either side free
+SYMMETRIC_FREE = [
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], (0, 2)),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 3)),
+    (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)], (0, 1)),
+    (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)], (2, 3, 4)),
+]
+
+
+def pinned_core_cases(rng):
+    """Seeded queries with 2-4 free vertices: the SYMMETRIC_FREE bases with
+    1-4 quantified vertices hung on them, relabelled, and R/3 with U/1."""
+    queries = []
+    for n, edges, free in SYMMETRIC_FREE:
+        for _ in range(40):
+            size = n + rng.randint(1, 4)
+            more = edges + [(u, y) for y in range(n, size) for u in range(y)
+                            if rng.random() < 0.4]
+            queries.append(relabelled(rng, Query(graph(size, more), free)))
+    for _ in range(160):
+        s = random_structure(rng, [("R", 3), ("U", 1)], rng.randint(2, 7),
+                             rng.choice([0.03, 0.06, 0.1]))
+        queries.append(Query(s, rng.sample(range(s.n),
+                                           rng.randint(2, min(4, s.n)))))
+    return queries
+
+
+def test_pinned_cores_match_the_free_set_permuting_pass():
+    shrunk = kept = 0
+    for q in pinned_core_cases(random.Random(47)):
+        core = homs.augmented_core(q)
+        assert serialize_query(core) == serialize_query(one_vertex_core(q))
+        shrunk += core.structure.n < q.structure.n
+        kept += core is q
+    assert shrunk and kept
+
+
+def test_every_core_search_pins_the_free_vertices(monkeypatch):
+    calls = []
+    search = homs.exists_extension
+
+    def spy(structure, target, domains=None, witness=None):
+        calls.append((structure, target, domains))
+        return search(structure, target, domains, witness)
+
+    monkeypatch.setattr(homs, "exists_extension", spy)
+    searched = 0
+    for q in pinned_core_cases(random.Random(53)):
+        del calls[:]
+        homs.augmented_core(q)
+        searched += len(calls)
+        for structure, target, domains in calls:
+            assert structure is target is q.structure
+            assert sorted(domains) == list(q.structure.vertices())
+            for x in q.free:
+                assert domains[x] == (x,)
+    assert searched
 
 
 def test_extension_witness_is_a_homomorphism_within_the_domains():
