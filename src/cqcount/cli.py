@@ -7,18 +7,19 @@ import argparse
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
 from .model import (Coloring, Query, Structure, complement_structure,
                     gaifman_graph, graph, graph_edges, induced_substructure,
                     is_undirected, tensor_product, unmatched_pair)
-from .parser import (ParseError, ZeroWitness, eliminate_equalities,
-                     formula_to_query, parse_coloring, parse_formula,
-                     parse_quantum, parse_structure, serialize_coloring,
-                     serialize_query, serialize_quantum, serialize_structure)
+from .parser import (ZeroWitness, parse_coloring, parse_formula,
+                     parse_quantum, parse_query_and_names, parse_structure,
+                     serialize_coloring, serialize_query, serialize_quantum,
+                     serialize_structure)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -27,6 +28,16 @@ EXIT_VERIFY = 2
 
 class InputError(Exception):
     pass
+
+
+@contextmanager
+def _blame(where):
+    """Turns a ValueError from the library, a ParseError or BudgetError among
+    them, into the InputError "<where>: <reason>"."""
+    try:
+        yield
+    except ValueError as e:
+        raise InputError("%s: %s" % (where, e))
 
 
 def _read(path, what):
@@ -39,14 +50,8 @@ def _read(path, what):
 
 def _load_query(path):
     """Returns (query-or-zero-witness, name_to_index)."""
-    text = _read(path, "query")
-    try:
-        ast = eliminate_equalities(parse_formula(text))
-        if isinstance(ast, ZeroWitness):
-            return ast, {}
-        return formula_to_query(ast)
-    except (ParseError, ValueError) as e:
-        raise InputError("%s: %s" % (path, e))
+    with _blame(path):
+        return parse_query_and_names(_read(path, "query"))
 
 
 def _load_satisfiable_query(path):
@@ -59,10 +64,8 @@ def _load_satisfiable_query(path):
 
 
 def _load_structure(path):
-    try:
+    with _blame(path):
         return parse_structure(_read(path, "target"))
-    except ParseError as e:
-        raise InputError("%s: %s" % (path, e))
 
 
 def _load_graph(path):
@@ -101,10 +104,8 @@ def _check_signature(queries, t, target_path):
 def _load_coloring(args, t, s, name_to_index=None):
     """The --coloring file as a coloring of the --target t by the structure
     s.  A coloring that is not a homomorphism t -> s names both files."""
-    try:
+    with _blame(args.coloring):
         c = parse_coloring(_read(args.coloring, "coloring"), name_to_index)
-    except ParseError as e:
-        raise InputError("%s: %s" % (args.coloring, e))
     try:
         return Coloring(c.colors, t, s)
     except ValueError as e:
@@ -134,36 +135,32 @@ def _count(args, q, t, domains=None):
                          % (args.target, e))
 
 
-def cmd_count(args):
-    q, _ = _load_query(args.query)
-    t = _load_structure(args.target)
-    if isinstance(q, ZeroWitness):
-        _emit(args, [("count", 0), ("method", "zero-witness")])
-        return EXIT_OK
-    _check_signature([q], t, args.target)
-    value, method = _count(args, q, t)
-    _emit(args, [("count", value), ("method", method)])
-    return EXIT_OK
-
-
-def cmd_count_colored(args, colorful):
+def cmd_count(args, coloring=None):
+    """count, and with coloring "cp" or "cf" count-cp and count-cf: the
+    answers of --query on --target; for cp with each query vertex kept in
+    its --coloring class, under --method; for cf the colorful answers, by
+    brute force."""
     q, index = _load_query(args.query)
     t = _load_structure(args.target)
     if isinstance(q, ZeroWitness):
         _emit(args, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
     _check_signature([q], t, args.target)
+    if coloring is None:
+        value, method = _count(args, q, t)
+        _emit(args, [("count", value), ("method", method)])
+        return EXIT_OK
     c = _load_coloring(args, t, q.structure, index)
-    if colorful:
+    if coloring == "cf":
         value = homs.count_cf_answers(q, t, c)
     else:
-        classes = c.classes(q.structure.n)
-        value, _ = _count(args, q, t, dict(enumerate(classes)))
+        value, _ = _count(args, q, t,
+                          dict(enumerate(c.classes(q.structure.n))))
     _emit(args, [("count", value)])
     return EXIT_OK
 
 
-def _format_report(report):
+def _emit_report(args, report):
     pairs = [("tw", report.tw), ("tw_contract", report.tw_contract),
              ("dss", report.dss),
              ("lmn", report.lmn if report.lmn is not None else "unknown")]
@@ -182,21 +179,19 @@ def _format_report(report):
     for i, note in enumerate(report.notes):
         pairs.append(("note%d" % i, note))
         lines.append("note: %s" % note)
-    return pairs, lines
+    _emit(args, pairs, lines)
 
 
 def cmd_params(args):
-    q = _load_satisfiable_query(args.query[0])
-    report = params.analyze(q)
-    pairs, lines = _format_report(report)
-    _emit(args, pairs, lines)
+    _emit_report(args, params.analyze(_load_satisfiable_query(args.query)))
     return EXIT_OK
 
 
 def cmd_classify(args):
     queries = [_load_satisfiable_query(path) for path in args.query]
     if len(queries) == 1:
-        return cmd_params(args)
+        _emit_report(args, params.analyze(queries[0]))
+        return EXIT_OK
     out = params.classify(queries)
     pairs = [("regime", out["regime"])]
     lines = ["regime: %s" % out["regime"]]
@@ -214,30 +209,20 @@ def cmd_minimize(args):
     q = _load_satisfiable_query(args.query)
     if not q.is_plain():
         raise InputError("minimize supports plain queries only")
-    try:
-        core = homs.augmented_core(q)
-    except ValueError as e:
-        raise InputError("%s: %s" % (args.query, e))
-    sys.stdout.write(serialize_query(core))
+    sys.stdout.write(serialize_query(homs.augmented_core(q)))
     return EXIT_OK
 
 
 def cmd_expand(args):
-    text = _read(args.formula, "formula")
-    try:
-        ast = parse_formula(text)
-        qq = expansion.compile(ast)
-    except (ParseError, ValueError) as e:
-        raise InputError("%s: %s" % (args.formula, e))
+    with _blame(args.formula):
+        qq = expansion.compile(parse_formula(_read(args.formula, "formula")))
     sys.stdout.write(serialize_quantum(qq))
     return EXIT_OK
 
 
 def cmd_eval(args):
-    try:
+    with _blame(args.quantum):
         qq = parse_quantum(_read(args.quantum, "quantum query"))
-    except ParseError as e:
-        raise InputError("%s: %s" % (args.quantum, e))
     t = _load_structure(args.target)
     _check_signature([q for _, q in qq.terms], t, args.target)
     value = quantum.evaluate(
@@ -251,9 +236,8 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _print_gadget(args, out, extra_pairs=()):
-    pairs = list(extra_pairs) + [("relation", out.relation),
-                                 ("zero", "yes" if out.zero else "no")]
+def _print_gadget(args, out):
+    pairs = [("relation", out.relation), ("zero", "yes" if out.zero else "no")]
     _emit(args, pairs, ["relation: %s" % out.relation]
           + (["count: 0"] if out.zero else []))
     if out.zero:
@@ -267,7 +251,7 @@ def _print_gadget(args, out, extra_pairs=()):
 
 _GADGET_NEEDS = {
     "family": (),
-    "minor": ("query",),
+    "minor": ("query", "op"),
     "uncolored-to-cp": ("query", "target"),
     "gamma-to-grate": ("target", "coloring"),
     "gaifman-expand": ("query", "target", "coloring"),
@@ -277,14 +261,12 @@ _GADGET_NEEDS = {
 
 def cmd_gadget(args):
     name = args.name
-    for needed in _GADGET_NEEDS.get(name, ()):
+    for needed in _GADGET_NEEDS[name]:
         if getattr(args, needed) is None:
             raise InputError("gadget %s needs --%s" % (name, needed))
     if name == "family":
-        try:
+        with _blame("gadget family"):
             q = gadgets.family_query(args.kind, args.k)
-        except ValueError as e:
-            raise InputError("gadget family: %s" % e)
         sys.stdout.write(serialize_query(q))
         return EXIT_OK
     if name == "minor":
@@ -299,10 +281,8 @@ def cmd_gadget(args):
             if len(spots) != 2:
                 raise InputError("%s needs two vertices" % kind)
             op = (kind, (spots[0], spots[1]))
-        try:
+        with _blame(args.query):
             minor = gadgets.query_minor_with_map(q, op)[0]
-        except ValueError as e:
-            raise InputError(str(e))
         if args.target is None:
             sys.stdout.write(serialize_query(minor))
             return EXIT_OK
@@ -311,31 +291,24 @@ def cmd_gadget(args):
         t = _load_structure(args.target)
         _check_signature([q], t, args.target)
         c = _load_coloring(args, t, minor.structure)
-        try:
+        with _blame(args.target):  # a target that is not a graph
             out = gadgets.minor_instance_gadget(q, op, t, c)
-        except ValueError as e:  # a target that is not a graph
-            raise InputError("%s: %s" % (args.target, e))
         _print_gadget(args, out)
         return EXIT_OK
     if name == "uncolored-to-cp":
         q = _load_satisfiable_query(args.query)
         t = _load_graph(args.target)
         _check_signature([q], t, args.target)
-        try:
+        with _blame(args.query):
             out = gadgets.uncolored_to_cp_gadget(q, t)
-        except ValueError as e:
-            raise InputError("%s: %s" % (args.query, e))
         _print_gadget(args, out)
         return EXIT_OK
     if name == "gamma-to-grate":
         t = _load_graph(args.target)
-        try:
+        with _blame("gadget gamma-to-grate"):
             gamma = gadgets.family_query("gamma", args.k)
-        except ValueError as e:
-            raise InputError("gadget gamma-to-grate: %s" % e)
         c = _load_coloring(args, t, gamma.structure)
-        out = gadgets.gamma_to_grate_gadget(args.k, t, c)
-        _print_gadget(args, out)
+        _print_gadget(args, gadgets.gamma_to_grate_gadget(args.k, t, c))
         return EXIT_OK
     if name == "gaifman-expand":
         q = _load_satisfiable_query(args.query)
@@ -344,23 +317,18 @@ def cmd_gadget(args):
         _check_signature([Query(gaifman_graph(q.structure), ())], t,
                          args.target)
         c = _load_coloring(args, t, gaifman_graph(q.structure))
-        try:
+        with _blame(args.target):  # a target that is not a graph
             out = gadgets.gaifman_expand_gadget(q, t, c)
-        except ValueError as e:  # a target that is not a graph
-            raise InputError("%s: %s" % (args.target, e))
         _print_gadget(args, out)
         return EXIT_OK
-    if name == "domset":
-        t = _load_graph(args.target)
-        try:
-            counts = gadgets.domset_via_star_oracle(t, args.k)
-        except ValueError as e:
-            raise InputError(str(e))
-        pairs = [("D%d" % (i + 1), v) for i, v in enumerate(counts)]
-        _emit(args, pairs, ["dominating sets of size %d: %d" % (i + 1, v)
-                           for i, v in enumerate(counts)])
-        return EXIT_OK
-    raise InputError("unknown gadget %r" % name)
+    # domset, the last of argparse's choices
+    t = _load_graph(args.target)
+    with _blame("gadget domset"):
+        counts = gadgets.domset_via_star_oracle(t, args.k)
+    pairs = [("D%d" % (i + 1), v) for i, v in enumerate(counts)]
+    _emit(args, pairs, ["dominating sets of size %d: %d" % (i + 1, v)
+                        for i, v in enumerate(counts)])
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -442,70 +410,66 @@ def _random_wide_instance(rng, max_n):
             Structure(signature, m, target))
 
 
+# Each _check_* function below is one trial of a check: it draws an instance
+# from rng and returns a description of the counterexample it found, or None.
+
 def _check_dp(rng, args):
-    for _ in range(args.trials):
-        draw = rng.random()
-        if draw < 0.3:
-            q = _random_query(rng, min(args.max_n, 5))
-            g = _random_graph(rng, rng.randint(0, args.max_n))
-        elif draw < 0.5:
-            q, g = _random_instance(rng, min(args.max_n, 5))
-        elif draw < 0.65:
-            # wide atoms lie in no single table of their component, so a
-            # join checks them
-            q, g = _random_wide_instance(rng, args.max_n)
-        elif draw < 0.8:
-            # repeated components, which share one table when their
-            # domains agree: poly's y_i, subdivided's midpoints
-            q = gadgets.family_query(rng.choice(["poly", "subdivided"]),
-                                     rng.randint(3, 4))
-            g = _random_graph(rng, rng.randint(0, args.max_n))
-        else:
-            # one part whose boundary is every free vertex, counted by its
-            # keys; a free-only edge lies in that part, so its table checks
-            # it
-            q = gadgets.family_query(rng.choice(["psi", "gamma", "omega"]),
-                                     rng.randint(2, 3))
-            if rng.random() < 0.5:
-                q = Query(graph(q.structure.n, graph_edges(q.structure)
-                                + [tuple(rng.sample(q.free, 2))]), q.free)
-            g = _random_graph(rng, rng.randint(0, args.max_n))
-        transform = rng.choice(["identity", "complement"])
-        t = complement_structure(g) if transform == "complement" else g
-        domains = None
-        draw = rng.random()
-        if draw < 0.4:
-            domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
-                       for v in q.structure.vertices() if rng.random() < 0.7}
-        elif draw < 0.6:
-            domain = rng.sample(range(t.n), rng.randint(0, t.n))
-            domains = dict.fromkeys(q.structure.vertices(), domain)
-        try:
-            fast = dec.count(q, t, domains, method="dp")
-        except dec.BudgetError:
-            continue
-        slow = homs.count_answers(q, t, domains)
-        if fast != slow:
-            return ("dp=%d brute=%d query=%r target=%r (%s) domains=%r"
-                    % (fast, slow, serialize_query(q), serialize_structure(g),
-                       transform, domains))
-    return None
+    draw = rng.random()
+    if draw < 0.3:
+        q = _random_query(rng, min(args.max_n, 5))
+        g = _random_graph(rng, rng.randint(0, args.max_n))
+    elif draw < 0.5:
+        q, g = _random_instance(rng, min(args.max_n, 5))
+    elif draw < 0.65:
+        # wide atoms lie in no single table of their component, so a join
+        # checks them
+        q, g = _random_wide_instance(rng, args.max_n)
+    elif draw < 0.8:
+        # repeated components, which share one table when their domains
+        # agree: poly's y_i, subdivided's midpoints
+        q = gadgets.family_query(rng.choice(["poly", "subdivided"]),
+                                 rng.randint(3, 4))
+        g = _random_graph(rng, rng.randint(0, args.max_n))
+    else:
+        # one part whose boundary is every free vertex, counted by its keys;
+        # a free-only edge lies in that part, so its table checks it
+        q = gadgets.family_query(rng.choice(["psi", "gamma", "omega"]),
+                                 rng.randint(2, 3))
+        if rng.random() < 0.5:
+            q = Query(graph(q.structure.n, graph_edges(q.structure)
+                            + [tuple(rng.sample(q.free, 2))]), q.free)
+        g = _random_graph(rng, rng.randint(0, args.max_n))
+    transform = rng.choice(["identity", "complement"])
+    t = complement_structure(g) if transform == "complement" else g
+    domains = None
+    draw = rng.random()
+    if draw < 0.4:
+        domains = {v: rng.sample(range(t.n), rng.randint(0, t.n))
+                   for v in q.structure.vertices() if rng.random() < 0.7}
+    elif draw < 0.6:
+        domain = rng.sample(range(t.n), rng.randint(0, t.n))
+        domains = dict.fromkeys(q.structure.vertices(), domain)
+    try:
+        fast = dec.count(q, t, domains, method="dp")
+    except dec.BudgetError:
+        return None
+    slow = homs.count_answers(q, t, domains)
+    if fast != slow:
+        return ("dp=%d brute=%d query=%r target=%r (%s) domains=%r"
+                % (fast, slow, serialize_query(q), serialize_structure(g),
+                   transform, domains))
 
 
 def _check_surjective_sum(rng, args):
-    from itertools import combinations
-    for _ in range(max(1, args.trials // 5)):
-        q = _random_query(rng, 3)
-        t = _random_graph(rng, rng.randint(0, 3))
-        total = homs.count_answers(q, t)
-        acc = 0
-        for size in range(0, len(q.free) + 1):
-            for z in combinations(range(t.n), size):
-                acc += homs.count_surjective_answers(q, t, z)
-        if acc != total:
-            return "sum=%d total=%d query=%r" % (acc, total,
-                                                 serialize_query(q))
-    return None
+    q = _random_query(rng, 3)
+    t = _random_graph(rng, rng.randint(0, 3))
+    total = homs.count_answers(q, t)
+    acc = 0
+    for size in range(0, len(q.free) + 1):
+        for z in combinations(range(t.n), size):
+            acc += homs.count_surjective_answers(q, t, z)
+    if acc != total:
+        return "sum=%d total=%d query=%r" % (acc, total, serialize_query(q))
 
 
 def _random_colored_target(rng, s, p):
@@ -522,46 +486,40 @@ def _random_colored_target(rng, s, p):
 def _check_cf_identity(rng, args):
     """The colorful count is #Aut times the color-prescribed one, and the
     interpolation through uncolored counts gives it too."""
-    for _ in range(max(1, args.trials // 5)):
-        q = homs.augmented_core(_random_query(rng, 3))
-        t, c = _random_colored_target(rng, q.structure, 0.7)
-        cf = homs.count_cf_answers(q, t, c)
-        cp = homs.count_cp_answers(q, t, c)
-        aut = homs.count_partial_automorphisms(q)
-        interpolated = gadgets.cf_count_via_uncolored(q, t, c)
-        if cf != aut * cp or interpolated != cf:
-            return "cf=%d interpolated=%d aut=%d cp=%d query=%r" % (
-                cf, interpolated, aut, cp, serialize_query(q))
-    return None
+    q = homs.augmented_core(_random_query(rng, 3))
+    t, c = _random_colored_target(rng, q.structure, 0.7)
+    cf = homs.count_cf_answers(q, t, c)
+    cp = homs.count_cp_answers(q, t, c)
+    aut = homs.count_partial_automorphisms(q)
+    interpolated = gadgets.cf_count_via_uncolored(q, t, c)
+    if cf != aut * cp or interpolated != cf:
+        return "cf=%d interpolated=%d aut=%d cp=%d query=%r" % (
+            cf, interpolated, aut, cp, serialize_query(q))
 
 
 def _check_cp(rng, args):
-    for _ in range(max(1, args.trials // 5)):
-        q = _random_query(rng, 4)
-        g, c = _random_colored_target(rng, q.structure, 0.7)
-        transform = rng.choice(["identity", "complement"])
-        t = complement_structure(g) if transform == "complement" else g
-        classes = dict(enumerate(c.classes(q.structure.n)))
-        cp = homs.count_cp_answers(q, t, c)
-        slow = homs.count_answers(q, t, classes)
-        if cp != slow:
-            return ("cp=%d brute=%d query=%r target=%r (%s) colors=%r"
-                    % (cp, slow, serialize_query(q), serialize_structure(g),
-                       transform, c.colors))
-    return None
+    q = _random_query(rng, 4)
+    g, c = _random_colored_target(rng, q.structure, 0.7)
+    transform = rng.choice(["identity", "complement"])
+    t = complement_structure(g) if transform == "complement" else g
+    classes = dict(enumerate(c.classes(q.structure.n)))
+    cp = homs.count_cp_answers(q, t, c)
+    slow = homs.count_answers(q, t, classes)
+    if cp != slow:
+        return ("cp=%d brute=%d query=%r target=%r (%s) colors=%r"
+                % (cp, slow, serialize_query(q), serialize_structure(g),
+                   transform, c.colors))
 
 
 def _check_tensor(rng, args):
-    for _ in range(max(1, args.trials // 5)):
-        q = _random_query(rng, 3)
-        t1 = _random_graph(rng, rng.randint(1, 3))
-        t2 = _random_graph(rng, rng.randint(1, 3))
-        lhs = homs.count_answers(q, tensor_product(t1, t2))
-        rhs = homs.count_answers(q, t1) * homs.count_answers(q, t2)
-        if lhs != rhs:
-            return "tensor=%d product=%d query=%r" % (lhs, rhs,
-                                                      serialize_query(q))
-    return None
+    q = _random_query(rng, 3)
+    t1 = _random_graph(rng, rng.randint(1, 3))
+    t2 = _random_graph(rng, rng.randint(1, 3))
+    lhs = homs.count_answers(q, tensor_product(t1, t2))
+    rhs = homs.count_answers(q, t1) * homs.count_answers(q, t2)
+    if lhs != rhs:
+        return "tensor=%d product=%d query=%r" % (lhs, rhs,
+                                                  serialize_query(q))
 
 
 def _retractable(q, v):
@@ -575,187 +533,197 @@ def _retractable(q, v):
 
 
 def _check_core(rng, args):
-    for _ in range(max(1, args.trials // 5)):
-        q = _random_query(rng, 4)
-        core = homs.augmented_core(q)
-        t = _random_graph(rng, rng.randint(0, 4))
-        if homs.count_answers(q, t) != homs.count_answers(core, t):
-            return "core disagrees on query=%r" % serialize_query(q)
-        if any(_retractable(core, v) for v in core.quantified()):
-            return "core not minimal on query=%r" % serialize_query(q)
-    return None
+    q = _random_query(rng, 4)
+    core = homs.augmented_core(q)
+    t = _random_graph(rng, rng.randint(0, 4))
+    if homs.count_answers(q, t) != homs.count_answers(core, t):
+        return "core disagrees on query=%r" % serialize_query(q)
+    if any(_retractable(core, v) for v in core.quantified()):
+        return "core not minimal on query=%r" % serialize_query(q)
 
 
 def _check_normalize(rng, args):
-    for _ in range(max(1, args.trials // 5)):
-        n = rng.randint(1, 6)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-        bases = [edges, rng.sample(pairs, len(edges))]
-        if len(edges) >= 2:
-            # a double edge swap keeps every degree, so with the same free set
-            # the swapped query shares the isomorphism key, equivalent or not
-            (a, b), (c, d) = rng.sample(edges, 2)
-            swapped = set(map(frozenset, edges)) - {
-                frozenset((a, b)), frozenset((c, d))}
-            swapped |= {frozenset((a, c)), frozenset((b, d))}
-            if len({a, b, c, d}) == 4 and len(swapped) == len(edges):
-                bases[1] = [tuple(e) for e in swapped]
-        # many free vertices keep the cores large
-        free = rng.sample(range(n), rng.randint(n // 2, n))
-        terms = []
-        for base in bases:
-            for _ in range(rng.randint(1, 3)):
-                # a relabelled copy, its free tuple shuffled
-                perm = rng.sample(range(n), n)
-                copy = Query(graph(n, [(perm[u], perm[v]) for u, v in base]),
-                             rng.sample([perm[x] for x in free], len(free)))
-                terms.append((rng.choice([-2, -1, 1, 2]), copy))
-        qq = quantum.QuantumQuery(terms)
-        normal = quantum.normalize(qq)
-        for _ in range(3):
-            t = _random_graph(rng, rng.randint(0, 4))
-            got = quantum.evaluate(normal, t)
-            want = sum(c * homs.count_answers(q, t) for c, q in qq.terms)
-            if got != want:
-                return "normalized=%s terms=%s on %d-vertex target" % (
-                    got, want, t.n)
-    return None
+    n = rng.randint(1, 6)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    bases = [edges, rng.sample(pairs, len(edges))]
+    if len(edges) >= 2:
+        # a double edge swap keeps every degree, so with the same free set
+        # the swapped query shares the isomorphism key, equivalent or not
+        (a, b), (c, d) = rng.sample(edges, 2)
+        swapped = set(map(frozenset, edges)) - {
+            frozenset((a, b)), frozenset((c, d))}
+        swapped |= {frozenset((a, c)), frozenset((b, d))}
+        if len({a, b, c, d}) == 4 and len(swapped) == len(edges):
+            bases[1] = [tuple(e) for e in swapped]
+    # many free vertices keep the cores large
+    free = rng.sample(range(n), rng.randint(n // 2, n))
+    terms = []
+    for base in bases:
+        for _ in range(rng.randint(1, 3)):
+            # a relabelled copy, its free tuple shuffled
+            perm = rng.sample(range(n), n)
+            copy = Query(graph(n, [(perm[u], perm[v]) for u, v in base]),
+                         rng.sample([perm[x] for x in free], len(free)))
+            terms.append((rng.choice([-2, -1, 1, 2]), copy))
+    qq = quantum.QuantumQuery(terms)
+    normal = quantum.normalize(qq)
+    for _ in range(3):
+        t = _random_graph(rng, rng.randint(0, 4))
+        got = quantum.evaluate(normal, t)
+        want = sum(c * homs.count_answers(q, t) for c, q in qq.terms)
+        if got != want:
+            return "normalized=%s terms=%s on %d-vertex target" % (
+                got, want, t.n)
 
 
 def _check_compile(rng, args):
     pairs = [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x1", "x2"),
              ("y1", "y2")]
-    for _ in range(max(1, args.trials // 5)):
-        m = rng.randint(1, 2)
-        disj = [rng.sample(pairs, rng.randint(1, 2)) for _ in range(m)]
-        quant = rng.choice(["forall", "exists"])
-        negated = rng.random() < 0.5
-        text = "formula\nfree x1 x2\n%s y1 y2\nbody (%s)%s\n" % (
-            quant, " | ".join("(%s)" % " & ".join("E(%s,%s)" % p for p in d)
-                              for d in disj),
-            " & !E(x1,x2)" if negated else "")
-        if rng.random() < 0.5:
-            text += "ineq x1 x2\n"
-        if rng.random() < 0.5:
-            # merging the variables of one of its atoms makes that atom
-            # diagonal: a loop, which only a reflexive complement holds
-            text += "eq %s %s\n" % rng.choice(
-                [p for d in disj for p in d] + [("x1", "x2")] * negated)
-        f = parse_formula(text)
-        qq = expansion.compile(f)
-        g = _random_graph(rng, rng.randint(1, 4))
-        transform = rng.choice(["identity", "complement"])
-        t = complement_structure(g) if transform == "complement" else g
-        a = quantum.evaluate(qq, t)
-        b = expansion.count_formula_answers(f, t)
-        if a != b:
-            return "compiled=%s brute=%s formula=%r target=%r (%s)" % (
-                a, b, text, serialize_structure(g), transform)
-    return None
+    m = rng.randint(1, 2)
+    disj = [rng.sample(pairs, rng.randint(1, 2)) for _ in range(m)]
+    quant = rng.choice(["forall", "exists"])
+    negated = rng.random() < 0.5
+    text = "formula\nfree x1 x2\n%s y1 y2\nbody (%s)%s\n" % (
+        quant, " | ".join("(%s)" % " & ".join("E(%s,%s)" % p for p in d)
+                          for d in disj),
+        " & !E(x1,x2)" if negated else "")
+    if rng.random() < 0.5:
+        text += "ineq x1 x2\n"
+    if rng.random() < 0.5:
+        # merging the variables of one of its atoms makes that atom
+        # diagonal: a loop, which only a reflexive complement holds
+        text += "eq %s %s\n" % rng.choice(
+            [p for d in disj for p in d] + [("x1", "x2")] * negated)
+    f = parse_formula(text)
+    qq = expansion.compile(f)
+    g = _random_graph(rng, rng.randint(1, 4))
+    transform = rng.choice(["identity", "complement"])
+    t = complement_structure(g) if transform == "complement" else g
+    a = quantum.evaluate(qq, t)
+    b = expansion.count_formula_answers(f, t)
+    if a != b:
+        return "compiled=%s brute=%s formula=%r target=%r (%s)" % (
+            a, b, text, serialize_structure(g), transform)
 
 
 def _check_extraction(rng, args):
-    for _ in range(max(1, args.trials // 10)):
-        support = []
-        while len(support) < 2:
-            q = homs.augmented_core(_random_query(rng, 3))
-            if q.free and all(not homs.are_equivalent(q, q2)
-                              for q2 in support):
-                support.append(q)
-        transform = rng.choice(["identity", "complement"])
-        qq = quantum.QuantumQuery(
-            [(rng.choice([-2, -1, 1, 2]), q) for q in support], transform)
-        t = _random_graph(rng, rng.randint(1, 4))
-        got = quantum.extract_constituent_counts(qq, t)
-        if transform == "complement":
-            # every absent pair stored, apart from model's implicit complement
-            t = Structure(t.signature, t.n, {"E": [
-                (a, b) for a in range(t.n) for b in range(t.n)
-                if (a, b) not in t.relations["E"]]})
-        want = {q: homs.count_answers(q, t) for q in support}
-        if got != want:
-            return "extraction mismatch (%s) on %d-vertex target" % (
-                transform, t.n)
-    return None
+    support = []
+    while len(support) < 2:
+        q = homs.augmented_core(_random_query(rng, 3))
+        if q.free and all(not homs.are_equivalent(q, q2) for q2 in support):
+            support.append(q)
+    transform = rng.choice(["identity", "complement"])
+    qq = quantum.QuantumQuery(
+        [(rng.choice([-2, -1, 1, 2]), q) for q in support], transform)
+    t = _random_graph(rng, rng.randint(1, 4))
+    got = quantum.extract_constituent_counts(qq, t)
+    if transform == "complement":
+        # every absent pair stored, apart from model's implicit complement
+        t = Structure(t.signature, t.n, {"E": [
+            (a, b) for a in range(t.n) for b in range(t.n)
+            if (a, b) not in t.relations["E"]]})
+    want = {q: homs.count_answers(q, t) for q in support}
+    if got != want:
+        return "extraction mismatch (%s) on %d-vertex target" % (
+            transform, t.n)
 
 
 def _check_minor_gadgets(rng, args):
-    for _ in range(max(1, args.trials // 5)):
-        q = _random_query(rng, 4)
-        edges = graph_edges(q.structure)
-        if not edges:
-            continue
-        e = rng.choice(edges)
-        op = (rng.choice(["delete-edge", "contract-edge"]), e)
-        minor, _ = gadgets.query_minor_with_map(q, op)
-        t, c = _random_colored_target(rng, minor.structure, 0.6)
-        out = gadgets.minor_instance_gadget(q, op, t, c)
-        lhs = homs.count_cp_answers(minor, t, c)
-        rhs = homs.count_cp_answers(q, out.structure, out.coloring)
-        if lhs != rhs:
-            return "minor %r: source=%d gadget=%d" % (op, lhs, rhs)
-    return None
+    q = _random_query(rng, 4)
+    edges = graph_edges(q.structure)
+    if not edges:
+        return None
+    e = rng.choice(edges)
+    op = (rng.choice(["delete-edge", "contract-edge"]), e)
+    minor, _ = gadgets.query_minor_with_map(q, op)
+    t, c = _random_colored_target(rng, minor.structure, 0.6)
+    out = gadgets.minor_instance_gadget(q, op, t, c)
+    lhs = homs.count_cp_answers(minor, t, c)
+    rhs = homs.count_cp_answers(q, out.structure, out.coloring)
+    if lhs != rhs:
+        return "minor %r: source=%d gadget=%d" % (op, lhs, rhs)
 
 
 def _check_domset(rng, args):
-    for _ in range(max(1, args.trials // 10)):
-        g = _random_graph(rng, rng.randint(1, 5))
-        k = rng.randint(1, 2)
-        got = gadgets.domset_via_star_oracle(g, k)
-        want = [gadgets._brute_dominating_sets(g, ell)
-                for ell in range(1, k + 1)]
-        if got != want:
-            return "domset got=%r want=%r edges=%r" % (got, want,
-                                                       graph_edges(g))
-    return None
+    g = _random_graph(rng, rng.randint(1, 5))
+    k = rng.randint(1, 2)
+    got = gadgets.domset_via_star_oracle(g, k)
+    want = [gadgets._brute_dominating_sets(g, ell) for ell in range(1, k + 1)]
+    if got != want:
+        return "domset got=%r want=%r edges=%r" % (got, want, graph_edges(g))
 
 
+# (name, trial, share): cmd_check runs max(1, trials // share) trials of
+# each check on a random stream of its own and stops at the first
+# counterexample.
 CHECKS = [
-    ("dp-counter-vs-brute", _check_dp),
-    ("surjective-partition", _check_surjective_sum),
-    ("colorful-automorphism-identity", _check_cf_identity),
-    ("cp-vs-brute", _check_cp),
-    ("tensor-multiplicativity", _check_tensor),
-    ("core-preserves-counts", _check_core),
-    ("normalize-preserves-counts", _check_normalize),
-    ("compile-vs-formula-semantics", _check_compile),
-    ("constituent-extraction", _check_extraction),
-    ("minor-gadget-counts", _check_minor_gadgets),
-    ("dominating-set-pipeline", _check_domset),
+    ("dp-counter-vs-brute", _check_dp, 1),
+    ("surjective-partition", _check_surjective_sum, 5),
+    ("colorful-automorphism-identity", _check_cf_identity, 5),
+    ("cp-vs-brute", _check_cp, 5),
+    ("tensor-multiplicativity", _check_tensor, 5),
+    ("core-preserves-counts", _check_core, 5),
+    ("normalize-preserves-counts", _check_normalize, 5),
+    ("compile-vs-formula-semantics", _check_compile, 5),
+    ("constituent-extraction", _check_extraction, 10),
+    ("minor-gadget-counts", _check_minor_gadgets, 5),
+    ("dominating-set-pipeline", _check_domset, 10),
 ]
 
 
 def cmd_check(args):
+    for flag, value in (("--trials", args.trials), ("--max-n", args.max_n)):
+        if value < 1:
+            raise InputError("check: %s must be at least 1" % flag)
     failures = 0
-    for name, fn in CHECKS:
+    for name, trial, share in CHECKS:
         rng = random.Random("%d:%s" % (args.seed, name))
-        counterexample = fn(rng, args)
-        status = "pass" if counterexample is None else "fail"
-        if args.machine:
-            print("%s=%s" % (name, status))
-        else:
-            print("%s: %s" % (name, status))
+        counterexample = None
+        for _ in range(max(1, args.trials // share)):
+            try:
+                counterexample = trial(rng, args)
+            except Exception as e:
+                # a crash is a failed check; the checks after it still run
+                counterexample = "%s: %s" % (type(e).__name__, e)
+            if counterexample is not None:
+                break
+        _emit(args, [(name, "pass" if counterexample is None else "fail")])
         if counterexample is not None:
             failures += 1
             print("  counterexample: %s" % counterexample)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like any other bad input: argparse's own 2
+    is the code of a failed self-check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError("%s: %s" % (self.prog, message))
+
+
+class _Once(argparse.Action):
+    """An option that may be given once, where a repeat would silently
+    replace the first value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error("%s given more than once" % option_string)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cqcount",
         description="Exact answer counting for conjunctive queries and "
                     "extensions, structural parameters, and reductions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, query=False, target=False, coloring=False):
-        if query:
-            sp.add_argument("--query", required=True)
-        if target:
-            sp.add_argument("--target", required=True)
-        if coloring:
-            sp.add_argument("--coloring", required=True)
+    def files(sp, *names, required=True):
+        for name in names:
+            sp.add_argument("--" + name, required=required, action=_Once)
         sp.add_argument("--machine", action="store_true")
 
     def method(sp):
@@ -768,22 +736,21 @@ def build_parser():
                              "table passes TABLE_ROWS_CAP")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
-    common(sp, query=True, target=True)
+    files(sp, "query", "target")
     method(sp)
 
     sp = sub.add_parser("count-cp", help="color-prescribed answer count")
-    common(sp, query=True, target=True, coloring=True)
+    files(sp, "query", "target", "coloring")
     method(sp)
 
     sp = sub.add_parser("count-cf",
                         help="colorful answer count (brute force only: "
                              "its colorful-image condition is not a "
                              "per-vertex domain, so the dp cannot run it)")
-    common(sp, query=True, target=True, coloring=True)
+    files(sp, "query", "target", "coloring")
 
     sp = sub.add_parser("params", help="structural parameters of one query")
-    sp.add_argument("--query", action="append", required=True)
-    sp.add_argument("--machine", action="store_true")
+    files(sp, "query")
 
     sp = sub.add_parser("classify",
                         help="boundedness trends and the complexity regime "
@@ -792,34 +759,25 @@ def build_parser():
     sp.add_argument("--machine", action="store_true")
 
     sp = sub.add_parser("minimize", help="vertex-minimal equivalent query")
-    sp.add_argument("--query", required=True)
-    sp.add_argument("--machine", action="store_true")
+    files(sp, "query")
 
     sp = sub.add_parser("expand",
                         help="compile a formula to a linear combination "
                              "of plain queries")
-    sp.add_argument("--formula", required=True)
-    sp.add_argument("--machine", action="store_true")
+    files(sp, "formula")
 
     sp = sub.add_parser("eval", help="evaluate a quantum query on a target")
-    sp.add_argument("--quantum", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--machine", action="store_true")
+    files(sp, "quantum", "target")
     method(sp)
 
     sp = sub.add_parser("gadget", help="run a reduction gadget")
-    sp.add_argument("name", choices=["family", "minor", "uncolored-to-cp",
-                                     "gamma-to-grate", "gaifman-expand",
-                                     "domset"])
-    sp.add_argument("--query")
-    sp.add_argument("--target")
-    sp.add_argument("--coloring")
+    sp.add_argument("name", choices=list(_GADGET_NEEDS))
+    files(sp, "query", "target", "coloring", required=False)
     sp.add_argument("--kind", default="psi")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--op", choices=["delete-vertex", "delete-edge",
                                      "contract-edge"])
     sp.add_argument("--vertices", type=int, nargs="*")
-    sp.add_argument("--machine", action="store_true")
 
     sp = sub.add_parser("check", help="randomized cross-validation suite")
     sp.add_argument("--seed", type=int, default=0)
@@ -832,8 +790,8 @@ def build_parser():
 
 COMMANDS = {
     "count": cmd_count,
-    "count-cp": lambda args: cmd_count_colored(args, colorful=False),
-    "count-cf": lambda args: cmd_count_colored(args, colorful=True),
+    "count-cp": lambda args: cmd_count(args, "cp"),
+    "count-cf": lambda args: cmd_count(args, "cf"),
     "params": cmd_params,
     "classify": cmd_classify,
     "minimize": cmd_minimize,
@@ -845,9 +803,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)

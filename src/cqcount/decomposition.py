@@ -17,7 +17,7 @@ from . import homs
 # without an import cycle; callers also name them as dec.BudgetError
 from .model import (BudgetError, Complement, Query, Signature, Structure,
                     TreewidthLimitError, gaifman_adjacency,
-                    induced_substructure)
+                    induced_substructure, partition, tuple_getter)
 
 EXACT_TREEWIDTH_LIMIT = 20
 DSS_CAP = 6
@@ -47,26 +47,6 @@ class TreeDecomposition:
         for i, later in enumerate(self.up[:-1]):
             parent = min(map(position.get, later)) if later else i + 1
             self.children[parent].append(i)
-
-
-def _components(adj, vertices):
-    seen = set()
-    comps = []
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _elimination_width(adj, vertices):
@@ -182,27 +162,16 @@ def _key_getter(positions):
     return itemgetter(*positions) if positions else (lambda row: ())
 
 
-def _row_getter(positions):
-    """The tuple of a row's values at positions, a tuple even for one."""
-    if len(positions) == 1:
-        at, = positions
-        return lambda row: (row[at],)
-    return _key_getter(positions)
-
-
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
-    of v, built on first use and memoized in t.masks under (name, positions
-    of v) and shared by every name of t over the same relation object, as
-    the parts of one lead group are.  A Complement view is indexed from its
-    present tuples as co-masks.  A symmetric binary relation indexes alike
-    at both positions: when the second position is first asked for, the
-    relation is tested for symmetry once and, if it holds, the key shares
-    the first one's object."""
+    of v, built when dp_tables finds none in t.masks under (name, positions
+    of v), memoized there and shared by every name of t over the same
+    relation object, as the parts of one lead group are.  A Complement view
+    is indexed from its present tuples as co-masks.  A symmetric binary
+    relation indexes alike at both positions: when the second position is
+    first asked for, the relation is tested for symmetry once and, if it
+    holds, the key shares the first one's object."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
-    found = t.masks.get((name, at_v))
-    if found is not None:
-        return found
     rel = t.relations[name]
     # the parts of one lead group share one relation object under several
     # names, so an index is looked up by that object
@@ -346,11 +315,11 @@ def _schedule(structure, td, keep):
                                  + (row.index(tup[0]),))
             stages.append((_key_getter([row.index(u) for u in shared]),
                            _key_getter([cols.index(u) for u in shared]),
-                           _row_getter([cols.index(u) for u in extra]),
+                           tuple_getter([cols.index(u) for u in extra]),
                            found))
         out = [row.index(u) for u in sorted(row)]
         steps.append(("join", len(parts), stages,
-                      (tuple(out), _row_getter(out))))
+                      (tuple(out), tuple_getter(out))))
         return tuple(sorted(row))
 
     def sum_out(cols, v):
@@ -361,7 +330,7 @@ def _schedule(structure, td, keep):
         if last[0] == "join":
             _, kids, stages, (out, _) = last
             out = out[:at] + out[at + 1:]
-            steps[-1] = ("join", kids, stages, (out, _row_getter(out)))
+            steps[-1] = ("join", kids, stages, (out, tuple_getter(out)))
         else:
             _, fresh, carried_v, carried, binds, folded = last
             _, _, bound_at, width, _, rest = binds[-1]
@@ -369,9 +338,9 @@ def _schedule(structure, td, keep):
             del out[at]
             collapsed = None
             if bound_at not in out and not rest:
-                collapsed = _row_getter([c - (c > bound_at) for c in out])
+                collapsed = tuple_getter([c - (c > bound_at) for c in out])
             steps[-1] = ("grow", fresh, carried_v, carried, binds,
-                         (tuple(out), _row_getter(out), collapsed))
+                         (tuple(out), tuple_getter(out), collapsed))
         return cols[:at] + cols[at + 1:]
 
     def next_sum_out(i):
@@ -687,8 +656,11 @@ class _Plan:
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
         leads = {}
+        quantified = q.quantified()
         self.parts = [_Part(q, adj, component, leads)
-                      for component in _components(adj, set(q.quantified()))]
+                      for component in partition(quantified, [
+                          (u, v) for u in quantified for v in adj[u]
+                          if v not in q.free])]
         self.index = {v: i for i, v in enumerate(q.free)}
         symbols = list(q.structure.signature.symbols)
         rels = {name: set(tuple(self.index[v] for v in tup) for tup in rel

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .model import BudgetError, Query, Structure, query_structure
-from .parser import (FormulaAST, ZeroWitness, _conjuncts, _partition,
+from .model import BudgetError, Query, Structure, partition, query_structure
+from .parser import (FormulaAST, ZeroWitness, _conjuncts,
                      eliminate_equalities, formula_to_query,
                      to_disjunctive_normal_form)
 from .quantum import QuantumQuery, normalize
@@ -36,7 +36,7 @@ class FlatLattice:
 
 def _partition_key(members, pairs):
     """Canonical partition of members induced by the given merge pairs."""
-    return tuple(sorted(tuple(sorted(b)) for b in _partition(members, pairs)))
+    return tuple(sorted(tuple(sorted(b)) for b in partition(members, pairs)))
 
 
 def matroid_flats_mobius(free, inequalities):

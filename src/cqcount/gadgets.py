@@ -103,6 +103,8 @@ def query_minor_with_map(q, op):
     rel = s.relations["E"]
     cut = ()  # the pairs the minor drops
     if kind == "delete-vertex":
+        if not 0 <= arg < s.n:
+            raise ValueError("vertex %d out of range" % arg)
         if any(arg in e for e in rel):
             raise ValueError("vertex %d is not isolated" % arg)
         gone = arg

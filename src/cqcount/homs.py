@@ -19,25 +19,15 @@ answer the later deletion tests without searching.
 """
 
 from math import factorial
-from operator import itemgetter
 
 from .model import (BudgetError, Complement, Query, gaifman_adjacency,
-                    induced_substructure)
+                    induced_substructure, tuple_getter)
 
 # The most free-preserving permutations, |X|! * |Y|! for X the free and Y the
 # quantified vertices, that count_partial_automorphisms may have to search:
 # its search into the query meets each of them as a leaf at worst, so the
 # cap bounds one call.
 PERMUTATION_CAP = 40320
-
-
-def _tuple_getter(places):
-    """A function giving a sequence's values at places, always as a tuple:
-    itemgetter, which gives a bare value for a single place, wrapped."""
-    if len(places) == 1:
-        p, = places
-        return lambda s: (s[p],)
-    return itemgetter(*places) if places else lambda s: ()
 
 
 def _plan(q, t):
@@ -64,16 +54,16 @@ def _plan(q, t):
         for tup in rel:
             at = tuple(pos[v] for v in tup)
             atoms[max(at)].append((t.relations[name], at))
-    tests = [[(_tuple_getter(at), rel, True) for rel, at in here]
+    tests = [[(tuple_getter(at), rel, True) for rel, at in here]
              for here in atoms]
     for sym, args in q.negated_atoms:
         at = tuple(pos[v] for v in args)
-        tests[max(at)].append((_tuple_getter(at), t.relations[sym], False))
+        tests[max(at)].append((tuple_getter(at), t.relations[sym], False))
     earlier = [[] for _ in order]
     for pair in q.inequalities:
         i, j = sorted(pos[v] for v in pair)
         earlier[j].append(i)
-    unequal = [_tuple_getter(ps) if ps else None for ps in earlier]
+    unequal = [tuple_getter(ps) if ps else None for ps in earlier]
     lead = [next(((j, rel, at) for j, (rel, at) in enumerate(here)
                   if not isinstance(rel, Complement)), None)
             for here in atoms]
@@ -92,7 +82,7 @@ def _index(rel, at, i, cands):
         places.setdefault(p, j)
     same = [(j, places[p]) for j, p in enumerate(at) if places[p] != j]
     earlier = [p for p in places if p != i]
-    key = _tuple_getter([places[p] for p in earlier])
+    key = tuple_getter([places[p] for p in earlier])
     here = places[i]
     rank = {w: r for r, w in enumerate(cands)}
     index = {}
@@ -103,7 +93,7 @@ def _index(rel, at, i, cands):
             index.setdefault(key(fact), []).append(w)
     for ws in index.values():
         ws.sort(key=rank.__getitem__)
-    return index, _tuple_getter(earlier)
+    return index, tuple_getter(earlier)
 
 
 def _search(q, t, domains=None, accept=None, colors=None, first=False,

@@ -9,6 +9,7 @@ targets.
 
 from collections.abc import Set
 from itertools import filterfalse, product
+from operator import itemgetter
 
 GRAPH_SIGNATURE = (("E", 2),)
 
@@ -275,6 +276,34 @@ def gaifman_graph(structure):
     adj = gaifman_adjacency(structure)
     edges = [(u, v) for u in adj for v in adj[u] if u < v]
     return graph(structure.n, edges)
+
+
+def partition(members, pairs):
+    """The blocks of members that the pairs merge, by union-find: each block
+    lists its members in input order, the blocks by their first member."""
+    parent = {v: v for v in members}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in members:
+        blocks.setdefault(find(v), []).append(v)
+    return list(blocks.values())
+
+
+def tuple_getter(places):
+    """A function giving a sequence's values at places, always as a tuple:
+    itemgetter, which gives a bare value for a single place, wrapped."""
+    if len(places) == 1:
+        p, = places
+        return lambda s: (s[p],)
+    return itemgetter(*places) if places else lambda s: ()
 
 
 class Complement(Set):

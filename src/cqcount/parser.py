@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 from .model import (GRAPH_SIGNATURE, Coloring, Query, Signature, Structure,
-                    graph_edges, is_undirected, query_structure)
+                    graph_edges, is_undirected, partition, query_structure)
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -315,25 +315,6 @@ def _conjuncts(node):
     return [node]
 
 
-def _partition(members, pairs):
-    """The blocks of members that the pairs merge, by union-find: each block
-    lists its members in input order, the blocks by their first member."""
-    parent = {v: v for v in members}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    blocks = {}
-    for v in members:
-        blocks.setdefault(find(v), []).append(v)
-    return list(blocks.values())
-
-
 def parse_formula(text):
     lines = _logical_lines(text)
     if not lines:
@@ -479,7 +460,7 @@ def eliminate_equalities(f):
     fset = set(f.free)
     # pick a free representative whenever the class contains one
     rep = {}
-    for members in _partition(f.variables(), f.equalities):
+    for members in partition(f.variables(), f.equalities):
         free_members = [v for v in members if v in fset]
         choice = free_members[0] if free_members else members[0]
         for v in members:
@@ -589,14 +570,18 @@ def serialize_query(q):
     return "\n".join(lines) + "\n"
 
 
+def parse_query_and_names(text):
+    """A query file's Query (equalities eliminated) and the vertex of each
+    variable name, or a ZeroWitness and {} when an inequality collapses."""
+    ast = eliminate_equalities(parse_formula(text))
+    if isinstance(ast, ZeroWitness):
+        return ast, {}
+    return formula_to_query(ast)
+
+
 def parse_query(text):
     """Parse a query file directly to a Query (equalities eliminated)."""
-    ast = parse_formula(text)
-    ast = eliminate_equalities(ast)
-    if isinstance(ast, ZeroWitness):
-        return ast
-    q, _ = formula_to_query(ast)
-    return q
+    return parse_query_and_names(text)[0]
 
 
 def serialize_quantum(qq):

@@ -47,12 +47,16 @@ def test_count_machine_output(tmp_path, capsys):
 
 
 def test_count_of_an_unsatisfiable_query(tmp_path, capsys):
+    # eq x y collapses ineq x y, so no target has an answer
     q = write(tmp_path, "q",
-              "formula\nfree x y\nbody E(x,y)\neq x y\n")
+              "formula\nfree x y\nbody E(x,y)\nineq x y\neq x y\n")
     t = write(tmp_path, "t", P3)
-    code, out, _ = run(capsys, ["count", "--query", q, "--target", t])
-    assert code == 0
-    assert out.splitlines()[0] == "count: 0"
+    c = write(tmp_path, "c", "color 0 x\ncolor 1 y\ncolor 2 x\n")
+    for argv in (["count"], ["count-cp", "--coloring", c],
+                 ["count-cf", "--coloring", c]):
+        code, out, _ = run(capsys, argv + ["--query", q, "--target", t])
+        assert code == 0
+        assert out == "count: 0\nmethod: zero-witness\n", argv
 
 
 def test_commands_without_a_count_name_the_unsatisfiable_query(tmp_path,
@@ -443,3 +447,175 @@ def test_an_asymmetric_target_exits_one_naming_the_file(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err.startswith("error: %s: " % directed) and words in err, \
             (argv, err)
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    q = write(tmp_path, "q", PSI2)
+    for argv, words in (
+            (["count", "--query", q], "required: --target"),
+            (["check", "--trials", "x"], "invalid int value: 'x'"),
+            (["params", "--query", q, "--query", q],
+             "--query given more than once"),
+            (["check", "--trials", "0"], "--trials must be at least 1"),
+            (["check", "--trials", "-3"], "--trials must be at least 1"),
+            (["check", "--max-n", "0"], "--max-n must be at least 1")):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert "error: " in err and words in err, (argv, err)
+
+
+def test_gadget_minor_names_a_vertex_out_of_range_or_a_missing_op(tmp_path,
+                                                                  capsys):
+    q = write(tmp_path, "q", PSI2)
+    for v in ("7", "-1"):
+        code, out, err = run(capsys, ["gadget", "minor", "--query", q,
+                                      "--op", "delete-vertex",
+                                      "--vertices", v])
+        assert code == 1 and out == ""
+        assert err == "error: %s: vertex %s out of range\n" % (q, v)
+    code, out, err = run(capsys, ["gadget", "minor", "--query", q,
+                                  "--vertices", "0", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: gadget minor needs --op\n"
+
+
+def test_a_crash_inside_a_trial_fails_its_check_and_the_rest_run(
+        capsys, monkeypatch):
+    def crash(rng, args):
+        raise AssertionError("padding system is not integral")
+    name, _, share = cli.CHECKS[0]
+    monkeypatch.setattr(cli, "CHECKS", [(name, crash, share)]
+                        + cli.CHECKS[1:])
+    code, out, err = run(capsys, ["check", "--trials", "5", "--max-n", "3"])
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "%s: fail" % name,
+        "  counterexample: AssertionError: padding system is not integral"]
+    assert lines[2:] == ["%s: pass" % other for other, _, _ in cli.CHECKS[1:]]
+
+
+# One malformed file per parser message: (command, file text, message, line
+# or None).  The command reads the file as the kind of input its text is.
+MALFORMED = [
+    # structures
+    ("count", "structure\nsignature E2\ndomain 2\n",
+     "expected <name>/<arity>: 'E2'", 2),
+    ("count", "structure\nsignature 2E/2\ndomain 2\n",
+     "bad symbol name '2E'", 2),
+    ("count", "structure\nsignature E/x\ndomain 2\n", "bad arity in 'E/x'", 2),
+    ("count", "structure\nsignature E/2 E/2\ndomain 2\n",
+     "duplicate relation symbol", 2),
+    ("count", "# nothing\n", "empty structure file", None),
+    ("count", "grap\ndomain 2\n",
+     "expected 'structure' or 'graph' header, got 'grap'", 1),
+    ("count", "structure\ndomain 2\nsignature E/2\n",
+     "signature must come before domain and tuples", 3),
+    ("count", "graph\nsignature R/2\ndomain 2\n",
+     "graph mode requires the signature E/2", 2),
+    ("count", "graph\ndomain 2\ndomain 2\n", "duplicate domain line", 3),
+    ("count", "graph\ndomain\n", "expected 'domain <n>'", 2),
+    ("count", "graph\ndomain x\n", "bad domain size 'x'", 2),
+    ("count", "graph\ndomain -1\n", "negative domain size", 2),
+    ("count", "structure\nE 0 1\n", "tuple line before signature", 2),
+    ("count", "graph\nE 0 1\n", "tuple line before domain", 2),
+    ("count", "graph\ndomain 2\nR 0 1\n", "unknown relation symbol 'R'", 3),
+    ("count", "graph\ndomain 2\nE 0 a\n", "vertices must be integers", 3),
+    ("count", "graph\ndomain 2\nE 0\n", "arity mismatch for E", 3),
+    ("count", "graph\ndomain 2\nE 0 9\n", "vertex 9 out of range", 3),
+    ("count", "graph\ndomain 2\nE 1 1\n", "loop 1 in graph mode", 3),
+    ("count", "structure\ndomain 2\n", "missing signature", None),
+    ("count", "graph\n", "missing domain line", None),
+    # colorings of the 3-vertex path by psi_2, whose variables are x1 x2 y
+    ("count-cp", "colour 0 x1\n", "expected 'color <vertex> <variable>'", 1),
+    ("count-cp", "color a x1\n", "target vertex must be an integer", 1),
+    ("count-cp", "color 0 z\n", "unknown query variable 'z'", 1),
+    ("count-cp", "color 0 x1\ncolor 0 y\n", "vertex 0 colored twice", 2),
+    ("count-cp", "color 0 x1\ncolor 2 y\n",
+     "coloring must cover vertices 0..2", None),
+    # formulas
+    ("expand", "formula\nfree x\nbody E(x,$)\n", "bad token '$'", 3),
+    ("expand", "formula\nfree x\nbody E(x,\n",
+     "unexpected end of expression", 3),
+    ("expand", "formula\nfree x\nbody E x\n", "expected '(', got 'x'", 3),
+    ("expand", "formula\nfree x\nbody E(x,x))\n", "trailing token ')'", 3),
+    ("expand", "formula\nfree x\nbody !(E(x,x) & E(x,x))\n",
+     "'!' applies to single atoms only", 3),
+    ("expand", "formula\nfree x\nbody ,\n", "expected an atom, got ','", 3),
+    ("expand", "formula\nfree x\nbody E((x)\n", "bad variable '('", 3),
+    ("expand", "formula\nfree x\nbody E(x x)\n", "expected ',' or ')'", 3),
+    ("expand", "", "empty formula file", None),
+    ("expand", "formulas\nfree x\n",
+     "expected 'formula' or 'query' header, got 'formulas'", 1),
+    ("expand", "formula\nsignature E/2\nsignature E/2\n",
+     "duplicate signature line", 3),
+    ("expand", "formula\nfree x\nfree y\n", "duplicate free line", 3),
+    ("expand", "formula\nexists y\nforall z\n",
+     "only one quantifier block is allowed", 3),
+    ("expand", "formula\nfree x\nbody E(x,x)\nbody E(x,x)\n",
+     "duplicate body line", 4),
+    ("expand", "formula\nfree x y\nineq x\n", "expected 'ineq <v> <v>'", 3),
+    ("expand", "formula\nfree x y\nineq x x\n",
+     "inequality between a variable and itself", 3),
+    ("expand", "formula\nfree x y\neq x\n", "expected 'eq <v> <v>'", 3),
+    ("expand", "formula\nfree x\nbodies E(x,x)\n",
+     "unknown statement 'bodies'", 3),
+    ("expand", "formula\nfree x\n", "missing body line", None),
+    ("expand", "formula\nfree x\nexists x\nbody true\n",
+     "variable declared twice", None),
+    ("expand", "formula\nfree 1x\nbody true\n", "bad variable name '1x'",
+     None),
+    ("expand", "formula\nfree x\nbody R(x,x)\n",
+     "unknown relation symbol 'R'", 3),
+    ("expand", "formula\nfree x\nbody E(x)\n", "arity mismatch for E", 3),
+    ("expand", "formula\nfree x\nbody E(x,z)\n", "unbound variable 'z'", 3),
+    ("expand", "formula\nfree x\nexists y\nbody E(x,y) & !E(x,y)\n",
+     "negated atom on quantified variable 'y'", 4),
+    ("expand", "formula\nfree x y\nbody E(x,y) | !E(x,y)\n",
+     "negation outside the top-level conjunction", 3),
+    ("expand", "formula\nfree x\nbody E(x,x)\nineq x z\n",
+     "unbound variable 'z' in inequality", 4),
+    ("expand", "formula\nfree x\nexists y\nbody E(x,y)\nineq x y\n",
+     "inequality on quantified variable 'y'", 5),
+    ("expand", "formula\nfree x\nbody E(x,x)\neq x z\n",
+     "unbound variable 'z' in equality", None),
+    ("expand", "query\nfree x\nforall y\nbody E(x,y)\n",
+     "a query cannot be universally quantified", None),
+    ("expand", "query\nfree x y\nbody E(x,y) | E(y,x)\n",
+     "query bodies must be conjunctions of atoms", None),
+    # quantum queries: a block's error names the file's line, or the
+    # block's coeff line where the message has none
+    ("eval", "transform inverse\ncoeff 1/1\n" + PSI2, "bad transform line",
+     1),
+    ("eval", "coef 1/1\n" + PSI2, "expected 'coeff <p>/<q>'", 1),
+    ("eval", "coeff 1/x\n" + PSI2, "bad coefficient '1/x'", 1),
+    ("eval", "coeff 0/1\n" + PSI2, "zero coefficient", 1),
+    ("eval", "coeff 1/1\nquery\nfree x\n\nbody E(x,z)\n",
+     "unbound variable 'z'", 5),
+    ("eval", "coeff 1/1\nquery\nfree x x\nbody true\n",
+     "variable declared twice", 1),
+    ("eval", "coeff 1/1\nformula\nfree x\nforall y\nbody E(x,y)\n",
+     "universal formulas are not conjunctive queries", 1),
+    ("eval", "coeff 1/1\nformula\nfree x y\nbody E(x,y)\nineq x y\n"
+     "eq x y\n", "unsatisfiable constituent", 1),
+]
+
+
+@pytest.mark.parametrize("command, text, message, line", MALFORMED)
+def test_each_parser_message_names_the_file_and_the_line(
+        tmp_path, capsys, command, text, message, line):
+    bad = write(tmp_path, "bad", text)
+    q = write(tmp_path, "q", PSI2)
+    t = write(tmp_path, "t", P3)
+    argv = {"count": ["count", "--query", q, "--target", bad],
+            "count-cp": ["count-cp", "--query", q, "--target", t,
+                         "--coloring", bad],
+            "expand": ["expand", "--formula", bad],
+            "eval": ["eval", "--quantum", bad, "--target", t]}[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: %s" % (bad, message)), err
+    if line is None:
+        assert "(line" not in err
+    else:
+        assert "(line %d" % line in err, err

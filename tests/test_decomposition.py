@@ -826,6 +826,42 @@ def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
     assert dec.count(DENSE_TERM, t) == value
 
 
+def test_a_join_past_the_row_cap_raises_a_budget_error(monkeypatch):
+    # free 0 and 1 each reach the quantified 2 through a pendant of its own,
+    # so the pendants' tables, keyed by 2 and one free vertex, are joined at
+    # 2.  On a root with two children of ten leaves each, the larger of
+    # those tables holds 245 rows and the join 445.
+    q = Query(graph(5, [(3, 2), (3, 0), (4, 2), (4, 1)]), (0, 1))
+    t = graph(23, [(0, 1), (0, 2)] + [(p, 3 + 10 * (p - 1) + i)
+                                      for p in (1, 2) for i in range(10)])
+    want = homs.count_answers(q, t)
+    assert dec.count(q, t, method="dp") == want == 445
+    monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 300)
+    with pytest.raises(dec.BudgetError) as err:
+        dec.count(q, t, method="dp")
+    assert err.traceback[-1].name == "join"
+    assert "TABLE_ROWS_CAP" in str(err.value)
+    assert dec.count_and_method(q, t) == (want, "brute")
+
+
+def test_a_derived_symbol_steps_past_a_name_the_query_uses():
+    # y's part over the free 0 and 1 would be R0, which the free-only atom
+    # R0(1, 2) already names
+    sig = (("R0", 2),)
+    q = Query(Structure(sig, 4, {"R0": [(0, 3), (3, 1), (1, 2)]}), (0, 1, 2))
+    plan = dec._plan(q)
+    assert plan.names == ["R0_"] and plan.covering is None
+    assert plan.query.structure.relations == {"R0": {(1, 2)},
+                                              "R0_": {(0, 1)}}
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        t = Structure(sig, n, {"R0": [(a, b) for a in range(n)
+                                      for b in range(n)
+                                      if rng.random() < 0.4]})
+        assert dec.count(q, t, method="dp") == homs.count_answers(q, t)
+
+
 def test_a_sparse_table_stays_on_the_dp_below_its_boundary_product(
         monkeypatch):
     # psi_3 on path(80): the boundary product has 512,000 rows, the

@@ -121,3 +121,19 @@ def test_classifier_regimes():
 def test_classify_single_query_returns_a_report():
     r = params.classify(family_query("psi", 3))
     assert isinstance(r, params.ParameterReport)
+
+
+def test_analyze_past_the_exact_treewidth_limit_reports_a_heuristic_bound():
+    n = dec.EXACT_TREEWIDTH_LIMIT + 2
+    # the endpoints free: the contract is one edge, so only the query's own
+    # treewidth passes the limit
+    ends = params.analyze(Query(path(n), (0, n - 1)))
+    assert (ends.tw, ends.tw_contract) == (1, 1)
+    assert not ends.exact["tw"] and ends.exact["tw_contract"]
+    assert ("treewidth is a heuristic upper bound (instance above the exact "
+            "limit)") in ends.notes
+    # every vertex free: the contract is the path itself
+    whole = params.analyze(Query(path(n), tuple(range(n))))
+    assert (whole.tw, whole.tw_contract) == (1, 1)
+    assert not whole.exact["tw"] and not whole.exact["tw_contract"]
+    assert "contract treewidth is a heuristic upper bound" in whole.notes

@@ -45,3 +45,39 @@ def test_every_top_level_definition_is_used_in_src():
     unused = ["%s.%s" % (module, name) for module, name in defined
               if name not in referenced]
     assert unused == []
+
+
+def _cli_functions():
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_cli_turns_a_library_value_error_into_an_input_error_in_one_place():
+    # _blame gives every such message as "<where>: <reason>"; only
+    # _load_coloring's names two files, the coloring and the target
+    found = []
+    for fn in _cli_functions():
+        if fn.name in ("_blame", "_load_coloring"):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and _names(node.type) & {"ValueError", "ParseError"}
+                    and any(isinstance(r, ast.Raise) and r.exc is not None
+                            and "InputError" in _names(r.exc)
+                            for r in ast.walk(node))):
+                found.append("%s line %d" % (fn.name, node.lineno))
+    assert found == []
+
+
+def test_cli_runs_the_check_trials_in_one_loop():
+    # each _check_* function is one trial; cmd_check alone counts them
+    readers = sorted(fn.name for fn in _cli_functions()
+                     if "trials" in _names(fn))
+    assert readers == ["cmd_check"]
