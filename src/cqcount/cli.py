@@ -275,11 +275,13 @@ def cmd_gadget(args):
         spots = args.vertices or []
         if kind == "delete-vertex":
             if len(spots) != 1:
-                raise InputError("delete-vertex needs one vertex")
+                raise InputError("gadget minor: delete-vertex needs one "
+                                 "vertex")
             op = (kind, spots[0])
         else:
             if len(spots) != 2:
-                raise InputError("%s needs two vertices" % kind)
+                raise InputError("gadget minor: %s needs two vertices"
+                                 % kind)
             op = (kind, (spots[0], spots[1]))
         with _blame(args.query):
             minor = gadgets.query_minor_with_map(q, op)[0]
@@ -287,7 +289,7 @@ def cmd_gadget(args):
             sys.stdout.write(serialize_query(minor))
             return EXIT_OK
         if args.coloring is None:
-            raise InputError("the instance gadget needs --coloring")
+            raise InputError("gadget minor: --target needs --coloring")
         t = _load_structure(args.target)
         _check_signature([q], t, args.target)
         c = _load_coloring(args, t, minor.structure)
@@ -688,10 +690,13 @@ def cmd_check(args):
                 counterexample = "%s: %s" % (type(e).__name__, e)
             if counterexample is not None:
                 break
-        _emit(args, [(name, "pass" if counterexample is None else "fail")])
-        if counterexample is not None:
-            failures += 1
-            print("  counterexample: %s" % counterexample)
+        if counterexample is None:
+            _emit(args, [(name, "pass")])
+            continue
+        failures += 1
+        _emit(args, [(name, "fail"), (name + ".counterexample",
+                                      counterexample)],
+              ["%s: fail" % name, "  counterexample: %s" % counterexample])
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -732,8 +737,11 @@ def build_parser():
                         help="dp: the tree-decomposition counter; brute: "
                              "the backtracking search; auto (default): dp "
                              "for a plain query within DSS_CAP and the exact "
-                             "treewidth limit, brute otherwise or once a dp "
-                             "table passes TABLE_ROWS_CAP")
+                             "treewidth limit, brute otherwise or once a "
+                             "stored dp table passes TABLE_ROWS_CAP (a "
+                             "component whose boundary is every free "
+                             "vertex has its answers counted, not stored, "
+                             "where its last step allows)")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
     files(sp, "query", "target")

@@ -1,6 +1,7 @@
 """Exact treewidth, elimination trees, and the tree-decomposition based
 counters: the all-free DP and the fast counter that splits off quantified
-components and materializes their extendability relations.  The
+components and builds their extendability relations, or only counts the
+relation of a component whose boundary is every free vertex.  The
 decomposition is the elimination tree of an exact or min-fill order: each
 vertex's bag is the vertex with its later neighbours, and the DP runs once
 per eliminated vertex.  A component's DP keeps its boundary in the graph
@@ -387,11 +388,12 @@ def _schedule(structure, td, keep):
     return steps
 
 
-def dp_tables(structure, target, td, keep=(), domains=None):
-    """Run the counting DP over an elimination tree of the non-keep vertices;
-    the returned root table maps assignments of sorted(keep) to the number
-    of homomorphisms of the remaining vertices consistent with that boundary
-    assignment.
+def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
+    """Run the DP over an elimination tree of the non-keep vertices.  In
+    mode "count" the returned root table maps assignments of sorted(keep) to
+    the number of homomorphisms of the remaining vertices consistent with
+    that boundary assignment; in mode "exists" it is the frozenset of the
+    assignments that extend, and in mode "size" their number.
 
     The plan is bucket elimination over the tree's vertices together with
     keep, where keep is never eliminated.  Each eliminated vertex v has a
@@ -430,9 +432,23 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     children lack the parent, the parent is bound last there, and a single
     childless child keeps its own table rather than binding the bag.  The
     keys of every table, the root's included, are exactly the assignments
-    that extend, so an empty table ends the DP with {}.  A table that passes
+    that extend, so an empty table ends the DP.  A table that passes
     TABLE_ROWS_CAP rows while it is built raises BudgetError; the size is
     checked once per row of the table below.
+
+    Modes "exists" and "size" run the same steps with every count 1: a
+    collapsed sum-out asks whether any candidate w leaves mask & v's checks
+    on w non-zero, stopping at the first (or at once when the key is
+    already in the table), and a folded sum-out or a join writes each key
+    once, with no product.  In mode "size", when the last step is a grow
+    with no folded sum-out, each pair of a row before its last bind and a
+    candidate w that survives is a distinct key, so the last bind counts
+    those pairs per row and stores nothing.  It tests each w; or, when the
+    carried vertex's only check on w is one binary atom and the row's mask
+    has fewer members than w has candidates, it ORs that atom's index at w
+    over the mask's members and counts the candidates inside.  Otherwise
+    the root table is stored and its size returned.  Only stored rows count
+    toward TABLE_ROWS_CAP.
 
     Everything above that the target does not decide (the steps, bind
     order, insertion and sum-out columns, join keys and each check's key
@@ -446,6 +462,11 @@ def dp_tables(structure, target, td, keep=(), domains=None):
     steps = td.schedules.get((structure, keep))
     if steps is None:
         steps = td.schedules[structure, keep] = _schedule(structure, td, keep)
+    counting = mode == "count"
+    finish = {"count": dict, "exists": frozenset, "size": len}[mode]
+    last_step = steps[-1]
+    tally = (mode == "size" and last_step[0] == "grow" and last_step[4]
+             and last_step[5] is None)
     n, masks = target.n, target.masks
     full = (1 << n) - 1
     allowed = {} if domains is None else {
@@ -481,23 +502,35 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                 break
         return m
 
-    def grow(table, v, carried, binds, sum_out):
+    def grow(table, v, carried, binds, sum_out, count_keys):
         start = 1 if v is None else allowed.get(v, full)
         carried = resolve(carried)
         rows = {}
         for row, cnt in table.items():
             m = narrow(start, row, carried)
             if m:
-                rows[row] = (cnt, m) if binds else cnt * m.bit_count()
+                rows[row] = ((cnt, m) if binds else
+                             (cnt * m.bit_count() if counting else 1))
         summed, collapsed = sum_out[1:] if sum_out else (None, None)
-        for i, (u, own, at, width, by_key, rest) in enumerate(binds, 1):
+        total = 0
+        for i, (u, own, at, width, by_key_checks, rest) in enumerate(binds,
+                                                                      1):
             last = i == len(binds)
-            own, rest, by_key = resolve(own), resolve(rest), resolve(by_key)
+            own, rest = resolve(own), resolve(rest)
+            by_key = resolve(by_key_checks)
             candidates = allowed.get(u, full)
             by_value = [-1] * n
             for key, index, default in by_key:
                 for w in members(candidates):
                     by_value[w] &= index.get(key((w,) * width), default)
+            counted = last and count_keys
+            flip = None
+            if counted and not rest and len(by_key) == 1:
+                # every check of by_key_checks reads that one index, so the
+                # first one's atom serves; its index at u is read by v's value
+                _, _, (name, at_v), tup, _ = by_key_checks[0]
+                if len(tup) == 2 and len(at_v) == 1:
+                    flip = index_of((name, (1 - at_v[0],)), tup, u)
             out = {}
             for row, (cnt, m) in rows.items():
                 mu = narrow(candidates, row, own)
@@ -505,14 +538,36 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                     continue
                 if last and collapsed:
                     # every candidate lands on one key: count, build no row
-                    if by_key:
-                        cnt *= sum((m & by_value[w]).bit_count()
-                                   for w in members(mu))
-                    else:
-                        cnt *= m.bit_count() * mu.bit_count()
-                    if cnt:
-                        row = collapsed(row)
-                        out[row] = out.get(row, 0) + cnt
+                    row = collapsed(row)
+                    if counting:
+                        if by_key:
+                            cnt *= sum((m & by_value[w]).bit_count()
+                                       for w in members(mu))
+                        else:
+                            cnt *= m.bit_count() * mu.bit_count()
+                        if cnt:
+                            out[row] = out.get(row, 0) + cnt
+                    elif row not in out:
+                        if by_key:
+                            for w in members(mu):
+                                if m & by_value[w]:
+                                    break
+                            else:
+                                continue
+                        out[row] = 1
+                elif counted and not (rest or by_key):
+                    total += mu.bit_count()
+                elif flip and m.bit_count() < mu.bit_count():
+                    # the candidates with an atom to some member of m, read
+                    # one bit at a time, not by members(m): on a dense
+                    # target m is nearly full and a few members cover mu
+                    index, default = flip
+                    miss = mu
+                    while m and miss:
+                        low = m & -m
+                        miss &= ~index.get(low.bit_length() - 1, default)
+                        m ^= low
+                    total += mu.bit_count() - miss.bit_count()
                 else:
                     head, tail = row[:at], row[at:]
                     for w in members(mu):
@@ -528,6 +583,10 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                             continue
                         if not last:
                             out[new] = (cnt, mv)
+                        elif counted:
+                            total += 1
+                        elif not counting:
+                            out[summed(new) if summed else new] = 1
                         elif summed:
                             new = summed(new)
                             out[new] = out.get(new, 0) + cnt * mv.bit_count()
@@ -537,7 +596,7 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                     raise BudgetError("table rows", len(out), TABLE_ROWS_CAP,
                                       "TABLE_ROWS_CAP")
             rows = out
-        return rows
+        return total if count_keys else rows
 
     def join(tables, stages, out):
         probes = []
@@ -552,7 +611,8 @@ def dp_tables(structure, target, td, keep=(), domains=None):
         for row, cnt in tables[0].items():
             partial = [(row, cnt)]
             for key, index, checks in probes:
-                partial = [(head + tail, c * more) for head, c in partial
+                partial = [(head + tail, c * more if counting else 1)
+                           for head, c in partial
                            for tail, more in index.get(key(head), ())]
                 for check, found, default, at in checks:
                     partial = [(new, c) for new, c in partial
@@ -560,7 +620,7 @@ def dp_tables(structure, target, td, keep=(), domains=None):
                                & 1]
             for new, c in partial:
                 new = out(new)
-                result[new] = result.get(new, 0) + c
+                result[new] = result.get(new, 0) + c if counting else 1
             if len(result) > TABLE_ROWS_CAP:
                 raise BudgetError("table rows", len(result), TABLE_ROWS_CAP,
                                   "TABLE_ROWS_CAP")
@@ -576,10 +636,12 @@ def dp_tables(structure, target, td, keep=(), domains=None):
         else:
             _, fresh, v, carried, binds, sum_out = step
             table = {(): 1} if fresh else stack.pop()
-            stack.append(grow(table, v, carried, binds, sum_out))
+            stack.append(grow(table, v, carried, binds, sum_out,
+                              tally and step is last_step))
         if not stack[-1]:
-            return {}
-    return stack.pop()
+            return finish({})
+    table = stack.pop()
+    return table if tally or counting else finish(table)
 
 
 def count_homs_dp(structure, target, td, domains=None):
@@ -628,12 +690,15 @@ class _Part:
         return None if domains is None else {
             self.local[v]: d for v, d in domains.items() if v in self.local}
 
-    def root_table(self, t, domains=None):
-        """The map from boundary assignments (keys in boundary order) to
-        extension counts, each vertex v of q kept in domains[v] when given.
-        Raises BudgetError when the boundary exceeds DSS_CAP."""
+    def root_table(self, t, domains=None, size=False):
+        """The frozenset of boundary assignments (in boundary order) that
+        extend to the component, each vertex v of q kept in domains[v] when
+        given; with size, their number, counted without storing them where
+        the part's last step allows (see dp_tables).  Raises BudgetError
+        when the boundary exceeds DSS_CAP."""
         return dp_tables(self.sub, t, self.tree(), keep=self.keep,
-                         domains=self.local_domains(domains))
+                         domains=self.local_domains(domains),
+                         mode="size" if size else "exists")
 
 
 class _Plan:
@@ -648,10 +713,10 @@ class _Plan:
     query's tree and each lead part's tree keep their schedules (see
     dp_tables), so they live and go with the plan in _plan's cache.  Parts
     that share a lead share one table per count (see derived_free_query).
-    covering names the derived symbol when exactly one part has a boundary
-    and that boundary is every free vertex: the part's substructure then
-    holds every free-only atom, so its table checks them, and the answers
-    are the relation's keys.  Otherwise covering is None."""
+    covering is the part when exactly one part has a boundary and that
+    boundary is every free vertex: the part's substructure then holds every
+    free-only atom, so its table checks them, and the answers are the
+    relation's keys.  Otherwise covering is None."""
 
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
@@ -680,11 +745,10 @@ class _Plan:
         free = tuple(range(len(q.free)))
         self.query = Query(Structure(Signature(symbols), len(free), rels),
                            free)
-        bounded = [(part, name) for part, name in zip(self.parts, self.names)
-                   if name is not None]
+        bounded = [part for part in self.parts if part.boundary]
         self.covering = None
-        if len(bounded) == 1 and len(bounded[0][0].boundary) == len(free):
-            self.covering = bounded[0][1]
+        if len(bounded) == 1 and len(bounded[0].boundary) == len(free):
+            self.covering = bounded[0]
         self._td = None
 
     def tree(self):
@@ -723,7 +787,7 @@ def derived_free_query(q, t, domains=None):
         made = built.setdefault(part.lead, [])
         rel = next((rel for other, rel in made if other == local), None)
         if rel is None:
-            rel = frozenset(part.root_table(t, domains))
+            rel = part.root_table(t, domains)
             made.append((local, rel))
         if name is None:
             if not rel:
@@ -739,17 +803,25 @@ def derived_free_query(q, t, domains=None):
 def count_answers_dss(q, t, domains=None):
     """The fast counter: component extendability relations plus a DP over a
     decomposition of the contracted free-only query, each vertex v kept in
-    domains[v] when given.  When the plan has a covering part the count is
-    the size of its relation, whose keys are the answers (the free
-    vertices' domains already narrowed its boundary columns), and no final
-    DP runs."""
+    domains[v] when given.  When the plan has a covering part, the answers
+    are its table's keys (the free vertices' domains already narrowed its
+    boundary columns), so the count is their number, taken without storing
+    them where the part's last step allows (see dp_tables), or 0 when a
+    boundary-free part does not extend; no derived query or final DP is
+    built."""
+    if not q.is_plain():
+        raise ValueError("plain CQs only")
+    plan = _plan(q)
+    part = plan.covering
+    if part is not None:
+        if not all(p.root_table(t, domains) for p in plan.parts
+                   if not p.boundary):
+            return 0
+        return part.root_table(t, domains, size=True)
     derived = derived_free_query(q, t, domains=domains)
     if derived is None:
         return 0
     dq, dt = derived
-    plan = _plan(q)
-    if plan.covering:
-        return len(dt.relations[plan.covering])
     free_domains = None if domains is None else {
         i: domains.get(v) for v, i in plan.index.items()}
     return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)

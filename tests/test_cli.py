@@ -359,7 +359,10 @@ def test_count_methods_over_the_dss_cap(tmp_path, capsys):
 def test_count_names_brute_after_a_row_cap_fallback(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr(cli.dec, "TABLE_ROWS_CAP", 3)
-    q = write(tmp_path, "q", PSI2)
+    # psi_2 with a pendant of x1: no part covers the free vertices, so
+    # y's five-row table is stored
+    q = write(tmp_path, "q", "query\nfree x1 x2\nexists y z\n"
+                             "body E(x1,y) & E(x2,y) & E(x1,z)\n")
     t = write(tmp_path, "t", P3)
     code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
                                 "--machine"])
@@ -477,6 +480,17 @@ def test_gadget_minor_names_a_vertex_out_of_range_or_a_missing_op(tmp_path,
                                   "--vertices", "0", "2"])
     assert code == 1 and out == ""
     assert err == "error: gadget minor needs --op\n"
+    code, out, err = run(capsys, ["gadget", "minor", "--query", q,
+                                  "--op", "delete-vertex",
+                                  "--vertices", "0", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: gadget minor: delete-vertex needs one vertex\n"
+    t = write(tmp_path, "t", P3)
+    code, out, err = run(capsys, ["gadget", "minor", "--query", q,
+                                  "--op", "delete-edge", "--vertices", "0",
+                                  "2", "--target", t])
+    assert code == 1 and out == ""
+    assert err == "error: gadget minor: --target needs --coloring\n"
 
 
 def test_a_crash_inside_a_trial_fails_its_check_and_the_rest_run(
@@ -493,6 +507,13 @@ def test_a_crash_inside_a_trial_fails_its_check_and_the_rest_run(
         "%s: fail" % name,
         "  counterexample: AssertionError: padding system is not integral"]
     assert lines[2:] == ["%s: pass" % other for other, _, _ in cli.CHECKS[1:]]
+    code, out, err = run(capsys, ["check", "--trials", "5", "--max-n", "3",
+                                  "--machine"])
+    assert code == 2 and err == ""
+    assert out.splitlines() == [
+        "%s=fail" % name,
+        "%s.counterexample=AssertionError: padding system is not integral"
+        % name] + ["%s=pass" % other for other, _, _ in cli.CHECKS[1:]]
 
 
 # One malformed file per parser message: (command, file text, message, line

@@ -348,10 +348,11 @@ def component_tables(monkeypatch):
     built = []
     dp_tables = dec.dp_tables
 
-    def counting(structure, target, td, keep=(), domains=None):
+    def counting(structure, target, td, keep=(), domains=None,
+                 mode="count"):
         if keep:
             built.append(keep)
-        return dp_tables(structure, target, td, keep, domains)
+        return dp_tables(structure, target, td, keep, domains, mode)
 
     monkeypatch.setattr(dec, "dp_tables", counting)
     return built
@@ -587,6 +588,48 @@ def test_a_covering_part_checks_its_free_only_atoms(monkeypatch, family):
                     homs.count_answers(q, t, domains)
 
 
+@pytest.mark.parametrize("family", COVERING)
+def test_a_covering_count_builds_no_derived_query(monkeypatch, family):
+    # a covering count reads the part's table alone: psi_k counts its keys
+    # at the last bind, gamma_2 stores them after a folded sum-out and
+    # omega_2 after a join, and none of them builds the derived query
+    q = family_query(*family)
+
+    def stored(*args, **kwargs):
+        raise AssertionError("the derived query was built")
+
+    monkeypatch.setattr(dec, "derived_free_query", stored)
+    monkeypatch.setattr(dec, "count_homs_dp", stored)
+    rng = random.Random("counted:%s" % (family,))
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(0, 6))
+        for t in (g, complement_structure(g)):
+            for domains in (None, random_domains(rng, q, t)):
+                assert dec.count_answers_dss(q, t, domains) == \
+                    homs.count_answers(q, t, domains)
+
+
+def test_a_covering_count_is_zero_when_a_boundary_free_part_is_empty():
+    # psi_2 beside a quantified triangle that touches no free vertex: the
+    # count is psi_2's on a target with a triangle and 0 on one without
+    psi2 = family_query("psi", 2)
+    q = Query(graph(6, graph_edges(psi2.structure)
+                    + [(3, 4), (4, 5), (3, 5)]), psi2.free)
+    plan = dec._plan(q)
+    assert plan.covering is not None and len(plan.parts) == 2
+    rng = random.Random(67)
+    paw = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    for t, triangle in ((path(6), False), (cycle(8), False),
+                        (clique(3), True), (paw, True)):
+        want = homs.count_answers(psi2, t) if triangle else 0
+        assert dec.count_answers_dss(q, t) == homs.count_answers(q, t) == want
+        domains = random_domains(rng, q, t)
+        assert dec.count_answers_dss(q, t, domains) == \
+            homs.count_answers(q, t, domains)
+        co = complement_structure(t)
+        assert dec.count_answers_dss(q, co) == homs.count_answers(q, co)
+
+
 def test_root_tables_hold_no_zero_counts():
     # a row whose candidate mask is 0 is dropped, whatever empties it: a
     # target without vertices, an empty domain, or a domain disjoint from
@@ -797,12 +840,16 @@ def test_carried_mask_reads_ternary_atoms_keyed_by_keep_columns():
 # complement; its component table holds a row per pair (x1, x2)
 DENSE_TERM = Query(Structure(GRAPH_SIGNATURE, 3, {"E": [(0, 2), (1, 2)]}),
                    (0, 1))
+# DENSE_TERM with a second quantified part, a pendant of x1: no part covers
+# the free vertices, so DENSE_TERM's table is stored for the final DP
+STORED_DENSE_TERM = Query(Structure(GRAPH_SIGNATURE, 4, {
+    "E": [(0, 2), (1, 2), (0, 3)]}), (0, 1))
 
 
 def test_a_table_past_the_row_cap_raises_a_budget_error():
     t = complement_structure(path(600))  # 360,000 rows, past 2**18
     with pytest.raises(dec.BudgetError) as err:
-        dec.count(DENSE_TERM, t, method="dp")
+        dec.count(STORED_DENSE_TERM, t, method="dp")
     assert (err.value.parameter, err.value.cap) == \
         ("table rows", dec.TABLE_ROWS_CAP)
     assert err.value.value > dec.TABLE_ROWS_CAP
@@ -812,18 +859,35 @@ def test_a_table_past_the_row_cap_raises_a_budget_error():
 def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
     monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 1000)
     t = complement_structure(path(200))
-    assert dec.pick_method(DENSE_TERM) == ("dp", None)
+    assert dec.pick_method(STORED_DENSE_TERM) == ("dp", None)
+    tracemalloc.start()
+    try:
+        value, method = dec.count_and_method(STORED_DENSE_TERM, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (value, method) == (homs.count_answers(STORED_DENSE_TERM, t),
+                               "brute")
+    assert value == 200 ** 2
+    # the DP's 40,000-row table would take several MB
+    assert peak < 2 ** 20
+    assert dec.count(STORED_DENSE_TERM, t) == value
+
+
+def test_a_covering_count_past_the_row_cap_stores_no_key():
+    # DENSE_TERM's 360,000 answers would pass TABLE_ROWS_CAP if stored; its
+    # last bind counts them, so only x1's 600 rows are kept
+    t = complement_structure(path(600))
+    assert dec._plan(DENSE_TERM).covering is not None
     tracemalloc.start()
     try:
         value, method = dec.count_and_method(DENSE_TERM, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (value, method) == (homs.count_answers(DENSE_TERM, t), "brute")
-    assert value == 200 ** 2
-    # the DP's 40,000-row table would take several MB
+    assert (value, method) == (600 ** 2, "dp")
     assert peak < 2 ** 20
-    assert dec.count(DENSE_TERM, t) == value
+    assert dec.count(DENSE_TERM, t, method="dp") == value
 
 
 def test_a_join_past_the_row_cap_raises_a_budget_error(monkeypatch):
