@@ -125,14 +125,18 @@ def _emit(args, pairs, text_lines=None):
 
 def _count(args, q, t, domains=None):
     """decomposition.count_and_method under --method: the value and the
-    method that produced it.  The DP's refusals exit 1."""
+    method that produced it.  The DP's refusals exit 1, naming the file
+    they measure: the query's (--query, or eval's --quantum) for DSS_CAP
+    and the exact treewidth limit, the target's for TABLE_ROWS_CAP."""
+    query = args.query if "query" in args else args.quantum
     if args.method == "dp" and not q.is_plain():
-        raise InputError("--method dp supports plain queries only")
+        raise InputError("%s: --method dp supports plain queries only"
+                         % query)
     try:
         return dec.count_and_method(q, t, domains, args.method)
     except dec.BudgetError as e:
-        raise InputError("%s: dp method not applicable: %s"
-                         % (args.target, e))
+        where = args.target if e.parameter == "table rows" else query
+        raise InputError("%s: dp method not applicable: %s" % (where, e))
 
 
 def cmd_count(args, coloring=None):
@@ -208,7 +212,8 @@ def cmd_classify(args):
 def cmd_minimize(args):
     q = _load_satisfiable_query(args.query)
     if not q.is_plain():
-        raise InputError("minimize supports plain queries only")
+        raise InputError("%s: minimize supports plain queries only"
+                         % args.query)
     sys.stdout.write(serialize_query(homs.augmented_core(q)))
     return EXIT_OK
 
@@ -412,16 +417,35 @@ def _random_wide_instance(rng, max_n):
             Structure(signature, m, target))
 
 
+def _random_chain_query(rng):
+    """The free 0 and 1 joined by a quantified path of 2-4 vertices, each
+    path vertex with a pendant half the time: every vertex of the path
+    hands its mask to the next, a pendant's table is read at its vertex,
+    and the part's root hands its mask to a free vertex."""
+    chain = list(range(2, 2 + rng.randint(2, 4)))
+    edges = list(zip([0] + chain, chain + [1]))
+    n = 2 + len(chain)
+    for v in chain:
+        if rng.random() < 0.5:
+            edges.append((v, n))
+            n += 1
+    return Query(graph(n, edges), (0, 1))
+
+
 # Each _check_* function below is one trial of a check: it draws an instance
 # from rng and returns a description of the counterexample it found, or None.
 
 def _check_dp(rng, args):
     draw = rng.random()
-    if draw < 0.3:
+    if draw < 0.25:
         q = _random_query(rng, min(args.max_n, 5))
         g = _random_graph(rng, rng.randint(0, args.max_n))
-    elif draw < 0.5:
+    elif draw < 0.4:
         q, g = _random_instance(rng, min(args.max_n, 5))
+    elif draw < 0.5:
+        # a chain-shaped component between two free vertices
+        q = _random_chain_query(rng)
+        g = _random_graph(rng, rng.randint(0, args.max_n))
     elif draw < 0.65:
         # wide atoms lie in no single table of their component, so a join
         # checks them
@@ -739,9 +763,10 @@ def build_parser():
                              "for a plain query within DSS_CAP and the exact "
                              "treewidth limit, brute otherwise or once a "
                              "stored dp table passes TABLE_ROWS_CAP (a "
-                             "component whose boundary is every free "
-                             "vertex has its answers counted, not stored, "
-                             "where its last step allows)")
+                             "component's relation is stored as bitmasks "
+                             "over one boundary column, and when its "
+                             "boundary is every free vertex its answers "
+                             "are counted from those masks, not stored)")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
     files(sp, "query", "target")

@@ -6,10 +6,14 @@ decomposition is the elimination tree of an exact or min-fill order: each
 vertex's bag is the vertex with its later neighbours, and the DP runs once
 per eliminated vertex.  A component's DP keeps its boundary in the graph
 but never eliminates it, so each table holds only the boundary columns
-that its vertex's atoms or fill edges bring.
+that its vertex's atoms or fill edges bring.  A component's DP asks only
+which boundary assignments extend, so each vertex hands its parent a
+bitmask of the parent's values, and the relation comes out as a bitmask
+index over one boundary column, which the final DP reads as it is.
 """
 
 from bisect import bisect
+from collections.abc import Set
 from functools import lru_cache
 from operator import itemgetter
 
@@ -163,12 +167,49 @@ def _key_getter(positions):
     return itemgetter(*positions) if positions else (lambda row: ())
 
 
+class _Extends(Set):
+    """The relation of a part, as dp_tables leaves it in mode "exists": the
+    tuples of arity values whose value at position at is a member of
+    index[key], for key the values at the other positions as _key_getter
+    reads them.  So index is already the one that _candidate_masks would
+    build for position at, and len, iteration and membership are those of
+    the frozenset of the tuples."""
+
+    __slots__ = ("index", "at", "arity", "_key", "_len")
+
+    def __init__(self, index, at, arity):
+        self.index = index
+        self.at = at
+        self.arity = arity
+        self._key = _key_getter([i for i in range(arity) if i != at])
+        self._len = None
+
+    def __contains__(self, tup):
+        if len(tup) != self.arity or not 0 <= tup[self.at]:
+            return False
+        return self.index.get(self._key(tup), 0) >> tup[self.at] & 1 == 1
+
+    def __iter__(self):
+        at, arity = self.at, self.arity
+        for key, m in self.index.items():
+            head = key if arity > 2 else (key,) if arity == 2 else ()
+            for w, bit in enumerate(bin(m)[:1:-1]):
+                if bit == "1":
+                    yield head[:at] + (w,) + head[at:]
+
+    def __len__(self):
+        if self._len is None:
+            self._len = sum(m.bit_count() for m in self.index.values())
+        return self._len
+
+
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
     of v, built when dp_tables finds none in t.masks under (name, positions
     of v), memoized there and shared by every name of t over the same
     relation object, as the parts of one lead group are.  A Complement view
-    is indexed from its present tuples as co-masks.  A symmetric binary
+    is indexed from its present tuples as co-masks, and a binary _Extends
+    at its other position by transposing its own index.  A symmetric binary
     relation indexes alike at both positions: when the second position is
     first asked for, the relation is tested for symmetry once and, if it
     holds, the key shares the first one's object."""
@@ -184,8 +225,22 @@ def _candidate_masks(t, name, tup, v):
         facts = rel.present if co else rel
         first, single = at_v[0], len(at_v) == 1
         twin = built.get((1 - first,)) if single and len(tup) == 2 else None
-        if twin is not None and facts.issuperset(map(itemgetter(1, 0),
-                                                     facts)):
+        if single and isinstance(rel, _Extends) and rel.arity == 2:
+            index = rel.index
+            if rel.at != first:
+                index = {}
+                for key, m in rel.index.items():
+                    bit = 1 << key
+                    while m:
+                        low = m & -m
+                        w = low.bit_length() - 1
+                        index[w] = index.get(w, 0) | bit
+                        m ^= low
+                if index == rel.index:
+                    index = rel.index
+            found = (index, 0)
+        elif twin is not None and facts.issuperset(map(itemgetter(1, 0),
+                                                       facts)):
             found = twin
         else:
             bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
@@ -204,10 +259,14 @@ def _candidate_masks(t, name, tup, v):
 
 def _schedule(structure, td, keep):
     """The target-free steps of dp_tables over td with the sorted keep
-    columns, in the order they run.  A table's columns are its vertices in
-    sorted order.  ("grow", fresh, v, carried, binds, sum_out) grows the
-    table on top of the stack (or {(): 1} when fresh), with v carried when
-    given; ("join", kids, stages, out) joins the top kids tables.
+    columns, in the order they run, for mode "count" and for modes "exists"
+    and "size".  Both are built together and kept in td.schedules under
+    (structure, keep, counting); the count steps are returned.  A table's
+    columns are its vertices in sorted order.  ("grow", fresh, v, carried,
+    binds, sum_out, hand, reads) grows the table on top of the stack (or a
+    single empty row when fresh), with v carried when given, reading the
+    reads tables below it as atoms of v; ("join", kids, stages, out) joins
+    the top kids tables.
 
     A grow step lists v's checks on the incoming columns and, per bound
     vertex u, (u, u's checks, its insertion column, the row width after it,
@@ -219,7 +278,13 @@ def _schedule(structure, td, keep):
     the columns of the last bind's row that stay, the getter of those
     columns from that row, and, when the last bind's own column is summed
     out and no check of v needs the new row, the getter of the same columns
-    from the row before the bind, else None.
+    from the row before the bind, else None.  hand and reads are None and
+    0 in the count steps, and sum_out None in the others.  hand says what
+    becomes of v's mask (see dp_tables): "bind" when the last bind is the
+    vertex v hands its mask to, ("fold", column, key getter) when that
+    vertex is already a column, and None when v hands no mask.  A child
+    table read as an atom of v is checked like one, under the mask key
+    (its place among the tables read, positions of v).
 
     A join step's row is the first table's row followed, per later table,
     by that table's columns that the row lacks.  stages holds per later
@@ -229,8 +294,8 @@ def _schedule(structure, td, keep):
     of its vertex.  out is (kept, key): the row columns that stay, in
     sorted vertex order, and their getter.
 
-    A sum-out never stands alone: it folds into the step that leaves the
-    summed table, so no table is keyed by a whole bag."""
+    A count sum-out never stands alone: it folds into the step that leaves
+    the summed table, so no table is keyed by a whole bag."""
     atoms_of = {}
     atoms = []
     for name, rel in structure.relations.items():
@@ -261,16 +326,20 @@ def _schedule(structure, td, keep):
 
     def check(name, tup, v, cols):
         """The check of the atom name(tup) on v, keyed by the columns of its
-        other vertices in cols."""
+        other vertices in cols.  A child's table read as an atom of v is
+        named by its place among the tables that v's step reads, and keyed
+        by a tuple, as the table's rows are."""
         columns = tuple(cols.index(u) for u in tup if u != v)
         mask_key = (name, tuple(i for i, u in enumerate(tup) if u == v))
-        return columns, _key_getter(columns), mask_key, tup, v
+        key = (tuple_getter if isinstance(name, int) else _key_getter)(columns)
+        return columns, key, mask_key, tup, v
 
-    def checks(v, cols, last=None):
-        """The checks of v's atoms whose other vertices all lie in cols and,
-        when last is given, include it."""
+    def checks(v, cols, last=None, read=()):
+        """The checks of v's atoms, and of the child tables read, whose
+        other vertices all lie in cols and, when last is given, include
+        it."""
         found = {}
-        for name, tup in atoms_of.get(v, ()):
+        for name, tup in atoms_of.get(v, []) + list(read):
             others = [u for u in tup if u != v]
             if all(u in cols for u in others) and (last is None
                                                    or last in others):
@@ -278,11 +347,11 @@ def _schedule(structure, td, keep):
                 found[made[0], made[2]] = made
         return list(found.values())
 
-    def grow(fresh, cols, binds, v=None):
+    def grow(fresh, cols, binds, v=None, hand=None, read=()):
         """Bind each vertex of binds in turn at its sorted column; with v,
-        each row carries v's mask and v is summed out.  Returns the
-        columns."""
-        carried = [] if v is None else checks(v, cols)
+        each row carries v's mask, checked also against the child tables
+        read.  Returns the columns."""
+        carried = [] if v is None else checks(v, cols, read=read)
         steps_of_binds = []
         for u in binds:
             own = checks(u, cols)
@@ -292,10 +361,11 @@ def _schedule(structure, td, keep):
             # once per candidate w of u, on a row holding w in every column;
             # the others once per row
             by_value, rest = [], []
-            for check in ([] if v is None else checks(v, cols, u)):
+            for check in ([] if v is None else checks(v, cols, u, read)):
                 (by_value if set(check[0]) == {at} else rest).append(check)
             steps_of_binds.append((u, own, at, len(cols), by_value, rest))
-        steps.append(("grow", fresh, v, carried, steps_of_binds, None))
+        steps.append(("grow", fresh, v, carried, steps_of_binds, None, hand,
+                      len(read)))
         return cols
 
     def join(parts):
@@ -333,7 +403,7 @@ def _schedule(structure, td, keep):
             out = out[:at] + out[at + 1:]
             steps[-1] = ("join", kids, stages, (out, tuple_getter(out)))
         else:
-            _, fresh, carried_v, carried, binds, folded = last
+            _, fresh, carried_v, carried, binds, folded, _, _ = last
             _, _, bound_at, width, _, rest = binds[-1]
             out = list(folded[0] if folded else range(width))
             del out[at]
@@ -341,7 +411,7 @@ def _schedule(structure, td, keep):
             if bound_at not in out and not rest:
                 collapsed = tuple_getter([c - (c > bound_at) for c in out])
             steps[-1] = ("grow", fresh, carried_v, carried, binds,
-                         (tuple(out), tuple_getter(out), collapsed))
+                         (tuple(out), tuple_getter(out), collapsed), None, 0)
         return cols[:at] + cols[at + 1:]
 
     def next_sum_out(i):
@@ -355,9 +425,9 @@ def _schedule(structure, td, keep):
         return None
 
     def build(i):
-        """Steps leaving the table of the i-th eliminated vertex, keyed by
-        its up+, on top of the stack, or with i None the root table over
-        keep.  Returns the columns."""
+        """Count steps leaving the table of the i-th eliminated vertex,
+        keyed by its up+, on top of the stack, or with i None the root table
+        over keep.  Returns the columns."""
         if i is None:
             v, kids, bag = None, roots, keep
         else:
@@ -384,15 +454,60 @@ def _schedule(structure, td, keep):
                                                 key=lambda u: u == after))
         return cols if v is None else sum_out(cols, v)
 
+    def hand(i, h=None):
+        """Exists steps leaving the table of the i-th eliminated vertex v:
+        v is carried over the AND of its children's masks and hands its own
+        mask to h, its parent or, for the root of a part, a keep column
+        (h is keep then); the table is keyed by v's up+ without h.  With h
+        None it is keyed by the whole up+ and hands nothing.  The children's
+        tables keyed by one column or none are read as atoms of v, all but
+        the first when they are all such; the others are joined.  Returns
+        the key columns."""
+        v = td.order[i]
+        joined = [c for c in below[i] if len(plus[c]) > 2]
+        narrow = [c for c in below[i] if len(plus[c]) <= 2]
+        if narrow and not joined:
+            joined.append(narrow.pop(0))
+        read = [(j, hand(c, v) + (v,)) for j, c in enumerate(narrow)]
+        tables = [hand(c, v) for c in joined]
+        cols = join(tables) if len(tables) > 1 else tables[0] if tables else ()
+        if h is keep:
+            # a keep column that no child holds is bound last, not folded
+            h = max(keep, key=lambda u: (u not in cols, u))
+        binds = bind_order(u for u in plus[i] if u not in cols and u != h)
+        if h is None:
+            how = None
+        elif h in cols:
+            at = sorted(cols + tuple(binds)).index(h)
+            how = ("fold", at, tuple_getter([c for c in range(len(cols)
+                                                              + len(binds))
+                                             if c != at]))
+        else:
+            binds.append(h)
+            how = "bind"
+        cols = grow(not tables, cols, binds, v, how, read)
+        return tuple(u for u in cols if u != h)
+
     build(None)
-    return steps
+    counted, steps = steps, []
+    if len(roots) == 1 and keep and set(plus[roots[0]]) == kept:
+        hand(roots[0], keep)
+    else:
+        tables = [hand(r) for r in roots]
+        cols = join(tables) if len(tables) > 1 else tables[0] if tables else ()
+        lack = bind_order(u for u in keep if u not in cols)
+        if lack or not tables:
+            grow(not tables, cols, lack)
+    td.schedules[structure, keep, True] = counted
+    td.schedules[structure, keep, False] = steps
+    return counted
 
 
 def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
     """Run the DP over an elimination tree of the non-keep vertices.  In
     mode "count" the returned root table maps assignments of sorted(keep) to
     the number of homomorphisms of the remaining vertices consistent with
-    that boundary assignment; in mode "exists" it is the frozenset of the
+    that boundary assignment; in mode "exists" it is the Set of the
     assignments that extend, and in mode "size" their number.
 
     The plan is bucket elimination over the tree's vertices together with
@@ -436,37 +551,44 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
     TABLE_ROWS_CAP rows while it is built raises BudgetError; the size is
     checked once per row of the table below.
 
-    Modes "exists" and "size" run the same steps with every count 1: a
-    collapsed sum-out asks whether any candidate w leaves mask & v's checks
-    on w non-zero, stopping at the first (or at once when the key is
-    already in the table), and a folded sum-out or a join writes each key
-    once, with no product.  In mode "size", when the last step is a grow
-    with no folded sum-out, each pair of a row before its last bind and a
-    candidate w that survives is a distinct key, so the last bind counts
-    those pairs per row and stores nothing.  It tests each w; or, when the
-    carried vertex's only check on w is one binary atom and the row's mask
-    has fewer members than w has candidates, it ORs that atom's index at w
-    over the mask's members and counts the candidates inside.  Otherwise
-    the root table is stored and its size returned.  Only stored rows count
-    toward TABLE_ROWS_CAP.
+    Modes "exists" and "size" ask only which assignments extend, so every
+    eliminated vertex is carried and hands its parent a bitmask: v's table
+    is keyed by its up+ without its parent p, and each row holds the mask
+    of p's values that some candidate of v left by the row reaches.  v's
+    mask starts as its domain ANDed with its children's masks.  A child's
+    table keyed by one column or none is read like an atom of v, where
+    that column is bound; the other children's tables, or the first child's
+    when all are such, are joined on their shared columns, ANDing the
+    masks, and give v's rows.  The up+ columns that no joined child holds
+    are bound as above, and p last.  That bind builds no row per candidate:
+    it ORs the index of v's one binary atom with p over v's mask when the
+    mask has fewer members than p has candidates, and otherwise tests each
+    candidate of p; the result is ANDed with p's candidates and p's atoms
+    on the row.  When p is a column of a joined child's table, its value is
+    folded into the row's mask instead.  The root of a part hands its mask
+    to a keep column the same way, a column that no joined child holds when
+    there is one, so the relation comes out as a dict from the other keep
+    columns to a mask over that one, behind an _Extends view, and mode
+    "size" sums the masks' popcounts without storing that last table.  The
+    roots of a forest, or of a keep that their up+ does not cover, hand no
+    mask: their rows hold 1, the top joins them as above, and the result is
+    a frozenset, or its size.
 
     Everything above that the target does not decide (the steps, bind
     order, insertion and sum-out columns, join keys and each check's key
-    getter and mask key) is the schedule of (structure, td, keep), built by
-    _schedule once and kept in td.schedules, so it lives as long as the
-    tree: the fast counter's trees live in its memoized plan.  A call
-    resolves the checks against target.masks, computes each vertex's
+    getter and mask key) is the schedule of (structure, td, keep) in its
+    mode, built by _schedule once and kept in td.schedules, so it lives as
+    long as the tree: the fast counter's trees live in its memoized plan.
+    A call resolves the checks against target.masks, computes each vertex's
     domain mask once and runs the steps.
     """
     keep = tuple(sorted(keep))
-    steps = td.schedules.get((structure, keep))
-    if steps is None:
-        steps = td.schedules[structure, keep] = _schedule(structure, td, keep)
     counting = mode == "count"
-    finish = {"count": dict, "exists": frozenset, "size": len}[mode]
-    last_step = steps[-1]
-    tally = (mode == "size" and last_step[0] == "grow" and last_step[4]
-             and last_step[5] is None)
+    steps = td.schedules.get((structure, keep, counting))
+    if steps is None:
+        _schedule(structure, td, keep)
+        steps = td.schedules[structure, keep, counting]
+    sizing = mode == "size"
     n, masks = target.n, target.masks
     full = (1 << n) - 1
     allowed = {} if domains is None else {
@@ -481,7 +603,11 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
                                if bit == "1"]
         return found
 
+    read = []  # the child tables that the running step reads as atoms
+
     def index_of(mask_key, tup, v):
+        if isinstance(mask_key[0], int):
+            return read[mask_key[0]], 0
         pair = masks.get(mask_key)
         return pair if pair is not None else _candidate_masks(
             target, mask_key[0], tup, v)
@@ -489,6 +615,8 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
     def resolve(checks):
         """(key getter, index, default) per check, once per (key columns,
         index), building a missing index."""
+        if not checks:
+            return ()
         found = {}
         for columns, key, mask_key, tup, v in checks:
             pair = index_of(mask_key, tup, v)
@@ -502,35 +630,32 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
                 break
         return m
 
-    def grow(table, v, carried, binds, sum_out, count_keys):
+    def per_value(candidates, width, by_key):
+        """Per candidate w, the AND of the resolved indexes by_key at w."""
+        found = [-1] * n
+        for key, index, default in by_key:
+            for w in members(candidates):
+                found[w] &= index.get(key((w,) * width), default)
+        return found
+
+    def past_cap(table):
+        return BudgetError("table rows", len(table), TABLE_ROWS_CAP,
+                           "TABLE_ROWS_CAP")
+
+    def grow(table, v, carried, binds, sum_out):
         start = 1 if v is None else allowed.get(v, full)
         carried = resolve(carried)
         rows = {}
         for row, cnt in table.items():
             m = narrow(start, row, carried)
             if m:
-                rows[row] = ((cnt, m) if binds else
-                             (cnt * m.bit_count() if counting else 1))
+                rows[row] = (cnt, m) if binds else cnt * m.bit_count()
         summed, collapsed = sum_out[1:] if sum_out else (None, None)
-        total = 0
-        for i, (u, own, at, width, by_key_checks, rest) in enumerate(binds,
-                                                                      1):
+        for i, (u, own, at, width, by_key, rest) in enumerate(binds, 1):
             last = i == len(binds)
-            own, rest = resolve(own), resolve(rest)
-            by_key = resolve(by_key_checks)
+            own, rest, by_key = resolve(own), resolve(rest), resolve(by_key)
             candidates = allowed.get(u, full)
-            by_value = [-1] * n
-            for key, index, default in by_key:
-                for w in members(candidates):
-                    by_value[w] &= index.get(key((w,) * width), default)
-            counted = last and count_keys
-            flip = None
-            if counted and not rest and len(by_key) == 1:
-                # every check of by_key_checks reads that one index, so the
-                # first one's atom serves; its index at u is read by v's value
-                _, _, (name, at_v), tup, _ = by_key_checks[0]
-                if len(tup) == 2 and len(at_v) == 1:
-                    flip = index_of((name, (1 - at_v[0],)), tup, u)
+            by_value = per_value(candidates, width, by_key)
             out = {}
             for row, (cnt, m) in rows.items():
                 mu = narrow(candidates, row, own)
@@ -538,65 +663,137 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
                     continue
                 if last and collapsed:
                     # every candidate lands on one key: count, build no row
-                    row = collapsed(row)
-                    if counting:
-                        if by_key:
-                            cnt *= sum((m & by_value[w]).bit_count()
-                                       for w in members(mu))
-                        else:
-                            cnt *= m.bit_count() * mu.bit_count()
-                        if cnt:
-                            out[row] = out.get(row, 0) + cnt
-                    elif row not in out:
-                        if by_key:
-                            for w in members(mu):
-                                if m & by_value[w]:
-                                    break
-                            else:
-                                continue
-                        out[row] = 1
-                elif counted and not (rest or by_key):
-                    total += mu.bit_count()
-                elif flip and m.bit_count() < mu.bit_count():
-                    # the candidates with an atom to some member of m, read
-                    # one bit at a time, not by members(m): on a dense
-                    # target m is nearly full and a few members cover mu
-                    index, default = flip
-                    miss = mu
-                    while m and miss:
-                        low = m & -m
-                        miss &= ~index.get(low.bit_length() - 1, default)
-                        m ^= low
-                    total += mu.bit_count() - miss.bit_count()
-                else:
-                    head, tail = row[:at], row[at:]
-                    for w in members(mu):
-                        mv = m & by_value[w]
+                    if by_key:
+                        cnt *= sum((m & by_value[w]).bit_count()
+                                   for w in members(mu))
+                    else:
+                        cnt *= m.bit_count() * mu.bit_count()
+                    if cnt:
+                        row = collapsed(row)
+                        out[row] = out.get(row, 0) + cnt
+                    continue
+                head, tail = row[:at], row[at:]
+                for w in members(mu):
+                    mv = m & by_value[w]
+                    if not mv:
+                        continue
+                    new = head + (w,) + tail
+                    for key, index, default in rest:
+                        mv &= index.get(key(new), default)
                         if not mv:
-                            continue
-                        new = head + (w,) + tail
-                        for key, index, default in rest:
-                            mv &= index.get(key(new), default)
-                            if not mv:
-                                break
-                        if not mv:
-                            continue
-                        if not last:
-                            out[new] = (cnt, mv)
-                        elif counted:
-                            total += 1
-                        elif not counting:
-                            out[summed(new) if summed else new] = 1
-                        elif summed:
-                            new = summed(new)
-                            out[new] = out.get(new, 0) + cnt * mv.bit_count()
-                        else:
-                            out[new] = cnt * mv.bit_count()
+                            break
+                    if not mv:
+                        continue
+                    if not last:
+                        out[new] = (cnt, mv)
+                    elif summed:
+                        new = summed(new)
+                        out[new] = out.get(new, 0) + cnt * mv.bit_count()
+                    else:
+                        out[new] = cnt * mv.bit_count()
                 if len(out) > TABLE_ROWS_CAP:
-                    raise BudgetError("table rows", len(out), TABLE_ROWS_CAP,
-                                      "TABLE_ROWS_CAP")
+                    raise past_cap(out)
             rows = out
-        return total if count_keys else rows
+        return rows
+
+    def carry(table, v, carried, binds, how, final):
+        """An exists grow step: table's rows hold v's masks, or 1 without
+        v, and so do the returned rows, which hold the masks v hands on
+        unless how is None.  With final, in mode "size", the number of
+        (row, value) pairs that the returned table would hold."""
+        start = 1 if v is None else allowed.get(v, full)
+        carried = resolve(carried)
+        rows = {}
+        for row, m in table.items():
+            m &= start
+            if m and carried:
+                m = narrow(m, row, carried)
+            if m:
+                rows[row] = m
+        for i, (u, own, at, width, by_key, rest) in enumerate(binds, 1):
+            if how == "bind" and i == len(binds):
+                return hand_off(rows, u, own, at, width, by_key, rest, final)
+            candidates = allowed.get(u, full)
+            own, rest = resolve(own), resolve(rest)
+            by_value = per_value(candidates, width, resolve(by_key))
+            out = {}
+            for row, m in rows.items():
+                mu = narrow(candidates, row, own) if own else candidates
+                head, tail = row[:at], row[at:]
+                for w in members(mu):
+                    mv = m & by_value[w]
+                    if mv:
+                        new = head + (w,) + tail
+                        if rest:
+                            mv = narrow(mv, new, rest)
+                        if mv:
+                            out[new] = mv
+                if len(out) > TABLE_ROWS_CAP:
+                    raise past_cap(out)
+            rows = out
+        if final:
+            return len(rows)
+        if how is None:
+            # v is summed out: a row stays when some candidate is left
+            return rows if v is None else dict.fromkeys(rows, 1)
+        _, at, key = how
+        out = {}
+        for row in rows:
+            new = key(row)
+            out[new] = out.get(new, 0) | 1 << row[at]
+        return out
+
+    def hand_off(rows, u, own, at, width, by_key, rest, final):
+        """The bind of the vertex u that the carried vertex hands its mask
+        to: per row, the mask of u's candidates that some member of the
+        row's mask reaches through their atoms, or with final their total
+        popcount.  It ORs the index of one binary atom over the mask's
+        members when they are fewer than u's candidates, and otherwise
+        tests each candidate."""
+        candidates = allowed.get(u, full)
+        own, rest, found = resolve(own), resolve(rest), resolve(by_key)
+        flip = by_value = None
+        if not rest and len(found) == 1:
+            # every check keyed by u alone reads one index, so the first
+            # one's atom serves; its index at u is read by v's value
+            _, _, (name, at_v), tup, _ = by_key[0]
+            if isinstance(name, str) and len(tup) == 2 and len(at_v) == 1:
+                flip = index_of((name, (1 - at_v[0],)), tup, u)
+        out = {}
+        total = 0
+        for row, m in rows.items():
+            mu = narrow(candidates, row, own) if own else candidates
+            if not mu:
+                continue
+            if not (found or rest):
+                reach = mu
+            elif flip and m.bit_count() < mu.bit_count():
+                # read one bit of m at a time, not by members(m): on a
+                # dense target a few members cover mu
+                index, default = flip
+                miss = mu
+                while m and miss:
+                    low = m & -m
+                    miss &= ~index.get(low.bit_length() - 1, default)
+                    m ^= low
+                reach = mu & ~miss
+            else:
+                if by_value is None:
+                    by_value = per_value(candidates, width, found)
+                reach = 0
+                head, tail = row[:at], row[at:]
+                for w in members(mu):
+                    mv = m & by_value[w]
+                    if mv and (not rest or
+                               narrow(mv, head + (w,) + tail, rest)):
+                        reach |= 1 << w
+            if not reach:
+                continue
+            if final:
+                total += reach.bit_count()
+            else:
+                out[row] = reach
+        return total if final else out
 
     def join(tables, stages, out):
         probes = []
@@ -611,19 +808,23 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
         for row, cnt in tables[0].items():
             partial = [(row, cnt)]
             for key, index, checks in probes:
-                partial = [(head + tail, c * more if counting else 1)
-                           for head, c in partial
-                           for tail, more in index.get(key(head), ())]
+                # counts multiply; masks of one carried vertex AND
+                if counting:
+                    partial = [(head + tail, c * more) for head, c in partial
+                               for tail, more in index.get(key(head), ())]
+                else:
+                    partial = [(head + tail, m) for head, c in partial
+                               for tail, more in index.get(key(head), ())
+                               if (m := c & more)]
                 for check, found, default, at in checks:
                     partial = [(new, c) for new, c in partial
                                if found.get(check(new), default) >> new[at]
                                & 1]
             for new, c in partial:
                 new = out(new)
-                result[new] = result.get(new, 0) + c if counting else 1
+                result[new] = result.get(new, 0) + c if counting else c
             if len(result) > TABLE_ROWS_CAP:
-                raise BudgetError("table rows", len(result), TABLE_ROWS_CAP,
-                                  "TABLE_ROWS_CAP")
+                raise past_cap(result)
         return result
 
     stack = []
@@ -633,15 +834,34 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
             tables = stack[-kids:]
             del stack[-kids:]
             stack.append(join(tables, stages, out))
-        else:
-            _, fresh, v, carried, binds, sum_out = step
+        elif counting:
+            _, fresh, v, carried, binds, sum_out, _, _ = step
             table = {(): 1} if fresh else stack.pop()
-            stack.append(grow(table, v, carried, binds, sum_out,
-                              tally and step is last_step))
+            stack.append(grow(table, v, carried, binds, sum_out))
+        else:
+            _, fresh, v, carried, binds, _, how, reads = step
+            table = {(): full} if fresh else stack.pop()
+            read[:] = stack[len(stack) - reads:]
+            del stack[len(stack) - reads:]
+            final = sizing and step is steps[-1]
+            stack.append(carry(table, v, carried, binds, how, final))
+            if final:
+                return stack.pop()
         if not stack[-1]:
-            return finish({})
+            return {"count": {}, "exists": frozenset(), "size": 0}[mode]
     table = stack.pop()
-    return table if tally or counting else finish(table)
+    if counting:
+        return table
+    if sizing:
+        return len(table)
+    how = steps[-1][6] if steps[-1][0] == "grow" else None
+    if how is None:
+        return frozenset(table)
+    at = steps[-1][4][-1][2] if how == "bind" else how[1]
+    if len(keep) == 2:
+        # _key_getter reads a single column as a bare value
+        table = {row[0]: m for row, m in table.items()}
+    return _Extends(table, at, len(keep))
 
 
 def count_homs_dp(structure, target, td, domains=None):
@@ -691,11 +911,13 @@ class _Part:
             self.local[v]: d for v, d in domains.items() if v in self.local}
 
     def root_table(self, t, domains=None, size=False):
-        """The frozenset of boundary assignments (in boundary order) that
-        extend to the component, each vertex v of q kept in domains[v] when
-        given; with size, their number, counted without storing them where
-        the part's last step allows (see dp_tables).  Raises BudgetError
-        when the boundary exceeds DSS_CAP."""
+        """The Set of boundary assignments (in boundary order) that extend
+        to the component, each vertex v of q kept in domains[v] when given:
+        an _Extends, a bitmask index over the boundary column that the
+        component's root hands its mask to, or for a part without boundary
+        a frozenset.  With size, their number, summed without storing the
+        last table (see dp_tables).  Raises BudgetError when the boundary
+        exceeds DSS_CAP."""
         return dp_tables(self.sub, t, self.tree(), keep=self.keep,
                          domains=self.local_domains(domains),
                          mode="size" if size else "exists")
@@ -716,7 +938,7 @@ class _Plan:
     covering is the part when exactly one part has a boundary and that
     boundary is every free vertex: the part's substructure then holds every
     free-only atom, so its table checks them, and the answers are the
-    relation's keys.  Otherwise covering is None."""
+    relation's tuples.  Otherwise covering is None."""
 
     def __init__(self, q):
         adj = gaifman_adjacency(q.structure)
@@ -774,8 +996,10 @@ def derived_free_query(q, t, domains=None):
     holding its extendability tuples, each vertex v kept in domains[v] when
     given.  Parts with one lead whose local domains agree, as they always
     do when domains is None, get one table built once and one relation
-    object.  Returns (query, target) or None when some boundary-free
-    component is unsatisfiable."""
+    object.  A part's relation is its _Extends, whose index is installed in
+    the target's memo as the final DP's index at the column it covers, so
+    the final DP indexes it again only at another column.  Returns (query,
+    target) or None when some boundary-free component is unsatisfiable."""
     if not q.is_plain():
         raise ValueError("plain CQs only")
     plan = _plan(q)
@@ -795,8 +1019,12 @@ def derived_free_query(q, t, domains=None):
             continue
         rels_t[name] = rel
     dt = Structure._trusted(plan.query.structure.signature, t.n, rels_t)
-    # only the fresh relations are indexed per count, and only in dt's memo
+    # only the fresh relations are indexed per count, and only in dt's memo;
+    # a part's _Extends is its own index at the column it hands its mask to
     dt.masks.update(item for item in t.masks.items() if item[0][0] in passed)
+    dt.masks.update(((name, (rel.at,)), (rel.index, 0))
+                    for name, rel in rels_t.items()
+                    if isinstance(rel, _Extends))
     return plan.query, dt
 
 
@@ -804,9 +1032,9 @@ def count_answers_dss(q, t, domains=None):
     """The fast counter: component extendability relations plus a DP over a
     decomposition of the contracted free-only query, each vertex v kept in
     domains[v] when given.  When the plan has a covering part, the answers
-    are its table's keys (the free vertices' domains already narrowed its
-    boundary columns), so the count is their number, taken without storing
-    them where the part's last step allows (see dp_tables), or 0 when a
+    are its relation's tuples (the free vertices' domains already narrowed
+    its boundary columns), so the count is their number, the popcounts of
+    its masks summed without storing them (see dp_tables), or 0 when a
     boundary-free part does not extend; no derived query or final DP is
     built."""
     if not q.is_plain():

@@ -194,6 +194,8 @@ def parse_coloring(text, name_to_index=None):
             v = int(tokens[1])
         except ValueError:
             raise ParseError("target vertex must be an integer", lineno)
+        if v < 0:
+            raise ParseError("target vertex must be non-negative", lineno)
         tok = tokens[2]
         try:
             c = int(tok)

@@ -353,20 +353,46 @@ def test_count_methods_over_the_dss_cap(tmp_path, capsys):
     code, out, err = run(capsys, ["count", "--query", q, "--target", t,
                                   "--method", "dp"])
     assert code == 1 and out == ""
-    assert err.startswith("error: %s: " % t) and "DSS_CAP" in err
+    # DSS_CAP measures the query, so the query file is named
+    assert err.startswith("error: %s: " % q) and "DSS_CAP" in err
+
+
+def test_dp_refusals_name_the_file_they_measure(tmp_path, capsys):
+    # the exact treewidth limit and plain-query requirements are the
+    # query's; TABLE_ROWS_CAP, the target's, is covered above
+    t = write(tmp_path, "t", P3)
+    ys = ["y%d" % i for i in range(1, 22)]
+    chain = ["x1"] + ys + ["x2"]
+    long = write(tmp_path, "long", "query\nfree x1 x2\nexists %s\nbody %s\n"
+                 % (" ".join(ys), " & ".join("E(%s,%s)" % pair for pair
+                                              in zip(chain, chain[1:]))))
+    code, out, err = run(capsys, ["count", "--query", long, "--target", t,
+                                  "--method", "dp"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: dp method not applicable: " % long)
+    assert "the exact treewidth limit" in err
+    ineq = write(tmp_path, "ineq", "formula\nfree x y\nbody E(x,y)\n"
+                                   "ineq x y\n")
+    for argv, what in ((["count", "--query", ineq, "--target", t,
+                         "--method", "dp"], "--method dp"),
+                       (["minimize", "--query", ineq], "minimize")):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s: %s supports plain queries only"
+                              % (ineq, what)), err
 
 
 def test_count_names_brute_after_a_row_cap_fallback(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr(cli.dec, "TABLE_ROWS_CAP", 3)
-    # psi_2 with a pendant of x1: no part covers the free vertices, so
-    # y's five-row table is stored
-    q = write(tmp_path, "q", "query\nfree x1 x2\nexists y z\n"
-                             "body E(x1,y) & E(x2,y) & E(x1,z)\n")
+    # psi_3 with a pendant of x1: y binds x1 and x2 before it hands its
+    # mask to x3, and those five rows are stored
+    q = write(tmp_path, "q", "query\nfree x1 x2 x3\nexists y z\n"
+                             "body E(x1,y) & E(x2,y) & E(x3,y) & E(x1,z)\n")
     t = write(tmp_path, "t", P3)
     code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
                                 "--machine"])
-    assert code == 0 and out.splitlines() == ["count=5", "method=brute"]
+    assert code == 0 and out.splitlines() == ["count=9", "method=brute"]
     code, out, err = run(capsys, ["count", "--query", q, "--target", t,
                                   "--method", "dp"])
     assert code == 1 and out == ""
@@ -550,6 +576,7 @@ MALFORMED = [
     # colorings of the 3-vertex path by psi_2, whose variables are x1 x2 y
     ("count-cp", "colour 0 x1\n", "expected 'color <vertex> <variable>'", 1),
     ("count-cp", "color a x1\n", "target vertex must be an integer", 1),
+    ("count-cp", "color -1 x1\n", "target vertex must be non-negative", 1),
     ("count-cp", "color 0 z\n", "unknown query variable 'z'", 1),
     ("count-cp", "color 0 x1\ncolor 0 y\n", "vertex 0 colored twice", 2),
     ("count-cp", "color 0 x1\ncolor 2 y\n",

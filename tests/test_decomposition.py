@@ -840,16 +840,17 @@ def test_carried_mask_reads_ternary_atoms_keyed_by_keep_columns():
 # complement; its component table holds a row per pair (x1, x2)
 DENSE_TERM = Query(Structure(GRAPH_SIGNATURE, 3, {"E": [(0, 2), (1, 2)]}),
                    (0, 1))
-# DENSE_TERM with a second quantified part, a pendant of x1: no part covers
-# the free vertices, so DENSE_TERM's table is stored for the final DP
-STORED_DENSE_TERM = Query(Structure(GRAPH_SIGNATURE, 4, {
-    "E": [(0, 2), (1, 2), (0, 3)]}), (0, 1))
+# x1 and x2 joined through a quantified K4: the first vertex of the K4 that
+# the DP eliminates has a table keyed by two other K4 vertices, about n**2
+# rows on a dense target, while every part's relation has at most n keys
+WIDE_TERM = Query(graph(6, [(0, 2), (1, 3)] + [
+    (a, b) for a in range(2, 6) for b in range(a + 1, 6)]), (0, 1))
 
 
 def test_a_table_past_the_row_cap_raises_a_budget_error():
     t = complement_structure(path(600))  # 360,000 rows, past 2**18
     with pytest.raises(dec.BudgetError) as err:
-        dec.count(STORED_DENSE_TERM, t, method="dp")
+        dec.count(WIDE_TERM, t, method="dp")
     assert (err.value.parameter, err.value.cap) == \
         ("table rows", dec.TABLE_ROWS_CAP)
     assert err.value.value > dec.TABLE_ROWS_CAP
@@ -859,19 +860,18 @@ def test_a_table_past_the_row_cap_raises_a_budget_error():
 def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
     monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 1000)
     t = complement_structure(path(200))
-    assert dec.pick_method(STORED_DENSE_TERM) == ("dp", None)
+    assert dec.pick_method(WIDE_TERM) == ("dp", None)
     tracemalloc.start()
     try:
-        value, method = dec.count_and_method(STORED_DENSE_TERM, t)
+        value, method = dec.count_and_method(WIDE_TERM, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (value, method) == (homs.count_answers(STORED_DENSE_TERM, t),
-                               "brute")
+    assert (value, method) == (homs.count_answers(WIDE_TERM, t), "brute")
     assert value == 200 ** 2
     # the DP's 40,000-row table would take several MB
     assert peak < 2 ** 20
-    assert dec.count(STORED_DENSE_TERM, t) == value
+    assert dec.count(WIDE_TERM, t) == value
 
 
 def test_a_covering_count_past_the_row_cap_stores_no_key():
@@ -891,15 +891,15 @@ def test_a_covering_count_past_the_row_cap_stores_no_key():
 
 
 def test_a_join_past_the_row_cap_raises_a_budget_error(monkeypatch):
-    # free 0 and 1 each reach the quantified 2 through a pendant of its own,
-    # so the pendants' tables, keyed by 2 and one free vertex, are joined at
-    # 2.  On a root with two children of ten leaves each, the larger of
-    # those tables holds 245 rows and the join 445.
-    q = Query(graph(5, [(3, 2), (3, 0), (4, 2), (4, 1)]), (0, 1))
-    t = graph(23, [(0, 1), (0, 2)] + [(p, 3 + 10 * (p - 1) + i)
-                                      for p in (1, 2) for i in range(10)])
+    # the free 0, 1 and 1, 2 each reach the quantified 3 through a pendant
+    # of its own, so the pendants' tables, keyed by two free vertices with
+    # a mask over 3, are joined at 3.  On path(40) each pendant's table
+    # holds fewer than 300 rows and the join 340.
+    q = Query(graph(6, [(3, 4), (3, 5), (4, 0), (4, 1), (5, 1), (5, 2)]),
+              (0, 1, 2))
+    t = path(40)
     want = homs.count_answers(q, t)
-    assert dec.count(q, t, method="dp") == want == 445
+    assert dec.count(q, t, method="dp") == want == 340
     monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 300)
     with pytest.raises(dec.BudgetError) as err:
         dec.count(q, t, method="dp")
@@ -937,3 +937,131 @@ def test_a_sparse_table_stays_on_the_dp_below_its_boundary_product(
     want = len({a for y in range(80) for a in product(nbrs[y], repeat=3)})
     assert want == 548
     assert dec.count_and_method(psi3, t) == (want, "dp")
+
+
+WIDE_SIGNATURE = [("E", 2), ("T", 3), ("Q", 4)]
+
+
+def hand_off_shape(rng, kind):
+    """A query whose first quantified component exercises one hand-off
+    shape: "path", a quantified path of 1-4 vertices between the free 0 and
+    1 with pendant trees; "cycle", gamma_k or omega_k; "wide", a path of
+    1-2 vertices between free vertices, with a T/3 or Q/4 atom on it and
+    loops; "join", a quantified vertex 3 whose two pendants each reach two
+    of the free 0, 1, 2, so their tables are keyed by two columns and
+    joined at 3.  Returns the query over E/2, T/3 and Q/4."""
+    if kind == "join":
+        edges = [(3, 4), (3, 5), (4, 0), (4, 1), (5, 1), (5, 2)]
+        edges += rng.sample([(3, 0), (3, 1), (3, 2), (3, 3)],
+                            rng.randint(0, 2))
+        rels = {"E": {(a, b) for e in edges for a, b in (e, e[::-1])},
+                "T": set(), "Q": set()}
+        if rng.random() < 0.5:
+            rels["T"].add((4, 3, 5))
+        return Query(Structure(WIDE_SIGNATURE, 6, rels), (0, 1, 2))
+    if kind == "cycle":
+        base = family_query(rng.choice(["gamma", "omega"]), rng.randint(2, 3))
+        rels = {"E": set(base.structure.relations["E"]), "T": set(),
+                "Q": set()}
+        return Query(Structure(WIDE_SIGNATURE, base.structure.n, rels),
+                     base.free)
+    length = rng.randint(1, 4 if kind == "path" else 2)
+    chain = list(range(2, 2 + length))
+    edges = list(zip([0] + chain, chain + [1]))
+    n = 2 + length
+    for _ in range(rng.randint(0, 2)):
+        # a pendant tree: each new vertex hangs off an earlier one
+        edges.append((rng.randrange(2, n), n))
+        n += 1
+    rels = {"E": {(a, b) for e in edges for a, b in (e, e[::-1])},
+            "T": set(), "Q": set()}
+    free = (0, 1)
+    if kind == "wide":
+        # half the time a third free vertex, which only the wide atom can
+        # bring into the boundary
+        if rng.random() < 0.5:
+            free, n = free + (n,), n + 1
+        name, arity = rng.choice([("T", 3), ("Q", 4)])
+        tup = [rng.choice(chain)] + rng.sample(chain + list(free), arity - 1)
+        rng.shuffle(tup)
+        rels[name].add(tuple(tup))
+        for v in rng.sample(chain, rng.randint(0, len(chain))):
+            rels["E"].add((v, v))
+    return Query(Structure(WIDE_SIGNATURE, n, rels), free)
+
+
+def brute_projection(part, t, domains):
+    """The boundary tuples of part that extend: each tested by
+    homs.exists_extension on the part's substructure, with each boundary
+    vertex pinned to its value and the component kept in its domains."""
+    local = part.local_domains(domains) or {}
+    found = set()
+    for values in product(range(t.n), repeat=len(part.keep)):
+        pinned = dict(local)
+        for u, w in zip(part.keep, values):
+            if w not in local.get(u, [w]):
+                break
+            pinned[u] = [w]
+        else:
+            if homs.exists_extension(part.sub, t, pinned):
+                found.add(values)
+    return found
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle", "wide", "join"])
+def test_root_tables_match_a_brute_projection(kind):
+    # every hand-off shape: a parent bound last or already a column, a
+    # child table read as an atom or joined, a part's root handing its
+    # mask to a keep column; on exact and min-fill trees
+    rng = random.Random("projection:" + kind)
+    for _ in range(25):
+        q = hand_off_shape(rng, kind)
+        m = rng.randint(1, 5)
+        g = Structure(WIDE_SIGNATURE, m, {
+            name: [tup for tup in product(range(m), repeat=arity)
+                   if rng.random() < (0.5 if arity == 2 else 0.3)]
+            for name, arity in WIDE_SIGNATURE})
+        for exact in (True, False):
+            plan = dec._Plan(q)
+            part = plan.parts[0]
+            assert part.boundary
+            if not exact:
+                part._td = dec.decompose_graph(
+                    (gaifman_adjacency(part.sub),
+                     [part.local[v] for v in part.vertices]), exact=False)[1]
+            for t in (g, complement_structure(g)):
+                for domains in (None, random_domains(rng, q, t)):
+                    want = brute_projection(part, t, domains)
+                    table = part.root_table(t, domains)
+                    assert set(table) == want and len(table) == len(want)
+                    assert all(tup in table for tup in want)
+                    assert part.root_table(t, domains, size=True) == \
+                        len(want)
+
+
+@pytest.mark.parametrize("family", [("poly", 3), ("subdivided", 3)])
+def test_the_final_dp_reads_a_part_relation_as_its_index(monkeypatch,
+                                                         family):
+    # a part's relation is already the final DP's index at the column its
+    # root hands its mask to, so no index is built there
+    q = family_query(*family)
+    plan = dec._plan(q)
+    calls = []
+    build = dec._candidate_masks
+
+    def spy(t, name, tup, v):
+        calls.append((name, tuple(i for i, u in enumerate(tup) if u == v)))
+        return build(t, name, tup, v)
+
+    monkeypatch.setattr(dec, "_candidate_masks", spy)
+    rng = random.Random("covered:%s" % (family,))
+    for _ in range(6):
+        g = random_graph(rng, rng.randint(3, 8))
+        for t in (g, complement_structure(g)):
+            dq, dt = dec.derived_free_query(q, t)
+            covered = {key for key in dt.masks if key[0] in plan.names}
+            assert len(covered) == len(plan.names)
+            calls.clear()
+            assert dec.count_homs_dp(dq.structure, dt, plan.tree()) == \
+                homs.count_answers(q, t)
+            assert not covered & set(calls)
