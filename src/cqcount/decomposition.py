@@ -45,7 +45,8 @@ class TreeDecomposition:
         self.order = list(order)
         self.up = [tuple(sorted(later)) for later in up]
         self.width = width
-        # dp_tables' schedules over this tree, by (structure, keep)
+        # dp_tables' schedules over this tree, by (structure, keep), with
+        # keep None for the count
         self.schedules = {}
         position = {v: i for i, v in enumerate(self.order)}
         self.children = [[] for _ in self.order]
@@ -168,7 +169,7 @@ def _key_getter(positions):
 
 
 class _Extends(Set):
-    """The relation of a part, as dp_tables leaves it in mode "exists": the
+    """The relation of a part, as dp_tables' existence table leaves it: the
     tuples of arity values whose value at position at is a member of
     index[key], for key the values at the other positions as _key_getter
     reads them.  So index is already the one that _candidate_masks would
@@ -258,15 +259,17 @@ def _candidate_masks(t, name, tup, v):
 
 
 def _schedule(structure, td, keep):
-    """The target-free steps of dp_tables over td with the sorted keep
-    columns, in the order they run, for mode "count" and for modes "exists"
-    and "size".  Both are built together and kept in td.schedules under
-    (structure, keep, counting); the count steps are returned.  A table's
-    columns are its vertices in sorted order.  ("grow", fresh, v, carried,
-    binds, sum_out, hand, reads) grows the table on top of the stack (or a
-    single empty row when fresh), with v carried when given, reading the
-    reads tables below it as atoms of v; ("join", kids, stages, out) joins
-    the top kids tables.
+    """The target-free steps of one dp_tables job over td, in the order they
+    run, kept in td.schedules under (structure, keep) and returned: with
+    keep None the count's, else the existence table's over the sorted keep
+    columns, which needs td to be one tree whose root's up+ is exactly keep
+    and raises ValueError otherwise.  A table's columns are its vertices in
+    sorted order.  A grow step grows the table on top of the stack (or a
+    single empty row when fresh), with v carried when given: the count's is
+    ("grow", fresh, v, carried, binds, sum_out), the existence table's
+    ("grow", fresh, v, carried, binds, hand, reads), reading the reads
+    tables below it as atoms of v.  ("join", kids, stages, out) joins the
+    top kids tables.
 
     A grow step lists v's checks on the incoming columns and, per bound
     vertex u, (u, u's checks, its insertion column, the row width after it,
@@ -278,13 +281,12 @@ def _schedule(structure, td, keep):
     the columns of the last bind's row that stay, the getter of those
     columns from that row, and, when the last bind's own column is summed
     out and no check of v needs the new row, the getter of the same columns
-    from the row before the bind, else None.  hand and reads are None and
-    0 in the count steps, and sum_out None in the others.  hand says what
-    becomes of v's mask (see dp_tables): "bind" when the last bind is the
-    vertex v hands its mask to, ("fold", column, key getter) when that
-    vertex is already a column, and None when v hands no mask.  A child
-    table read as an atom of v is checked like one, under the mask key
-    (its place among the tables read, positions of v).
+    from the row before the bind, else None.  hand says what becomes of
+    v's mask (see dp_tables): "bind" when the last bind is the vertex v
+    hands its mask to, ("fold", column, key getter) when that vertex is
+    already a column, and None at the root of a part without boundary.  A
+    child table read as an atom of v is checked like one, under the mask
+    key (its place among the tables read, positions of v).
 
     A join step's row is the first table's row followed, per later table,
     by that table's columns that the row lacks.  stages holds per later
@@ -303,7 +305,7 @@ def _schedule(structure, td, keep):
             atoms.append((name, tup))
             for v in set(tup):
                 atoms_of.setdefault(v, []).append((name, tup))
-    kept = set(keep)
+    kept = set(keep or ())
     # a vertex with an empty up roots its own tree of the forest
     below = [[c for c in kids if td.up[c]] for kids in td.children]
     parent = {c: p for p, kids in enumerate(below) for c in kids}
@@ -319,6 +321,9 @@ def _schedule(structure, td, keep):
         plus.append(tuple(sorted(near[i].union(td.up[i]))))
         if i in parent:
             near[parent[i]] |= near[i]
+    if keep is not None and (len(roots) != 1 or set(plus[roots[0]]) != kept):
+        raise ValueError("an existence table needs one tree whose root's "
+                         "up+ is its keep %r" % (keep,))
     steps = []
 
     def bind_order(vertices):
@@ -364,8 +369,8 @@ def _schedule(structure, td, keep):
             for check in ([] if v is None else checks(v, cols, u, read)):
                 (by_value if set(check[0]) == {at} else rest).append(check)
             steps_of_binds.append((u, own, at, len(cols), by_value, rest))
-        steps.append(("grow", fresh, v, carried, steps_of_binds, None, hand,
-                      len(read)))
+        steps.append(("grow", fresh, v, carried, steps_of_binds)
+                     + ((None,) if keep is None else (hand, len(read))))
         return cols
 
     def join(parts):
@@ -403,15 +408,15 @@ def _schedule(structure, td, keep):
             out = out[:at] + out[at + 1:]
             steps[-1] = ("join", kids, stages, (out, tuple_getter(out)))
         else:
-            _, fresh, carried_v, carried, binds, folded, _, _ = last
+            binds, folded = last[4:]
             _, _, bound_at, width, _, rest = binds[-1]
             out = list(folded[0] if folded else range(width))
             del out[at]
             collapsed = None
             if bound_at not in out and not rest:
                 collapsed = tuple_getter([c - (c > bound_at) for c in out])
-            steps[-1] = ("grow", fresh, carried_v, carried, binds,
-                         (tuple(out), tuple_getter(out), collapsed), None, 0)
+            steps[-1] = last[:5] + ((tuple(out), tuple_getter(out),
+                                     collapsed),)
         return cols[:at] + cols[at + 1:]
 
     def next_sum_out(i):
@@ -424,45 +429,39 @@ def _schedule(structure, td, keep):
             return td.order[p]
         return None
 
-    def build(i):
+    def count(i):
         """Count steps leaving the table of the i-th eliminated vertex,
-        keyed by its up+, on top of the stack, or with i None the root table
-        over keep.  Returns the columns."""
-        if i is None:
-            v, kids, bag = None, roots, keep
-        else:
-            v, kids = td.order[i], below[i]
-            bag = tuple(sorted(plus[i] + (v,)))
+        keyed by its up, on top of the stack.  Returns the columns."""
+        v, kids = td.order[i], below[i]
         if not kids:
-            return grow(True, (), bind_order(u for u in bag if u != v), v)
-        lack = bind_order(u for u in bag
-                          if all(u not in plus[c] for c in kids))
+            return grow(True, (), plus[i], v)
+        lack = sorted(u for u in plus[i] + (v,)
+                      if all(u not in plus[c] for c in kids))
         # a lacked vertex that the next sum-out removes is bound last, so
         # that sum-out collapses; otherwise a single leaf child binds the
         # whole bag with v last, so v's sum-out collapses
-        after = None if i is None else next_sum_out(i)
+        after = next_sum_out(i)
         if len(kids) == 1 and not below[kids[0]] and after not in lack:
             c = kids[0]
-            first = [u for u in bind_order(plus[c]) if u != v]
-            last = [] if v is None else [v]
-            cols = grow(True, (), first + lack + last, td.order[c])
+            first = [u for u in plus[c] if u != v]
+            cols = grow(True, (), first + lack + [v], td.order[c])
         else:
-            tables = [build(c) for c in kids]
+            tables = [count(c) for c in kids]
             cols = join(tables) if len(tables) > 1 else tables[0]
             if lack:
                 cols = grow(False, cols, sorted(lack,
                                                 key=lambda u: u == after))
-        return cols if v is None else sum_out(cols, v)
+        return sum_out(cols, v)
 
     def hand(i, h=None):
-        """Exists steps leaving the table of the i-th eliminated vertex v:
-        v is carried over the AND of its children's masks and hands its own
-        mask to h, its parent or, for the root of a part, a keep column
+        """Existence steps leaving the table of the i-th eliminated vertex
+        v: v is carried over the AND of its children's masks and hands its
+        own mask to h, its parent or, for the root of a part, a keep column
         (h is keep then); the table is keyed by v's up+ without h.  With h
-        None it is keyed by the whole up+ and hands nothing.  The children's
-        tables keyed by one column or none are read as atoms of v, all but
-        the first when they are all such; the others are joined.  Returns
-        the key columns."""
+        None, at the root of a part without boundary, v hands nothing.
+        The children's tables keyed by one column or none are read as atoms
+        of v, all but the first when they are all such; the others are
+        joined.  Returns the key columns."""
         v = td.order[i]
         joined = [c for c in below[i] if len(plus[c]) > 2]
         narrow = [c for c in below[i] if len(plus[c]) <= 2]
@@ -488,107 +487,95 @@ def _schedule(structure, td, keep):
         cols = grow(not tables, cols, binds, v, how, read)
         return tuple(u for u in cols if u != h)
 
-    build(None)
-    counted, steps = steps, []
-    if len(roots) == 1 and keep and set(plus[roots[0]]) == kept:
-        hand(roots[0], keep)
+    if keep is not None:
+        hand(roots[0], keep or None)
     else:
-        tables = [hand(r) for r in roots]
-        cols = join(tables) if len(tables) > 1 else tables[0] if tables else ()
-        lack = bind_order(u for u in keep if u not in cols)
-        if lack or not tables:
-            grow(not tables, cols, lack)
-    td.schedules[structure, keep, True] = counted
-    td.schedules[structure, keep, False] = steps
-    return counted
+        tables = [count(r) for r in roots]
+        if len(tables) > 1:
+            join(tables)
+        elif not tables:
+            grow(True, (), [])
+    td.schedules[structure, keep] = steps
+    return steps
 
 
-def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
-    """Run the DP over an elimination tree of the non-keep vertices.  In
-    mode "count" the returned root table maps assignments of sorted(keep) to
-    the number of homomorphisms of the remaining vertices consistent with
-    that boundary assignment; in mode "exists" it is the Set of the
-    assignments that extend, and in mode "size" their number.
+def dp_tables(structure, target, td, keep=None, domains=None, size=False):
+    """Run the DP over the elimination tree td, each vertex v kept in
+    domains[v] when given, for one of two jobs.  With keep None it returns
+    the number of homomorphisms of structure to target, td being a tree or
+    forest of every vertex.  With keep it returns the Set of assignments of
+    sorted(keep) that extend to td's vertices, or with size their number;
+    td must be one tree whose root's up+ is exactly keep, as a part's is,
+    else ValueError is raised.
 
-    The plan is bucket elimination over the tree's vertices together with
-    keep, where keep is never eliminated.  Each eliminated vertex v has a
-    table keyed by its up+ in sorted order: its later neighbours once keep
-    joins the graph, which are its up plus the keep columns that its atoms
-    or a fill edge bring.  It counts the extensions over v and the vertices
-    below it.  A childless v binds up+, keep columns first, one vertex at a
-    time.  Otherwise the children's tables are joined on their shared
-    columns, the bag vertices that no child holds are bound, and v is
-    summed out.  A vertex whose up is empty roots a tree of the forest; at
-    the top the roots' tables are joined and the keep columns that none of
-    them holds are bound.  An atom is checked where its last vertex enters
-    a row, and an atom that a join completes and no single joined table
-    holds is checked on the joined row.  A vertex's candidates are a
-    bitmask over range(target.n): the AND of domains[v] (when given) and,
-    per atom the vertex completes, the mask that the target's index for
-    (symbol, positions of the vertex) holds under the atom's bound values
-    (see _candidate_masks); a missing key means 0, or full for a Complement
-    view's co-masks.  Each (key columns, index) pair is checked once per
-    step, so the two orientations of an undirected edge cost one check.
-
-    A childless v is carried as a mask: each row holds a count and v's
-    candidates.  The mask starts as v's domain ANDed with v's atoms already
-    bound, loops included; each vertex bound after that ANDs in the atoms
-    of v it completes, and a row is dropped as soon as its mask is 0.  The
-    last bind stores each row's count times the popcount of its mask, so v
-    is never stored and the rows follow the prefixes that can still extend.
-    A single childless child binds its parent's whole bag with the parent
-    bound last, so the parent's sum-out collapses: a row's candidates w
-    become one count, the sum of cnt * popcount(mask & v's checks on w),
-    with no row built per candidate.  Every other sum-out is folded into
-    the join or the last bind that leaves the table, which adds each row's
-    count under its key without the summed column; when that bind's own
-    vertex is the one summed out, it collapses to cnt * popcount(candidates)
-    per row.  So when v's parent is summed out in v's own step and v's
-    children lack the parent, the parent is bound last there, and a single
-    childless child keeps its own table rather than binding the bag.  The
-    keys of every table, the root's included, are exactly the assignments
-    that extend, so an empty table ends the DP.  A table that passes
+    The plan is bucket elimination with keep never eliminated.  Each
+    eliminated vertex v has a table keyed by its up+ in sorted order: its
+    up plus the keep columns that its atoms or a fill edge bring.  An atom
+    is checked where its last vertex enters a row, and an atom that a join
+    completes and no single joined table holds is checked on the joined
+    row.  A vertex's candidates are a bitmask over range(target.n): the AND
+    of domains[v] (when given) and, per atom the vertex completes, the mask
+    that the target's index for (symbol, positions of the vertex) holds
+    under the atom's bound values (see _candidate_masks); a missing key
+    means 0, or full for a Complement view's co-masks.  Each (key columns,
+    index) pair is checked once per step, so the two orientations of an
+    undirected edge cost one check.  A row is dropped as soon as the mask
+    it carries is 0, so every table's keys are exactly the assignments that
+    extend and an empty table ends the DP.  A table that passes
     TABLE_ROWS_CAP rows while it is built raises BudgetError; the size is
     checked once per row of the table below.
 
-    Modes "exists" and "size" ask only which assignments extend, so every
-    eliminated vertex is carried and hands its parent a bitmask: v's table
-    is keyed by its up+ without its parent p, and each row holds the mask
-    of p's values that some candidate of v left by the row reaches.  v's
-    mask starts as its domain ANDed with its children's masks.  A child's
-    table keyed by one column or none is read like an atom of v, where
-    that column is bound; the other children's tables, or the first child's
-    when all are such, are joined on their shared columns, ANDing the
-    masks, and give v's rows.  The up+ columns that no joined child holds
-    are bound as above, and p last.  That bind builds no row per candidate:
-    it ORs the index of v's one binary atom with p over v's mask when the
-    mask has fewer members than p has candidates, and otherwise tests each
-    candidate of p; the result is ANDed with p's candidates and p's atoms
-    on the row.  When p is a column of a joined child's table, its value is
-    folded into the row's mask instead.  The root of a part hands its mask
-    to a keep column the same way, a column that no joined child holds when
-    there is one, so the relation comes out as a dict from the other keep
-    columns to a mask over that one, behind an _Extends view, and mode
-    "size" sums the masks' popcounts without storing that last table.  The
-    roots of a forest, or of a keep that their up+ does not cover, hand no
-    mask: their rows hold 1, the top joins them as above, and the result is
-    a frozenset, or its size.
+    In the count, v's table counts the extensions over v and the vertices
+    below it.  A childless v is carried as a mask while its up is bound,
+    each row holding a count and v's candidates, ANDed with each atom of v
+    as it is completed; the last bind stores count times popcount, so v is
+    never stored.  Otherwise the children's tables are joined on their
+    shared columns, the bag vertices that no child holds are bound, and v's
+    sum-out folds into that join or last bind; when that bind's own vertex
+    is the one summed out, it collapses to cnt * popcount(candidates) per
+    row.  A single childless child binds its parent's whole bag with the
+    parent last, so the parent's sum-out collapses too: a row's candidates
+    w become one count, the sum of cnt * popcount(mask & v's checks on w).
+    So when v's parent is summed out in v's own step and v's children lack
+    the parent, the parent is bound last there, and a single childless
+    child keeps its own table rather than binding the bag.  The roots of a
+    forest are joined at the top; a structure without vertices has one
+    homomorphism.
+
+    The existence table asks only which assignments extend, so every
+    eliminated vertex is carried and hands its parent p a bitmask: v's
+    table is keyed by its up+ without p, and each row holds the mask of p's
+    values that some candidate of v left by the row reaches.  v's mask
+    starts as its domain ANDed with its children's masks.  A child's table
+    keyed by one column or none is read like an atom of v; the others, or
+    the first child's when all are such, are joined on their shared
+    columns, ANDing the masks.  The up+ columns that no joined child holds
+    are bound, keep columns first, and p last.  That bind builds no row per
+    candidate: it ORs the index of v's one binary atom with p over v's mask
+    when the mask has fewer members than p has candidates, and otherwise
+    tests each candidate of p; the result is ANDed with p's candidates and
+    atoms on the row.  When p is a joined child's column, its value is
+    folded into the row's mask instead.  The root hands its mask to a keep
+    column the same way, one that no joined child holds when there is one,
+    so the relation comes out as a dict from the other keep columns to a
+    mask over that one, behind an _Extends view; size sums the popcounts
+    without storing that table.  With keep empty the root hands nothing:
+    the result is frozenset({()}) or empty.
 
     Everything above that the target does not decide (the steps, bind
     order, insertion and sum-out columns, join keys and each check's key
-    getter and mask key) is the schedule of (structure, td, keep) in its
-    mode, built by _schedule once and kept in td.schedules, so it lives as
-    long as the tree: the fast counter's trees live in its memoized plan.
-    A call resolves the checks against target.masks, computes each vertex's
-    domain mask once and runs the steps.
+    getter and mask key) is the schedule of (structure, td, keep), built by
+    _schedule once and kept in td.schedules, so it lives as long as the
+    tree: the fast counter's trees live in its memoized plan.  A call
+    resolves the checks against target.masks, computes each vertex's domain
+    mask once and runs the steps.
     """
-    keep = tuple(sorted(keep))
-    counting = mode == "count"
-    steps = td.schedules.get((structure, keep, counting))
+    counting = keep is None
+    if not counting:
+        keep = tuple(sorted(keep))
+    steps = td.schedules.get((structure, keep))
     if steps is None:
-        _schedule(structure, td, keep)
-        steps = td.schedules[structure, keep, counting]
-    sizing = mode == "size"
+        steps = _schedule(structure, td, keep)
     n, masks = target.n, target.masks
     full = (1 << n) - 1
     allowed = {} if domains is None else {
@@ -697,11 +684,11 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
         return rows
 
     def carry(table, v, carried, binds, how, final):
-        """An exists grow step: table's rows hold v's masks, or 1 without
-        v, and so do the returned rows, which hold the masks v hands on
-        unless how is None.  With final, in mode "size", the number of
-        (row, value) pairs that the returned table would hold."""
-        start = 1 if v is None else allowed.get(v, full)
+        """An existence grow step: table's rows hold v's masks, and so do
+        the returned rows, which hold the masks v hands on unless how is
+        None.  With final, under size, the number of (row, value) pairs
+        that the returned table would hold."""
+        start = allowed.get(v, full)
         carried = resolve(carried)
         rows = {}
         for row, m in table.items():
@@ -734,8 +721,8 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
         if final:
             return len(rows)
         if how is None:
-            # v is summed out: a row stays when some candidate is left
-            return rows if v is None else dict.fromkeys(rows, 1)
+            # the root hands nothing: its rows are the answer's keys
+            return rows
         _, at, key = how
         out = {}
         for row in rows:
@@ -835,26 +822,24 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
             del stack[-kids:]
             stack.append(join(tables, stages, out))
         elif counting:
-            _, fresh, v, carried, binds, sum_out, _, _ = step
+            _, fresh, v, carried, binds, sum_out = step
             table = {(): 1} if fresh else stack.pop()
             stack.append(grow(table, v, carried, binds, sum_out))
         else:
-            _, fresh, v, carried, binds, _, how, reads = step
+            _, fresh, v, carried, binds, how, reads = step
             table = {(): full} if fresh else stack.pop()
             read[:] = stack[len(stack) - reads:]
             del stack[len(stack) - reads:]
-            final = sizing and step is steps[-1]
+            final = size and step is steps[-1]
             stack.append(carry(table, v, carried, binds, how, final))
             if final:
                 return stack.pop()
         if not stack[-1]:
-            return {"count": {}, "exists": frozenset(), "size": 0}[mode]
+            return 0 if counting or size else frozenset()
     table = stack.pop()
     if counting:
-        return table
-    if sizing:
-        return len(table)
-    how = steps[-1][6] if steps[-1][0] == "grow" else None
+        return table.get((), 0)
+    how = steps[-1][5]
     if how is None:
         return frozenset(table)
     at = steps[-1][4][-1][2] if how == "bind" else how[1]
@@ -865,7 +850,10 @@ def dp_tables(structure, target, td, keep=(), domains=None, mode="count"):
 
 
 def count_homs_dp(structure, target, td, domains=None):
-    return dp_tables(structure, target, td, domains=domains).get((), 0)
+    """The number of homomorphisms of structure to target over the
+    elimination tree td of all its vertices, each vertex v kept in
+    domains[v] when given: dp_tables' count."""
+    return dp_tables(structure, target, td, domains=domains)
 
 
 class _Part:
@@ -913,14 +901,15 @@ class _Part:
     def root_table(self, t, domains=None, size=False):
         """The Set of boundary assignments (in boundary order) that extend
         to the component, each vertex v of q kept in domains[v] when given:
-        an _Extends, a bitmask index over the boundary column that the
-        component's root hands its mask to, or for a part without boundary
-        a frozenset.  With size, their number, summed without storing the
-        last table (see dp_tables).  Raises BudgetError when the boundary
-        exceeds DSS_CAP."""
+        dp_tables' existence table over the component's tree, whose one
+        root has the whole boundary as its up+, since the component is
+        connected and every boundary vertex touches it.  It is an _Extends,
+        a bitmask index over the boundary column that the root hands its
+        mask to, or for a part without boundary frozenset({()}) or empty.
+        With size, their number, summed without storing the last table.
+        Raises BudgetError when the boundary exceeds DSS_CAP."""
         return dp_tables(self.sub, t, self.tree(), keep=self.keep,
-                         domains=self.local_domains(domains),
-                         mode="size" if size else "exists")
+                         domains=self.local_domains(domains), size=size)
 
 
 class _Plan:
@@ -1080,12 +1069,18 @@ def count(q, t, domains=None, method="auto"):
     given.  method "dp" runs count_answers_dss, "brute" the homs search and
     "auto" the one pick_method names, falling back to brute force when a DP
     table passes TABLE_ROWS_CAP.  Under "dp" a passed budget raises
-    BudgetError."""
+    BudgetError.  A domain value that is not a vertex of t raises
+    ValueError, under every method."""
     return count_and_method(q, t, domains, method)[0]
 
 
 def count_and_method(q, t, domains=None, method="auto"):
     """count's value and the method that produced it: "dp" or "brute"."""
+    for v, domain in (domains or {}).items():
+        if domain and (min(domain) < 0 or max(domain) >= t.n):
+            w = next(w for w in domain if not 0 <= w < t.n)
+            raise ValueError("the domain of vertex %r holds %r, not a vertex "
+                             "of the %d-vertex target" % (v, w, t.n))
     if method == "auto":
         method, _ = pick_method(q)
         if method == "dp":
