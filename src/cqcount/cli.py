@@ -126,8 +126,8 @@ def _emit(args, pairs, text_lines=None):
 def _count(args, q, t, domains=None):
     """decomposition.count_and_method under --method: the value and the
     method that produced it.  The DP's refusals exit 1, naming the file
-    they measure: the query's (--query, or eval's --quantum) for DSS_CAP
-    and the exact treewidth limit, the target's for TABLE_ROWS_CAP."""
+    they measure: the query's (--query, or eval's --quantum) for DSS_CAP,
+    the target's for TABLE_ROWS_CAP."""
     query = args.query if "query" in args else args.quantum
     if args.method == "dp" and not q.is_plain():
         raise InputError("%s: --method dp supports plain queries only"
@@ -380,8 +380,11 @@ def _random_wide_instance(rng, max_n):
     and a sparse target over its signature: the images of a few random maps
     of the query and up to one random tuple per target vertex and symbol.
     d has the smallest quantified id and c the next, so the exact
-    elimination tree mostly eliminates c after the pendants and joins their
-    tables at c, where the wide atom lies in neither table alone."""
+    elimination tree mostly eliminates the pendants first, and each hands c
+    its mask.  c reads a pendant's table keyed by one column as an atom and
+    joins the wider ones, so the wide atom is mostly checked at a bind; a
+    join checks it in about one draw in 300 (_check_dp's dense queries
+    reach that check more often)."""
     signature = (("E", 2), ("T", 3), ("Q", 4))
     nf = rng.randint(2, 3)
     n = nf + 4
@@ -437,8 +440,16 @@ def _random_chain_query(rng):
 
 def _check_dp(rng, args):
     draw = rng.random()
-    if draw < 0.25:
+    if draw < 0.1:
         q = _random_query(rng, min(args.max_n, 5))
+        g = _random_graph(rng, rng.randint(0, args.max_n))
+    elif draw < 0.25:
+        # a dense query of 7 or 8 vertices, at most 4 of them free: its
+        # parts' trees join tables with an atom in neither, which the join
+        # checks
+        n = rng.randint(7, 8)
+        q = Query(_random_graph(rng, n, 0.6),
+                  tuple(sorted(rng.sample(range(n), rng.randint(0, 4)))))
         g = _random_graph(rng, rng.randint(0, args.max_n))
     elif draw < 0.4:
         q, g = _random_instance(rng, min(args.max_n, 5))
@@ -760,13 +771,13 @@ def build_parser():
                         default="auto",
                         help="dp: the tree-decomposition counter; brute: "
                              "the backtracking search; auto (default): dp "
-                             "for a plain query within DSS_CAP and the exact "
-                             "treewidth limit, brute otherwise or once a "
-                             "stored dp table passes TABLE_ROWS_CAP (a "
-                             "component's relation is stored as bitmasks "
-                             "over one boundary column, and when its "
-                             "boundary is every free vertex its answers "
-                             "are counted from those masks, not stored)")
+                             "for a plain query, brute otherwise or once dp "
+                             "passes DSS_CAP or a stored dp table passes "
+                             "TABLE_ROWS_CAP (a component's relation is "
+                             "stored as bitmasks over one boundary column, "
+                             "and when its boundary is every free vertex "
+                             "its answers are counted from those masks, not "
+                             "stored)")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
     files(sp, "query", "target")

@@ -2,14 +2,15 @@
 counters: the all-free DP and the fast counter that splits off quantified
 components and builds their extendability relations, or only counts the
 relation of a component whose boundary is every free vertex.  The
-decomposition is the elimination tree of an exact or min-fill order: each
-vertex's bag is the vertex with its later neighbours, and the DP runs once
-per eliminated vertex.  A component's DP keeps its boundary in the graph
-but never eliminates it, so each table holds only the boundary columns
-that its vertex's atoms or fill edges bring.  A component's DP asks only
-which boundary assignments extend, so each vertex hands its parent a
-bitmask of the parent's values, and the relation comes out as a bitmask
-index over one boundary column, which the final DP reads as it is.
+decomposition is the elimination tree of an exact order, or of a min-fill
+order past EXACT_TREEWIDTH_LIMIT vertices: each vertex's bag is the vertex
+with its later neighbours, and the DP runs once per eliminated vertex.  A
+component's DP keeps its boundary in the graph but never eliminates it, so
+each table holds only the boundary columns that its vertex's atoms or fill
+edges bring.  A component's DP asks only which boundary assignments
+extend, so each vertex hands its parent a bitmask of the parent's values,
+and the relation comes out as a bitmask index over one boundary column,
+which the final DP reads as it is.
 """
 
 from bisect import bisect
@@ -18,11 +19,11 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import homs
-# BudgetError and TreewidthLimitError live in model, so homs can raise them
-# without an import cycle; callers also name them as dec.BudgetError
+# BudgetError lives in model, so homs can raise it without an import cycle;
+# callers also name it as dec.BudgetError
 from .model import (BudgetError, Complement, Query, Signature, Structure,
-                    TreewidthLimitError, gaifman_adjacency,
-                    induced_substructure, partition, tuple_getter)
+                    gaifman_adjacency, induced_substructure, partition,
+                    tuple_getter)
 
 EXACT_TREEWIDTH_LIMIT = 20
 DSS_CAP = 6
@@ -142,26 +143,17 @@ def _eliminate(adj, vertices, order=None):
     return eliminated, up
 
 
-def decompose_graph(g, exact=True):
-    """Tree-decompose an adjacency map over a vertex set: exactly, or by the
-    min-fill heuristic when exact is false.  Returns (width,
-    TreeDecomposition).  Raises TreewidthLimitError, before decomposing, for
-    an exact decomposition of more than EXACT_TREEWIDTH_LIMIT vertices."""
+def decompose_graph(g):
+    """Tree-decompose an adjacency map over a vertex set by an elimination
+    order: an exact one up to EXACT_TREEWIDTH_LIMIT vertices, where the
+    subset DP still fits, and the min-fill heuristic's past it.  Returns
+    (width, TreeDecomposition)."""
     adj, vertices = g
-    if exact and len(vertices) > EXACT_TREEWIDTH_LIMIT:
-        raise TreewidthLimitError("vertices", len(vertices),
-                                  EXACT_TREEWIDTH_LIMIT,
-                                  "the exact treewidth limit")
-    order = _elimination_width(adj, vertices)[1] if exact else None
+    order = (_elimination_width(adj, vertices)[1]
+             if len(vertices) <= EXACT_TREEWIDTH_LIMIT else None)
     order, up = _eliminate(adj, vertices, order)
     width = max(map(len, up), default=-1)
     return width, TreeDecomposition(order, up, width)
-
-
-def exact_treewidth(g):
-    """Exact treewidth of a graph-mode structure with an elimination tree of
-    that width."""
-    return decompose_graph((gaifman_adjacency(g), list(g.vertices())))
 
 
 def _key_getter(positions):
@@ -1044,31 +1036,12 @@ def count_answers_dss(q, t, domains=None):
     return count_homs_dp(dq.structure, dt, plan.tree(), domains=free_domains)
 
 
-def pick_method(q):
-    """The counter that count tries first under "auto", and the reason when
-    it is not the DP: ("dp", None) or ("brute", reason).  The DP needs a plain
-    query and a plan within DSS_CAP and the exact treewidth limit; it counts
-    on Complement views by co-masks.  Whether its tables stay within
-    TABLE_ROWS_CAP shows only while they are built, so count falls back on
-    that budget itself.
-    The plan is memoized, so the DP reuses the decompositions built here."""
-    if not q.is_plain():
-        return "brute", "the query has inequalities or negated atoms"
-    plan = _plan(q)
-    try:
-        for part in plan.parts:
-            part.tree()
-        plan.tree()
-    except BudgetError as e:
-        return "brute", str(e)
-    return "dp", None
-
-
 def count(q, t, domains=None, method="auto"):
     """Number of answers of q on t, each vertex v kept in domains[v] when
     given.  method "dp" runs count_answers_dss, "brute" the homs search and
-    "auto" the one pick_method names, falling back to brute force when a DP
-    table passes TABLE_ROWS_CAP.  Under "dp" a passed budget raises
+    "auto" the DP for a plain query and the search otherwise, also once the
+    DP passes a budget: DSS_CAP, before a part's tree is built, or
+    TABLE_ROWS_CAP while a table is.  Under "dp" a passed budget raises
     BudgetError.  A domain value that is not a vertex of t raises
     ValueError, under every method."""
     return count_and_method(q, t, domains, method)[0]
@@ -1082,12 +1055,12 @@ def count_and_method(q, t, domains=None, method="auto"):
             raise ValueError("the domain of vertex %r holds %r, not a vertex "
                              "of the %d-vertex target" % (v, w, t.n))
     if method == "auto":
-        method, _ = pick_method(q)
-        if method == "dp":
+        if q.is_plain():
             try:
                 return count_answers_dss(q, t, domains=domains), "dp"
             except BudgetError:
-                method = "brute"
+                pass
+        method = "brute"
     if method == "dp":
         return count_answers_dss(q, t, domains=domains), "dp"
     if method == "brute":

@@ -26,10 +26,6 @@ class BudgetError(ValueError):
         self.cap = cap
 
 
-class TreewidthLimitError(BudgetError):
-    pass
-
-
 class Signature:
     """An ordered list of relation symbols with arities."""
 

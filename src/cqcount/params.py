@@ -110,26 +110,6 @@ def is_node_well_linked(g, s):
     return True
 
 
-def _bipartite_matching_saturates(left, right, adj):
-    """True when a matching between left and right saturates all of right."""
-    match = {}
-
-    def augment(r, seen):
-        for l in adj.get(r, ()):
-            if l in seen:
-                continue
-            seen.add(l)
-            if l not in match or augment(match[l], seen):
-                match[l] = r
-                return True
-        return False
-
-    for r in right:
-        if not augment(r, set()):
-            return False
-    return True
-
-
 def linked_matching_number(q):
     """Largest X-to-Y matching whose quantified endpoints are node-well-linked
     within the quantified part of the Gaifman graph.  Raises BudgetError when
@@ -148,7 +128,9 @@ def linked_matching_number(q):
     x_nbrs = {v: sorted(adj[v] & x) for v in y}
     for size in range(min(len(x), len(y)), 0, -1):
         for s in combinations(y, size):
-            if not _bipartite_matching_saturates(x, s, x_nbrs):
+            # a matching saturates s when |s| vertex-disjoint one-edge
+            # paths lead from s into x
+            if _max_vertex_disjoint_paths(x_nbrs, x | set(s), s, x) < size:
                 continue
             if is_node_well_linked(hy, [old_to_new[v] for v in s]):
                 return size
@@ -163,14 +145,11 @@ def analyze(q):
     def treewidth(g, key, note):
         """Exact up to the exact treewidth limit, past it a heuristic upper
         bound and a note."""
-        try:
-            return dec.exact_treewidth(g)[0]
-        except dec.TreewidthLimitError:
-            _, td = dec.decompose_graph(
-                (gaifman_adjacency(g), list(g.vertices())), exact=False)
+        if g.n > dec.EXACT_TREEWIDTH_LIMIT:
             exact[key] = False
             notes.append(note)
-            return td.width
+        return dec.decompose_graph((gaifman_adjacency(g),
+                                    list(g.vertices())))[0]
 
     tw = treewidth(gaifman_graph(q.structure), "tw",
                    "treewidth is a heuristic upper bound (instance above "

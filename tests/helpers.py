@@ -7,8 +7,8 @@ from itertools import combinations, permutations, product
 
 from cqcount import decomposition as dec
 from cqcount import gadgets, homs, quantum
-from cqcount.model import (Coloring, Query, Structure, graph, graph_edges,
-                           induced_substructure)
+from cqcount.model import (Coloring, Query, Structure, gaifman_adjacency,
+                           graph, graph_edges, induced_substructure)
 
 
 def _refine_classes(n, adj):
@@ -256,6 +256,20 @@ def validate_decomposition(td, structure):
         return False
     return all(sum(v in bag and (i not in parent or v not in bags[parent[i]])
                    for i, bag in enumerate(bags)) == 1 for v in covered)
+
+
+def decompose(g):
+    """decompose_graph on the Gaifman graph of a structure: (width, tree),
+    the width exact up to EXACT_TREEWIDTH_LIMIT vertices."""
+    return dec.decompose_graph((gaifman_adjacency(g), list(g.vertices())))
+
+
+def min_fill_tree(adj, vertices):
+    """The min-fill elimination tree of the graph adj over vertices, at any
+    size: (width, tree)."""
+    order, up = dec._eliminate(adj, vertices)
+    width = max(map(len, up), default=-1)
+    return width, dec.TreeDecomposition(order, up, width)
 
 
 def count_answers_dp(q, t, td):

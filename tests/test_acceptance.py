@@ -11,8 +11,9 @@ from cqcount.model import (Coloring, Query, Signature, Structure,
                            gaifman_graph, graph, graph_edges, tensor_product)
 from cqcount.parser import parse_formula
 
-from helpers import (cp_count_via_uncolored, graph_representatives,
-                     query_representatives, random_colored_instance,
+from helpers import (cp_count_via_uncolored, decompose,
+                     graph_representatives, query_representatives,
+                     random_colored_instance,
                      random_graph, random_query, sorted_support,
                      surjective_map_matrix)
 
@@ -298,7 +299,7 @@ def test_criterion_08_parameter_values():
         [(i, j) for i in range(4) for j in range(i + 1, 4)]
     assert params.contract_graph(gadgets.family_query("w1", 4)).n == 0
     k4 = graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    width, _ = dec.exact_treewidth(k4)
+    width, _ = decompose(k4)
     assert width == 3
     expected = {"poly": "P", "w1": "W[1]-eq.", "subdivided": "#W[1]-eq.",
                 "psi": "#W[2]-hard", "gamma": "#A[2]-eq."}

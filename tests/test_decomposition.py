@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import permutations, product
 
@@ -11,8 +12,9 @@ from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph,
                            graph_edges)
 
-from helpers import (count_answers_dp, extendability_relation,
-                     random_graph, random_query, validate_decomposition)
+from helpers import (count_answers_dp, decompose, extendability_relation,
+                     min_fill_tree, random_graph, random_query,
+                     validate_decomposition)
 
 
 def path(n):
@@ -28,7 +30,7 @@ def cycle(n):
 
 
 def tw(g):
-    width, _ = dec.exact_treewidth(g)
+    width, _ = decompose(g)
     return width
 
 
@@ -41,10 +43,20 @@ def test_exact_treewidth_values():
     assert tw(clique(6)) == 5
 
 
-def test_treewidth_limit_raises():
-    # the size check runs before any subset DP, so this returns at once
-    with pytest.raises(dec.TreewidthLimitError):
-        dec.exact_treewidth(clique(dec.EXACT_TREEWIDTH_LIMIT + 1))
+def test_past_the_exact_limit_decomposes_by_min_fill(monkeypatch):
+    # past EXACT_TREEWIDTH_LIMIT vertices no subset DP runs: the tree is
+    # min-fill's, valid and of least width on a clique and a path
+    def refuse(adj, vertices):
+        raise AssertionError("subset DP on %d vertices" % len(vertices))
+
+    monkeypatch.setattr(dec, "_elimination_width", refuse)
+    for g, width in ((clique(dec.EXACT_TREEWIDTH_LIMIT + 1), 20),
+                     (path(40), 1)):
+        start = time.perf_counter()
+        got, td = decompose(g)
+        assert time.perf_counter() - start < 1
+        check_elimination_tree(td, g)
+        assert got == td.width == width
 
 
 def check_elimination_tree(td, g):
@@ -74,7 +86,7 @@ def test_exact_elimination_trees_are_valid_and_of_least_width():
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7))
-        width, td = dec.exact_treewidth(g)
+        width, td = decompose(g)
         check_elimination_tree(td, g)
         assert td.width == width == least_elimination_width(g)
 
@@ -84,7 +96,7 @@ def test_heuristic_decomposition_is_still_valid():
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 8))
         adj = {v: set(ns) for v, ns in gaifman_adjacency(g).items()}
-        width, td = dec.decompose_graph((adj, list(g.vertices())), exact=False)
+        width, td = min_fill_tree(adj, list(g.vertices()))
         assert validate_decomposition(td, g)
         assert width >= tw(g)
 
@@ -94,9 +106,10 @@ def test_exact_and_min_fill_elimination_trees_are_valid():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8))
         adj = {v: set(ns) for v, ns in gaifman_adjacency(g).items()}
-        for exact in (True, False):
-            width, td = dec.decompose_graph((adj, list(g.vertices())),
-                                            exact=exact)
+        vertices = list(g.vertices())
+        trees = (dec.decompose_graph((adj, vertices)),
+                 min_fill_tree(adj, vertices))
+        for exact, (width, td) in zip((True, False), trees):
             check_elimination_tree(td, g)
             assert width == td.width
             assert width == tw(g) if exact else width >= tw(g)
@@ -107,7 +120,7 @@ def test_dp_hom_count_matches_brute_force():
     for _ in range(80):
         s = random_graph(rng, rng.randint(1, 5))
         t = random_graph(rng, rng.randint(0, 5))
-        _, td = dec.exact_treewidth(s)
+        _, td = decompose(s)
         q = Query(s, tuple(range(s.n)))
         assert dec.count_homs_dp(s, t, td) == homs.count_answers(q, t)
 
@@ -119,13 +132,13 @@ def test_dp_answer_count_matches_brute_force():
         s = random_graph(rng, n)
         q = Query(s, tuple(range(n)))
         t = random_graph(rng, rng.randint(0, 5))
-        _, td = dec.exact_treewidth(s)
+        _, td = decompose(s)
         assert count_answers_dp(q, t, td) == homs.count_answers(q, t)
 
 
 def test_dp_answer_count_rejects_quantified_or_constrained_queries():
     s = path(3)
-    _, td = dec.exact_treewidth(s)
+    _, td = decompose(s)
     with pytest.raises(ValueError):
         count_answers_dp(Query(s, (0, 2)), path(3), td)
     q = Query(s, (0, 1, 2), inequalities=[frozenset((0, 2))])
@@ -267,7 +280,7 @@ def test_dp_and_dss_match_brute_force_beyond_graphs(case):
     rng = random.Random(case)
     for _ in range(60):
         s, t = random_instance(rng, case)
-        _, td = dec.exact_treewidth(s)
+        _, td = decompose(s)
         assert dec.count_homs_dp(s, t, td) == \
             homs.count_answers(Query(s, tuple(s.vertices())), t)
         free = tuple(sorted(rng.sample(range(s.n), rng.randint(0, s.n))))
@@ -310,36 +323,78 @@ def test_count_with_domains_matches_brute_force():
         assert dec.count(q, t, domains) == want
 
 
-def test_pick_method_names_the_reason_for_brute():
+def test_auto_leaves_the_dp_only_for_a_non_plain_query_or_a_budget():
     psi2 = Query(path(3), (0, 2))
-    assert dec.pick_method(psi2) == ("dp", None)
+    t = path(4)
+    assert dec.count_and_method(psi2, t) == \
+        (homs.count_answers(psi2, t), "dp")
     side = Query(path(3), (0, 2), inequalities=[frozenset((0, 2))])
-    method, reason = dec.pick_method(side)
-    assert method == "brute" and "inequalities" in reason
-    co = complement_structure(path(4))
+    assert dec.count_and_method(side, t) == \
+        (homs.count_answers(side, t), "brute")
+    co = complement_structure(t)
     assert dec.count_and_method(psi2, co) == \
         (homs.count_answers(psi2, co), "dp")
     k = dec.DSS_CAP + 1
     star = Query(graph(k + 1, [(i, k) for i in range(k)]), tuple(range(k)))
-    method, reason = dec.pick_method(star)
-    assert method == "brute" and "DSS_CAP" in reason
     # auto falls back; the DP itself refuses with a typed error
-    assert dec.count(star, path(3)) == homs.count_answers(star, path(3))
+    assert dec.count_and_method(star, path(3)) == \
+        (homs.count_answers(star, path(3)), "brute")
     with pytest.raises(dec.BudgetError) as err:
         dec.count(star, path(3), method="dp")
     assert (err.value.parameter, err.value.value, err.value.cap) == \
         ("dss", k, dec.DSS_CAP)
-    assert issubclass(dec.TreewidthLimitError, dec.BudgetError)
+
+
+def walk_pairs(g, length):
+    """The pairs (a, b) of vertices of the graph g joined by a walk of the
+    given length: the nonzero entries of the Boolean power A^length."""
+    adj = [[False] * g.n for _ in range(g.n)]
+    for a, b in g.relations["E"]:
+        adj[a][b] = True
+    reach = [[a == b for b in range(g.n)] for a in range(g.n)]
+    for _ in range(length):
+        reach = [[any(row[c] and adj[c][b] for c in range(g.n))
+                  for b in range(g.n)] for row in reach]
+    return sum(map(sum, reach))
+
+
+def test_a_chain_past_the_exact_limit_counts_on_the_dp():
+    # 24 quantified vertices between two free ones: the part is planned by
+    # min-fill, so neither auto nor dp leaves the DP
+    n = 24
+    chain = [0] + list(range(2, n + 2)) + [1]
+    q = Query(graph(n + 2, list(zip(chain, chain[1:]))), (0, 1))
+    assert len(dec._plan(q).parts[0].vertices) > dec.EXACT_TREEWIDTH_LIMIT
+    rng = random.Random(43)
+    for t in (cycle(5), path(4), random_graph(rng, 8, 0.3),
+              random_graph(rng, 40, 0.1)):
+        want = walk_pairs(t, n + 1)
+        for method in ("auto", "dp"):
+            assert dec.count_and_method(q, t, method=method) == (want, "dp")
+
+
+def test_a_covering_count_builds_no_derived_tree():
+    # a covering count never runs the final DP, so its plan never
+    # decomposes the derived query
+    dec._plan.cache_clear()
+    rng = random.Random(47)
+    for kind in ("psi", "gamma", "omega"):
+        for k in range(1, 5):
+            q = family_query(kind, k)
+            t = random_graph(rng, 6)
+            assert dec.count(q, t) == homs.count_answers(q, t)
+            plan = dec._plan(q)
+            assert plan.covering is not None and plan._td is None
 
 
 def test_count_plans_each_query_once(monkeypatch):
     rng = random.Random(37)
     calls = []
-    decompose = dec.decompose_graph
+    build = dec.decompose_graph
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return decompose(*args, **kwargs)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(dec, "decompose_graph", counting)
     dec._plan.cache_clear()
@@ -508,8 +563,9 @@ def test_single_child_sum_outs_fold_into_the_grow_before_them():
         keep = tuple(sorted(rng.sample(range(s.n),
                                        rng.randint(0, min(2, s.n)))))
         rest = [v for v in s.vertices() if v not in keep]
-        _, td = dec.decompose_graph((gaifman_adjacency(s), rest),
-                                    exact=rng.random() < 0.5)
+        adj = gaifman_adjacency(s)
+        _, td = (dec.decompose_graph((adj, rest)) if rng.random() < 0.5
+                 else min_fill_tree(adj, rest))
         whole = keep_last(s, td, keep)
         schedules.append(dec._schedule(s, whole, None))
         t = random_graph(rng, rng.randint(0, 4))
@@ -614,8 +670,9 @@ def test_dp_tables_with_keep_isolated_from_a_disconnected_rest():
             name: [tup for tup in product(range(m), repeat=arity)
                    if rng.random() < 0.5 ** (arity - 1)]
             for name, arity in signature})
-        for exact in (True, False):
-            _, td = dec.decompose_graph((gaifman_adjacency(s), rest), exact)
+        adj = gaifman_adjacency(s)
+        for _, td in (dec.decompose_graph((adj, rest)),
+                      min_fill_tree(adj, rest)):
             whole = keep_last(s, td, keep)
             for t in (g, complement_structure(g)):
                 domains = random_domains(rng, Query(s, ()), t)
@@ -750,7 +807,7 @@ def test_root_tables_hold_no_zero_counts():
     s = path(3)
     adj = gaifman_adjacency(s)
     _, rest = dec.decompose_graph((adj, [1, 2]))
-    _, whole = dec.exact_treewidth(s)
+    _, whole = decompose(s)
     lonely = graph(4, [(0, 1), (1, 2)])
     for t, domains in [(graph(0, []), None), (path(3), {1: []}),
                        (path(3), {0: []}), (lonely, {1: [3]}),
@@ -760,7 +817,7 @@ def test_root_tables_hold_no_zero_counts():
     rng = random.Random(41)
     for case in sorted(INDEX_CASES):
         s, t = random_instance(rng, case)
-        _, td = dec.exact_treewidth(s)
+        _, td = decompose(s)
         assert dec.count_homs_dp(s, Structure(t.signature, 0, {}), td) == 0
 
 
@@ -981,7 +1038,9 @@ def test_a_table_past_the_row_cap_raises_a_budget_error():
 def test_auto_falls_back_to_brute_force_past_the_row_cap(monkeypatch):
     monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 1000)
     t = complement_structure(path(200))
-    assert dec.pick_method(WIDE_TERM) == ("dp", None)
+    # the fallback is the row cap's: the DP itself runs and passes it
+    with pytest.raises(dec.BudgetError, match="TABLE_ROWS_CAP"):
+        dec.count(WIDE_TERM, t, method="dp")
     tracemalloc.start()
     try:
         value, method = dec.count_and_method(WIDE_TERM, t)
@@ -1147,9 +1206,9 @@ def test_root_tables_match_a_brute_projection(kind):
             part = plan.parts[0]
             assert part.boundary
             if not exact:
-                part._td = dec.decompose_graph(
-                    (gaifman_adjacency(part.sub),
-                     [part.local[v] for v in part.vertices]), exact=False)[1]
+                part._td = min_fill_tree(
+                    gaifman_adjacency(part.sub),
+                    [part.local[v] for v in part.vertices])[1]
             for t in (g, complement_structure(g)):
                 for domains in (None, random_domains(rng, q, t)):
                     want = brute_projection(part, t, domains)

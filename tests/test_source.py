@@ -81,3 +81,17 @@ def test_cli_runs_the_check_trials_in_one_loop():
     readers = sorted(fn.name for fn in _cli_functions()
                      if "trials" in _names(fn))
     assert readers == ["cmd_check"]
+
+
+def test_every_budget_is_documented_in_the_readme():
+    # each BudgetError names its cap (the fourth argument); a reader of the
+    # README must find what that cap bounds and what happens past it
+    readme = (SRC.parents[1] / "README.md").read_text()
+    caps = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        caps += [node.args[3].value for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and "BudgetError" in _names(node.func)]
+    assert caps
+    assert [cap for cap in caps if cap not in readme] == []
