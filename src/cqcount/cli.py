@@ -476,6 +476,8 @@ def _check_dp(rng, args):
             q = Query(graph(q.structure.n, graph_edges(q.structure)
                             + [tuple(rng.sample(q.free, 2))]), q.free)
         g = _random_graph(rng, rng.randint(0, args.max_n))
+    # counted as read from a file, so a graph arrives with E's index
+    g = parse_structure(serialize_structure(g))
     transform = rng.choice(["identity", "complement"])
     t = complement_structure(g) if transform == "complement" else g
     domains = None

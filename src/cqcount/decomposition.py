@@ -198,14 +198,17 @@ class _Extends(Set):
 
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
-    of v, built when dp_tables finds none in t.masks under (name, positions
-    of v), memoized there and shared by every name of t over the same
-    relation object, as the parts of one lead group are.  A Complement view
-    is indexed from its present tuples as co-masks, and a binary _Extends
-    at its other position by transposing its own index.  A symmetric binary
-    relation indexes alike at both positions: when the second position is
-    first asked for, the relation is tested for symmetry once and, if it
-    holds, the key shares the first one's object."""
+    of v (the format of Structure.masks), built when dp_tables finds none
+    in t.masks under (name, positions of v), memoized there and shared by
+    every name of t over the same relation object, as the parts of one lead
+    group are.  A graph file that parser.parse_structure indexes and a part
+    whose boundary swap fixes it (see derived_free_query) arrive with both
+    single positions indexed.  A Complement view is indexed from its
+    present tuples as co-masks, and a binary _Extends at its other position
+    by transposing its own index.  A symmetric binary relation indexes
+    alike at both positions: when the second position is first asked for,
+    the relation is tested for symmetry once and, if it holds, the key
+    shares the first one's object."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
     rel = t.relations[name]
     # the parts of one lead group share one relation object under several
@@ -857,7 +860,11 @@ class _Part:
     substructure and keep, itself if none: such parts are one component
     repeated (the y_i of poly_k), so they share the lead's substructure
     object, its elimination tree and the tree's schedule, and a count
-    builds one table for all of them whose local domains agree."""
+    builds one table for all of them whose local domains agree.  symmetric
+    is True when the part has two boundary vertices and swapping them, with
+    every other vertex fixed, is an automorphism of the substructure, as
+    for poly_k's y_i and subdivided_k's midpoints: its relation is then
+    symmetric whenever the two boundary domains agree."""
 
     def __init__(self, q, adj, component, leads):
         self.vertices = component
@@ -868,6 +875,13 @@ class _Part:
         self.keep = tuple(self.local[v] for v in self.boundary)
         self.lead = leads.setdefault((self.sub, self.keep), self)
         self.sub = self.lead.sub
+        self.symmetric = False
+        if len(self.keep) == 2:
+            a, b = self.keep
+            swap = {a: b, b: a}
+            self.symmetric = all(
+                rel == {tuple(swap.get(u, u) for u in tup) for tup in rel}
+                for rel in self.sub.relations.values())
         self._td = None
 
     def tree(self):
@@ -978,9 +992,12 @@ def derived_free_query(q, t, domains=None):
     given.  Parts with one lead whose local domains agree, as they always
     do when domains is None, get one table built once and one relation
     object.  A part's relation is its _Extends, whose index is installed in
-    the target's memo as the final DP's index at the column it covers, so
-    the final DP indexes it again only at another column.  Returns (query,
-    target) or None when some boundary-free component is unsatisfiable."""
+    the target's memo as the final DP's index at the column it covers, and
+    at the other column too when the part is symmetric and its two boundary
+    vertices' domains agree (or both are None), so the relation is then
+    indexed once for both columns; the final DP indexes a part's relation
+    again only at a column not installed.  Returns (query, target) or None
+    when some boundary-free component is unsatisfiable."""
     if not q.is_plain():
         raise ValueError("plain CQs only")
     plan = _plan(q)
@@ -1003,9 +1020,14 @@ def derived_free_query(q, t, domains=None):
     # only the fresh relations are indexed per count, and only in dt's memo;
     # a part's _Extends is its own index at the column it hands its mask to
     dt.masks.update(item for item in t.masks.items() if item[0][0] in passed)
-    dt.masks.update(((name, (rel.at,)), (rel.index, 0))
-                    for name, rel in rels_t.items()
-                    if isinstance(rel, _Extends))
+    for part, name in zip(plan.parts, plan.names):
+        rel = rels_t.get(name)
+        if not isinstance(rel, _Extends):
+            continue
+        pair = dt.masks[name, (rel.at,)] = (rel.index, 0)
+        if part.symmetric and (domains is None or domains.get(
+                part.boundary[0]) == domains.get(part.boundary[1])):
+            dt.masks[name, (1 - rel.at,)] = pair
     return plan.query, dt
 
 

@@ -54,7 +54,19 @@ class Signature:
 
 
 class Structure:
-    """A finite relational structure with domain {0..n-1}."""
+    """A finite relational structure with domain {0..n-1}.
+
+    masks is the fast counter's index, memoized per structure since the
+    relations are immutable: (symbol, positions of v) -> (index, default)
+    for an atom of that symbol whose vertex v sits at those positions.
+    index maps the values at the other positions (a bare value for one, a
+    tuple for several, () for none) to the bitmask of v's values that
+    complete a fact; a value missing from index reads default, 0 or, for a
+    Complement view's co-masks, the full mask.  Two keys may share one pair
+    object: a symmetric binary relation is indexed alike at both positions.
+    A parsed graph file of at most parser.INDEXED_GRAPH_LIMIT vertices
+    arrives with E's pair at both positions; otherwise
+    decomposition._candidate_masks builds each pair on first use."""
 
     def __init__(self, signature, n, relations):
         if not isinstance(signature, Signature):
@@ -86,8 +98,8 @@ class Structure:
             if name not in rels:
                 raise ValueError("unknown relation symbol %s" % name)
         self.relations = rels
-        self.masks = {}  # the fast counter's index; relations are immutable
-        self._hash = None  # computed on first use, for the same reason
+        self.masks = {}
+        self._hash = None  # computed on first use; relations are immutable
 
     @classmethod
     def _trusted(cls, signature, n, relations):

@@ -94,23 +94,40 @@ def _parse_signature_tokens(tokens, lineno):
         raise ParseError(str(e), lineno)
 
 
+# the largest domain a structure file may declare: one n-bit candidate mask
+# of the fast counter is then 2 MB
+MAX_DOMAIN = 2 ** 24
+# a graph file of at most this many vertices arrives with E's index, at most
+# n masks of n bits (2 MB); past it the fast counter builds the index on
+# first use, so a command that never counts on it never pays for it
+INDEXED_GRAPH_LIMIT = 2 ** 12
+
+
 def parse_structure(text):
-    lines = _logical_lines(text)
-    if not lines:
-        raise ParseError("empty structure file")
-    lineno, header = lines[0]
-    if header not in ("structure", "graph"):
-        raise ParseError("expected 'structure' or 'graph' header, got %r" % header,
-                         lineno)
-    graph_mode = header == "graph"
-    sig = None
-    n = None
+    """The structure of a `structure` or `graph` file, read in one pass over
+    its lines.  A graph file of at most INDEXED_GRAPH_LIMIT vertices arrives
+    indexed: each edge line ORs its two ends into an adjacency-mask dict,
+    installed in the structure's masks as E's index at both positions, one
+    object (see Structure), so the fast counter neither builds that index
+    nor tests E for symmetry."""
+    header = sig = n = index = None
     tuples = {}
-    for lineno, line in lines[1:]:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
-        if head == "signature":
-            if sig is not None or n is not None or tuples:
+        if header is None:
+            header = line.strip()
+            if header not in ("structure", "graph"):
+                raise ParseError("expected 'structure' or 'graph' header, "
+                                 "got %r" % header, lineno)
+            graph_mode = header == "graph"
+            edges = tuples["E"] = set()
+        elif head == "signature":
+            # a tuple line needs the domain, so none was read yet
+            if sig is not None or n is not None:
                 raise ParseError("signature must come before domain and tuples", lineno)
             sig = _parse_signature_tokens(tokens[1:], lineno)
             if graph_mode and sig.symbols != GRAPH_SIGNATURE:
@@ -126,41 +143,55 @@ def parse_structure(text):
                 raise ParseError("bad domain size %r" % tokens[1], lineno)
             if n < 0:
                 raise ParseError("negative domain size", lineno)
+            if n > MAX_DOMAIN:
+                raise ParseError("domain size %d exceeds MAX_DOMAIN = %d"
+                                 % (n, MAX_DOMAIN), lineno)
+            if graph_mode and n <= INDEXED_GRAPH_LIMIT:
+                index = {}
         else:
             if sig is None:
-                sig = Signature(GRAPH_SIGNATURE) if graph_mode else None
-            if sig is None:
-                raise ParseError("tuple line before signature", lineno)
+                if not graph_mode:
+                    raise ParseError("tuple line before signature", lineno)
+                sig = Signature(GRAPH_SIGNATURE)
             if n is None:
                 raise ParseError("tuple line before domain", lineno)
-            if head not in sig.arity:
+            arity = sig.arity.get(head)
+            if arity is None:
                 raise ParseError("unknown relation symbol %r" % head, lineno)
             try:
-                tup = tuple(int(t) for t in tokens[1:])
+                tup = tuple(map(int, tokens[1:]))
             except ValueError:
                 raise ParseError("vertices must be integers", lineno)
-            if len(tup) != sig.arity[head]:
+            if len(tup) != arity:
                 raise ParseError("arity mismatch for %s" % head, lineno)
-            for v in tup:
-                if not (0 <= v < n):
-                    raise ParseError("vertex %d out of range" % v, lineno)
-            if graph_mode:
-                u, v = tup
-                if u == v:
-                    raise ParseError("loop %d in graph mode" % u, lineno)
-                tuples.setdefault(head, set()).add((u, v))
-                tuples.setdefault(head, set()).add((v, u))
-            else:
+            if min(tup) < 0 or max(tup) >= n:
+                v = next(v for v in tup if not 0 <= v < n)
+                raise ParseError("vertex %d out of range" % v, lineno)
+            if not graph_mode:
                 tuples.setdefault(head, set()).add(tup)
+                continue
+            u, v = tup
+            if u == v:
+                raise ParseError("loop %d in graph mode" % u, lineno)
+            edges.add(tup)
+            edges.add((v, u))
+            if index is not None:
+                index[u] = index.get(u, 0) | 1 << v
+                index[v] = index.get(v, 0) | 1 << u
+    if header is None:
+        raise ParseError("empty structure file")
     if sig is None:
-        sig = Signature(GRAPH_SIGNATURE) if graph_mode else None
-    if sig is None:
-        raise ParseError("missing signature")
+        if not graph_mode:
+            raise ParseError("missing signature")
+        sig = Signature(GRAPH_SIGNATURE)
     if n is None:
         raise ParseError("missing domain line")
     # every tuple was checked for arity and range as it was read
-    return Structure._trusted(sig, n, {name: frozenset(tuples.get(name, ()))
-                                       for name in sig.arity})
+    s = Structure._trusted(sig, n, {name: frozenset(tuples.get(name, ()))
+                                    for name in sig.arity})
+    if index is not None:
+        s.masks["E", (0,)] = s.masks["E", (1,)] = (index, 0)
+    return s
 
 
 def serialize_structure(s):

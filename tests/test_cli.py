@@ -205,6 +205,23 @@ def test_repeated_domain_line_gives_exit_code_one(tmp_path, capsys):
     assert err.startswith("error: %s: duplicate domain line" % bad)
 
 
+def test_a_domain_past_max_domain_exits_one_naming_the_line(tmp_path,
+                                                          capsys):
+    huge = write(tmp_path, "huge",
+                 "graph\ndomain 99999999999999999999\nE 0 1\n")
+    q = write(tmp_path, "q", PSI2)
+    for method in ("dp", "brute"):
+        code, out, err = run(capsys, ["count", "--query", q, "--target", huge,
+                                      "--method", method])
+        assert code == 1 and out == ""
+        assert err == ("error: %s: domain size 99999999999999999999 exceeds "
+                       "MAX_DOMAIN = 16777216 (line 2)\n" % huge)
+    # a domain of 3,000,000 vertices is under the cap and counts
+    big = write(tmp_path, "big", "graph\ndomain 3000000\nE 0 2999999\n")
+    code, out, _ = run(capsys, ["count", "--query", q, "--target", big])
+    assert code == 0 and out.splitlines()[0] == "count: 2"
+
+
 def test_eval_of_a_block_that_is_not_a_query_gives_exit_code_one(tmp_path,
                                                                 capsys):
     t = write(tmp_path, "t", P3)

@@ -11,6 +11,7 @@ from cqcount.gadgets import family_query
 from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
                            complement_structure, gaifman_adjacency, graph,
                            graph_edges)
+from cqcount.parser import parse_structure
 
 from helpers import (count_answers_dp, decompose, extendability_relation,
                      min_fill_tree, random_graph, random_query,
@@ -889,6 +890,83 @@ def test_a_symmetric_relation_keeps_one_index_for_both_positions():
         assert (t.masks["R", (0,)] is t.masks["R", (1,)]) == shared
 
 
+def graph_file(rng, n):
+    """A graph file on n vertices, the last ones isolated, with duplicate
+    and reversed edge lines and comments; returns (text, edges)."""
+    used = rng.randint(0, n)
+    edges = [(u, v) for u in range(used) for v in range(u + 1, used)
+             if rng.random() < 0.5]
+    lines = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u, v in edges + rng.sample(edges, len(edges) // 3)]
+    rng.shuffle(lines)
+    text = "# a graph file\ngraph\ndomain %d  # vertices\n" % n + "".join(
+        "E %d %d%s\n" % (u, v, "  # again" if rng.random() < 0.2 else "")
+        for u, v in lines)
+    return text, edges
+
+
+def test_a_parsed_graph_arrives_with_one_index_for_e(monkeypatch):
+    rng = random.Random("parsed graph")
+    calls = []
+    build = dec._candidate_masks
+
+    def spy(t, name, tup, v):
+        calls.append(name)
+        return build(t, name, tup, v)
+
+    queries = [family_query(kind, k)
+               for kind in ("psi", "gamma", "omega", "poly", "subdivided")
+               for k in (2, 3)]
+    for _ in range(12):
+        text, edges = graph_file(rng, rng.randint(1, 7))
+        t = parse_structure(text)
+        g = graph(t.n, edges)
+        assert t == g
+        pair = t.masks["E", (0,)]
+        assert t.masks["E", (1,)] is pair
+        for v in (0, 1):
+            assert pair == build(g, "E", (0, 1), v)
+        monkeypatch.setattr(dec, "_candidate_masks", spy)
+        for q in queries:
+            assert dec.count(q, t, method="dp") == homs.count_answers(q, t)
+        monkeypatch.undo()
+        assert "E" not in calls
+
+
+def test_a_symmetric_part_indexes_its_relation_once_for_both_columns():
+    rng = random.Random("symmetric parts")
+    for kind in ("poly", "subdivided"):
+        q = family_query(kind, 3)
+        plan = dec._plan(q)
+        assert all(part.symmetric for part in plan.parts)
+        for _ in range(4):
+            t = parse_structure(graph_file(rng, rng.randint(3, 7))[0])
+            _, dt = dec.derived_free_query(q, t)
+            for name in plan.names:
+                # an empty relation ends its DP before any index is made
+                if dt.relations[name]:
+                    assert dt.masks[name, (0,)] is dt.masks[name, (1,)]
+            assert dec.count(q, t, method="dp") == homs.count_answers(q, t)
+    # x0 - y0 - y1 - x1 with a pendant y2 on y0: swapping x0 and x1 with
+    # the y's fixed is no automorphism; and poly_3 with unequal domains on
+    # its first two free vertices
+    pendant = Query(graph(5, [(0, 2), (2, 3), (3, 1), (2, 4)]), (0, 1))
+    poly3 = family_query("poly", 3)
+    assert not any(part.symmetric for part in dec._plan(pendant).parts)
+    for _ in range(12):
+        t = parse_structure(graph_file(rng, rng.randint(2, 7))[0])
+        x = rng.sample(range(t.n), rng.randint(1, t.n))
+        y = [w for w in range(t.n) if w != x[0]]
+        for q, domains in ((pendant, None), (poly3, {0: x, 1: y})):
+            derived = dec.derived_free_query(q, t, domains)
+            if derived is not None:
+                dt = derived[1]
+                for name in filter(None, dec._plan(q).names):
+                    assert sum(key[0] == name for key in dt.masks) <= 1
+            assert dec.count(q, t, domains, method="dp") == \
+                homs.count_answers(q, t, domains)
+
+
 def test_a_sparse_component_table_follows_its_output():
     # psi_3 on an 80-vertex path: binding the free vertices with the
     # quantified vertex's mask carried drops every prefix without a common
@@ -1223,7 +1301,8 @@ def test_root_tables_match_a_brute_projection(kind):
 def test_the_final_dp_reads_a_part_relation_as_its_index(monkeypatch,
                                                          family):
     # a part's relation is already the final DP's index at the column its
-    # root hands its mask to, so no index is built there
+    # root hands its mask to, and these parts are symmetric, so at the
+    # other column too: no index is built for them
     q = family_query(*family)
     plan = dec._plan(q)
     calls = []
@@ -1240,7 +1319,8 @@ def test_the_final_dp_reads_a_part_relation_as_its_index(monkeypatch,
         for t in (g, complement_structure(g)):
             dq, dt = dec.derived_free_query(q, t)
             covered = {key for key in dt.masks if key[0] in plan.names}
-            assert len(covered) == len(plan.names)
+            assert covered == {(name, (i,)) for name in plan.names
+                               for i in (0, 1)}
             calls.clear()
             assert dec.count_homs_dp(dq.structure, dt, plan.tree()) == \
                 homs.count_answers(q, t)

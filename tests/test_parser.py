@@ -1,5 +1,6 @@
 import pytest
 
+from cqcount import parser
 from cqcount.model import graph_edges
 from cqcount.parser import (ParseError, ZeroWitness, eliminate_equalities,
                             formula_to_query, parse_coloring, parse_formula,
@@ -159,3 +160,101 @@ def test_quantum_block_that_is_not_a_conjunctive_query_rejected(block):
     with pytest.raises(ParseError) as e:
         parse_quantum(text)
     assert "line 2" in str(e.value)
+
+
+# (text, message, line) for every error parse_structure raises; blank lines
+# and comment-only lines count toward the line number
+STRUCTURE_ERRORS = [
+    ("", "empty structure file", None),
+    ("\n# only a comment\n  \t\n", "empty structure file", None),
+    ("graf\n", "expected 'structure' or 'graph' header, got 'graf'", 1),
+    ("\n# c\n graph  x # y\n",
+     "expected 'structure' or 'graph' header, got 'graph  x'", 3),
+    ("graph\tx\n", "expected 'structure' or 'graph' header, got 'graph\\tx'",
+     1),
+    ("graph\n", "missing domain line", None),
+    ("structure\ndomain 2\n", "missing signature", None),
+    ("structure\nsignature E/2\n", "missing domain line", None),
+    ("graph\ndomain 2\ndomain 2\n", "duplicate domain line", 3),
+    ("graph\ndomain 5\nE 3 4\ndomain 2\n", "duplicate domain line", 4),
+    ("graph\ndomain x\n", "bad domain size 'x'", 2),
+    ("graph\ndomain 0x3\n", "bad domain size '0x3'", 2),
+    ("graph\ndomain\n", "expected 'domain <n>'", 2),
+    ("graph\ndomain 1 2\n", "expected 'domain <n>'", 2),
+    ("graph\ndomain -1\n", "negative domain size", 2),
+    ("structure\nE 0 1\n", "tuple line before signature", 2),
+    ("graph\nE 0 1\n", "tuple line before domain", 2),
+    ("structure\nsignature E/2\nE 0 1\n", "tuple line before domain", 3),
+    ("graph\ndomain 2\nF 0 1\n", "unknown relation symbol 'F'", 3),
+    ("graph\ndomain 2\ngraph\n", "unknown relation symbol 'graph'", 3),
+    ("graph\ndomain 2\nE 0 a\n", "vertices must be integers", 3),
+    ("graph\ndomain 2\nE 0 1.0\n", "vertices must be integers", 3),
+    ("graph\ndomain 2\nE 0\n", "arity mismatch for E", 3),
+    ("graph\ndomain 2\nE 0 1 1\n", "arity mismatch for E", 3),
+    ("graph\ndomain 2\nE 0 -1\n", "vertex -1 out of range", 3),
+    ("graph\ndomain 2\nE 7 9\n", "vertex 7 out of range", 3),
+    ("graph\ndomain 2\nE 1 5\n", "vertex 5 out of range", 3),
+    ("structure\nsignature R/3\ndomain 3\nR 0 3 -1\n",
+     "vertex 3 out of range", 4),
+    ("graph\ndomain 0\nE 0 0\n", "vertex 0 out of range", 3),
+    ("graph\ndomain 2\nE 1 1\n", "loop 1 in graph mode", 3),
+    ("structure\ndomain 2\nsignature E/2\n",
+     "signature must come before domain and tuples", 3),
+    ("structure\nsignature E/2\nsignature E/2\ndomain 1\n",
+     "signature must come before domain and tuples", 3),
+    ("graph\ndomain 2\nsignature E/2\n",
+     "signature must come before domain and tuples", 3),
+    ("graph\nsignature R/2\n", "graph mode requires the signature E/2", 2),
+    ("graph\nsignature E/2 F/1\n", "graph mode requires the signature E/2",
+     2),
+    ("structure\nsignature E\n", "expected <name>/<arity>: 'E'", 2),
+    ("structure\nsignature 1E/2\n", "bad symbol name '1E'", 2),
+    ("structure\nsignature E/x\n", "bad arity in 'E/x'", 2),
+    ("structure\nsignature E/0\n", "arity must be positive: E/0", 2),
+    ("structure\nsignature E/2 E/1\n", "duplicate relation symbol", 2),
+    # a line whose first token is a keyword is that keyword, never a tuple
+    ("structure\nsignature domain/1\ndomain 1\ndomain 0\n",
+     "duplicate domain line", 4),
+    ("\n\n# header next\ngraph # a graph\n\n  domain\t3  # size\n"
+     "# an edge\nE\t0   1 # ok\n\tE 2\t2\n", "loop 2 in graph mode", 9),
+]
+
+
+@pytest.mark.parametrize("text, message, line", STRUCTURE_ERRORS)
+def test_structure_errors_are_pinned(text, message, line):
+    with pytest.raises(ParseError) as e:
+        parse_structure(text)
+    assert (e.value.message, e.value.line, e.value.col) == \
+        (message, line, None)
+
+
+def test_comments_blank_lines_and_tabs_are_skipped():
+    s = parse_structure("\n# c\n  graph # g\n\n\tdomain\t4 # n\n"
+                        "E 0\t1  # e\n\n  E 2 1\nE 1 0\n")
+    assert s.n == 4 and graph_edges(s) == [(0, 1), (1, 2)]
+    s = parse_structure("structure # s\n signature\tR/1 T/2\n\ndomain 2\n"
+                        "# none\nR\t1\nT 1 1 # loop\nT 0 1\n")
+    assert s.relations == {"R": frozenset({(1,)}),
+                           "T": frozenset({(1, 1), (0, 1)})}
+
+
+def test_a_domain_past_max_domain_is_refused_at_its_line():
+    cap = parser.MAX_DOMAIN
+    assert parse_structure("graph\ndomain %d\n" % cap).n == cap
+    with pytest.raises(ParseError) as e:
+        parse_structure("graph\n\ndomain %d\n" % (cap + 1))
+    assert (e.value.message, e.value.line) == (
+        "domain size 16777217 exceeds MAX_DOMAIN = 16777216", 3)
+
+
+def test_a_small_graph_file_arrives_with_e_indexed():
+    s = parse_structure("graph\ndomain %d\nE 0 2\nE 2 1\nE 0 2\n"
+                        % parser.INDEXED_GRAPH_LIMIT)
+    assert s.masks == {("E", (0,)): ({0: 4, 1: 4, 2: 3}, 0),
+                       ("E", (1,)): ({0: 4, 1: 4, 2: 3}, 0)}
+    assert s.masks["E", (0,)] is s.masks["E", (1,)]
+    # a larger one, and any other structure, is indexed on first use
+    assert not parse_structure("graph\ndomain %d\nE 0 2\n"
+                               % (parser.INDEXED_GRAPH_LIMIT + 1)).masks
+    assert not parse_structure("structure\nsignature E/2\ndomain 3\n"
+                               "E 0 2\nE 2 0\n").masks
