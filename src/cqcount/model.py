@@ -53,6 +53,9 @@ class Signature:
         return [name for name, _ in self.symbols]
 
 
+GRAPH = Signature(GRAPH_SIGNATURE)  # shared: a Signature is never changed
+
+
 class Structure:
     """A finite relational structure with domain {0..n-1}.
 
@@ -150,18 +153,23 @@ def is_undirected(signature):
     return signature.symbols == GRAPH_SIGNATURE
 
 
-def query_structure(signature, n, atoms):
-    """The structure on n vertices holding atoms, (symbol, vertex tuple)
-    pairs.  When is_undirected(signature), both orientations of each E atom
-    are stored, as in a graph."""
-    undirected = is_undirected(signature)
+def query_relations(signature, atoms):
+    """The relations holding atoms, (symbol, vertex tuple) pairs, as a dict
+    of sets.  When is_undirected(signature), both orientations of each E
+    atom are stored, as in a graph."""
     rels = {}
     for sym, args in atoms:
-        rel = rels.setdefault(sym, set())
-        rel.add(tuple(args))
-        if undirected:
-            rel.add(tuple(reversed(args)))
-    return Structure(signature, n, rels)
+        rels.setdefault(sym, set()).add(tuple(args))
+    if is_undirected(signature):
+        for rel in rels.values():
+            rel.update([tup[::-1] for tup in rel])
+    return rels
+
+
+def query_structure(signature, n, atoms):
+    """The structure on n vertices holding atoms (see query_relations),
+    each atom checked against the signature and n."""
+    return Structure(signature, n, query_relations(signature, atoms))
 
 
 def graph(n, edges):
@@ -170,7 +178,7 @@ def graph(n, edges):
     for _, (u, v) in atoms:
         if u == v:
             raise ValueError("loop %d in graph" % u)
-    return query_structure(Signature(GRAPH_SIGNATURE), n, atoms)
+    return query_structure(GRAPH, n, atoms)
 
 
 def graph_edges(structure):
@@ -249,10 +257,17 @@ class Coloring:
                 if not (0 <= c < query_structure.n):
                     raise ValueError("color out of range: %d" % c)
         if target is not None and query_structure is not None:
+            get = colors.__getitem__
             for name, rel in target.relations.items():
                 qrel = query_structure.relations.get(name, frozenset())
+                # a binary relation is checked whole, as one set of colour
+                # pairs; a Complement view is never listed
+                if (target.signature.arity[name] == 2
+                        and not isinstance(rel, Complement)
+                        and {(colors[u], colors[v]) for u, v in rel} <= qrel):
+                    continue
                 for tup in rel:
-                    if tuple(colors[v] for v in tup) not in qrel:
+                    if tuple(map(get, tup)) not in qrel:
                         raise ValueError(
                             "coloring is not a homomorphism on %s%r" % (name, tup))
         self.colors = colors

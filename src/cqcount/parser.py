@@ -2,14 +2,18 @@
 formula normalization (equality elimination, disjunctive normal form).
 
 One statement per line, `#` starts a comment, identifiers match
-[A-Za-z][A-Za-z0-9_]*.  Operator precedence in bodies: ! > & > |.
+[A-Za-z][A-Za-z0-9_]*, and a vertex, domain size, colour or arity is an
+optional '-' and ASCII digits.  A body's tokens are identifiers (`true` one
+of them) and the characters ( ) , & | !, spaces between them optional.
+Precedence: ! > & > |.  An error's column counts within its line.
 """
 
 import re
 from fractions import Fraction
 
-from .model import (GRAPH_SIGNATURE, Coloring, Query, Signature, Structure,
-                    graph_edges, is_undirected, partition, query_structure)
+from .model import (GRAPH, GRAPH_SIGNATURE, Coloring, Query, Structure,
+                    Signature, graph_edges, is_undirected, partition,
+                    query_relations)
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -58,21 +62,31 @@ class FormulaAST:
         return self.free + self.quantified
 
     def replace(self, **kw):
-        fields = dict(signature=self.signature, free=self.free,
-                      quantifier=self.quantifier, quantified=self.quantified,
-                      body=self.body, inequalities=self.inequalities,
-                      negated_atoms=self.negated_atoms, equalities=self.equalities)
-        fields.update(kw)
-        return FormulaAST(**fields)
+        return FormulaAST(**{**vars(self), **kw})  # the fields are the arguments
 
 
 def _logical_lines(text):
+    """(line number, line) for each line with more than a comment, cut there."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        if line and not line.isspace():
             out.append((lineno, line))
     return out
+
+
+def _strict(text):
+    """False when text holds '+', '_' or a non-ASCII character, all of which
+    int() reads in an integer (other scripts' digits among them)."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
+def _int(tok):
+    """int(tok) for an optional '-' and ASCII digits, else a ValueError."""
+    if not _strict(tok):
+        raise ValueError(tok)
+    return int(tok)
 
 
 def _parse_signature_tokens(tokens, lineno):
@@ -84,7 +98,7 @@ def _parse_signature_tokens(tokens, lineno):
         if not IDENT.match(name):
             raise ParseError("bad symbol name %r" % name, lineno)
         try:
-            arity = int(arity)
+            arity = _int(arity)
         except ValueError:
             raise ParseError("bad arity in %r" % tok, lineno)
         symbols.append((name, arity))
@@ -112,19 +126,52 @@ def parse_structure(text):
     nor tests E for symmetry."""
     header = sig = n = index = None
     tuples = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+    arity_of = {}  # the tuple lines' symbols, once signature and domain are read
+    strict = _strict(text)  # if so, no tuple line needs its own check
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         tokens = line.split()
         if not tokens:
             continue
         head = tokens[0]
-        if header is None:
+        arity = arity_of.get(head)
+        if arity is not None:
+            try:
+                if not (strict or _strict("".join(tokens[1:]))):
+                    raise ValueError
+                if arity == 2 and len(tokens) == 3:
+                    u, v = int(tokens[1]), int(tokens[2])
+                else:  # another arity, or a line of the wrong length
+                    tup = tuple(map(int, tokens[1:]))
+            except ValueError:
+                raise ParseError("vertices must be integers", lineno)
+            if arity != 2 or len(tokens) != 3:
+                if len(tup) != arity:
+                    raise ParseError("arity mismatch for %s" % head, lineno)
+                for v in tup:
+                    if not 0 <= v < n:
+                        raise ParseError("vertex %d out of range" % v, lineno)
+                tuples[head].add(tup)
+            elif not 0 <= u < n > v >= 0:
+                raise ParseError("vertex %d out of range"
+                                 % (v if 0 <= u < n else u), lineno)
+            elif not graph_mode:
+                tuples[head].add((u, v))
+            elif u == v:
+                raise ParseError("loop %d in graph mode" % u, lineno)
+            else:
+                edges.add((u, v))
+                edges.add((v, u))
+                if index is not None:
+                    index[u] = index.get(u, 0) | 1 << v
+                    index[v] = index.get(v, 0) | 1 << u
+        elif header is None:
             header = line.strip()
             if header not in ("structure", "graph"):
                 raise ParseError("expected 'structure' or 'graph' header, "
                                  "got %r" % header, lineno)
             graph_mode = header == "graph"
-            edges = tuples["E"] = set()
         elif head == "signature":
             # a tuple line needs the domain, so none was read yet
             if sig is not None or n is not None:
@@ -138,7 +185,7 @@ def parse_structure(text):
             if len(tokens) != 2:
                 raise ParseError("expected 'domain <n>'", lineno)
             try:
-                n = int(tokens[1])
+                n = _int(tokens[1])
             except ValueError:
                 raise ParseError("bad domain size %r" % tokens[1], lineno)
             if n < 0:
@@ -146,44 +193,26 @@ def parse_structure(text):
             if n > MAX_DOMAIN:
                 raise ParseError("domain size %d exceeds MAX_DOMAIN = %d"
                                  % (n, MAX_DOMAIN), lineno)
-            if graph_mode and n <= INDEXED_GRAPH_LIMIT:
-                index = {}
+            if graph_mode:
+                sig, index = GRAPH, {} if n <= INDEXED_GRAPH_LIMIT else None
+            if sig is not None:
+                tuples = {name: set() for name in sig.arity}
+                edges = tuples.get("E")
+                # a line headed by a keyword is that keyword
+                arity_of = {name: k for name, k in sig.symbols
+                            if name not in ("signature", "domain")}
+        elif sig is None and not graph_mode:
+            raise ParseError("tuple line before signature", lineno)
+        elif n is None:
+            raise ParseError("tuple line before domain", lineno)
         else:
-            if sig is None:
-                if not graph_mode:
-                    raise ParseError("tuple line before signature", lineno)
-                sig = Signature(GRAPH_SIGNATURE)
-            if n is None:
-                raise ParseError("tuple line before domain", lineno)
-            arity = sig.arity.get(head)
-            if arity is None:
-                raise ParseError("unknown relation symbol %r" % head, lineno)
-            try:
-                tup = tuple(map(int, tokens[1:]))
-            except ValueError:
-                raise ParseError("vertices must be integers", lineno)
-            if len(tup) != arity:
-                raise ParseError("arity mismatch for %s" % head, lineno)
-            if min(tup) < 0 or max(tup) >= n:
-                v = next(v for v in tup if not 0 <= v < n)
-                raise ParseError("vertex %d out of range" % v, lineno)
-            if not graph_mode:
-                tuples.setdefault(head, set()).add(tup)
-                continue
-            u, v = tup
-            if u == v:
-                raise ParseError("loop %d in graph mode" % u, lineno)
-            edges.add(tup)
-            edges.add((v, u))
-            if index is not None:
-                index[u] = index.get(u, 0) | 1 << v
-                index[v] = index.get(v, 0) | 1 << u
+            raise ParseError("unknown relation symbol %r" % head, lineno)
     if header is None:
         raise ParseError("empty structure file")
     if sig is None:
         if not graph_mode:
             raise ParseError("missing signature")
-        sig = Signature(GRAPH_SIGNATURE)
+        sig = GRAPH
     if n is None:
         raise ParseError("missing domain line")
     # every tuple was checked for arity and range as it was read
@@ -216,20 +245,19 @@ def parse_coloring(text, name_to_index=None):
     """Parse `color <target-vertex> <query-variable>` lines.  Query variables
     may be numeric vertex indices or names resolved via name_to_index."""
     assignments = {}
-    max_vertex = -1
     for lineno, line in _logical_lines(text):
         tokens = line.split()
         if tokens[0] != "color" or len(tokens) != 3:
             raise ParseError("expected 'color <vertex> <variable>'", lineno)
         try:
-            v = int(tokens[1])
+            v = _int(tokens[1])
         except ValueError:
             raise ParseError("target vertex must be an integer", lineno)
         if v < 0:
             raise ParseError("target vertex must be non-negative", lineno)
         tok = tokens[2]
         try:
-            c = int(tok)
+            c = _int(tok)
         except ValueError:
             if name_to_index is None or tok not in name_to_index:
                 raise ParseError("unknown query variable %r" % tok, lineno)
@@ -237,7 +265,7 @@ def parse_coloring(text, name_to_index=None):
         if v in assignments:
             raise ParseError("vertex %d colored twice" % v, lineno)
         assignments[v] = c
-        max_vertex = max(max_vertex, v)
+    max_vertex = max(assignments, default=-1)
     if set(assignments) != set(range(max_vertex + 1)):
         raise ParseError("coloring must cover vertices 0..%d" % max_vertex)
     return Coloring([assignments[v] for v in range(max_vertex + 1)])
@@ -250,94 +278,103 @@ def serialize_coloring(c):
 # ---------------------------------------------------------------------------
 # body expressions
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[(),&|!]|\S)")
-
-
-def _tokenize_expr(text, lineno):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        tok = m.group(1)
-        if tok not in "(),&|!" and not IDENT.match(tok) and tok != "true":
-            raise ParseError("bad token %r" % tok, lineno, m.start(1) + 1)
-        tokens.append((tok, m.start(1) + 1))
-        pos = m.end()
-    return tokens
+# a body token: an identifier, or any other single non-space character
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\S")
+_OPERATORS = frozenset("(),&|!")
+# identifiers separated by single spaces, or none
+_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*(?: [A-Za-z][A-Za-z0-9_]*)*)?")
+_NOT_ATOM = _OPERATORS | {"true", None}  # None is the end
 
 
 class _ExprParser:
-    def __init__(self, tokens, lineno):
-        self.tokens = tokens
-        self.lineno = lineno
+    """Recursive descent over the tokens of a body, line[start:], split after
+    spacing out the operators; a column is found only for an error."""
+
+    def __init__(self, line, start, lineno):
+        self.line, self.start, self.lineno = line, start, lineno
+        self.tokens = tokens = line[start:].replace("(", " ( ").replace(
+            ")", " ) ").replace(",", " , ").replace("&", " & ").replace(
+            "|", " | ").replace("!", " ! ").split()
+        if not _NAMES.fullmatch(" ".join(set(tokens).difference(_OPERATORS))):
+            for i, tok in enumerate(_TOKEN.findall(line, start)):
+                if tok not in _OPERATORS and not IDENT.match(tok):
+                    self.fail("bad token %r" % tok, i)
+        tokens += [None, None]  # the end
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    def fail(self, message, i=None):
+        """Raise message, at the column of token i when one is given."""
+        raise ParseError(message, self.lineno, None if i is None else [
+            m.start() + 1 for m in _TOKEN.finditer(self.line, self.start)][i])
 
-    def take(self, expected=None):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.lineno)
-        tok, col = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, got %r" % (expected, tok),
-                             self.lineno, col)
+    def expect(self, tok):
+        found = self.tokens[self.pos]
+        if found != tok:
+            if found is None:
+                self.fail("unexpected end of expression")
+            self.fail("expected %r, got %r" % (tok, found), self.pos)
         self.pos += 1
-        return tok, col
 
     def parse(self):
         node = self.parse_or()
-        if self.pos != len(self.tokens):
-            tok, col = self.tokens[self.pos]
-            raise ParseError("trailing token %r" % tok, self.lineno, col)
+        if self.tokens[self.pos] is not None:
+            self.fail("trailing token %r" % self.tokens[self.pos], self.pos)
         return node
 
     def parse_or(self):
         parts = [self.parse_and()]
-        while self.peek() == "|":
-            self.take()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.parse_and())
         return parts[0] if len(parts) == 1 else ("or", tuple(parts))
 
     def parse_and(self):
         parts = [self.parse_unary()]
-        while self.peek() == "&":
-            self.take()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.parse_unary())
         return parts[0] if len(parts) == 1 else ("and", tuple(parts))
 
     def parse_unary(self):
-        if self.peek() == "!":
-            _, col = self.take()
+        tokens = self.tokens
+        i = self.pos
+        tok = tokens[i]
+        if tok not in _NOT_ATOM:  # tok(a, ..., z)
+            j = i + 1
+            if tokens[j] != "(":
+                self.pos = j
+                self.expect("(")
+            args = []
+            while True:
+                arg, sep = tokens[j + 1], tokens[j + 2]
+                if arg in _OPERATORS:
+                    self.fail("bad variable %r" % arg, j + 1)
+                if arg is None or sep is None:
+                    self.fail("unexpected end of expression")
+                args.append(arg)
+                j += 2
+                if sep == ")":
+                    self.pos = j + 1
+                    return ("atom", tok, tuple(args))
+                if sep != ",":
+                    self.fail("expected ',' or ')'")
+        if tok == "!":
+            self.pos = i + 1
             inner = self.parse_unary()
             if inner[0] != "atom":
-                raise ParseError("'!' applies to single atoms only", self.lineno, col)
+                self.fail("'!' applies to single atoms only", i)
             return ("not", inner)
-        if self.peek() == "(":
-            self.take()
+        if tok == "(":
+            self.pos = i + 1
             node = self.parse_or()
-            self.take(")")
+            self.expect(")")
             return node
-        tok, col = self.take()
+        if tok is None:
+            self.fail("unexpected end of expression")
         if tok == "true":
+            self.pos = i + 1
             return ("true",)
-        if not IDENT.match(tok):
-            raise ParseError("expected an atom, got %r" % tok, self.lineno, col)
-        self.take("(")
-        args = []
-        while True:
-            arg, acol = self.take()
-            if not IDENT.match(arg):
-                raise ParseError("bad variable %r" % arg, self.lineno, acol)
-            args.append(arg)
-            nxt, _ = self.take()
-            if nxt == ")":
-                break
-            if nxt != ",":
-                raise ParseError("expected ',' or ')'", self.lineno)
-        return ("atom", tok, tuple(args))
+        self.fail("expected an atom, got %r" % tok, i)
 
 
 def _conjuncts(node):
@@ -353,6 +390,7 @@ def parse_formula(text):
     if not lines:
         raise ParseError("empty formula file")
     lineno, header = lines[0]
+    header = header.strip()
     if header not in ("formula", "query"):
         raise ParseError("expected 'formula' or 'query' header, got %r" % header,
                          lineno)
@@ -364,7 +402,6 @@ def parse_formula(text):
     body = None
     body_line = None
     inequalities = []
-    negated = []
     equalities = []
     for lineno, line in lines[1:]:
         tokens = line.split(None, 1)
@@ -386,7 +423,8 @@ def parse_formula(text):
         elif head == "body":
             if body is not None:
                 raise ParseError("duplicate body line", lineno)
-            body = _ExprParser(_tokenize_expr(rest, lineno), lineno).parse()
+            # rest is the line's tail
+            body = _ExprParser(line, len(line) - len(rest), lineno).parse()
             body_line = lineno
         elif head == "ineq":
             parts = rest.split()
@@ -403,71 +441,70 @@ def parse_formula(text):
         else:
             raise ParseError("unknown statement %r" % head, lineno)
     if sig is None:
-        sig = Signature(GRAPH_SIGNATURE)
+        sig = GRAPH
     if free is None:
         free = []
     if body is None:
         raise ParseError("missing body line")
     declared = free + quantified
-    if len(set(declared)) != len(declared):
-        raise ParseError("variable declared twice")
-    for v in declared:
-        if not IDENT.match(v):
-            raise ParseError("bad variable name %r" % v)
-    fset = set(free)
     declared_set = set(declared)
+    if len(declared_set) != len(declared):
+        raise ParseError("variable declared twice")
+    if not _NAMES.fullmatch(" ".join(declared)):
+        v = next(v for v in declared if not IDENT.match(v))
+        raise ParseError("bad variable name %r" % v)
+    fset = set(free)
+    arity = sig.arity
 
     def check_atom(sym, args):
-        if sym not in sig.arity:
+        if sym not in arity:
             raise ParseError("unknown relation symbol %r" % sym, body_line)
-        if len(args) != sig.arity[sym]:
+        if len(args) != arity[sym]:
             raise ParseError("arity mismatch for %s" % sym, body_line)
         for v in args:
             if v not in declared_set:
                 raise ParseError("unbound variable %r" % v, body_line)
 
-    # negations must sit in the top-level conjunction and touch only free vars
-    positive = []
-    for node in _conjuncts(body):
-        if node[0] == "not":
-            _, sym, args = node[1]
-            check_atom(sym, args)
-            for v in args:
-                if v not in fset:
-                    raise ParseError(
-                        "negated atom on quantified variable %r" % v, body_line)
-            negated.append((sym, args))
-        else:
+    # one walk: the top-level conjunction's negated atoms and other
+    # conjuncts but true, every other atom, and any '!' below an '|'
+    negated, positive, atoms, nested_not = [], [], [], []
+
+    def walk(node, top):
+        kind = node[0]
+        if kind == "atom":
+            atoms.append(node)
+        elif kind == "not":
+            (negated if top else nested_not).append(node[1][1:])
+        elif kind == "and":
+            for child in node[1]:
+                walk(child, top)
+        elif kind == "or":
+            for child in node[1]:
+                walk(child, False)
+        if top and kind in ("atom", "or"):
             positive.append(node)
+    walk(body, True)
+    # negations must touch only free vars, and are checked first
+    for sym, args in negated:
+        check_atom(sym, args)
+        for v in args:
+            if v not in fset:
+                raise ParseError(
+                    "negated atom on quantified variable %r" % v, body_line)
+    if nested_not:
+        raise ParseError("negation outside the top-level conjunction", body_line)
+    for _, sym, args in atoms:
+        if len(args) != arity.get(sym) or not declared_set.issuperset(args):
+            check_atom(sym, args)
+    body = (("and", tuple(positive)) if len(positive) > 1
+            else positive[0] if positive else ("true",))
 
-    def reject_not(node):
-        if node[0] == "not":
-            raise ParseError(
-                "negation outside the top-level conjunction", body_line)
-        if node[0] in ("and", "or"):
-            for child in node[1]:
-                reject_not(child)
-    for node in positive:
-        reject_not(node)
-    positive = [p for p in positive if p[0] != "true"] or [("true",)]
-    body = positive[0] if len(positive) == 1 else ("and", tuple(positive))
-
-    def check_tree(node):
-        if node[0] == "atom":
-            check_atom(node[1], node[2])
-        elif node[0] in ("and", "or"):
-            for child in node[1]:
-                check_tree(child)
-    check_tree(body)
-
-    ineqs = []
     for a, b, lineno in inequalities:
         for v in (a, b):
             if v not in declared_set:
                 raise ParseError("unbound variable %r in inequality" % v, lineno)
             if v not in fset:
                 raise ParseError("inequality on quantified variable %r" % v, lineno)
-        ineqs.append((a, b))
     for a, b in equalities:
         for v in (a, b):
             if v not in declared_set:
@@ -476,12 +513,12 @@ def parse_formula(text):
     if is_query:
         if quantifier == "forall":
             raise ParseError("a query cannot be universally quantified")
-        if any(node[0] not in ("atom", "true") for node in _conjuncts(body)):
+        if any(node[0] == "or" for node in positive):
             raise ParseError("query bodies must be conjunctions of atoms")
 
     return FormulaAST(sig, free, quantifier, quantified, body,
-                      inequalities=ineqs, negated_atoms=negated,
-                      equalities=equalities)
+                      inequalities=[p[:2] for p in inequalities],
+                      negated_atoms=negated, equalities=equalities)
 
 
 def eliminate_equalities(f):
@@ -551,8 +588,9 @@ def to_disjunctive_normal_form(f):
 
 
 def formula_to_query(f):
-    """Convert a normalized pure-conjunctive AST to a Query.  Returns
-    (query, name_to_index); free variables take the leading indices."""
+    """Convert a normalized pure-conjunctive AST, its atoms checked as
+    parse_formula checks them, to a Query.  Returns (query, name_to_index);
+    free variables take the leading indices."""
     if f.equalities:
         raise ValueError("eliminate equalities first")
     if f.quantifier == "forall":
@@ -562,14 +600,14 @@ def formula_to_query(f):
         raise ValueError("body is not a conjunction")
     order = f.free + f.quantified
     index = {v: i for i, v in enumerate(order)}
-    structure = query_structure(f.signature, len(order), [
-        (node[1], [index[v] for v in node[2]])
-        for node in conjuncts if node[0] == "atom"])
-    free_idx = tuple(index[v] for v in f.free)
-    ineqs = [frozenset((index[a], index[b])) for a, b in
-             (tuple(p) for p in f.inequalities)]
-    negs = [(sym, tuple(index[v] for v in args)) for sym, args in f.negated_atoms]
-    return Query(structure, free_idx, ineqs, negs), index
+    get = index.__getitem__
+    rels = query_relations(f.signature, [(node[1], tuple(map(get, node[2])))
+                                         for node in conjuncts if node[0] == "atom"])
+    structure = Structure._trusted(f.signature, len(order), {
+        name: frozenset(rels.get(name, ())) for name in f.signature.arity})
+    ineqs = [frozenset(map(get, p)) for p in f.inequalities]
+    negs = [(sym, tuple(map(get, args))) for sym, args in f.negated_atoms]
+    return Query(structure, map(get, f.free), ineqs, negs), index
 
 
 def serialize_query(q):

@@ -166,6 +166,49 @@ def test_coloring_validates_the_hom_property():
     Coloring([0, 1], bad, pattern)
 
 
+def test_coloring_names_the_first_tuple_it_does_not_map():
+    rng = random.Random(4)
+    signature = Signature((("E", 2), ("T", 3)))
+    for _ in range(60):
+        pattern = random_structure(rng, signature, 3, 0.6)
+        target = random_structure(rng, signature, 6, 0.5)
+        colors = [rng.randrange(3) for _ in range(6)]
+        first = next(((name, tup) for name, rel in target.relations.items()
+                      for tup in rel if tuple(colors[v] for v in tup)
+                      not in pattern.relations[name]), None)
+        if first is None:
+            assert Coloring(colors, target, pattern).colors == tuple(colors)
+            continue
+        with pytest.raises(ValueError) as e:
+            Coloring(colors, target, pattern)
+        assert str(e.value) == "coloring is not a homomorphism on %s%r" % first
+
+
+class CountingComplement(Complement):
+    """A Complement that counts the tuples its iteration has handed out."""
+
+    __slots__ = ("taken",)
+
+    def __iter__(self):
+        self.taken = 0
+        for tup in super().__iter__():
+            self.taken += 1
+            yield tup
+
+
+def test_coloring_reads_a_complement_lazily():
+    # 4,000,000 absent pairs: the check stops at the first unmapped one
+    n = 2000
+    rel = CountingComplement(frozenset({(0, 0)}), n, 2)
+    target = Structure(Signature((("E", 2),)), n, {"E": rel})
+    pattern = Structure(Signature((("E", 2),)), 2, {"E": {(0, 0), (1, 0)}})
+    with pytest.raises(ValueError) as e:
+        Coloring([0] * (n - 1) + [1], target, pattern)
+    assert str(e.value) == ("coloring is not a homomorphism on E(%d, %d)"
+                            % (0, n - 1))
+    assert rel.taken == n - 1
+
+
 def test_query_side_constraints_must_be_free():
     g = graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from cqcount import parser
-from cqcount.model import graph_edges
+from cqcount.cli import _random_query
+from cqcount.gadgets import family_query
+from cqcount.model import Query, Structure, graph_edges
 from cqcount.parser import (ParseError, ZeroWitness, eliminate_equalities,
                             formula_to_query, parse_coloring, parse_formula,
                             parse_query, parse_quantum, parse_structure,
@@ -217,6 +221,19 @@ STRUCTURE_ERRORS = [
      "duplicate domain line", 4),
     ("\n\n# header next\ngraph # a graph\n\n  domain\t3  # size\n"
      "# an edge\nE\t0   1 # ok\n\tE 2\t2\n", "loop 2 in graph mode", 9),
+    # an integer is an optional '-' and ASCII digits, never another
+    # spelling that int() reads
+    ("graph\ndomain 12\nE 0 1_1\n", "vertices must be integers", 3),
+    ("graph\ndomain 3\nE 0 +2\n", "vertices must be integers", 3),
+    ("graph\ndomain 3\nE 0 \u0662\n", "vertices must be integers", 3),
+    ("structure\nsignature my_R/2 T/3 # +\ndomain 3\nmy_R 0 1\nT 0 1 +2\n",
+     "vertices must be integers", 5),
+    ("structure\nsignature T/3\ndomain 3\nT 0 1 2\nT 0 1 2_0\n",
+     "vertices must be integers", 5),
+    ("graph\ndomain 1_0\n", "bad domain size '1_0'", 2),
+    ("graph\ndomain +3\n", "bad domain size '+3'", 2),
+    ("graph\ndomain \u0663\n", "bad domain size '\u0663'", 2),
+    ("structure\nsignature E/+2\n", "bad arity in 'E/+2'", 2),
 ]
 
 
@@ -226,6 +243,30 @@ def test_structure_errors_are_pinned(text, message, line):
         parse_structure(text)
     assert (e.value.message, e.value.line, e.value.col) == \
         (message, line, None)
+
+
+def test_a_file_with_underscores_and_plus_signs_elsewhere_is_read():
+    # '_' in a symbol name and '+' or a non-ASCII letter in a comment leave
+    # each tuple line to be checked on its own
+    s = parse_structure("structure # R+T, \u00e9\nsignature my_R/2 T/1\n"
+                        "domain 3\nmy_R 0 -0 # +\nT 2\nmy_R 2 1\n")
+    assert s.relations == {"my_R": frozenset({(0, 0), (2, 1)}),
+                           "T": frozenset({(2,)})}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("color 0 1_0\n", "unknown query variable '1_0'"),
+    ("color 0 +1\n", "unknown query variable '+1'"),
+    ("color 0 \u0661\n", "unknown query variable '\u0661'"),
+    ("color 1_0 0\n", "target vertex must be an integer"),
+    ("color +0 0\n", "target vertex must be an integer"),
+    ("color -1 0\n", "target vertex must be non-negative"),
+])
+def test_coloring_integers_are_ascii_decimals(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_coloring(text, {"x": 0})
+    assert (e.value.message, e.value.line) == (message, 1)
+    assert parse_coloring("color 0 x\ncolor 1 1\n", {"x": 0}).colors == (0, 1)
 
 
 def test_comments_blank_lines_and_tabs_are_skipped():
@@ -258,3 +299,289 @@ def test_a_small_graph_file_arrives_with_e_indexed():
                                % (parser.INDEXED_GRAPH_LIMIT + 1)).masks
     assert not parse_structure("structure\nsignature E/2\ndomain 3\n"
                                "E 0 2\nE 2 0\n").masks
+
+
+# (function, text, message, line, col) for every error parse_formula,
+# parse_query and parse_quantum raise; a column counts within the file's line
+HEAD = "formula\nfree x y\nexists z\n"
+FORMULA_ERRORS = [
+    ("formula", "", "empty formula file", None, None),
+    ("formula", "# c\n\n", "empty formula file", None, None),
+    ("formula", "formul\n",
+     "expected 'formula' or 'query' header, got 'formul'", 1, None),
+    ("formula", "  query  x\n",
+     "expected 'formula' or 'query' header, got 'query  x'", 1, None),
+    # tokens
+    ("formula", HEAD + "body E(x,y) & %\n", "bad token '%'", 4, 15),
+    ("formula", HEAD + "body E(x,y) & %", "bad token '%'", 4, 15),
+    ("formula", "formula\nfree x y\nbody E(x,x) & %\n", "bad token '%'", 3, 15),
+    ("formula", "formula\nfree x y\n   body   E(x,x) & %\n",
+     "bad token '%'", 3, 20),
+    ("formula", HEAD + "body\tE(x,\ty) & 1\n", "bad token '1'", 4, 16),
+    ("formula", HEAD + "body E(x,1y)\n", "bad token '1'", 4, 10),
+    ("formula", HEAD + "body E(x,_y) # (\n", "bad token '_'", 4, 10),
+    ("formula", HEAD + "body E(x,é)\n", "bad token 'é'", 4, 10),
+    ("formula", HEAD + "body E(x,y) E(y,x)\n", "trailing token 'E'", 4, 13),
+    ("formula", HEAD + "body E(x,y))\n", "trailing token ')'", 4, 12),
+    ("formula", HEAD + "body E(x,y) &\n", "unexpected end of expression", 4,
+     None),
+    ("formula", HEAD + "body\n", "unexpected end of expression", 4, None),
+    ("formula", HEAD + "body E(x,y\n", "unexpected end of expression", 4, None),
+    ("formula", HEAD + "body E(x,\n", "unexpected end of expression", 4, None),
+    ("formula", HEAD + "body E\n", "unexpected end of expression", 4, None),
+    ("formula", HEAD + "body !\n", "unexpected end of expression", 4, None),
+    ("formula", HEAD + "body (E(x,y)\n", "unexpected end of expression", 4,
+     None),
+    ("formula", HEAD + "body (E(x,y) x\n", "expected ')', got 'x'", 4, 14),
+    ("formula", HEAD + "body E x\n", "expected '(', got 'x'", 4, 8),
+    ("formula", HEAD + "body E(x,,y)\n", "bad variable ','", 4, 10),
+    ("formula", HEAD + "body E()\n", "bad variable ')'", 4, 8),
+    ("formula", HEAD + "body E(x,)\n", "bad variable ')'", 4, 10),
+    ("formula", HEAD + "body E(x,|)\n", "bad variable '|'", 4, 10),
+    ("formula", HEAD + "body E(x y)\n", "expected ',' or ')'", 4, None),
+    ("formula", HEAD + "body !!E(x,y)\n", "'!' applies to single atoms only",
+     4, 6),
+    ("formula", HEAD + "body !true\n", "'!' applies to single atoms only", 4,
+     6),
+    ("formula", HEAD + "body E(x,y) & !(E(x,y) | E(y,x))\n",
+     "'!' applies to single atoms only", 4, 15),
+    ("formula", HEAD + "body E(x,y) & & E(y,x)\n",
+     "expected an atom, got '&'", 4, 15),
+    ("formula", HEAD + "body | E(x,y)\n", "expected an atom, got '|'", 4, 6),
+    ("formula", HEAD + "body true(x)\n", "trailing token '('", 4, 10),
+    # atoms
+    ("formula", HEAD + "body F(x,y)\n", "unknown relation symbol 'F'", 4,
+     None),
+    ("formula", "formula\nsignature R/1\nfree x\nbody R(x) & E(x,x)\n",
+     "unknown relation symbol 'E'", 4, None),
+    ("formula", HEAD + "body E(x,y,z)\n", "arity mismatch for E", 4, None),
+    ("formula", HEAD + "body E(x,w)\n", "unbound variable 'w'", 4, None),
+    ("formula", HEAD + "body E(x,y) | E(w,true)\n", "unbound variable 'w'", 4,
+     None),
+    # negations
+    ("formula", HEAD + "body E(x,y) | !E(x,y)\n",
+     "negation outside the top-level conjunction", 4, None),
+    ("formula", HEAD + "body E(x,y) & (E(y,x) | !E(x,y))\n",
+     "negation outside the top-level conjunction", 4, None),
+    ("formula", HEAD + "body !E(x,z)\n",
+     "negated atom on quantified variable 'z'", 4, None),
+    ("formula", HEAD + "body (E(x,y) & !E(z,x))\n",
+     "negated atom on quantified variable 'z'", 4, None),
+    ("formula", HEAD + "body !F(x)\n", "unknown relation symbol 'F'", 4, None),
+    ("formula", HEAD + "body !E(x,y,x)\n", "arity mismatch for E", 4, None),
+    ("formula", HEAD + "body !E(x,w)\n", "unbound variable 'w'", 4, None),
+    # a negated atom is checked before the other atoms, and a nested '!'
+    # is refused before them too
+    ("formula", HEAD + "body E(x,w) & !F(x)\n", "unknown relation symbol 'F'",
+     4, None),
+    ("formula", HEAD + "body E(x,w) & (E(x,y) | !E(x,y))\n",
+     "negation outside the top-level conjunction", 4, None),
+    # statements
+    ("formula", HEAD + "signature E/2\nsignature E/2\nbody E(x,y)\n",
+     "duplicate signature line", 5, None),
+    ("formula", HEAD + "free x\nbody E(x,y)\n", "duplicate free line", 4, None),
+    ("formula", HEAD + "free x\n", "duplicate free line", 4, None),
+    ("formula", HEAD + "exists w\nbody E(x,y)\n",
+     "only one quantifier block is allowed", 4, None),
+    ("formula", HEAD + "forall w\nbody E(x,y)\n",
+     "only one quantifier block is allowed", 4, None),
+    ("formula", HEAD + "body E(x,y)\nbody E(x,y)\n", "duplicate body line", 5,
+     None),
+    ("formula", HEAD + "body E(x,y) & %\nbody E(x,y)\n", "bad token '%'", 4,
+     15),
+    ("formula", HEAD + "foo x\nbody E(x,y)\n", "unknown statement 'foo'", 4,
+     None),
+    ("formula", HEAD + "body E(x,y)\nineq x\n", "expected 'ineq <v> <v>'", 5,
+     None),
+    ("formula", HEAD + "body E(x,y)\nineq x y z\n",
+     "expected 'ineq <v> <v>'", 5, None),
+    ("formula", HEAD + "body E(x,y)\nineq x x\n",
+     "inequality between a variable and itself", 5, None),
+    ("formula", HEAD + "body E(x,y)\nineq x w\n",
+     "unbound variable 'w' in inequality", 5, None),
+    ("formula", HEAD + "body E(x,y)\nineq x z\n",
+     "inequality on quantified variable 'z'", 5, None),
+    ("formula", HEAD + "body E(x,y)\neq x\n", "expected 'eq <v> <v>'", 5,
+     None),
+    ("formula", HEAD + "body E(x,y)\neq x w\n",
+     "unbound variable 'w' in equality", None, None),
+    ("formula", "formula\nfree x\n", "missing body line", None, None),
+    ("formula", "formula\nfree x x\nbody true\n", "variable declared twice",
+     None, None),
+    ("formula", "formula\nfree x\nexists x\nbody true\n",
+     "variable declared twice", None, None),
+    ("formula", "formula\nfree x 1x\nbody true\n", "bad variable name '1x'",
+     None, None),
+    ("formula", "formula\nsignature E\nbody true\n",
+     "expected <name>/<arity>: 'E'", 2, None),
+    ("formula", "formula\nsignature 1E/2\nbody true\n", "bad symbol name '1E'",
+     2, None),
+    ("formula", "formula\nsignature E/x\nbody true\n", "bad arity in 'E/x'", 2,
+     None),
+    ("formula", "formula\nsignature E/0\nbody true\n",
+     "arity must be positive: E/0", 2, None),
+    ("formula", "formula\nsignature E/2 E/1\nbody true\n",
+     "duplicate relation symbol", 2, None),
+    # queries
+    ("query", "query\nfree x\nforall y\nbody E(x,y)\n",
+     "a query cannot be universally quantified", None, None),
+    ("query", "query\nfree x y\nbody E(x,y) | E(y,x)\n",
+     "query bodies must be conjunctions of atoms", None, None),
+    ("query", "query\nfree x y\nbody E(x,y) & (E(y,x) | true)\n",
+     "query bodies must be conjunctions of atoms", None, None),
+    ("query", "query\nfree x y\nbody E(x,y) & @\n", "bad token '@'", 3, 15),
+    # quantum blocks: a block's error names the file's line
+    ("quantum", "transform both\ncoeff 1/1\nquery\nbody true\n",
+     "bad transform line", 1, None),
+    ("quantum", "transform\ncoeff 1/1\nquery\nbody true\n",
+     "bad transform line", 1, None),
+    ("quantum", "coef 1/1\nquery\nbody true\n", "expected 'coeff <p>/<q>'", 1,
+     None),
+    ("quantum", "coeff 1/x\nquery\nbody true\n", "bad coefficient '1/x'", 1,
+     None),
+    ("quantum", "coeff 1/0\nquery\nbody true\n", "bad coefficient '1/0'", 1,
+     None),
+    ("quantum", "coeff 0/1\nquery\nbody true\n", "zero coefficient", 1, None),
+    ("quantum", "coeff 1/1\nquery\nfree x y\nbody E(x,y)\nineq x y\neq x y\n",
+     "unsatisfiable constituent", 1, None),
+    ("quantum", "coeff 1/1\nformula\nfree x\nforall y\nbody E(x,y)\n",
+     "universal formulas are not conjunctive queries", 1, None),
+    ("quantum", "coeff 1/1\nformula\nfree x y\nbody E(x,y) | E(y,x)\n",
+     "body is not a conjunction", 1, None),
+    ("quantum", "coeff 1/1\nquery\nfree x\n---\n", "missing body line", 1,
+     None),
+    ("quantum", "coeff 1/1\nquery\nfree x\nbody E(x,y)\n",
+     "unbound variable 'y'", 4, None),
+    ("quantum", "coeff 1/1\nquery\nfree x\nbody E(x,x)\n---\ncoeff 2/1\n"
+     "query\nfree x\nbody E(x,x)\nfree x\n", "duplicate free line", 10, None),
+    ("quantum", "coeff 1/1\nquery\nfree x\nbody E(x,x)\n---\ncoeff 2/1\n"
+     "  query # q\n\n free x\n  body  E(x,x) & %\n", "bad token '%'", 10, 18),
+]
+
+
+@pytest.mark.parametrize("function, text, message, line, col", FORMULA_ERRORS)
+def test_formula_errors_are_pinned(function, text, message, line, col):
+    parse = {"formula": parse_formula, "query": parse_query,
+             "quantum": parse_quantum}[function]
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def random_formula_text(rng):
+    """A formula file with a random body, and the fields parse_formula must
+    give for it, built alongside the text by this generator alone: the
+    top-level conjunction flattened, its negated atoms and true dropped."""
+    symbols = rng.choice([(("E", 2),), (("E", 2), ("U", 1), ("T", 3))])
+    quantified = ["y%d" % i for i in range(rng.randint(0, 2))]
+    free = ["x%d" % i for i in range(rng.randint(0 if quantified else 1, 3))]
+    variables = free + quantified
+
+    def gap():
+        return rng.choice(["", "", " ", "\t", "  "])
+
+    def atom(names):
+        sym, arity = rng.choice(symbols)
+        args = tuple(rng.choice(names) for _ in range(arity))
+        return (sym + gap() + "(" + ",".join(gap() + v + gap() for v in args)
+                + ")", ("atom", sym, args))
+
+    def node(depth, parent):
+        """A subformula's text and tree, below an operator `parent`."""
+        r = rng.random()
+        if depth == 0 or r < 0.4:
+            text, tree = (("true", ("true",)) if rng.random() < 0.15
+                          else atom(variables))
+        else:
+            kind = "or" if r < 0.75 else "and"
+            parts = [node(depth - 1, kind) for _ in range(rng.randint(2, 3))]
+            op = gap() + {"or": "|", "and": "&"}[kind] + gap()
+            text = op.join(t for t, _ in parts)
+            tree = (kind, tuple(t for _, t in parts))
+        # parentheses group an operator at or below its parent's precedence
+        if (tree[0] == "or" or tree[0] == parent == "and"
+                or rng.random() < 0.2):
+            text = "(" + gap() + text + gap() + ")"
+        return text, tree
+
+    def leaves(tree):
+        if tree[0] == "and":
+            return [leaf for child in tree[1] for leaf in leaves(child)]
+        return [tree]
+
+    texts, positive, negated = [], [], set()
+    for _ in range(rng.randint(1, 4)):
+        if free and rng.random() < 0.25:
+            text, tree = atom(free)
+            negated.add(tree[1:])
+            texts.append("!" + gap() + (text if rng.random() < 0.7
+                                         else "(" + text + ")"))
+        else:
+            text, tree = node(3, "and")
+            texts.append(text)
+            positive += [leaf for leaf in leaves(tree) if leaf[0] != "true"]
+    body = (("and", tuple(positive)) if len(positive) > 1
+            else positive[0] if positive else ("true",))
+    quantifier = rng.choice(["exists", "forall"]) if quantified else None
+    pairs = [(a, b) for a in free for b in free if a < b]
+    ineqs = rng.sample(pairs, rng.randint(0, len(pairs)))
+    everything = free + quantified
+    eqs = [tuple(rng.sample(everything, 2))
+           for _ in range(rng.randint(0, 2) if len(everything) > 1 else 0)]
+
+    statements = ["free\t" + "  ".join(free) if rng.random() < 0.5
+                  else "free " + " ".join(free),
+                  "body" + rng.choice([" ", "\t", "   "])
+                  + (gap() + "&" + gap()).join(texts)]
+    if symbols != (("E", 2),):
+        statements.append("signature " + " ".join("%s/%d" % s for s in symbols))
+    if quantifier:
+        statements.append(quantifier + " " + " ".join(quantified))
+    statements += ["ineq %s %s" % p for p in ineqs]
+    # (line, equality) pairs: the equalities keep the order of their lines
+    statements = [(st, None) for st in statements]
+    statements += [("eq %s %s" % p, p) for p in eqs]
+    rng.shuffle(statements)
+    eqs = [p for _, p in statements if p]
+    lines = ["# a random formula", "formula"]
+    for statement, _ in statements:
+        lines.append(rng.choice(["", "  ", "\t"]) + statement
+                     + rng.choice(["", "", " # (a | !b) & %", "\t#"]))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "  # note", "\t"]))
+    expected = (symbols, free, quantifier, quantified, body,
+                frozenset(frozenset(p) for p in ineqs), frozenset(negated),
+                tuple(eqs))
+    return "\n".join(lines) + "\n", expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_formula_gives_the_tree_a_generator_printed(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        text, expected = random_formula_text(rng)
+        f = parse_formula(text)
+        assert (f.signature.symbols, f.free, f.quantifier, f.quantified,
+                f.body, f.inequalities, f.negated_atoms,
+                f.equalities) == expected, text
+
+
+@pytest.mark.parametrize("kind", ["psi", "gamma", "omega", "poly", "w1",
+                                  "subdivided"])
+def test_family_queries_survive_a_text_round_trip(kind):
+    for k in range(1, 5):
+        q = family_query(kind, k)
+        assert parse_query(serialize_query(q)) == q
+
+
+def test_random_queries_survive_a_text_round_trip():
+    rng = random.Random(5)
+    for _ in range(200):
+        q = _random_query(rng, 7)
+        # the text numbers the free vertices first, the rest in order
+        order = list(q.free) + q.quantified()
+        new = {v: i for i, v in enumerate(order)}
+        canonical = Query(Structure(q.structure.signature, q.structure.n, {
+            "E": {(new[u], new[v]) for u, v in q.structure.relations["E"]}}),
+            range(len(q.free)))
+        assert parse_query(serialize_query(q)) == canonical
