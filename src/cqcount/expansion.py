@@ -10,7 +10,6 @@ inclusion-exclusion and its inequalities by Moebius inversion over the
 partition flats they span, and the sum is normalized once.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -110,7 +109,7 @@ def expand_inequalities(q):
     terms = []
     for rho in lattice.flats:
         blocks = [b for b in rho if len(b) > 1]
-        terms.append((Fraction(lattice.mu[rho]), contract_query(base, blocks)))
+        terms.append((lattice.mu[rho], contract_query(base, blocks)))
     return QuantumQuery(terms)
 
 
@@ -127,7 +126,7 @@ def expand_negations(q):
     for size in range(len(negs) + 1):
         for j in combinations(negs, size):
             structure = query_structure(s.signature, s.n, atoms + list(j))
-            terms.append((Fraction((-1) ** size),
+            terms.append(((-1) ** size,
                           Query(structure, q.free, q.inequalities, ())))
     return QuantumQuery(terms)
 
@@ -224,7 +223,7 @@ def ep_to_quantum(f):
                            inequalities=f.inequalities,
                            negated_atoms=f.negated_atoms)
             query, _ = formula_to_query(g)
-            terms.append((Fraction((-1) ** (size + 1)), query))
+            terms.append(((-1) ** (size + 1), query))
     return QuantumQuery(terms)
 
 
@@ -288,7 +287,7 @@ def _universal_terms(f):
     negs = [("atom", sym, args) for sym, args in sorted(f.negated_atoms)]
     bare = f.replace(quantifier="exists", quantified=[],
                      body=_conjunction(negs), negated_atoms=())
-    terms = [(Fraction(1), formula_to_query(bare)[0])]
+    terms = [(1, formula_to_query(bare)[0])]
     dual = universal_to_existential(f.replace(negated_atoms=()))
     if dual is not None:
         dual = dual.replace(body=_conjunction([dual.body] + negs))
@@ -318,7 +317,10 @@ def compile(f):
     else:
         raw = ep_to_quantum(f.replace(quantifier="exists")).terms
         transform = "identity"
-    terms = [(c1 * c2 * c3, q3) for c1, q1 in raw
+    # every coefficient so far is an integer, a sign or a Moebius value:
+    # multiply them as ints, and QuantumQuery makes each product a Fraction
+    terms = [(c1.numerator * c2.numerator * c3.numerator, q3)
+             for c1, q1 in raw
              for c2, q2 in expand_negations(q1).terms
              for c3, q3 in expand_inequalities(q2).terms]
     return normalize(QuantumQuery(terms, transform=transform))

@@ -15,7 +15,9 @@ that atom's index, built for the call (see _search).  A Complement view is
 only ever tested by membership.  A search for one extension can hand back
 the map it found; augmented_core searches the query into itself with each
 free vertex pinned to itself, and reuses each found retraction's image to
-answer the later deletion tests without searching.
+answer the later deletion tests without searching.  Before it searches, it
+folds a vertex that another live vertex covers onto that vertex, with no
+search, and still deletes the same vertices.
 """
 
 from math import factorial
@@ -272,24 +274,49 @@ def augmented_core(q):
     (x,) and the others in S - v.  Every deletion since the last found map
     (the witness) lies outside its image, so that map still sends the
     structure into S - v for each later v outside its image: such a v is
-    deleted without a search.  When the pass deletes nothing, q is its own
-    core and is returned."""
+    deleted without a search.  Before searching for a v in that image, the
+    pass looks for a live u != v that covers v: each live fact through v,
+    with v read as u, is a fact.  Then v -> u, identity elsewhere, maps the
+    substructure on S into S - v, so after the witness it sends the
+    structure into S - v: v is folded onto u with no search, and the image
+    loses v and gains u.  Each deletion is still decided by whether such a
+    map exists, so the pass deletes the same vertices either way.  When the
+    pass deletes nothing, q is its own core and is returned."""
     if not q.is_plain():
         raise ValueError("augmented core is defined for plain CQs")
     s = q.structure
     fset = set(q.free)
     alive = set(s.vertices())
+    # the facts through each vertex, a fact that repeats it once per place
+    through = [[] for _ in s.vertices()]
+    for rel in s.relations.values():
+        for tup in rel:
+            for w in tup:
+                through[w].append((rel, tup))
     image = range(s.n)  # the last witness's image; the identity's at first
     for v in range(s.n - 1, -1, -1):
         if v in fset:
             continue
         if v in image:
-            rest = sorted(alive - {v})
-            domains = {u: (u,) if u in fset else rest for u in s.vertices()}
-            witness = {}
-            if not exists_extension(s, s, domains, witness):
-                continue
-            image = set(witness.values())
+            live = [(rel, tup) for rel, tup in through[v]
+                    if alive.issuperset(tup)]
+            # a cover of v shares a fact with each other vertex of v's facts
+            nb = next((w for _, tup in live for w in tup if w != v), None)
+            near = alive if nb is None else {w for _, t in through[nb]
+                                             for w in t}
+            u = next((u for u in near if u != v and u in alive and all(
+                tuple(u if w == v else w for w in tup) in rel
+                for rel, tup in live)), None)
+            if u is not None:
+                image = (set(image) - {v}) | {u}
+            else:
+                rest = sorted(alive - {v})
+                domains = {u: (u,) if u in fset else rest
+                           for u in s.vertices()}
+                witness = {}
+                if not exists_extension(s, s, domains, witness):
+                    continue
+                image = set(witness.values())
         alive.discard(v)
     if len(alive) == s.n:
         return q

@@ -3,8 +3,10 @@ formula normalization (equality elimination, disjunctive normal form).
 
 One statement per line, `#` starts a comment, identifiers match
 [A-Za-z][A-Za-z0-9_]*, and a vertex, domain size, colour or arity is an
-optional '-' and ASCII digits.  A body's tokens are identifiers (`true` one
-of them) and the characters ( ) , & | !, spaces between them optional.
+optional '-' and ASCII digits; a coefficient p/q is one such and '/' and
+ASCII digits.  A structure file's tokens are split by ASCII whitespace
+only.  A body's tokens are identifiers (`true` one of them) and the
+characters ( ) , & | !, spaces between them optional.
 Precedence: ! > & > |.  An error's column counts within its line.
 """
 
@@ -16,6 +18,7 @@ from .model import (GRAPH, GRAPH_SIGNATURE, Coloring, Query, Structure,
                     query_relations)
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_COEFF = re.compile(r"-?[0-9]+/[0-9]+")  # ASCII digits only, unlike \d
 
 
 class ParseError(ValueError):
@@ -134,6 +137,9 @@ def parse_structure(text):
         tokens = line.split()
         if not tokens:
             continue
+        if not (strict or line.isascii()) and any(
+                c.isspace() for c in line if not c.isascii()):
+            raise ParseError("non-ASCII whitespace", lineno)
         head = tokens[0]
         arity = arity_of.get(head)
         if arity is not None:
@@ -437,7 +443,7 @@ def parse_formula(text):
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("expected 'eq <v> <v>'", lineno)
-            equalities.append((parts[0], parts[1]))
+            equalities.append((parts[0], parts[1], lineno))
         else:
             raise ParseError("unknown statement %r" % head, lineno)
     if sig is None:
@@ -505,10 +511,10 @@ def parse_formula(text):
                 raise ParseError("unbound variable %r in inequality" % v, lineno)
             if v not in fset:
                 raise ParseError("inequality on quantified variable %r" % v, lineno)
-    for a, b in equalities:
+    for a, b, lineno in equalities:
         for v in (a, b):
             if v not in declared_set:
-                raise ParseError("unbound variable %r in equality" % v)
+                raise ParseError("unbound variable %r in equality" % v, lineno)
 
     if is_query:
         if quantifier == "forall":
@@ -518,7 +524,8 @@ def parse_formula(text):
 
     return FormulaAST(sig, free, quantifier, quantified, body,
                       inequalities=[p[:2] for p in inequalities],
-                      negated_atoms=negated, equalities=equalities)
+                      negated_atoms=negated,
+                      equalities=[p[:2] for p in equalities])
 
 
 def eliminate_equalities(f):
@@ -696,6 +703,8 @@ def parse_quantum(text):
         if tokens[0] != "coeff" or len(tokens) != 2:
             raise ParseError("expected 'coeff <p>/<q>'", lineno)
         try:
+            if not _COEFF.fullmatch(tokens[1]):
+                raise ValueError
             coeff = Fraction(tokens[1])
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad coefficient %r" % tokens[1], lineno)

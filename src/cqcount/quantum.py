@@ -11,13 +11,15 @@ from . import decomposition, homs
 
 
 class QuantumQuery:
-    """terms: list of (nonzero Fraction, Query).  transform selects whether
-    evaluation runs on the target itself or on its reflexive complement."""
+    """terms: list of (nonzero Fraction, Query); a coefficient handed over as
+    another number is converted once.  transform selects whether evaluation
+    runs on the target itself or on its reflexive complement."""
 
     def __init__(self, terms, transform="identity"):
         if transform not in ("identity", "complement"):
             raise ValueError("unknown transform %r" % transform)
-        self.terms = [(Fraction(c), q) for c, q in terms]
+        self.terms = [(c if isinstance(c, Fraction) else Fraction(c), q)
+                      for c, q in terms]
         self.transform = transform
 
     def __repr__(self):
@@ -31,10 +33,11 @@ def _term_key(q):
 
 
 def _sum_identical(terms):
-    """Coefficients summed per structurally identical query, zeros dropped."""
+    """Fraction coefficients summed per structurally identical query, zeros
+    dropped."""
     sums = {}
     for coeff, q in terms:
-        sums[q] = sums.get(q, 0) + Fraction(coeff)
+        sums[q] = sums[q] + coeff if q in sums else coeff
     return {q: c for q, c in sums.items() if c != 0}
 
 

@@ -668,7 +668,7 @@ MALFORMED = [
     ("expand", "formula\nfree x\nexists y\nbody E(x,y)\nineq x y\n",
      "inequality on quantified variable 'y'", 5),
     ("expand", "formula\nfree x\nbody E(x,x)\neq x z\n",
-     "unbound variable 'z' in equality", None),
+     "unbound variable 'z' in equality", 4),
     ("expand", "query\nfree x\nforall y\nbody E(x,y)\n",
      "a query cannot be universally quantified", None),
     ("expand", "query\nfree x y\nbody E(x,y) | E(y,x)\n",

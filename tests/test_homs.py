@@ -1,16 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from cqcount import homs
+from cqcount import homs, quantum
+from cqcount.expansion import ep_to_quantum
+from cqcount.gadgets import family_query
 from cqcount.model import (BudgetError, Coloring, Complement, Query,
                            Signature, Structure, complement_structure, graph)
-from cqcount.parser import parse_query, serialize_query
+from cqcount.parser import parse_formula, parse_query, serialize_query
 
 from helpers import (count_surjective_extendable_maps, explicit_complement,
-                     min_retract_size, one_vertex_core, random_colored_instance,
-                     random_graph, random_query, relabelled)
+                     min_retract_size, naive_normalize, one_vertex_core,
+                     random_colored_instance, random_graph, random_query,
+                     relabelled)
 
 
 def path(n):
@@ -445,6 +449,80 @@ def test_every_core_search_pins_the_free_vertices(monkeypatch):
             for x in q.free:
                 assert domains[x] == (x,)
     assert searched
+
+
+def core_searches(monkeypatch, q):
+    """q's augmented core and the results of the searches it ran."""
+    found = []
+    search = homs.exists_extension
+
+    def spy(structure, target, domains=None, witness=None):
+        found.append(search(structure, target, domains, witness))
+        return found[-1]
+
+    monkeypatch.setattr(homs, "exists_extension", spy)
+    return homs.augmented_core(q), found
+
+
+def test_a_covered_vertex_folds_without_a_search(monkeypatch):
+    # psi_2 with its center y doubled: y' (vertex 3) folds onto y, and only
+    # y's deletion, which fails, is searched
+    psi = family_query("psi", 2)
+    doubled = Query(graph(4, [(0, 2), (1, 2), (0, 3), (1, 3)]), psi.free)
+    core, found = core_searches(monkeypatch, doubled)
+    assert found == [False]
+    assert serialize_query(core) == serialize_query(psi)
+
+
+def test_a_cycle_that_no_fold_retracts_is_searched(monkeypatch):
+    # a quantified 6-cycle hung on the free vertex 0: no vertex of the cycle
+    # covers another, so the first deletion is searched; its witness folds
+    # the cycle onto an edge, and the core is the edge from the free vertex
+    q = Query(graph(7, [(i, i % 6 + 1) for i in range(1, 7)] + [(0, 1)]),
+              (0,))
+    core, found = core_searches(monkeypatch, q)
+    assert found == [True, False]
+    assert serialize_query(core) == serialize_query(
+        Query(graph(2, [(0, 1)]), (0,)))
+
+
+def intersection_terms(rng):
+    """ep_to_quantum's terms for seeded positive formulas of 2-3 disjuncts
+    over 2-3 free and 1-3 quantified variables: each intersection term
+    holds a copy of the quantified variables per disjunct in it."""
+    terms = []
+    for _ in range(40):
+        free = ["x%d" % i for i in range(rng.randint(2, 3))]
+        quantified = ["y%d" % i for i in range(rng.randint(1, 3))]
+        names = free + quantified
+        disjuncts = [" & ".join("E(%s,%s)" % tuple(rng.sample(names, 2))
+                                for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(2, 3))]
+        text = "formula\nfree %s\nexists %s\nbody (%s)\n" % (
+            " ".join(free), " ".join(quantified), ") | (".join(disjuncts))
+        terms += ep_to_quantum(parse_formula(text)).terms
+    return terms
+
+
+def test_intersection_terms_core_as_the_one_vertex_pass():
+    terms = intersection_terms(random.Random(59))
+    assert max(q.structure.n for _, q in terms) >= 9
+    for _, q in terms:
+        assert serialize_query(homs.augmented_core(q)) == \
+            serialize_query(one_vertex_core(q))
+
+
+def test_intersection_terms_normalize_as_pairwise_merging():
+    terms = intersection_terms(random.Random(61))
+    assert all(type(c) is Fraction for c, _ in terms)
+    for start in range(0, len(terms), 12):
+        chunk = terms[start:start + 12]
+        got = quantum.normalize(quantum.QuantumQuery(chunk)).terms
+        assert all(type(c) is Fraction for c, _ in got)
+        want = naive_normalize(chunk)
+        assert len(got) == len(want)
+        for c, q in got:
+            assert [c2 for c2, q2 in want if homs.are_equivalent(q, q2)] == [c]
 
 
 def test_extension_witness_is_a_homomorphism_within_the_domains():

@@ -234,6 +234,10 @@ STRUCTURE_ERRORS = [
     ("graph\ndomain +3\n", "bad domain size '+3'", 2),
     ("graph\ndomain \u0663\n", "bad domain size '\u0663'", 2),
     ("structure\nsignature E/+2\n", "bad arity in 'E/+2'", 2),
+    # tokens are split by ASCII whitespace only: a no-break space or an em
+    # space joins what it stands between
+    ("graph\ndomain 3\nE 0\u00a02\n", "non-ASCII whitespace", 3),
+    ("graph # \u00e9\ndomain\u20033\n", "non-ASCII whitespace", 2),
 ]
 
 
@@ -404,7 +408,7 @@ FORMULA_ERRORS = [
     ("formula", HEAD + "body E(x,y)\neq x\n", "expected 'eq <v> <v>'", 5,
      None),
     ("formula", HEAD + "body E(x,y)\neq x w\n",
-     "unbound variable 'w' in equality", None, None),
+     "unbound variable 'w' in equality", 5, None),
     ("formula", "formula\nfree x\n", "missing body line", None, None),
     ("formula", "formula\nfree x x\nbody true\n", "variable declared twice",
      None, None),
@@ -442,6 +446,20 @@ FORMULA_ERRORS = [
     ("quantum", "coeff 1/0\nquery\nbody true\n", "bad coefficient '1/0'", 1,
      None),
     ("quantum", "coeff 0/1\nquery\nbody true\n", "zero coefficient", 1, None),
+    # a coefficient is an optional '-', ASCII digits, '/' and ASCII digits,
+    # never another spelling that Fraction() reads
+    ("quantum", "coeff \u0662/1\nquery\nbody true\n",
+     "bad coefficient '\u0662/1'", 1, None),
+    ("quantum", "coeff 1_0/1\nquery\nbody true\n",
+     "bad coefficient '1_0/1'", 1, None),
+    ("quantum", "coeff +2/1\nquery\nbody true\n",
+     "bad coefficient '+2/1'", 1, None),
+    ("quantum", "coeff 1e2\nquery\nbody true\n", "bad coefficient '1e2'", 1,
+     None),
+    ("quantum", "coeff 1.5\nquery\nbody true\n", "bad coefficient '1.5'", 1,
+     None),
+    ("quantum", "coeff 2\nquery\nbody true\n", "bad coefficient '2'", 1,
+     None),
     ("quantum", "coeff 1/1\nquery\nfree x y\nbody E(x,y)\nineq x y\neq x y\n",
      "unsatisfiable constituent", 1, None),
     ("quantum", "coeff 1/1\nformula\nfree x\nforall y\nbody E(x,y)\n",
