@@ -142,8 +142,8 @@ def _count(args, q, t, domains=None):
 def cmd_count(args, coloring=None):
     """count, and with coloring "cp" or "cf" count-cp and count-cf: the
     answers of --query on --target; for cp with each query vertex kept in
-    its --coloring class, under --method; for cf the colorful answers, by
-    brute force."""
+    its --coloring class, under --method; for cf the colorful answers,
+    #PartAut times the cp count under auto."""
     q, index = _load_query(args.query)
     t = _load_structure(args.target)
     if isinstance(q, ZeroWitness):
@@ -523,17 +523,21 @@ def _random_colored_target(rng, s, p):
 
 
 def _check_cf_identity(rng, args):
-    """The colorful count is #Aut times the color-prescribed one, and the
-    interpolation through uncolored counts gives it too."""
-    q = homs.augmented_core(_random_query(rng, 3))
-    t, c = _random_colored_target(rng, q.structure, 0.7)
-    cf = homs.count_cf_answers(q, t, c)
-    cp = homs.count_cp_answers(q, t, c)
-    aut = homs.count_partial_automorphisms(q)
-    interpolated = gadgets.cf_count_via_uncolored(q, t, c)
-    if cf != aut * cp or interpolated != cf:
-        return "cf=%d interpolated=%d aut=%d cp=%d query=%r" % (
-            cf, interpolated, aut, cp, serialize_query(q))
+    """cf = #PartAut * cp, with cp counted by brute force (count_answers
+    within the color classes), on a random query, which may not be a core,
+    and on its augmented core, where interpolation through uncolored counts
+    gives cf too."""
+    raw = _random_query(rng, 3)
+    for core, q in enumerate((raw, homs.augmented_core(raw))):
+        t, c = _random_colored_target(rng, q.structure, 0.7)
+        cf = homs.count_cf_answers(q, t, c)
+        aut = homs.count_partial_automorphisms(q)
+        classes = dict(enumerate(c.classes(q.structure.n)))
+        cp = homs.count_answers(q, t, classes)
+        interpolated = gadgets.cf_count_via_uncolored(q, t, c) if core else cf
+        if cf != aut * cp or interpolated != cf:
+            return "cf=%d aut=%d cp=%d interpolated=%d query=%r" % (
+                cf, aut, cp, interpolated, serialize_query(q))
 
 
 def _check_cp(rng, args):
@@ -790,9 +794,8 @@ def build_parser():
     method(sp)
 
     sp = sub.add_parser("count-cf",
-                        help="colorful answer count (brute force only: "
-                             "its colorful-image condition is not a "
-                             "per-vertex domain, so the dp cannot run it)")
+                        help="colorful answer count: #PartAut times the "
+                             "color-prescribed count under auto")
     files(sp, "query", "target", "coloring")
 
     sp = sub.add_parser("params", help="structural parameters of one query")

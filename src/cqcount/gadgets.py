@@ -374,17 +374,14 @@ def gaifman_expand_gadget(q, t, c):
     if not t.is_graph():
         raise ValueError("graph-mode targets only")
     rel = t.relations["E"]
-    classes = {}
-    for v in t.vertices():
-        classes.setdefault(c[v], []).append(v)
-
+    classes = c.classes(gaif.n)
     rels = {}
     for name, arity in q.structure.signature.symbols:
         rels[name] = set()
         for tup in q.structure.relations[name]:
             distinct = list(dict.fromkeys(tup))
             found = False
-            for combo in product(*(classes.get(d, []) for d in distinct)):
+            for combo in product(*(classes[d] for d in distinct)):
                 if all((a, b) in rel for a, b in combinations(combo, 2)):
                     found = True
                     assign = dict(zip(distinct, combo))

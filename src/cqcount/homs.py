@@ -1,29 +1,22 @@
 """Brute-force counting of homomorphism variants, query minimization and
 equivalence.  This module is the ground truth the faster counters are checked
 against; everything here enumerates with pruning but no clever algorithmics,
-apart from count_cp_answers, which counts through decomposition.count.  Its
-oracle is count_answers with the color classes as domains.
+apart from count_cp_answers, which counts through decomposition.count (its
+oracle is count_answers with the color classes as domains), and
+count_cf_answers, #PartAut times that count.
 
-Every count runs one search, planned once per call: the free vertices are
-bound first, then the quantified vertices until the first extension is
-found.  Each atom is tested where its last vertex is bound, each inequality
-and negated atom where its later free vertex is, and a colorful count
-skips a color already taken; each free prefix that passes them meets one
-accept test.  A position scans its domain until the candidates it has
-scanned outnumber its first stored atom's facts, and then reads them from
-that atom's index, built for the call (see _search).  A Complement view is
-only ever tested by membership.  A search for one extension can hand back
-the map it found; augmented_core searches the query into itself with each
-free vertex pinned to itself, and reuses each found retraction's image to
-answer the later deletion tests without searching.  Before it searches, it
-folds a vertex that another live vertex covers onto that vertex, with no
-search, and still deletes the same vertices.
+Every count, core and equivalence test runs one search, _search, planned
+once per call by _plan: the free vertices first, then the quantified ones
+until the first extension.  augmented_core reuses the maps it finds, and
+folds a covered vertex without a search.
 """
 
+from itertools import permutations
 from math import factorial
 
-from .model import (BudgetError, Complement, Query, gaifman_adjacency,
-                    induced_substructure, tuple_getter)
+from .model import (BudgetError, Coloring, Complement, Query, Signature,
+                    Structure, gaifman_adjacency, induced_substructure,
+                    tuple_getter)
 
 # The most free-preserving permutations, |X|! * |Y|! for X the free and Y the
 # quantified vertices, that count_partial_automorphisms may have to search:
@@ -98,25 +91,19 @@ def _index(rel, at, i, cands):
     return index, tuple_getter(earlier)
 
 
-def _search(q, t, domains=None, accept=None, colors=None, first=False,
-            witness=None):
+def _search(q, t, domains=None, accept=None, first=False, witness=None):
     """Number of answers of q on t: assignments of q.free that satisfy the
     inequalities and negated atoms, pass accept (called with the values in
     q.free order) and extend to a homomorphism of q.structure into t.
 
-    domains[v], when given, restricts vertex v's candidates.  With colors (a
-    color per target vertex), only extensions whose image meets every color
-    0..n-1 of q.structure count.  With first, the search stops at the first
-    answer, so it returns 1 when one exists and 0 otherwise.
+    domains[v], when given, restricts vertex v's candidates.  With first,
+    the search stops at the first answer, so it returns 1 when one exists
+    and 0 otherwise.
 
     The search binds one position at a time (see _plan) and rejects a
     candidate as soon as one of its tests fails: an atom at its last vertex,
     an inequality or a negated atom at its later free vertex.  accept runs
-    once per free prefix that passed them.  With colors, a candidate is
-    skipped unless its color is one of 0..n-1 that no earlier position took:
-    the n positions must meet n colors, so the colors along an extension
-    that counts are distinct, and a complete map built this way meets them
-    all.  No test is left at the leaf.
+    once per free prefix that passed them.  No test is left at the leaf.
 
     A position draws its candidates from its domain, or from range(t.n).
     When it has a lead atom (one on a stored relation: a Complement view is
@@ -143,7 +130,6 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False,
     # (its lead's index, the index's key getter, the tests left beside it)
     scanned = [0] * last
     indexed = [None] * last
-    left = set(range(q.structure.n))  # the colors no position has taken
     a = [None] * last  # a[i] is the image of order[i]
 
     def rec(i):
@@ -167,19 +153,12 @@ def _search(q, t, domains=None, accept=None, colors=None, first=False,
         for w in pool:
             if differ is not None and w in differ(a):
                 continue
-            if colors is not None and colors[w] not in left:
-                continue
             a[i] = w
             for get, rel, want in checks:
                 if (get(a) in rel) is not want:
                     break
             else:
-                if colors is None:
-                    found = rec(i + 1)
-                else:
-                    left.remove(colors[w])
-                    found = rec(i + 1)
-                    left.add(colors[w])
+                found = rec(i + 1)
                 # one extension decides a quantified suffix; with first,
                 # one answer decides the whole search
                 if found and (i >= k or first):
@@ -214,19 +193,20 @@ def count_cp_answers(q, t, c):
     homomorphism: a count with each vertex kept in its color class, on the
     counter decomposition.count picks."""
     from .decomposition import count  # decomposition imports this module
-    classes = c.classes(q.structure.n)
-    return count(q, t, dict(enumerate(classes)))
+    return count(q, t, dict(enumerate(c.classes(q.structure.n))))
 
 
 def count_cf_answers(q, t, c):
-    """Answers a into the free color classes with c(a(X)) = X that extend to a
-    homomorphism whose image meets every color class."""
-    classes = c.classes(q.structure.n)
-    free_pool = sorted(set(v for x in q.free for v in classes[x]))
-    fset = set(q.free)
-    return _search(q, t, {v: free_pool for v in q.free},
-                   accept=lambda vals: {c[w] for w in vals} == fset,
-                   colors=c.colors)
+    """Answers a into the free color classes with c(a(X)) = X that extend to
+    a homomorphism h whose image meets every color class.  c is checked to
+    be a homomorphism t -> H = q.structure, so c h is an automorphism s of H
+    and h s^-1 is color-prescribed: the count is #PartAut(q) times the cp
+    count.  Both kinds of h are injective, and h(x) in R puts s(x), so x, in
+    R: every inequality holds, and a negated atom R(x) fails for every h or
+    for none, as R(x) is a fact of H or not.  No PERMUTATION_CAP applies."""
+    Coloring(c.colors, t, q.structure)
+    cp = count_cp_answers(q, t, c)
+    return cp * count_partial_automorphisms(q, None) if cp else 0
 
 
 def count_surjective_answers(q, t, z, first=False):
@@ -240,22 +220,25 @@ def count_surjective_answers(q, t, z, first=False):
                    accept=lambda vals: set(vals) == zset, first=first)
 
 
-def count_partial_automorphisms(q):
-    """Number of bijections X -> X extendable to an automorphism of H: one
-    search of H into itself with the free vertices kept in X and the
-    quantified ones in Y, every vertex a color of its own.  So each map
-    counted is a bijection, and a bijective endomorphism of a finite
-    structure is an automorphism.  Raises BudgetError when |X|! * |Y|!
-    exceeds PERMUTATION_CAP."""
+def count_partial_automorphisms(q, cap=PERMUTATION_CAP):
+    """#PartAut(q), the bijections X -> X that extend to an automorphism of
+    H = q.structure: one search of H+ into itself with X kept in X and Y in
+    Y, H+ being H plus a relation "!=" (which the parser's IDENT cannot
+    name) on every ordered pair of distinct vertices.  An endomorphism of H+
+    is injective, and an injective endomorphism of a finite structure is an
+    automorphism.  Raises BudgetError when |X|! * |Y|! exceeds cap, unless
+    cap is None."""
     free, rest = q.free, q.quantified()
     size = factorial(len(free)) * factorial(len(rest))
-    if size > PERMUTATION_CAP:
-        raise BudgetError("free-preserving permutations", size,
-                          PERMUTATION_CAP, "PERMUTATION_CAP")
-    domains = dict.fromkeys(rest, rest)
-    domains.update(dict.fromkeys(free, free))
-    return _search(Query(q.structure, free), q.structure, domains,
-                   colors=range(q.structure.n))
+    if cap is not None and size > cap:
+        raise BudgetError("free-preserving permutations", size, cap,
+                          "PERMUTATION_CAP")
+    s = q.structure
+    pairs = frozenset(permutations(s.vertices(), 2))
+    plus = Structure._trusted(Signature(s.signature.symbols + (("!=", 2),)),
+                              s.n, {**s.relations, "!=": pairs})
+    domains = dict.fromkeys(rest, rest) | dict.fromkeys(free, free)
+    return _search(Query(plus, free), plus, domains)
 
 
 def augmented_core(q):

@@ -1,7 +1,8 @@
 """Text formats for structures, colorings, formulas and quantum queries, plus
 formula normalization (equality elimination, disjunctive normal form).
 
-One statement per line, `#` starts a comment, identifiers match
+One statement per line, a line ending at "\n" or "\r\n"; no other ASCII
+control character than tab may appear.  `#` starts a comment, identifiers match
 [A-Za-z][A-Za-z0-9_]*, and a vertex, domain size, colour or arity is an
 optional '-' and ASCII digits; a coefficient p/q is one such and '/' and
 ASCII digits.  A structure file's tokens are split by ASCII whitespace
@@ -68,10 +69,25 @@ class FormulaAST:
         return FormulaAST(**{**vars(self), **kw})  # the fields are the arguments
 
 
+# an ASCII control character but tab and newline, once "\r\n" reads as "\n"
+_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+
+
+def _lines(text):
+    """text cut at each "\n", a "\r\n" read as one; any other ASCII control
+    character but tab is a ParseError naming its line."""
+    text = text.replace("\r\n", "\n")
+    bad = _CONTROL.search(text)
+    if bad is not None:
+        raise ParseError("control character U+%04X" % ord(bad.group()),
+                         text.count("\n", 0, bad.start()) + 1)
+    return text.split("\n")
+
+
 def _logical_lines(text):
     """(line number, line) for each line with more than a comment, cut there."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_lines(text), 1):
         if "#" in line:
             line = line[:line.index("#")]
         if line and not line.isspace():
@@ -131,7 +147,7 @@ def parse_structure(text):
     tuples = {}
     arity_of = {}  # the tuple lines' symbols, once signature and domain are read
     strict = _strict(text)  # if so, no tuple line needs its own check
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_lines(text), 1):
         if "#" in line:
             line = line[:line.index("#")]
         tokens = line.split()

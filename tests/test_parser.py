@@ -238,6 +238,19 @@ STRUCTURE_ERRORS = [
     # space joins what it stands between
     ("graph\ndomain 3\nE 0\u00a02\n", "non-ASCII whitespace", 3),
     ("graph # \u00e9\ndomain\u20033\n", "non-ASCII whitespace", 2),
+    # a line ends at "\n" or "\r\n" only, so every line number is the one an
+    # editor shows, and an ASCII control character but tab is refused
+    ("graph\r\ndomain 3\r\nE 0 1\r\nE 1 1\r\n", "loop 1 in graph mode", 4),
+    ("graph\ndomain 3\x1cE 0 1\nE 1 1\n", "control character U+001C", 2),
+    ("graph\ndomain 3\nE 0\x0b2\n", "control character U+000B", 3),
+    ("graph\ndomain 3\nE 0\x1f2\n", "control character U+001F", 3),
+    ("graph\ndomain 3\nE 0 1\x0c\n", "control character U+000C", 3),
+    ("graph\ndomain 3\nE 0 1 # \x00\n", "control character U+0000", 3),
+    ("graph\ndomain 3\nE 0 2\x7f\n", "control character U+007F", 3),
+    ("graph\rdomain 3\n", "control character U+000D", 1),
+    ("graph\ndomain 3\nE 0 1\r\r\n", "control character U+000D", 3),
+    ("graph\ndomain 3\x85E 0 1\nE 1 1\n", "non-ASCII whitespace", 2),
+    ("graph\ndomain 3\u2028E 0 1\nE 1 1\n", "non-ASCII whitespace", 2),
 ]
 
 
@@ -247,6 +260,30 @@ def test_structure_errors_are_pinned(text, message, line):
         parse_structure(text)
     assert (e.value.message, e.value.line, e.value.col) == \
         (message, line, None)
+
+
+def test_crlf_lines_read_as_lf_lines_in_every_format():
+    lf = "graph\ndomain 3\nE 0 1\nE 1 2\n"
+    assert parse_structure(lf.replace("\n", "\r\n")) == parse_structure(lf)
+    text = "color 0 1 # c\ncolor 1 0\n"
+    assert parse_coloring(text.replace("\n", "\r\n")).colors == (1, 0)
+    text = "formula\nfree x y\nexists z\nbody E(x,z) & E(z,y)\nineq x y\n"
+    assert serialize_query(parse_query(text.replace("\n", "\r\n"))) == \
+        serialize_query(parse_query(text))
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_coloring, "color 0 0\ncolor 1\x0c 0\n", 2),
+    (parse_formula, "formula\nfree x\x1dy\nbody E(x,y)\n", 2),
+    (parse_formula, "formula\rfree x\nbody E(x,x)\n", 1),
+    (parse_quantum, "coeff 1/1\nquery\n\x1ebody true\n", 3),
+])
+def test_other_formats_refuse_control_characters_at_their_line(parse, text,
+                                                               line):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.message.startswith("control character U+00")
+    assert e.value.line == line
 
 
 def test_a_file_with_underscores_and_plus_signs_elsewhere_is_read():
