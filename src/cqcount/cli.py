@@ -77,13 +77,13 @@ def _load_graph(path):
     return t
 
 
-def _check_signature(queries, t, target_path):
-    """Every symbol of every query must exist in the target with the same
-    arity; otherwise the counters would look up a relation that is not
-    there.  A query over E/2 alone reads its E atoms as undirected, so the
-    target's E must then be symmetric."""
-    for q in queries:
-        for name, arity in q.structure.signature.symbols:
+def _check_signature(patterns, t, target_path):
+    """Every symbol of every query structure or formula must exist in the
+    target with the same arity; otherwise the counters would look up a
+    relation that is not there.  A query over E/2 alone reads its E atoms as
+    undirected, so the target's E must then be symmetric."""
+    for pattern in patterns:
+        for name, arity in pattern.signature.symbols:
             have = t.signature.arity.get(name)
             if have is None:
                 raise InputError("%s: the target has no symbol %s, which the "
@@ -93,7 +93,7 @@ def _check_signature(queries, t, target_path):
                 raise InputError("%s: symbol %s has arity %d in the target "
                                  "but %d in the query"
                                  % (target_path, name, have, arity))
-    if any(is_undirected(q.structure.signature) for q in queries):
+    if any(is_undirected(pattern.signature) for pattern in patterns):
         pair = unmatched_pair(t.relations["E"])
         if pair is not None:
             raise InputError("%s: the query's E atoms are undirected, but the "
@@ -103,7 +103,8 @@ def _check_signature(queries, t, target_path):
 
 def _load_coloring(args, t, s, name_to_index=None):
     """The --coloring file as a coloring of the --target t by the structure
-    s.  A coloring that is not a homomorphism t -> s names both files."""
+    s, or for s None checked against t's length alone.  A coloring that is
+    not a homomorphism t -> s names both files."""
     with _blame(args.coloring):
         c = parse_coloring(_read(args.coloring, "coloring"), name_to_index)
     try:
@@ -126,17 +127,16 @@ def _emit(args, pairs, text_lines=None):
 def _count(args, q, t, domains=None):
     """decomposition.count_and_method under --method: the value and the
     method that produced it.  The DP's refusals exit 1, naming the file
-    they measure: the query's (--query, or eval's --quantum) for DSS_CAP,
-    the target's for TABLE_ROWS_CAP."""
-    query = args.query if "query" in args else args.quantum
+    they measure: the query's (--query, or eval's --quantum) for a query
+    that is not plain, the target's for TABLE_ROWS_CAP."""
     if args.method == "dp" and not q.is_plain():
         raise InputError("%s: --method dp supports plain queries only"
-                         % query)
+                         % (args.query if "query" in args else args.quantum))
     try:
         return dec.count_and_method(q, t, domains, args.method)
     except dec.BudgetError as e:
-        where = args.target if e.parameter == "table rows" else query
-        raise InputError("%s: dp method not applicable: %s" % (where, e))
+        raise InputError("%s: dp method not applicable: %s"
+                         % (args.target, e))
 
 
 def cmd_count(args, coloring=None):
@@ -146,15 +146,18 @@ def cmd_count(args, coloring=None):
     #PartAut times the cp count under auto."""
     q, index = _load_query(args.query)
     t = _load_structure(args.target)
-    if isinstance(q, ZeroWitness):
+    zero = isinstance(q, ZeroWitness)
+    # an unsatisfiable query still has its target and coloring checked
+    _check_signature([q.formula if zero else q.structure], t, args.target)
+    if coloring is not None:
+        c = _load_coloring(args, t, None if zero else q.structure, index)
+    if zero:
         _emit(args, [("count", 0), ("method", "zero-witness")])
         return EXIT_OK
-    _check_signature([q], t, args.target)
     if coloring is None:
         value, method = _count(args, q, t)
         _emit(args, [("count", value), ("method", method)])
         return EXIT_OK
-    c = _load_coloring(args, t, q.structure, index)
     if coloring == "cf":
         value = homs.count_cf_answers(q, t, c)
     else:
@@ -229,7 +232,7 @@ def cmd_eval(args):
     with _blame(args.quantum):
         qq = parse_quantum(_read(args.quantum, "quantum query"))
     t = _load_structure(args.target)
-    _check_signature([q for _, q in qq.terms], t, args.target)
+    _check_signature([q.structure for _, q in qq.terms], t, args.target)
     value = quantum.evaluate(
         qq, t,
         counter=lambda q, target: _count(args, q, target)[0])
@@ -296,7 +299,7 @@ def cmd_gadget(args):
         if args.coloring is None:
             raise InputError("gadget minor: --target needs --coloring")
         t = _load_structure(args.target)
-        _check_signature([q], t, args.target)
+        _check_signature([q.structure], t, args.target)
         c = _load_coloring(args, t, minor.structure)
         with _blame(args.target):  # a target that is not a graph
             out = gadgets.minor_instance_gadget(q, op, t, c)
@@ -305,7 +308,7 @@ def cmd_gadget(args):
     if name == "uncolored-to-cp":
         q = _load_satisfiable_query(args.query)
         t = _load_graph(args.target)
-        _check_signature([q], t, args.target)
+        _check_signature([q.structure], t, args.target)
         with _blame(args.query):
             out = gadgets.uncolored_to_cp_gadget(q, t)
         _print_gadget(args, out)
@@ -321,8 +324,7 @@ def cmd_gadget(args):
         q = _load_satisfiable_query(args.query)
         t = _load_structure(args.target)
         # the target is colored by the query's Gaifman graph, not the query
-        _check_signature([Query(gaifman_graph(q.structure), ())], t,
-                         args.target)
+        _check_signature([gaifman_graph(q.structure)], t, args.target)
         c = _load_coloring(args, t, gaifman_graph(q.structure))
         with _blame(args.target):  # a target that is not a graph
             out = gadgets.gaifman_expand_gadget(q, t, c)
@@ -777,13 +779,12 @@ def build_parser():
                         default="auto",
                         help="dp: the tree-decomposition counter; brute: "
                              "the backtracking search; auto (default): dp "
-                             "for a plain query, brute otherwise or once dp "
-                             "passes DSS_CAP or a stored dp table passes "
-                             "TABLE_ROWS_CAP (a component's relation is "
-                             "stored as bitmasks over one boundary column, "
-                             "and when its boundary is every free vertex "
-                             "its answers are counted from those masks, not "
-                             "stored)")
+                             "for a plain query, brute otherwise or once a "
+                             "stored dp table passes TABLE_ROWS_CAP (a "
+                             "component's relation is stored as bitmasks "
+                             "over one boundary column, and when its "
+                             "boundary is every free vertex its answers "
+                             "are counted from those masks, not stored)")
 
     sp = sub.add_parser("count", help="count answers of a query on a target")
     files(sp, "query", "target")

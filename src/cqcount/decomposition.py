@@ -26,7 +26,6 @@ from .model import (BudgetError, Complement, Query, Signature, Structure,
                     tuple_getter)
 
 EXACT_TREEWIDTH_LIMIT = 20
-DSS_CAP = 6
 # The most rows one DP table may hold while it is built.  A row carries up to
 # an n-bit mask, so a table of boundary 2 on a dense target (about n**2 rows)
 # would cost about n**3/8 bytes; past the cap dp_tables raises BudgetError
@@ -886,10 +885,7 @@ class _Part:
 
     def tree(self):
         """An elimination tree of the component's own vertices, built on
-        first use and shared with the lead.  Raises BudgetError, before
-        decomposing, when the boundary exceeds DSS_CAP."""
-        if len(self.boundary) > DSS_CAP:
-            raise BudgetError("dss", len(self.boundary), DSS_CAP, "DSS_CAP")
+        first use and shared with the lead."""
         if self.lead is not self:
             return self.lead.tree()
         if self._td is None:
@@ -913,7 +909,7 @@ class _Part:
         a bitmask index over the boundary column that the root hands its
         mask to, or for a part without boundary frozenset({()}) or empty.
         With size, their number, summed without storing the last table.
-        Raises BudgetError when the boundary exceeds DSS_CAP."""
+        Raises BudgetError when a table passes TABLE_ROWS_CAP."""
         return dp_tables(self.sub, t, self.tree(), keep=self.keep,
                          domains=self.local_domains(domains), size=size)
 
@@ -1061,9 +1057,8 @@ def count_answers_dss(q, t, domains=None):
 def count(q, t, domains=None, method="auto"):
     """Number of answers of q on t, each vertex v kept in domains[v] when
     given.  method "dp" runs count_answers_dss, "brute" the homs search and
-    "auto" the DP for a plain query and the search otherwise, also once the
-    DP passes a budget: DSS_CAP, before a part's tree is built, or
-    TABLE_ROWS_CAP while a table is.  Under "dp" a passed budget raises
+    "auto" the DP for a plain query and the search otherwise, also once a
+    table the DP stores passes TABLE_ROWS_CAP.  Under "dp" that raises
     BudgetError.  A domain value that is not a vertex of t raises
     ValueError, under every method."""
     return count_and_method(q, t, domains, method)[0]

@@ -4,7 +4,7 @@ matching number) and the advisory five-regime classifier.
 
 from itertools import combinations
 
-from .model import gaifman_adjacency, gaifman_graph
+from .model import gaifman_adjacency, gaifman_graph, induced_substructure
 from . import decomposition as dec
 from . import homs
 
@@ -123,7 +123,6 @@ def linked_matching_number(q):
         raise dec.BudgetError("quantified vertices", len(y), LMN_CAP,
                               "LMN_CAP")
     adj = gaifman_adjacency(q.structure)
-    from .model import induced_substructure
     hy, old_to_new = induced_substructure(q.structure, y)
     x_nbrs = {v: sorted(adj[v] & x) for v in y}
     for size in range(min(len(x), len(y)), 0, -1):

@@ -34,10 +34,11 @@ class ParseError(ValueError):
 
 
 class ZeroWitness:
-    """Marker meaning: the construct is unsatisfiable, the count is 0."""
+    """Marker meaning: the formula is unsatisfiable, the count is 0."""
 
-    def __init__(self, reason):
+    def __init__(self, reason, formula):
         self.reason = reason
+        self.formula = formula
 
     def __repr__(self):
         return "ZeroWitness(%r)" % (self.reason,)
@@ -574,7 +575,7 @@ def eliminate_equalities(f):
     for pair in f.inequalities:
         a, b = tuple(pair)
         if rep[a] == rep[b]:
-            return ZeroWitness("inequality %s != %s collapsed" % (a, b))
+            return ZeroWitness("inequality %s != %s collapsed" % (a, b), f)
         ineqs.add((rep[a], rep[b]))
     negs = [(sym, tuple(rep[v] for v in args))
             for sym, args in f.negated_atoms]
@@ -666,10 +667,11 @@ def serialize_query(q):
 
 def parse_query_and_names(text):
     """A query file's Query (equalities eliminated) and the vertex of each
-    variable name, or a ZeroWitness and {} when an inequality collapses."""
+    variable name, or a ZeroWitness and each declared name's position when
+    an inequality collapses."""
     ast = eliminate_equalities(parse_formula(text))
     if isinstance(ast, ZeroWitness):
-        return ast, {}
+        return ast, {v: i for i, v in enumerate(ast.formula.variables())}
     return formula_to_query(ast)
 
 

@@ -382,20 +382,25 @@ def test_eval_methods_agree_on_a_universal_formula(tmp_path, capsys):
     assert len(values) == 1
 
 
-def test_count_methods_over_the_dss_cap(tmp_path, capsys):
+def test_count_methods_on_a_wide_boundary(tmp_path, capsys):
     code, star, _ = run(capsys, ["gadget", "family", "--kind", "psi",
                                  "--k", "7"])
     assert code == 0
     q = write(tmp_path, "q", star)
     t = write(tmp_path, "t", P3)
-    code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
-                                "--machine"])
-    assert code == 0 and out.splitlines()[1] == "method=brute"
-    code, out, err = run(capsys, ["count", "--query", q, "--target", t,
+    # seven free leaves: 2**7 answers around the middle vertex, and one
+    # around each end
+    for method in ([], ["--method", "dp"]):
+        code, out, _ = run(capsys, ["count", "--query", q, "--target", t,
+                                    "--machine"] + method)
+        assert code == 0 and out == "count=129\nmethod=dp\n"
+    k9 = write(tmp_path, "k9", "graph\ndomain 9\n" + "".join(
+        "E %d %d\n" % (a, b) for a in range(9) for b in range(a + 1, 9)))
+    code, out, err = run(capsys, ["count", "--query", q, "--target", k9,
                                   "--method", "dp"])
     assert code == 1 and out == ""
-    # DSS_CAP measures the query, so the query file is named
-    assert err.startswith("error: %s: " % q) and "DSS_CAP" in err
+    # TABLE_ROWS_CAP measures the target, so the target file is named
+    assert err.startswith("error: %s: " % k9) and "TABLE_ROWS_CAP" in err
 
 
 def test_dp_refusals_name_the_file_they_measure(tmp_path, capsys):
@@ -689,6 +694,37 @@ MALFORMED = [
     ("eval", "coeff 1/1\nformula\nfree x y\nbody E(x,y)\nineq x y\n"
      "eq x y\n", "unsatisfiable constituent", 1),
 ]
+
+
+# An unsatisfiable query still has its inputs checked: (command, target
+# text, coloring text or None for a missing file, the file named, message).
+UNSATISFIABLE = "formula\nfree x y\nbody E(x,y)\nineq x y\neq x y\n"
+MALFORMED_BESIDE_AN_UNSATISFIABLE_QUERY = [
+    ("count", "structure\nsignature R/3\ndomain 2\n", None, "target",
+     "the target has no symbol E"),
+    ("count-cp", P3, None, "coloring", "cannot read coloring file"),
+    ("count-cf", P3, "color 0 x\ncolor 0 y\n", "coloring",
+     "vertex 0 colored twice"),
+    ("count-cp", P3, "color 0 x\ncolor 1 y\n", "coloring",
+     "coloring has wrong length"),
+]
+
+
+@pytest.mark.parametrize("command, target, coloring, named, message",
+                         MALFORMED_BESIDE_AN_UNSATISFIABLE_QUERY)
+def test_an_unsatisfiable_query_names_a_malformed_input(
+        tmp_path, capsys, command, target, coloring, named, message):
+    files = {"query": write(tmp_path, "q", UNSATISFIABLE),
+             "target": write(tmp_path, "t", target),
+             "coloring": str(tmp_path / "c")}
+    if coloring is not None:
+        write(tmp_path, "c", coloring)
+    argv = [command, "--query", files["query"], "--target", files["target"]]
+    if command != "count":
+        argv += ["--coloring", files["coloring"]]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert files[named] in err and message in err, err
 
 
 @pytest.mark.parametrize("command, text, message, line", MALFORMED)

@@ -14,8 +14,8 @@ from cqcount.model import (GRAPH_SIGNATURE, Complement, Query, Structure,
 from cqcount.parser import parse_structure
 
 from helpers import (count_answers_dp, decompose, extendability_relation,
-                     min_fill_tree, random_graph, random_query,
-                     validate_decomposition)
+                     min_fill_tree, random_colored_instance, random_graph,
+                     random_query, validate_decomposition)
 
 
 def path(n):
@@ -335,15 +335,87 @@ def test_auto_leaves_the_dp_only_for_a_non_plain_query_or_a_budget():
     co = complement_structure(t)
     assert dec.count_and_method(psi2, co) == \
         (homs.count_answers(psi2, co), "dp")
-    k = dec.DSS_CAP + 1
-    star = Query(graph(k + 1, [(i, k) for i in range(k)]), tuple(range(k)))
-    # auto falls back; the DP itself refuses with a typed error
-    assert dec.count_and_method(star, path(3)) == \
-        (homs.count_answers(star, path(3)), "brute")
+    # a component that touches 7 free vertices counts on the DP while its
+    # tables fit
+    star = family_query("psi", 7)
+    want = homs.count_answers(star, path(3))
+    assert dec.count_and_method(star, path(3)) == (want, "dp")
+    assert dec.count(star, path(3), method="dp") == want
+    # the DP refuses only by the rows it stores, with a typed error
     with pytest.raises(dec.BudgetError) as err:
-        dec.count(star, path(3), method="dp")
-    assert (err.value.parameter, err.value.value, err.value.cap) == \
-        ("dss", k, dec.DSS_CAP)
+        dec.count(star, clique(9), method="dp")
+    assert (err.value.parameter, err.value.cap) == \
+        ("table rows", dec.TABLE_ROWS_CAP)
+    assert err.value.value > dec.TABLE_ROWS_CAP
+
+
+@pytest.mark.parametrize("k, n", [(7, 8), (7, 10), (8, 8), (8, 10)])
+def test_psi_k_on_a_cycle_counts_its_closed_form_on_the_dp(k, n):
+    # each of the n centres reaches 2**k tuples of its two neighbours, and
+    # only the n constant tuples have two centres; brute force takes up to
+    # a minute here
+    assert dec.count(family_query("psi", k), cycle(n), method="dp") == \
+        n * 2 ** k - n
+
+
+@pytest.mark.parametrize("kind", ["psi", "gamma"])
+def test_a_wide_boundary_counts_within_colour_classes(kind):
+    # seven free vertices in one component's boundary, each kept in its
+    # colour class, against the search within the same classes
+    q = family_query(kind, 7)
+    rng = random.Random("cp:" + kind)
+    found = 0
+    for _ in range(6):
+        t, c = random_colored_instance(rng, q.structure, 3,
+                                       0.6 if kind == "psi" else 0.95)
+        classes = dict(enumerate(c.classes(q.structure.n)))
+        want = homs.count_answers(q, t, classes)
+        assert dec.count_and_method(q, t, classes) == (want, "dp")
+        assert homs.count_cp_answers(q, t, c) == want
+        found += want
+    assert found
+
+
+def wide_keep_instance(rng):
+    """A structure over E/2 and T/3 whose keep, 5 to 8 vertices, touches a
+    quantified path of 1-3 vertices, with a few random atoms anywhere, and
+    a target of 2-3 vertices.  Returns (structure, keep, target)."""
+    signature = [("E", 2), ("T", 3)]
+    keep = list(range(rng.randint(5, 8)))
+    chain = list(range(len(keep), len(keep) + rng.randint(1, 3)))
+    n = chain[-1] + 1
+    rels = {"E": set(zip(chain, chain[1:])), "T": set()}
+    rels["E"].update((v, rng.choice(chain)) for v in keep)
+    for _ in range(rng.randint(0, 4)):
+        name, arity = rng.choice(signature)
+        rels[name].add(tuple(rng.randrange(n) for _ in range(arity)))
+    m = rng.randint(2, 3)
+    t = Structure(signature, m, {
+        name: [tup for tup in product(range(m), repeat=arity)
+               if rng.random() < (0.7 if arity == 2 else 0.5)]
+        for name, arity in signature})
+    return Structure(signature, n, rels), keep, t
+
+
+def test_wide_existence_tables_match_the_extendability_relation():
+    # keeps of 5 to 8 columns: dp_tables over the whole structure, the
+    # fast counter's part relation and a brute projection agree
+    rng = random.Random(43)
+    widths = set()
+    for _ in range(24):
+        s, keep, t = wide_keep_instance(rng)
+        rest = [v for v in s.vertices() if v not in keep]
+        _, td = dec.decompose_graph((gaifman_adjacency(s), rest))
+        table = dec.dp_tables(s, t, td, keep)
+        q = Query(s, tuple(keep))
+        part = dec._Plan(q).parts[0]
+        assert part.boundary == keep
+        want = brute_projection(part, t, None)
+        assert set(table) == extendability_relation(q, t, 0) == want
+        assert len(table) == len(want)
+        assert dec.dp_tables(s, t, td, keep, size=True) == len(want)
+        widths.add(len(keep))
+    assert widths == {5, 6, 7, 8}
 
 
 def walk_pairs(g, length):

@@ -1,6 +1,7 @@
 """Source scans over src/cqcount."""
 
 import ast
+import re
 from pathlib import Path
 
 import cqcount
@@ -95,3 +96,20 @@ def test_every_budget_is_documented_in_the_readme():
                  and "BudgetError" in _names(node.func)]
     assert caps
     assert [cap for cap in caps if cap not in readme] == []
+
+
+def test_every_constant_the_readme_names_exists():
+    # the reverse: an UPPER_SNAKE name in the README must still be a
+    # module-level constant of the package, so a removed budget leaves no
+    # description behind
+    readme = (SRC.parents[1] / "README.md").read_text()
+    named = set(re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", readme))
+    constants = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants.update(target.id for stmt in tree.body
+                         if isinstance(stmt, ast.Assign)
+                         for target in stmt.targets
+                         if isinstance(target, ast.Name))
+    assert named
+    assert sorted(named - constants) == []
