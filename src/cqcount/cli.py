@@ -103,12 +103,17 @@ def _check_signature(patterns, t, target_path):
 
 def _load_coloring(args, t, s, name_to_index=None):
     """The --coloring file as a coloring of the --target t by the structure
-    s, or for s None checked against t's length alone.  A coloring that is
-    not a homomorphism t -> s names both files."""
+    s, or for s None, an unsatisfiable query, checked against t's length
+    and each colour against the query's declared variables, name_to_index.
+    A coloring that is not a homomorphism t -> s names both files."""
     with _blame(args.coloring):
         c = parse_coloring(_read(args.coloring, "coloring"), name_to_index)
     try:
-        return Coloring(c.colors, t, s)
+        c = Coloring(c.colors, t, s)
+        for color in c.colors if s is None else ():
+            if not 0 <= color < len(name_to_index):
+                raise ValueError("color out of range: %d" % color)
+        return c
     except ValueError as e:
         raise InputError("%s: %s (target %s)" % (args.coloring, e,
                                                  args.target))

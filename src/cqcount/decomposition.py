@@ -34,12 +34,12 @@ TABLE_ROWS_CAP = 2 ** 18
 
 
 class TreeDecomposition:
-    """An elimination tree.  order lists the vertices as they are eliminated
-    and up[i] the later neighbours of order[i] at its elimination, sorted,
-    so its bag is order[i] with up[i].  Its parent is the first-eliminated
-    vertex of up[i], or the next position when up[i] is empty, which chains
-    disconnected pieces; children[i] lists the positions whose parent is i,
-    ascending.  The last vertex is the root."""
+    """An elimination forest.  order lists the vertices as they are
+    eliminated and up[i] the later neighbours of order[i] at its
+    elimination, sorted, so its bag is order[i] with up[i].  Its parent is
+    the first-eliminated vertex of up[i]; a vertex whose up is empty is a
+    root, one per connected piece.  children[i] lists the positions whose
+    parent is i, ascending."""
 
     def __init__(self, order, up, width):
         self.order = list(order)
@@ -50,9 +50,9 @@ class TreeDecomposition:
         self.schedules = {}
         position = {v: i for i, v in enumerate(self.order)}
         self.children = [[] for _ in self.order]
-        for i, later in enumerate(self.up[:-1]):
-            parent = min(map(position.get, later)) if later else i + 1
-            self.children[parent].append(i)
+        for i, later in enumerate(self.up):
+            if later:
+                self.children[min(map(position.get, later))].append(i)
 
 
 def _elimination_width(adj, vertices):
@@ -198,56 +198,51 @@ class _Extends(Set):
 def _candidate_masks(t, name, tup, v):
     """The (index, default) pair that dp_tables reads for an atom name(tup)
     of v (the format of Structure.masks), built when dp_tables finds none
-    in t.masks under (name, positions of v), memoized there and shared by
-    every name of t over the same relation object, as the parts of one lead
-    group are.  A graph file that parser.parse_structure indexes and a part
-    whose boundary swap fixes it (see derived_free_query) arrive with both
-    single positions indexed.  A Complement view is indexed from its
-    present tuples as co-masks, and a binary _Extends at its other position
-    by transposing its own index.  A symmetric binary relation indexes
-    alike at both positions: when the second position is first asked for,
-    the relation is tested for symmetry once and, if it holds, the key
-    shares the first one's object."""
+    in t.masks under (name, positions of v) and memoized there, under that
+    name only: the parts of one lead group share a relation object, and
+    derived_free_query installs its index under each part's name, so only a
+    column it did not install is indexed once per name.  A graph file that
+    parser.parse_structure indexes and a part whose boundary swap fixes it
+    (see derived_free_query) arrive with both single positions indexed.  A
+    Complement view is indexed from its present tuples as co-masks, and a
+    binary _Extends at its other position by transposing its own index.  A
+    symmetric binary relation indexes alike at both positions: when the
+    second position is first asked for, the relation is tested for symmetry
+    once and, if it holds, the key shares the first one's object."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
     rel = t.relations[name]
-    # the parts of one lead group share one relation object under several
-    # names, so an index is looked up by that object
-    built = {at: pair for (other, at), pair in t.masks.items()
-             if t.relations[other] is rel}
-    found = built.get(at_v)
-    if found is None:
-        co = isinstance(rel, Complement)
-        facts = rel.present if co else rel
-        first, single = at_v[0], len(at_v) == 1
-        twin = built.get((1 - first,)) if single and len(tup) == 2 else None
-        if single and isinstance(rel, _Extends) and rel.arity == 2:
-            index = rel.index
-            if rel.at != first:
-                index = {}
-                for key, m in rel.index.items():
-                    bit = 1 << key
-                    while m:
-                        low = m & -m
-                        w = low.bit_length() - 1
-                        index[w] = index.get(w, 0) | bit
-                        m ^= low
-                if index == rel.index:
-                    index = rel.index
-            found = (index, 0)
-        elif twin is not None and facts.issuperset(map(itemgetter(1, 0),
-                                                       facts)):
-            found = twin
-        else:
-            bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
+    co = isinstance(rel, Complement)
+    facts = rel.present if co else rel
+    first, single = at_v[0], len(at_v) == 1
+    twin = (t.masks.get((name, (1 - first,)))
+            if single and len(tup) == 2 else None)
+    if single and isinstance(rel, _Extends) and rel.arity == 2:
+        index = rel.index
+        if rel.at != first:
             index = {}
-            for fact in facts:
-                w = fact[first]
-                if single or all(fact[i] == w for i in at_v):
-                    key = bound_of(fact)
-                    index[key] = index.get(key, 0) | 1 << w
-            full = (1 << t.n) - 1
-            found = (({key: full & ~m for key, m in index.items()}, full)
-                     if co else (index, 0))
+            for key, m in rel.index.items():
+                bit = 1 << key
+                while m:
+                    low = m & -m
+                    w = low.bit_length() - 1
+                    index[w] = index.get(w, 0) | bit
+                    m ^= low
+            if index == rel.index:
+                index = rel.index
+        found = (index, 0)
+    elif twin is not None and facts.issuperset(map(itemgetter(1, 0), facts)):
+        found = twin
+    else:
+        bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
+        index = {}
+        for fact in facts:
+            w = fact[first]
+            if single or all(fact[i] == w for i in at_v):
+                key = bound_of(fact)
+                index[key] = index.get(key, 0) | 1 << w
+        full = (1 << t.n) - 1
+        found = (({key: full & ~m for key, m in index.items()}, full)
+                 if co else (index, 0))
     t.masks[name, at_v] = found
     return found
 
@@ -300,9 +295,7 @@ def _schedule(structure, td, keep):
             for v in set(tup):
                 atoms_of.setdefault(v, []).append((name, tup))
     kept = set(keep or ())
-    # a vertex with an empty up roots its own tree of the forest
-    below = [[c for c in kids if td.up[c]] for kids in td.children]
-    parent = {c: p for p, kids in enumerate(below) for c in kids}
+    parent = {c: p for p, kids in enumerate(td.children) for c in kids}
     roots = [i for i, up in enumerate(td.up) if not up]
     # up+ of each vertex: its later neighbours once keep joins the graph and
     # is never eliminated, which adds to up the keep neighbours of the
@@ -418,7 +411,7 @@ def _schedule(structure, td, keep):
         table of the i-th eliminated vertex: its parent, when the parent
         has no other child and lacks no column of that table; else None."""
         p = parent.get(i)
-        if p is not None and below[p] == [i] and \
+        if p is not None and td.children[p] == [i] and \
                 set(plus[i]) == set(plus[p]).union((td.order[p],)):
             return td.order[p]
         return None
@@ -426,7 +419,7 @@ def _schedule(structure, td, keep):
     def count(i):
         """Count steps leaving the table of the i-th eliminated vertex,
         keyed by its up, on top of the stack.  Returns the columns."""
-        v, kids = td.order[i], below[i]
+        v, kids = td.order[i], td.children[i]
         if not kids:
             return grow(True, (), plus[i], v)
         lack = sorted(u for u in plus[i] + (v,)
@@ -435,7 +428,7 @@ def _schedule(structure, td, keep):
         # that sum-out collapses; otherwise a single leaf child binds the
         # whole bag with v last, so v's sum-out collapses
         after = next_sum_out(i)
-        if len(kids) == 1 and not below[kids[0]] and after not in lack:
+        if len(kids) == 1 and not td.children[kids[0]] and after not in lack:
             c = kids[0]
             first = [u for u in plus[c] if u != v]
             cols = grow(True, (), first + lack + [v], td.order[c])
@@ -457,8 +450,8 @@ def _schedule(structure, td, keep):
         of v, all but the first when they are all such; the others are
         joined.  Returns the key columns."""
         v = td.order[i]
-        joined = [c for c in below[i] if len(plus[c]) > 2]
-        narrow = [c for c in below[i] if len(plus[c]) <= 2]
+        joined = [c for c in td.children[i] if len(plus[c]) > 2]
+        narrow = [c for c in td.children[i] if len(plus[c]) <= 2]
         if narrow and not joined:
             joined.append(narrow.pop(0))
         read = [(j, hand(c, v) + (v,)) for j, c in enumerate(narrow)]

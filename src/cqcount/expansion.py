@@ -26,8 +26,7 @@ class FlatLattice:
     """Partitions of the free set induced by subsets of the inequality edges,
     with their ranks and Moebius values."""
 
-    def __init__(self, ground, flats, rank, mu):
-        self.ground = ground
+    def __init__(self, flats, rank, mu):
         self.flats = flats
         self.rank = rank
         self.mu = mu
@@ -60,7 +59,7 @@ def matroid_flats_mobius(free, inequalities):
     for rho in flats:
         if mu[rho] == 0 or (mu[rho] < 0) != (rank[rho] % 2 == 1):
             raise AssertionError("Moebius sign violates the rank parity")
-    return FlatLattice(ground, flats, rank, mu)
+    return FlatLattice(flats, rank, mu)
 
 
 def contract_query(q, rho):

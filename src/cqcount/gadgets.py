@@ -10,7 +10,7 @@ from math import comb
 from .model import (Coloring, Query, Structure, clone_vertices,
                     gaifman_adjacency, gaifman_graph, graph)
 from . import decomposition, homs
-from .quantum import row_reduce
+from .quantum import row_reduce, solve_rational
 
 
 class GadgetOutput:
@@ -274,40 +274,32 @@ def star_instance(g, k):
 def domset_via_star_oracle(g, k):
     """Counts of dominating sets D_1..D_k of g, using only an oracle for the
     color-prescribed star count: homs.count_cp_answers of the star query
-    psi_k."""
+    psi_k.  The oracle counts the dominating k-tuples of g padded with j
+    isolated vertices, j = 0..k-1: C(k, i) surj(i, j) times the dominating
+    (k - i)-tuples of g, summed over i >= j, a triangular system that one
+    quantum.solve_rational call solves for the m-tuples, m = 1..k.  An
+    m-tuple maps onto a dominating set of size at most m, and a second call
+    turns tuples into sets."""
     if not g.is_graph():
         raise ValueError("graph-mode input only")
     psi = family_query("psi", k)
 
-    def padded(j):
-        return graph(g.n + j, g.relations["E"])
+    def dom_tuples_k(j):
+        inst, coloring = star_instance(graph(g.n + j, g.relations["E"]), k)
+        return (g.n + j) ** k - homs.count_cp_answers(psi, inst, coloring)
 
-    def dom_tuples_k(target):
-        inst, coloring = star_instance(target, k)
-        return target.n ** k - homs.count_cp_answers(psi, inst, coloring)
-
-    dom = {0: 1 if g.n == 0 else 0, k: dom_tuples_k(g)}
-    for j in range(k - 1, 0, -1):
-        value = dom_tuples_k(padded(j))
-        acc = value
-        for i in range(j + 1, k + 1):
-            acc -= comb(k, i) * count_surjections(i, j) * dom[k - i]
-        coeff = comb(k, j) * count_surjections(j, j)
-        if acc % coeff:
-            raise AssertionError("padding system is not integral")
-        dom[k - j] = acc // coeff
-    counts = []
-    d = {}
-    for ell in range(1, k + 1):
-        acc = dom[ell]
-        for i in range(1, ell):
-            acc -= d[i] * count_surjections(ell, i)
-        s = count_surjections(ell, ell)
-        if acc % s:
-            raise AssertionError("dominating-set recursion is not integral")
-        d[ell] = acc // s
-        counts.append(d[ell])
-    return counts
+    # the i = k term is known: the empty tuple dominates only an empty g
+    tuples = solve_rational(
+        [[comb(k, m) * count_surjections(k - m, j) for m in range(1, k + 1)]
+         for j in range(k)],
+        [dom_tuples_k(j) - (g.n == 0) * count_surjections(k, j)
+         for j in range(k)])
+    sets = solve_rational([[count_surjections(m, ell)
+                            for ell in range(1, k + 1)]
+                           for m in range(1, k + 1)], tuples)
+    if any(x.denominator != 1 for x in sets):
+        raise AssertionError("dominating-set counts are not integral")
+    return [int(x) for x in sets]
 
 
 # ---------------------------------------------------------------------------

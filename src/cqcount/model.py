@@ -49,9 +49,6 @@ class Signature:
     def __repr__(self):
         return "Signature(%r)" % (self.symbols,)
 
-    def names(self):
-        return [name for name, _ in self.symbols]
-
 
 GRAPH = Signature(GRAPH_SIGNATURE)  # shared: a Signature is never changed
 

@@ -184,11 +184,9 @@ def _trend(values):
 
 
 def classify(queries):
-    """Advisory classification.  For a single query: its ParameterReport.  For
-    a list, boundedness trends and the matching complexity regime, reported as
-    class-level evidence only."""
-    if not isinstance(queries, (list, tuple)):
-        return analyze(queries)
+    """Advisory classification of a list of queries: boundedness trends and
+    the matching complexity regime, reported as class-level evidence only.
+    A single query's report is analyze's."""
     reports = [analyze(q) for q in queries]
     trends = {
         "tw": _trend([r.tw for r in reports]),

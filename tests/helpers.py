@@ -294,7 +294,7 @@ def disjoint_union(s, t):
     if s.signature != t.signature:
         raise ValueError("signature mismatch")
     rels = {}
-    for name in s.signature.names():
+    for name, _ in s.signature.symbols:
         rels[name] = set(s.relations[name]) | set(
             tuple(v + s.n for v in tup) for tup in t.relations[name])
     return Structure(s.signature, s.n + t.n, rels)

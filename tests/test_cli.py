@@ -366,6 +366,85 @@ def test_gamma_to_grate_names_itself_on_a_bad_k(tmp_path, capsys):
     assert err == "error: gadget gamma-to-grate: k must be positive\n"
 
 
+PSI3 = "query\nfree x1 x2 x3\nexists y\nbody E(x1,y) & E(x2,y) & E(x3,y)\n"
+# gamma_2's vertices 0..3 with its own edges: x0 y0, x1 y1 and y0 y1
+GAMMA2_PATH = "graph\ndomain 4\nE 0 2\nE 1 3\nE 2 3\n"
+IDENTITY4 = "color 0 0\ncolor 1 1\ncolor 2 2\ncolor 3 3\n"
+TERNARY = "query\nsignature R/3\nfree x y\nexists z\nbody R(x,y,z)\n"
+# a triangle, the Gaifman graph of TERNARY, with a second copy of y at 3
+TRIANGLE_AND_Y = "graph\ndomain 4\nE 0 1\nE 1 2\nE 0 2\nE 2 3\nE 0 3\n"
+THREE_HALVES = ("transform identity\ncoeff 3/2\nquery\nexists x y\n"
+                "body E(x,y)\n")
+# (files by name, argv naming them, the whole of stdout), each output as
+# the command printed it before these tests were written
+PINNED = {
+    "gamma-to-grate": (
+        {"t": GAMMA2_PATH, "c": IDENTITY4},
+        ["gadget", "gamma-to-grate", "--k", "2", "--target", "t",
+         "--coloring", "c"],
+        "relation: count_cp_answers(gamma_k,t) = "
+        "count_cp_answers(omega_k,gadget)\n--- structure\ngraph\n"
+        "domain 6\nE 0 4\nE 1 5\nE 2 4\nE 2 5\n--- coloring\n"
+        "color 0 0\ncolor 1 1\ncolor 2 2\ncolor 3 2\ncolor 4 3\n"
+        "color 5 4\n"),
+    "minor": (
+        {"q": PSI2},
+        ["gadget", "minor", "--query", "q", "--op", "delete-edge",
+         "--vertices", "0", "2"],
+        "query\nfree v0 v1\nexists v2\nbody E(v1,v2)\n"),
+    "minor-instance": (
+        {"q": PSI2, "t": "graph\ndomain 3\nE 1 2\n",
+         "c": "color 0 0\ncolor 1 1\ncolor 2 2\n"},
+        ["gadget", "minor", "--query", "q", "--op", "delete-edge",
+         "--vertices", "0", "2", "--target", "t", "--coloring", "c"],
+        "relation: count_cp_answers equal\n--- structure\ngraph\n"
+        "domain 3\nE 0 2\nE 1 2\n--- coloring\ncolor 0 0\ncolor 1 1\n"
+        "color 2 2\n"),
+    "gaifman-expand": (
+        {"q": TERNARY, "t": TRIANGLE_AND_Y,
+         "c": "color 0 0\ncolor 1 1\ncolor 2 2\ncolor 3 1\n"},
+        ["gadget", "gaifman-expand", "--query", "q", "--target", "t",
+         "--coloring", "c"],
+        "relation: count_cp_answers(gaifman(q),t) = "
+        "count_cp_answers(q,gadget)\n--- structure\nstructure\n"
+        "signature R/3\ndomain 4\nR 0 1 2\nR 0 3 2\n--- coloring\n"
+        "color 0 0\ncolor 1 1\ncolor 2 2\ncolor 3 1\n"),
+    "classify-one": (
+        {"q": PSI2}, ["classify", "--query", "q"],
+        "treewidth: 1\ncontract treewidth: 1\ndominating star size: 2\n"
+        "linked matching number: 1\ncomponent 0: {2}, boundary {0,1}\n"),
+    "classify-one-machine": (
+        {"q": PSI2}, ["classify", "--query", "q", "--machine"],
+        "tw=1\ntw_contract=1\ndss=2\nlmn=1\ncomponent0=2|boundary=0,1\n"),
+    "params-note": (
+        {"q": PSI3}, ["params", "--query", "q"],
+        "treewidth: 1\ncontract treewidth: 2\ndominating star size: 3\n"
+        "linked matching number: 1\ncomponent 0: {3}, boundary {0,1,2}\n"
+        "note: no O(n^{3-eps}) algorithm under SETH (class-level evidence; "
+        "dss >= 3)\n"),
+    "params-note-machine": (
+        {"q": PSI3}, ["params", "--query", "q", "--machine"],
+        "tw=1\ntw_contract=2\ndss=3\nlmn=1\ncomponent0=3|boundary=0,1,2\n"
+        "note0=no O(n^{3-eps}) algorithm under SETH (class-level evidence; "
+        "dss >= 3)\n"),
+    "eval-fraction": (
+        {"qq": THREE_HALVES, "t": "graph\ndomain 2\nE 0 1\n"},
+        ["eval", "--quantum", "qq", "--target", "t"], "value: 3/2\n"),
+    "eval-fraction-machine": (
+        {"qq": THREE_HALVES, "t": "graph\ndomain 2\nE 0 1\n"},
+        ["eval", "--quantum", "qq", "--target", "t", "--machine"],
+        "value=3/2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_command_output(tmp_path, capsys, case):
+    files, argv, want = PINNED[case]
+    paths = {name: write(tmp_path, name, text) for name, text in files.items()}
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert (code, out, err) == (0, want, "")
+
+
 def test_eval_methods_agree_on_a_universal_formula(tmp_path, capsys):
     f = write(tmp_path, "f", "formula\nfree x1 x2\nforall y\n"
                              "body E(x1,y) | E(x2,y)\n")
@@ -707,6 +786,10 @@ MALFORMED_BESIDE_AN_UNSATISFIABLE_QUERY = [
      "vertex 0 colored twice"),
     ("count-cp", P3, "color 0 x\ncolor 1 y\n", "coloring",
      "coloring has wrong length"),
+    ("count-cp", P3, "color 0 99\ncolor 1 0\ncolor 2 0\n", "coloring",
+     "color out of range: 99"),
+    ("count-cf", P3, "color 0 99\ncolor 1 0\ncolor 2 0\n", "coloring",
+     "color out of range: 99"),
 ]
 
 

@@ -65,9 +65,9 @@ def check_elimination_tree(td, g):
     the width is the largest up and the bags decompose g."""
     assert sorted(td.order) == list(g.vertices())
     bags = [set(up) | {v} for v, up in zip(td.order, td.up)]
-    # every vertex but the last, the root, is the child of one vertex
+    # every vertex is a root, with an empty up, or the child of one vertex
     assert sorted(c for kids in td.children for c in kids) == \
-        list(range(len(bags) - 1))
+        [i for i, up in enumerate(td.up) if up]
     for p, kids in enumerate(td.children):
         for c in kids:
             assert c < p and set(td.up[c]) <= bags[p]
@@ -1234,6 +1234,22 @@ def test_a_join_past_the_row_cap_raises_a_budget_error(monkeypatch):
     with pytest.raises(dec.BudgetError) as err:
         dec.count(q, t, method="dp")
     assert err.traceback[-1].name == "join"
+    assert "TABLE_ROWS_CAP" in str(err.value)
+    assert dec.count_and_method(q, t) == (want, "brute")
+
+
+def test_a_count_grow_past_the_row_cap_raises_a_budget_error(monkeypatch):
+    # on K_12 a grow step of subdivided_4's final DP passes 50 rows before
+    # any existence table or join does.  Any two vertices of K_12, equal or
+    # not, share a neighbour, so every free tuple is an answer.
+    q = family_query("subdivided", 4)
+    t = graph(12, [(a, b) for a in range(12) for b in range(a + 1, 12)])
+    want = 12 ** 4
+    assert dec.count(q, t, method="dp") == want
+    monkeypatch.setattr(dec, "TABLE_ROWS_CAP", 50)
+    with pytest.raises(dec.BudgetError) as err:
+        dec.count(q, t, method="dp")
+    assert err.traceback[-1].name == "grow"
     assert "TABLE_ROWS_CAP" in str(err.value)
     assert dec.count_and_method(q, t) == (want, "brute")
 

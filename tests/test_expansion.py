@@ -100,6 +100,21 @@ def test_expand_negations_randomized():
         assert quantum.evaluate(qq, t) == homs.count_answers(q, t)
 
 
+def test_an_equality_that_leaves_an_inequality_standing():
+    # eq x2 x3 merges x3 into x2, and ineq x1 x2 keeps its two classes
+    # apart, so the compiled query is psi_2 with x1 != x2
+    f = parse_formula("formula\nfree x1 x2 x3\nexists y\n"
+                      "body E(x1,y) & E(x2,y)\neq x2 x3\nineq x1 x2\n")
+    qq = expansion.compile(f)
+    rng = random.Random(29)
+    for _ in range(20):
+        t = random_graph(rng, rng.randint(1, 6))
+        assert quantum.evaluate(qq, t) == \
+            expansion.count_formula_answers(f, t)
+    # on K_3 each x1 has two others sharing a neighbour
+    assert quantum.evaluate(qq, graph(3, [(0, 1), (1, 2), (0, 2)])) == 6
+
+
 def test_formula_counter_on_small_examples():
     f = parse_formula("formula\nfree x\nforall y\nbody E(x,y)\n")
     # only a vertex adjacent to everything (including itself) qualifies

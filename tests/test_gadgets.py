@@ -104,6 +104,21 @@ def test_colorful_count_via_uncolored_oracle():
         homs.count_cf_answers(q, t, c)
 
 
+def test_colorful_count_via_uncolored_oracle_without_free_vertices():
+    # a Boolean query's colourful count is 1 when some answer exists
+    rng = random.Random(17)
+    for q in (Query(graph(2, [(0, 1)]), ()),
+              Query(graph(3, [(0, 1), (1, 2), (0, 2)]), ())):
+        seen = set()
+        for _ in range(8):
+            t, c = random_colored_instance(rng, q.structure,
+                                           max_per_class=2, p=0.4)
+            got = gadgets.cf_count_via_uncolored(q, t, c)
+            assert got == homs.count_cf_answers(q, t, c)
+            seen.add(got)
+        assert seen == {0, 1}
+
+
 def test_cf_via_uncolored_counts_the_oracle_calls():
     calls = []
     q = gadgets.family_query("psi", 2)

@@ -118,11 +118,6 @@ def test_classifier_regimes():
     assert params.classify(paths)["regime"] == "P"
 
 
-def test_classify_single_query_returns_a_report():
-    r = params.classify(family_query("psi", 3))
-    assert isinstance(r, params.ParameterReport)
-
-
 def test_analyze_past_the_exact_treewidth_limit_reports_a_heuristic_bound():
     n = dec.EXACT_TREEWIDTH_LIMIT + 2
     # the endpoints free: the contract is one edge, so only the query's own

@@ -137,6 +137,24 @@ def test_quantum_text_round_trip():
         serialize_quantum(qq)
 
 
+def test_quantum_text_skips_empty_blocks():
+    block = "coeff 1/1\nquery\nfree x\nbody true\n"
+    # no terms serialize as the transform line alone
+    qq = parse_quantum("transform complement\n")
+    assert (qq.transform, qq.terms) == ("complement", [])
+    # a header alone in its block, a leading --- and an empty block between
+    # two terms are skipped; the first block that holds a line reads the
+    # header
+    for text, transform, terms in [
+            ("transform complement\n---\n" + block, "complement", 1),
+            ("---\n" + block, "identity", 1),
+            ("---\ntransform complement\n" + block, "complement", 1),
+            (block + "---\n---\n" + block, "identity", 2)]:
+        qq = parse_quantum(text)
+        assert (qq.transform, len(qq.terms)) == (transform, terms), text
+        assert all(q.free == (0,) for _, q in qq.terms)
+
+
 TWO_BLOCKS = ("transform identity\ncoeff 1/1\nquery\nfree x y\nbody E(x,y)\n"
               "---\ncoeff -1/1\nquery\n# the free line\nfree x\n\n"
               "body E(x,z)\n")

@@ -96,7 +96,11 @@ def test_evaluate_sums_term_counts():
     assert quantum.evaluate(qq, triangle()) == 9
     assert quantum.evaluate(quantum.QuantumQuery([]), triangle()) == 0
     half = quantum.QuantumQuery([(Fraction(1, 2), VERTEX)])
-    assert quantum.evaluate(half, graph(2, [])) == 1
+    value = quantum.evaluate(half, graph(2, []))
+    assert type(value) is int and value == 1
+    # off the integers the value stays a Fraction
+    value = quantum.evaluate(half, graph(3, []))
+    assert isinstance(value, Fraction) and value == Fraction(3, 2)
 
 
 def test_evaluate_complement_transform():
