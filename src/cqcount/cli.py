@@ -13,9 +13,10 @@ from itertools import combinations, product
 
 from . import decomposition as dec
 from . import expansion, gadgets, homs, params, quantum
-from .model import (Coloring, Query, Structure, complement_structure,
-                    gaifman_graph, graph, graph_edges, induced_substructure,
-                    is_undirected, tensor_product, unmatched_pair)
+from .model import (Coloring, Query, Structure, clone_by_multiplicity,
+                    complement_structure, gaifman_graph, graph, graph_edges,
+                    induced_substructure, is_undirected, tensor_product,
+                    unmatched_pair)
 from .parser import (ZeroWitness, parse_coloring, parse_formula,
                      parse_quantum, parse_query_and_names, parse_structure,
                      serialize_coloring, serialize_query, serialize_quantum,
@@ -483,10 +484,15 @@ def _check_dp(rng, args):
             q = Query(graph(q.structure.n, graph_edges(q.structure)
                             + [tuple(rng.sample(q.free, 2))]), q.free)
         g = _random_graph(rng, rng.randint(0, args.max_n))
-    # counted as read from a file, so a graph arrives with E's index
+    # counted as read from a file, so a graph arrives with E's index; a
+    # complement or clone of it arrives with the index derived from its own
     g = parse_structure(serialize_structure(g))
     transform = rng.choice(["identity", "complement"])
     t = complement_structure(g) if transform == "complement" else g
+    if rng.random() < 0.4:
+        multiplicity = [rng.randint(0, 2) for _ in t.vertices()]
+        t, _ = clone_by_multiplicity(t, multiplicity)
+        transform += ", cloned %r" % multiplicity
     domains = None
     draw = rng.random()
     if draw < 0.4:

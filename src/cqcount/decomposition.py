@@ -16,14 +16,13 @@ which the final DP reads as it is.
 from bisect import bisect
 from collections.abc import Set
 from functools import lru_cache
-from operator import itemgetter
 
 from . import homs
 # BudgetError lives in model, so homs can raise it without an import cycle;
 # callers also name it as dec.BudgetError
-from .model import (BudgetError, Complement, Query, Signature, Structure,
-                    gaifman_adjacency, induced_substructure, partition,
-                    tuple_getter)
+from .model import (BudgetError, Query, Signature, Structure,
+                    gaifman_adjacency, index_pair, induced_substructure,
+                    key_getter, partition, tuple_getter)
 
 EXACT_TREEWIDTH_LIMIT = 20
 # The most rows one DP table may hold while it is built.  A row carries up to
@@ -155,14 +154,10 @@ def decompose_graph(g):
     return width, TreeDecomposition(order, up, width)
 
 
-def _key_getter(positions):
-    return itemgetter(*positions) if positions else (lambda row: ())
-
-
 class _Extends(Set):
     """The relation of a part, as dp_tables' existence table leaves it: the
     tuples of arity values whose value at position at is a member of
-    index[key], for key the values at the other positions as _key_getter
+    index[key], for key the values at the other positions as key_getter
     reads them.  So index is already the one that _candidate_masks would
     build for position at, and len, iteration and membership are those of
     the frozenset of the tuples."""
@@ -173,7 +168,7 @@ class _Extends(Set):
         self.index = index
         self.at = at
         self.arity = arity
-        self._key = _key_getter([i for i in range(arity) if i != at])
+        self._key = key_getter([i for i in range(arity) if i != at])
         self._len = None
 
     def __contains__(self, tup):
@@ -202,48 +197,29 @@ def _candidate_masks(t, name, tup, v):
     name only: the parts of one lead group share a relation object, and
     derived_free_query installs its index under each part's name, so only a
     column it did not install is indexed once per name.  A graph file that
-    parser.parse_structure indexes and a part whose boundary swap fixes it
-    (see derived_free_query) arrive with both single positions indexed.  A
-    Complement view is indexed from its present tuples as co-masks, and a
-    binary _Extends at its other position by transposing its own index.  A
-    symmetric binary relation indexes alike at both positions: when the
-    second position is first asked for, the relation is tested for symmetry
-    once and, if it holds, the key shares the first one's object."""
+    parser.parse_structure indexes, a clone, reflexive complement or star
+    instance that model.clone_by_multiplicity, model.complement_structure
+    or gadgets.star_instance derives from its source, and a part whose
+    boundary swap fixes it (see derived_free_query) arrive with both single
+    positions indexed.  A binary _Extends is indexed at its other position
+    by transposing its own index; any other relation by model.index_pair."""
     at_v = tuple(i for i, u in enumerate(tup) if u == v)
     rel = t.relations[name]
-    co = isinstance(rel, Complement)
-    facts = rel.present if co else rel
-    first, single = at_v[0], len(at_v) == 1
-    twin = (t.masks.get((name, (1 - first,)))
-            if single and len(tup) == 2 else None)
-    if single and isinstance(rel, _Extends) and rel.arity == 2:
-        index = rel.index
-        if rel.at != first:
-            index = {}
-            for key, m in rel.index.items():
-                bit = 1 << key
-                while m:
-                    low = m & -m
-                    w = low.bit_length() - 1
-                    index[w] = index.get(w, 0) | bit
-                    m ^= low
-            if index == rel.index:
-                index = rel.index
-        found = (index, 0)
-    elif twin is not None and facts.issuperset(map(itemgetter(1, 0), facts)):
-        found = twin
-    else:
-        bound_of = _key_getter([i for i, u in enumerate(tup) if u != v])
+    if len(at_v) > 1 or not isinstance(rel, _Extends) or rel.arity != 2:
+        return index_pair(t, name, at_v)
+    index = rel.index
+    if rel.at != at_v[0]:
         index = {}
-        for fact in facts:
-            w = fact[first]
-            if single or all(fact[i] == w for i in at_v):
-                key = bound_of(fact)
-                index[key] = index.get(key, 0) | 1 << w
-        full = (1 << t.n) - 1
-        found = (({key: full & ~m for key, m in index.items()}, full)
-                 if co else (index, 0))
-    t.masks[name, at_v] = found
+        for key, m in rel.index.items():
+            bit = 1 << key
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                index[w] = index.get(w, 0) | bit
+                m ^= low
+        if index == rel.index:
+            index = rel.index
+    found = t.masks[name, at_v] = (index, 0)
     return found
 
 
@@ -323,7 +299,7 @@ def _schedule(structure, td, keep):
         by a tuple, as the table's rows are."""
         columns = tuple(cols.index(u) for u in tup if u != v)
         mask_key = (name, tuple(i for i, u in enumerate(tup) if u == v))
-        key = (tuple_getter if isinstance(name, int) else _key_getter)(columns)
+        key = (tuple_getter if isinstance(name, int) else key_getter)(columns)
         return columns, key, mask_key, tup, v
 
     def checks(v, cols, last=None, read=()):
@@ -376,8 +352,8 @@ def _schedule(structure, td, keep):
                         and not within <= set(cols)):
                     found.append(check(name, tup, tup[0], row)
                                  + (row.index(tup[0]),))
-            stages.append((_key_getter([row.index(u) for u in shared]),
-                           _key_getter([cols.index(u) for u in shared]),
+            stages.append((key_getter([row.index(u) for u in shared]),
+                           key_getter([cols.index(u) for u in shared]),
                            tuple_getter([cols.index(u) for u in extra]),
                            found))
         out = [row.index(u) for u in sorted(row)]
@@ -831,7 +807,7 @@ def dp_tables(structure, target, td, keep=None, domains=None, size=False):
         return frozenset(table)
     at = steps[-1][4][-1][2] if how == "bind" else how[1]
     if len(keep) == 2:
-        # _key_getter reads a single column as a bare value
+        # key_getter reads a single column as a bare value
         table = {row[0]: m for row, m in table.items()}
     return _Extends(table, at, len(keep))
 

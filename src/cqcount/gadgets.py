@@ -7,8 +7,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .model import (Coloring, Query, Structure, clone_vertices,
-                    gaifman_adjacency, gaifman_graph, graph)
+from .model import (GRAPH, INDEXED_GRAPH_LIMIT, Coloring, Query, Structure,
+                    clone_vertices, gaifman_adjacency, gaifman_graph, graph,
+                    index_pair)
 from . import decomposition, homs
 from .quantum import row_reduce, solve_rational
 
@@ -255,17 +256,28 @@ def _brute_dominating_sets(g, ell):
 
 def star_instance(g, k):
     """The layered instance whose psi_k color-prescribed count complements the
-    dominating-tuple count: layer 0 carries the center color, layers 1..k the
-    leaves, with an edge exactly between copies of distinct non-adjacent
-    primal vertices."""
+    dominating-tuple count of the graph g: layer 0 carries the center color,
+    layers 1..k the leaves, with an edge exactly between copies of distinct
+    non-adjacent primal vertices.  It arrives with E's index (see
+    Structure), read off g's closed neighbourhoods."""
     n = g.n
-    adjacent = g.relations["E"]
-    apart = [(u, v) for u in range(n) for v in range(n)
-             if u != v and (u, v) not in adjacent]
+    near, _ = index_pair(g, "E", (1,))
+    full = (1 << n) - 1
+    apart = [full & ~(near.get(u, 0) | 1 << u) for u in range(n)]
     # layer 0 holds the center copies 0..n-1, layer i the leaf copies
-    # i*n..i*n+n-1, so every edge is already ordered
-    g2 = graph((k + 1) * n, [(u, i * n + v) for i in range(1, k + 1)
-                             for u, v in apart])
+    # i*n..i*n+n-1
+    edges = [(u, i * n + v) for i in range(1, k + 1) for u in range(n)
+             for v in range(n) if apart[u] >> v & 1]
+    g2 = Structure._trusted(GRAPH, (k + 1) * n, {"E": frozenset(
+        edges + [(b, a) for a, b in edges])})
+    if g2.n <= INDEXED_GRAPH_LIMIT:
+        # a center's mask holds its apart set in every leaf layer, a leaf's
+        # the apart set of its vertex among the centers
+        index = {u: sum(m << i * n for i in range(1, k + 1))
+                 for u, m in enumerate(apart) if m}
+        index.update((i * n + v, m) for i in range(1, k + 1)
+                     for v, m in enumerate(apart) if m)
+        g2.masks["E", (0,)] = g2.masks["E", (1,)] = (index, 0)
     psi = family_query("psi", k)
     colors = [k] * n + [i for i in range(k) for _ in range(n)]
     return g2, Coloring(colors, g2, psi.structure)
@@ -285,7 +297,10 @@ def domset_via_star_oracle(g, k):
     psi = family_query("psi", k)
 
     def dom_tuples_k(j):
-        inst, coloring = star_instance(graph(g.n + j, g.relations["E"]), k)
+        # j isolated vertices add no fact, so g's index is also theirs
+        padded = Structure._trusted(GRAPH, g.n + j, g.relations)
+        padded.masks.update(g.masks)
+        inst, coloring = star_instance(padded, k)
         return (g.n + j) ** k - homs.count_cp_answers(psi, inst, coloring)
 
     # the i = k term is known: the empty tuple dominates only an empty g

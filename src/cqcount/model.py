@@ -12,6 +12,12 @@ from itertools import filterfalse, product
 from operator import itemgetter
 
 GRAPH_SIGNATURE = (("E", 2),)
+# a target of at most this many vertices arrives indexed when it is read from
+# a graph file or cloned, complemented or made a star instance (see
+# Structure), at most n masks of n bits (2 MB) per position; past it the fast
+# counter builds the index on first use, so a command that never counts on
+# it never pays for it
+INDEXED_GRAPH_LIMIT = 2 ** 12
 
 
 class BudgetError(ValueError):
@@ -64,9 +70,12 @@ class Structure:
     complete a fact; a value missing from index reads default, 0 or, for a
     Complement view's co-masks, the full mask.  Two keys may share one pair
     object: a symmetric binary relation is indexed alike at both positions.
-    A parsed graph file of at most parser.INDEXED_GRAPH_LIMIT vertices
-    arrives with E's pair at both positions; otherwise
-    decomposition._candidate_masks builds each pair on first use."""
+    A target of at most INDEXED_GRAPH_LIMIT vertices arrives with the pairs
+    at both single positions of E, or of each binary relation, when
+    parser.parse_structure reads it from a graph file or when
+    clone_by_multiplicity (so clone_vertices), complement_structure or
+    gadgets.star_instance derives it from its source's pairs; otherwise
+    index_pair builds each pair on first use."""
 
     def __init__(self, signature, n, relations):
         if not isinstance(signature, Signature):
@@ -135,6 +144,67 @@ class Structure:
 
     def total_tuples(self):
         return sum(len(r) for r in self.relations.values())
+
+
+def key_getter(positions):
+    """A function giving a sequence's values at positions as an index key of
+    Structure.masks: a bare value for one position, a tuple for several, ()
+    for none."""
+    return itemgetter(*positions) if positions else (lambda row: ())
+
+
+def index_pair(structure, name, at):
+    """The (index, default) pair of structure.masks under (name, at), for a
+    vertex at the positions at of an atom of name: built from the facts on
+    first use and memoized there.  A Complement view is indexed from its
+    present tuples as co-masks.  A symmetric binary relation indexes alike
+    at both positions: when the second single position is first asked for,
+    the relation is tested for symmetry once and, if it holds, the key
+    shares the first one's object."""
+    pair = structure.masks.get((name, at))
+    if pair is not None:
+        return pair
+    rel = structure.relations[name]
+    co = isinstance(rel, Complement)
+    facts = rel.present if co else rel
+    arity = structure.signature.arity[name]
+    first, single = at[0], len(at) == 1
+    twin = (structure.masks.get((name, (1 - first,)))
+            if single and arity == 2 else None)
+    if twin is not None and facts.issuperset(map(itemgetter(1, 0), facts)):
+        pair = twin
+    else:
+        bound_of = key_getter([i for i in range(arity) if i not in at])
+        index = {}
+        for fact in facts:
+            w = fact[first]
+            if single or all(fact[i] == w for i in at):
+                key = bound_of(fact)
+                index[key] = index.get(key, 0) | 1 << w
+        full = (1 << structure.n) - 1
+        pair = (({key: full & ~m for key, m in index.items()}, full)
+                if co else (index, 0))
+    structure.masks[name, at] = pair
+    return pair
+
+
+def _derive_pairs(source, target, derive):
+    """Install in target.masks, when target has at most INDEXED_GRAPH_LIMIT
+    vertices, derive(pair) for the pair of source at each single position
+    of each binary relation, source's pairs built first where missing; one
+    object at both positions when the two are equal, as they are when
+    source's two are one."""
+    if target.n > INDEXED_GRAPH_LIMIT:
+        return
+    for name, arity in source.signature.symbols:
+        if arity != 2:
+            continue
+        first = index_pair(source, name, (0,))
+        second = index_pair(source, name, (1,))
+        pair = derive(first)
+        other = pair if second is first else derive(second)
+        target.masks[name, (0,)] = pair
+        target.masks[name, (1,)] = pair if other == pair else other
 
 
 def unmatched_pair(rel):
@@ -361,13 +431,19 @@ def complement_structure(structure):
     """Reflexive complement: each relation becomes all tuples (diagonal
     included) that are absent from it.  The complement is implicit: each
     relation is a Complement view over the original, so no absent tuple is
-    stored.  Complementing twice returns the original relation objects."""
+    stored.  Complementing twice returns the original relation objects.  A
+    binary relation's pairs are the complements of the source's (see
+    Structure): co-masks, or for a Complement view the masks again."""
     rels = {}
     for name, arity in structure.signature.symbols:
         rel = structure.relations[name]
         rels[name] = (rel.present if isinstance(rel, Complement)
                       else Complement(rel, structure.n, arity))
-    return Structure(structure.signature, structure.n, rels)
+    out = Structure(structure.signature, structure.n, rels)
+    full = (1 << structure.n) - 1
+    _derive_pairs(structure, out, lambda pair: (
+        {key: full & ~m for key, m in pair[0].items()}, full & ~pair[1]))
+    return out
 
 
 def tensor_product(s, t):
@@ -387,22 +463,41 @@ def tensor_product(s, t):
 def clone_by_multiplicity(structure, multiplicity):
     """Replace vertex v by multiplicity[v] fresh copies, expanding every tuple
     over all combinations of copies.  Returns (structure, origin) where
-    origin[new_vertex] = old_vertex."""
+    origin[new_vertex] = old_vertex.  A binary relation's mask at a copy of
+    u is the OR of the copy blocks (the bits of a vertex's copies) of the
+    members of the source's mask at u (see Structure)."""
     if len(multiplicity) != structure.n:
         raise ValueError("multiplicity vector has wrong length")
     copies = {}
     origin = []
+    block = []
     for v in structure.vertices():
         m = multiplicity[v]
         if m < 0:
             raise ValueError("negative multiplicity")
-        copies[v] = list(range(len(origin), len(origin) + m))
+        copies[v] = range(len(origin), len(origin) + m)
+        block.append(((1 << m) - 1) << len(origin))
         origin.extend([v] * m)
     # relabelled copies of a checked structure's tuples need no second check
     rels = {name: frozenset(combo for tup in rel
                             for combo in product(*(copies[v] for v in tup)))
             for name, rel in structure.relations.items()}
-    return Structure._trusted(structure.signature, len(origin), rels), origin
+    cloned = Structure._trusted(structure.signature, len(origin), rels)
+
+    def derive(pair):
+        index = {}
+        for u in structure.vertices():
+            m, out = pair[0].get(u, pair[1]), 0
+            while m:
+                low = m & -m
+                out |= block[low.bit_length() - 1]
+                m ^= low
+            if out:
+                index.update(dict.fromkeys(copies[u], out))
+        return index, 0
+
+    _derive_pairs(structure, cloned, derive)
+    return cloned, origin
 
 
 def clone_vertices(structure, coloring, z):

@@ -5,18 +5,19 @@ One statement per line, a line ending at "\n" or "\r\n"; no other ASCII
 control character than tab may appear.  `#` starts a comment, identifiers match
 [A-Za-z][A-Za-z0-9_]*, and a vertex, domain size, colour or arity is an
 optional '-' and ASCII digits; a coefficient p/q is one such and '/' and
-ASCII digits.  A structure file's tokens are split by ASCII whitespace
-only.  A body's tokens are identifiers (`true` one of them) and the
-characters ( ) , & | !, spaces between them optional.
+ASCII digits.  Tokens are split by ASCII whitespace only: a non-ASCII
+space outside a comment is an error in every format.  A body's tokens are
+identifiers (`true` one of them) and the characters ( ) , & | !, spaces
+between them optional.
 Precedence: ! > & > |.  An error's column counts within its line.
 """
 
 import re
 from fractions import Fraction
 
-from .model import (GRAPH, GRAPH_SIGNATURE, Coloring, Query, Structure,
-                    Signature, graph_edges, is_undirected, partition,
-                    query_relations)
+from .model import (GRAPH, GRAPH_SIGNATURE, INDEXED_GRAPH_LIMIT, Coloring,
+                    Query, Structure, Signature, graph_edges, is_undirected,
+                    partition, query_relations)
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 _COEFF = re.compile(r"-?[0-9]+/[0-9]+")  # ASCII digits only, unlike \d
@@ -85,13 +86,23 @@ def _lines(text):
     return text.split("\n")
 
 
+def _foreign_space(line):
+    """True when line holds whitespace outside ASCII, which str.split()
+    would also split at."""
+    return not line.isascii() and any(c.isspace() for c in line
+                                      if not c.isascii())
+
+
 def _logical_lines(text):
-    """(line number, line) for each line with more than a comment, cut there."""
+    """(line number, line) for each line with more than a comment, cut there;
+    non-ASCII whitespace in it is a ParseError naming its line."""
     out = []
     for lineno, line in enumerate(_lines(text), 1):
         if "#" in line:
             line = line[:line.index("#")]
         if line and not line.isspace():
+            if _foreign_space(line):
+                raise ParseError("non-ASCII whitespace", lineno)
             out.append((lineno, line))
     return out
 
@@ -131,10 +142,6 @@ def _parse_signature_tokens(tokens, lineno):
 # the largest domain a structure file may declare: one n-bit candidate mask
 # of the fast counter is then 2 MB
 MAX_DOMAIN = 2 ** 24
-# a graph file of at most this many vertices arrives with E's index, at most
-# n masks of n bits (2 MB); past it the fast counter builds the index on
-# first use, so a command that never counts on it never pays for it
-INDEXED_GRAPH_LIMIT = 2 ** 12
 
 
 def parse_structure(text):
@@ -154,8 +161,7 @@ def parse_structure(text):
         tokens = line.split()
         if not tokens:
             continue
-        if not (strict or line.isascii()) and any(
-                c.isspace() for c in line if not c.isascii()):
+        if not strict and _foreign_space(line):
             raise ParseError("non-ASCII whitespace", lineno)
         head = tokens[0]
         arity = arity_of.get(head)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cqcount import gadgets, homs
+from cqcount import decomposition, gadgets, homs
 from cqcount.model import (Coloring, Query, Signature, Structure,
                            gaifman_graph, graph, graph_edges)
+from cqcount.parser import parse_structure, serialize_structure
 
 from helpers import (cp_count_via_uncolored, random_colored_instance,
                      random_graph)
@@ -132,6 +133,35 @@ def test_cf_via_uncolored_counts_the_oracle_calls():
     got = gadgets.cf_count_via_uncolored(q, t, c, counter=counter)
     assert got == homs.count_cf_answers(q, t, c)
     assert calls
+
+
+def test_derived_targets_spare_the_fast_counter_indexing_e(monkeypatch):
+    # the interpolation's clones and the star oracle's instances arrive with
+    # E's index, so the fast counter never builds one for E; the star oracle
+    # reads its padded graphs' index off the parsed graph's
+    symbols = []
+    build, read = decomposition._candidate_masks, gadgets.index_pair
+
+    def spy(t, name, tup, v):
+        symbols.append(name)
+        return build(t, name, tup, v)
+
+    def reader(s, name, at):
+        if (name, at) not in s.masks:
+            symbols.append(name)
+        return read(s, name, at)
+
+    monkeypatch.setattr(decomposition, "_candidate_masks", spy)
+    monkeypatch.setattr(gadgets, "index_pair", reader)
+    rng = random.Random(5)
+    q = gadgets.family_query("psi", 2)
+    t, c = random_colored_instance(rng, q.structure, max_per_class=3, p=0.7)
+    assert gadgets.cf_count_via_uncolored(q, t, c) == \
+        homs.count_cf_answers(q, t, c)
+    g = parse_structure(serialize_structure(random_graph(rng, 7, 0.4)))
+    assert gadgets.domset_via_star_oracle(g, 3) == [
+        gadgets._brute_dominating_sets(g, ell) for ell in range(1, 4)]
+    assert "E" not in symbols
 
 
 def test_count_surjections():

@@ -3,14 +3,14 @@ import tracemalloc
 
 import pytest
 
-from cqcount import expansion, quantum
-from cqcount.model import (Coloring, Complement, Query, Signature, Structure,
-                           clone_by_multiplicity, clone_vertices,
+from cqcount import decomposition, expansion, gadgets, quantum
+from cqcount.model import (GRAPH, Coloring, Complement, Query, Signature,
+                           Structure, clone_by_multiplicity, clone_vertices,
                            complement_structure, gaifman_adjacency,
                            gaifman_graph, graph, graph_edges,
                            induced_substructure, query_structure,
                            tensor_product, unmatched_pair)
-from cqcount.parser import parse_formula
+from cqcount.parser import parse_formula, parse_structure, serialize_structure
 
 from helpers import (disjoint_union, explicit_complement, random_graph,
                      random_structure)
@@ -149,6 +149,47 @@ def test_clone_by_multiplicity_equals_the_checked_constructor():
             assert {tuple(origin[v] for v in tup) for tup in rel} == {
                 tup for tup in s.relations[name]
                 if all(multiplicity[v] for v in tup)}
+
+
+def assert_pairs_rebuild(s):
+    """s arrives with a pair at each single position of each binary relation,
+    each equal to the one the fast counter builds on a copy of s with no
+    index, and a symmetric relation holds one object at both positions."""
+    assert set(s.masks) == {(name, at) for name, arity in s.signature.symbols
+                            if arity == 2 for at in ((0,), (1,))}
+    bare = Structure._trusted(s.signature, s.n, s.relations)
+    for (name, at), pair in s.masks.items():
+        tup = (0, 1) if at == (0,) else (1, 0)
+        assert pair == decomposition._candidate_masks(bare, name, tup, 0)
+    for name, arity in s.signature.symbols:
+        if arity == 2 and unmatched_pair(s.relations[name]) is None:
+            assert s.masks[name, (0,)] is s.masks[name, (1,)]
+
+
+def test_derived_targets_arrive_with_the_pairs_a_rebuild_gives():
+    rng = random.Random(29)
+    signature = Signature([("E", 2), ("R", 2), ("U", 1)])
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        built = random_graph(rng, n)
+        parsed = parse_structure(serialize_structure(built))
+        atoms = [("E", (rng.randrange(n), rng.randrange(n)))
+                 for _ in range(rng.randint(0, 2 * n))] if n else []
+        mixed = random_structure(rng, signature, n, p=0.4)
+        for source in (parsed, built, query_structure(GRAPH, n, atoms), mixed,
+                       complement_structure(parsed)):
+            multiplicity = [rng.randint(0, 3) for _ in source.vertices()]
+            assert_pairs_rebuild(clone_by_multiplicity(source,
+                                                       multiplicity)[0])
+        for source in (parsed, mixed):
+            co = complement_structure(source)
+            assert_pairs_rebuild(co)
+            assert_pairs_rebuild(complement_structure(co))
+        for k in range(1, 4):
+            for padding in range(3):
+                padded = parse_structure(serialize_structure(
+                    graph(n + padding, graph_edges(built))))
+                assert_pairs_rebuild(gadgets.star_instance(padded, k)[0])
 
 
 def test_clone_vertices_demands_positive_multiplicity():

@@ -320,6 +320,7 @@ def test_a_file_with_underscores_and_plus_signs_elsewhere_is_read():
     ("color 1_0 0\n", "target vertex must be an integer"),
     ("color +0 0\n", "target vertex must be an integer"),
     ("color -1 0\n", "target vertex must be non-negative"),
+    ("color 0\u00a01\n", "non-ASCII whitespace"),
 ])
 def test_coloring_integers_are_ascii_decimals(text, message):
     with pytest.raises(ParseError) as e:
@@ -381,6 +382,15 @@ FORMULA_ERRORS = [
     ("formula", HEAD + "body E(x,_y) # (\n", "bad token '_'", 4, 10),
     ("formula", HEAD + "body E(x,é)\n", "bad token 'é'", 4, 10),
     ("formula", HEAD + "body E(x,y) E(y,x)\n", "trailing token 'E'", 4, 13),
+    # str.split() would read these as ASCII spaces; a comment may hold them
+    ("formula", "formula\nfree x1\u00a0x2\nbody E(x1,x2)\n",
+     "non-ASCII whitespace", 2, None),
+    ("formula", HEAD + "body E(x,\u00a0y) # \u3000\n", "non-ASCII whitespace",
+     4, None),
+    ("formula", "formula # \u00a0\nfree\u2003x\nbody E(x,x)\n",
+     "non-ASCII whitespace", 2, None),
+    ("query", "query\nfree x y\nbody E(x,y)\nineq\u2009x y\n",
+     "non-ASCII whitespace", 4, None),
     ("formula", HEAD + "body E(x,y))\n", "trailing token ')'", 4, 12),
     ("formula", HEAD + "body E(x,y) &\n", "unexpected end of expression", 4,
      None),
@@ -515,6 +525,10 @@ FORMULA_ERRORS = [
      None),
     ("quantum", "coeff 2\nquery\nbody true\n", "bad coefficient '2'", 1,
      None),
+    ("quantum", "coeff\u00a01/1\nquery\nbody true\n", "non-ASCII whitespace",
+     1, None),
+    ("quantum", "coeff 1/1\nquery\nfree x\nbody E(x,x)\n---\ncoeff 2/1\n"
+     "query\nfree\u00a0x\nbody E(x,x)\n", "non-ASCII whitespace", 8, None),
     ("quantum", "coeff 1/1\nquery\nfree x y\nbody E(x,y)\nineq x y\neq x y\n",
      "unsatisfiable constituent", 1, None),
     ("quantum", "coeff 1/1\nformula\nfree x\nforall y\nbody E(x,y)\n",
